@@ -79,6 +79,12 @@ class MessageQueue {
     return e->msg;
   }
 
+  /// The stored message, or nullptr (in place: no copy, unlike fetch).
+  const proto::DataMsg* find(GlobalSeq gseq) const {
+    const Entry* e = entry_at(gseq);
+    return e != nullptr && e->present ? &e->msg : nullptr;
+  }
+
   bool contains(GlobalSeq gseq) const {
     const Entry* e = entry_at(gseq);
     return e != nullptr && e->present;

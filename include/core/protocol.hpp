@@ -230,6 +230,7 @@ class BrNode {
   MessageQueue mq_;
   GroupView view_;
   GlobalSeq acked_floor_ = 0;  // gseqs below are subtree-acked in mq_
+  GlobalSeq chain_next_ = 0;   // multi-group: next gseq to chain-forward
   std::vector<MemberEvent> pending_membership_;
   sim::SimTime last_hb_from_prev_ = sim::SimTime::zero();
 };
@@ -389,6 +390,7 @@ class RingNetProtocol {
   void token_arrive(NodeId br, proto::OrderingToken token);
   void distribute(NodeId origin, const std::vector<proto::DataMsg>& batch);
   void br_receive_ordered(NodeId br, const proto::DataMsg& msg);
+  void forward_in_gseq_order(BrNode& b);
   void forward_down(NodeId br, const proto::DataMsg& msg);
   void forward_down_multi(NodeId br, const proto::DataMsg& msg);
   void mh_receive(NodeId mh, const proto::DataMsg& msg, bool retransmission);

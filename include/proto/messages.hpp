@@ -31,6 +31,7 @@ class WireWriter {
   void u32(std::uint32_t v) { append(v); }
   void u64(std::uint64_t v) { append(v); }
   void node(NodeId id) { u32(id.v); }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   std::size_t size() const { return buf_.size(); }
   const std::uint8_t* data() const { return buf_.data(); }
@@ -64,6 +65,15 @@ class WireReader {
     return NodeId{*v};
   }
 
+  /// Borrow the next `n` bytes and step past them; nullptr when fewer
+  /// remain. The slice lives as long as the underlying buffer.
+  const std::uint8_t* take(std::size_t n) {
+    if (size_ - pos_ < n) return nullptr;
+    const std::uint8_t* at = data_ + pos_;
+    pos_ += n;
+    return at;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
 
@@ -94,6 +104,7 @@ enum class MsgType : std::uint8_t {
   Membership = 4,
   Heartbeat = 5,
   TokenAck = 6,
+  DataBatch = 7,
 };
 
 /// Destination-group cap for one data message. The wire extension stores a
@@ -137,6 +148,18 @@ struct DataMsg {
   sim::SimTime uplink_rx_at = sim::SimTime::zero();
   sim::SimTime assigned_at = sim::SimTime::zero();
   sim::SimTime relay_rx_at = sim::SimTime::zero();
+};
+
+/// Largest encoded DataMsg body: the 40-byte descriptor plus a full
+/// multi-group section (count byte, gids, per-group seqs, chain link).
+constexpr std::size_t kMaxDataBodyBytes = 40 + 1 + kMaxDataGroups * 12 + 8;
+
+/// Ordered data in bulk: everything one runtime handler call sends to one
+/// destination, in send order. Wire form: u16 count (>= 1), then per entry
+/// a u8 body length and a DataMsg body that must parse to exactly that
+/// length. Plain Data frames carry uplink submissions only.
+struct DataBatchMsg {
+  std::vector<DataMsg> entries;
 };
 
 /// Periodic delivery watermark from an MH up its tree path: "I have
@@ -302,7 +325,8 @@ class TokenView {
 class Message {
  public:
   using Body = std::variant<DataMsg, OrderingToken, DeliveryAckMsg,
-                            MembershipMsg, HeartbeatMsg, TokenAckMsg>;
+                            MembershipMsg, HeartbeatMsg, TokenAckMsg,
+                            DataBatchMsg>;
 
   Message(DataMsg m) : body_(std::move(m)) {}                 // NOLINT
   Message(OrderingToken m) : body_(std::move(m)) {}           // NOLINT
@@ -310,6 +334,7 @@ class Message {
   Message(MembershipMsg m) : body_(std::move(m)) {}           // NOLINT
   Message(HeartbeatMsg m) : body_(std::move(m)) {}            // NOLINT
   Message(TokenAckMsg m) : body_(std::move(m)) {}             // NOLINT
+  Message(DataBatchMsg m) : body_(std::move(m)) {}            // NOLINT
 
   MsgType type() const;
   const Body& body() const { return body_; }
@@ -326,6 +351,7 @@ class Message {
   const TokenAckMsg& token_ack() const {
     return std::get<TokenAckMsg>(body_);
   }
+  const DataBatchMsg& batch() const { return std::get<DataBatchMsg>(body_); }
 
  private:
   Body body_;
@@ -338,8 +364,14 @@ std::optional<Message> decode(const std::vector<std::uint8_t>& bytes);
 /// bytes, or any corrupt field — never reads out of bounds.
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 
+/// DataBatch payload for `n` (1..65535) entries starting at `entries`,
+/// encoded straight from the caller's buffer; encode() on a DataBatchMsg
+/// produces the same bytes.
+std::vector<std::uint8_t> encode_batch(const DataMsg* entries, std::size_t n);
+
 /// Wire size of a message without materializing the buffer (used by the
-/// simulator to charge link serialization time).
+/// simulator to charge link serialization time). A DataBatch is sized
+/// exactly as encoded; a single Data frame also counts its payload bytes.
 std::size_t wire_size(const Message& msg);
 
 }  // namespace ringnet::proto

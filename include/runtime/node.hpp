@@ -205,6 +205,13 @@ struct BrConfig {
   RuntimeOptions opts;
 };
 
+/// The ordering node. Ordered data leaves it only as DataBatch datagrams:
+/// whatever one handler call (on_start, on_datagram, on_tick) sends to one
+/// destination travels in one datagram, split only when it reaches the
+/// most worst-case entries that fit in kMaxDatagramBytes. Destinations are
+/// its own APs (cell broadcast), each chain member via its AP (relay
+/// target) and the peer BRs. A hold's assignments are flushed before the
+/// token is released.
 class BrRuntime final : public RuntimeNode {
  public:
   BrRuntime(BrConfig cfg, Transport& tr);
@@ -278,9 +285,21 @@ class BrRuntime final : public RuntimeNode {
     std::int64_t next_resend_us = 0;
   };
 
+  // Ordered data bound for one (destination, relay target) pair. Entries
+  // accumulate during one handler call and leave as DataBatch datagrams at
+  // flush_batches().
+  struct Outbox {
+    NodeId to;
+    NodeId relay;
+    std::vector<proto::DataMsg> entries;
+  };
+
   bool leader() const { return cfg_.ring.front() == cfg_.self; }
   bool multi() const { return cfg_.groups.multi(); }
   NodeId next_br() const;
+  void emit(NodeId to, const proto::DataMsg& msg,
+            NodeId relay = NodeId::invalid());
+  void flush_batches();
   void handle_proto(const Datagram& d, std::int64_t now_us);
   void handle_uplink(const proto::DataMsg& msg, std::int64_t now_us);
   void ack_uplink(NodeId source, const SourceIn& si);
@@ -308,6 +327,10 @@ class BrRuntime final : public RuntimeNode {
   // each gseq in this BR's MQ (relay endpoint for its subtree's members).
   std::vector<SpanAssignRec> span_assigned_;
   std::unordered_map<std::uint64_t, std::int64_t> span_relay_rx_us_;
+
+  // This call's batches in first-use order, indexed by (to, relay).
+  std::vector<Outbox> outboxes_;
+  std::unordered_map<std::uint64_t, std::size_t> outbox_of_;
 
   std::uint64_t epoch_ = 1;
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)

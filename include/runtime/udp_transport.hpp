@@ -1,10 +1,11 @@
 #pragma once
 // Non-blocking UDP socket transport: one IPv4 datagram socket per node,
-// sendto/recvfrom with the runtime framing, poll()-based bounded receive.
-// Binding with port 0 takes an ephemeral port (the orchestrator builds the
-// address book from the actual bound ports, so parallel CI runs never
-// collide); a fixed port plus SO_REUSEADDR supports the daemon's static
-// port scheme and rebinding after a node restart.
+// sendto/recvfrom with the runtime framing; a receive polls only when no
+// frame is queued and the caller gave a timeout. Binding with port 0 takes
+// a distinct ephemeral port (the orchestrator builds the address book from
+// the actual bound ports, so parallel CI runs never collide); a fixed port
+// supports the daemon's static port scheme and rebinding after a node
+// restart.
 
 #include <cstdint>
 #include <memory>

@@ -555,8 +555,28 @@ void RingNetProtocol::br_receive_ordered(NodeId br, const proto::DataMsg& msg) {
         b.mq_.size() > 2 * config_.options.mq_retention + 64) {
       mark_acked(b);
     }
+    if (multi_) {
+      forward_in_gseq_order(b);
+      return;
+    }
   }
   forward_down(br, msg);
+}
+
+void RingNetProtocol::forward_in_gseq_order(BrNode& b) {
+  // Chain links must rise per member, so multi-group forwarding walks the
+  // MQ in gseq order, like the runtime's chain_next_ cursor. A peer's
+  // distribution that lands after this BR stored its own later gseqs fills
+  // the hole the cursor waits on; chaining in arrival order would link it
+  // backwards and the member would drop it as a duplicate. Everything
+  // below the MQ's delivered cursor is subtree-acked or skipped: jump it.
+  if (b.chain_next_ < b.mq_.next_expected()) {
+    b.chain_next_ = b.mq_.next_expected();
+  }
+  while (const proto::DataMsg* m = b.mq_.find(b.chain_next_)) {
+    forward_down(b.id_, *m);
+    ++b.chain_next_;
+  }
 }
 
 void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
@@ -883,12 +903,10 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   BrNode& b = brs_[br.index()];
   const sim::SimTime grace =
       config_.options.ack_period + config_.options.retx_timeout;
-  // Store-only peer repair for holes in this BR's own MQ (it missed a
-  // multicast, e.g. while wrongly ejected from the ring): fetch overdue
-  // copies from the archive so the subtree-acked floor keeps advancing.
-  // Unlike the legacy path this must NOT re-forward — the subtree's
-  // members never had these frames chained, and chaining an old gseq
-  // behind newer ones would corrupt their delivery chains.
+  // Peer repair for holes in this BR's own MQ (it missed a multicast,
+  // e.g. while wrongly ejected from the ring): fetch overdue copies from
+  // the archive. The gseq-order cursor has been waiting on the hole, so a
+  // repaired frame is chained in order and unblocks everything after it.
   if (any_assigned_) {
     const GlobalSeq from = b.mq_.next_expected();
     const GlobalSeq stop =
@@ -904,7 +922,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       sim_.after(d, [this, br, m = *arch] {
         BrNode& bb = brs_[br.index()];
         if (!bb.alive_) return;
-        bb.mq_.store(m, sim_.now());
+        if (bb.mq_.store(m, sim_.now())) forward_in_gseq_order(bb);
       });
     }
   }

@@ -241,6 +241,9 @@ MsgType Message::type() const {
     }
     MsgType operator()(const HeartbeatMsg&) const { return MsgType::Heartbeat; }
     MsgType operator()(const TokenAckMsg&) const { return MsgType::TokenAck; }
+    MsgType operator()(const DataBatchMsg&) const {
+      return MsgType::DataBatch;
+    }
   };
   return std::visit(Visitor{}, body_);
 }
@@ -266,7 +269,18 @@ void encode_body(const DataMsg& m, WireWriter& w) {
   }
 }
 
-std::optional<Message> decode_data(WireReader& r) {
+/// Encoded size of a DataMsg body (descriptor + optional group section),
+/// clamped like encode_body so it always matches the emitted bytes.
+std::size_t data_body_bytes(const DataMsg& m) {
+  std::size_t n = 40;
+  if (!m.groups.empty()) {
+    // u8 count + u32 gids + u64 seqs + u64 chain link.
+    n += 1 + std::min(m.groups.size(), kMaxDataGroups) * 12 + 8;
+  }
+  return n;
+}
+
+std::optional<DataMsg> decode_data(WireReader& r) {
   const auto gid = r.u32();
   const auto source = r.node();
   const auto lseq = r.u64();
@@ -310,7 +324,36 @@ std::optional<Message> decode_data(WireReader& r) {
     if (!prev) return std::nullopt;
     m.prev_chain = *prev;
   }
-  return Message(m);
+  return m;
+}
+
+void encode_entries(const DataMsg* entries, std::size_t n, WireWriter& w) {
+  w.u16(static_cast<std::uint16_t>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.u8(static_cast<std::uint8_t>(data_body_bytes(entries[i])));
+    encode_body(entries[i], w);
+  }
+}
+
+std::optional<Message> decode_batch(WireReader& r) {
+  const auto n = r.u16();
+  if (!n || *n == 0) return std::nullopt;
+  DataBatchMsg b;
+  // Bound the reservation by what the frame can hold (a length byte plus
+  // the 40-byte descriptor per entry), not by the claimed count.
+  b.entries.reserve(std::min<std::size_t>(*n, r.remaining() / 41));
+  for (std::uint16_t i = 0; i < *n; ++i) {
+    const auto len = r.u8();
+    if (!len) return std::nullopt;
+    const std::uint8_t* body = r.take(*len);
+    if (body == nullptr) return std::nullopt;
+    // Strict per entry: the body must parse to exactly its stated length.
+    WireReader er(body, *len);
+    auto m = decode_data(er);
+    if (!m || !er.exhausted()) return std::nullopt;
+    b.entries.push_back(std::move(*m));
+  }
+  return Message(std::move(b));
 }
 
 void encode_body(const DeliveryAckMsg& m, WireWriter& w) {
@@ -405,8 +448,19 @@ std::vector<std::uint8_t> encode(const Message& msg) {
     void operator()(const MembershipMsg& m) const { encode_body(m, w); }
     void operator()(const HeartbeatMsg& m) const { encode_body(m, w); }
     void operator()(const TokenAckMsg& m) const { encode_body(m, w); }
+    void operator()(const DataBatchMsg& m) const {
+      encode_entries(m.entries.data(), m.entries.size(), w);
+    }
   };
   std::visit(Visitor{w}, msg.body());
+  return w.take();
+}
+
+std::vector<std::uint8_t> encode_batch(const DataMsg* entries, std::size_t n) {
+  WireWriter w;
+  w.reserve(3 + n * (1 + kMaxDataBodyBytes));
+  w.u8(static_cast<std::uint8_t>(MsgType::DataBatch));
+  encode_entries(entries, n, w);
   return w.take();
 }
 
@@ -416,9 +470,11 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
   if (!type) return std::nullopt;
   std::optional<Message> out;
   switch (static_cast<MsgType>(*type)) {
-    case MsgType::Data:
-      out = decode_data(r);
+    case MsgType::Data: {
+      auto m = decode_data(r);
+      if (m) out.emplace(std::move(*m));
       break;
+    }
     case MsgType::Token: {
       auto t = OrderingToken::deserialize(r);
       if (t) out.emplace(std::move(*t));
@@ -435,6 +491,9 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
       break;
     case MsgType::TokenAck:
       out = decode_token_ack(r);
+      break;
+    case MsgType::DataBatch:
+      out = decode_batch(r);
       break;
     default:
       return std::nullopt;
@@ -453,13 +512,7 @@ std::size_t wire_size(const Message& msg) {
   struct Visitor {
     std::size_t& body;
     void operator()(const DataMsg& m) const {
-      body = 40 + m.payload_size;
-      if (!m.groups.empty()) {
-        // u8 count + u32 gids + u64 seqs + u64 chain link. Clamped like
-        // encode_body so the computed size matches the actual encoding
-        // even for an oversized (non-canonical) destination set.
-        body += 1 + std::min(m.groups.size(), kMaxDataGroups) * 12 + 8;
-      }
+      body = data_body_bytes(m) + m.payload_size;
     }
     void operator()(const OrderingToken& m) const {
       body = 40 + m.entries().size() * 32;
@@ -473,6 +526,10 @@ std::size_t wire_size(const Message& msg) {
     }
     void operator()(const HeartbeatMsg&) const { body = 12; }
     void operator()(const TokenAckMsg&) const { body = 20; }
+    void operator()(const DataBatchMsg& m) const {
+      body = 2;
+      for (const DataMsg& e : m.entries) body += 1 + data_body_bytes(e);
+    }
   };
   std::visit(Visitor{body}, msg.body());
   return 1 + body;

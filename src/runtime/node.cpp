@@ -66,6 +66,12 @@ constexpr std::size_t kHeldChainCap = 4096;
 // the AP); resyncing on it floods the cell with duplicates, and the storm
 // feeds back into deeper inboxes and more apparent stalls.
 constexpr std::uint32_t kStallAckLimit = 4;
+/// DataBatch entries per datagram: as many worst-case entries (length byte
+/// plus the largest DataMsg body) as fit in one frame after the header,
+/// the type tag and the count.
+constexpr std::size_t kMaxBatchEntries =
+    (kMaxDatagramBytes - kFrameHeaderBytes - 3) /
+    (1 + proto::kMaxDataBodyBytes);
 }  // namespace
 
 void RuntimeOptions::scale_timers(double f) {
@@ -125,6 +131,25 @@ NodeId BrRuntime::next_br() const {
   return cfg_.self;
 }
 
+void BrRuntime::emit(NodeId to, const proto::DataMsg& msg, NodeId relay) {
+  const std::uint64_t key = (std::uint64_t{to.v} << 32) | relay.v;
+  const auto [it, fresh] = outbox_of_.try_emplace(key, outboxes_.size());
+  if (fresh) outboxes_.push_back(Outbox{to, relay, {}});
+  outboxes_[it->second].entries.push_back(msg);
+}
+
+void BrRuntime::flush_batches() {
+  for (const Outbox& box : outboxes_) {
+    for (std::size_t at = 0; at < box.entries.size(); at += kMaxBatchEntries) {
+      const std::size_t n = std::min(kMaxBatchEntries, box.entries.size() - at);
+      const auto payload = proto::encode_batch(box.entries.data() + at, n);
+      tr_.send(box.to, frame(cfg_.self, FrameKind::Proto, payload, box.relay));
+    }
+  }
+  outboxes_.clear();
+  outbox_of_.clear();
+}
+
 void BrRuntime::on_start(std::int64_t now_us) {
   last_token_seen_us_ = now_us;
   next_hb_us_ = now_us + cfg_.opts.heartbeat_period_us;
@@ -139,6 +164,7 @@ void BrRuntime::on_start(std::int64_t now_us) {
     last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
     accept_token(std::move(t), now_us);
   }
+  flush_batches();
 }
 
 void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
@@ -155,6 +181,7 @@ void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
     return;
   }
   handle_proto(d, now_us);
+  flush_batches();
 }
 
 void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
@@ -164,15 +191,14 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
     return;
   }
   switch (msg->type()) {
-    case proto::MsgType::Data: {
-      const proto::DataMsg& dm = msg->data();
-      if (dm.ordering_node.valid()) {
+    case proto::MsgType::Data:  // uplink submission
+      handle_uplink(msg->data(), now_us);
+      break;
+    case proto::MsgType::DataBatch:  // a peer's assignments or pull reply
+      for (const proto::DataMsg& dm : msg->batch().entries) {
         store_and_forward_ordered(dm, now_us);
-      } else {
-        handle_uplink(dm, now_us);
       }
       break;
-    }
     case proto::MsgType::Token:
       handle_token(msg->token(), d.src, now_us);
       break;
@@ -302,7 +328,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
     }
     return;
   }
-  for (NodeId ap : cfg_.own_aps) tr_.send_msg(ap, proto::Message(msg));
+  for (NodeId ap : cfg_.own_aps) emit(ap, msg);
 }
 
 void BrRuntime::forward_chain(const proto::DataMsg& msg) {
@@ -321,7 +347,7 @@ void BrRuntime::forward_chain(const proto::DataMsg& msg) {
     if (m.fwd_log.size() > cfg_.opts.mq_retention + kResendWindow) {
       m.fwd_log.pop_front();
     }
-    tr_.send_msg(m.ap, proto::Message(copy), NodeId{id});
+    emit(m.ap, copy, NodeId{id});
   }
 }
 
@@ -385,9 +411,12 @@ void BrRuntime::assign_staged(std::int64_t now_us) {
     }
     store_and_forward_ordered(m, now_us);
     for (NodeId peer : cfg_.ring) {
-      if (peer != cfg_.self) tr_.send_msg(peer, proto::Message(m));
+      if (peer != cfg_.self) emit(peer, m);
     }
   }
+  // Peers must receive these assignments before the token that follows
+  // them, so they leave now rather than at the end of the handler call.
+  flush_batches();
 }
 
 void BrRuntime::release_token(std::int64_t now_us) {
@@ -428,7 +457,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
          g <= max_seen_gseq_ && g < ack.watermark + kResendWindow; ++g) {
       if (!any_seen_) break;
       if (const proto::DataMsg* m = mq_.find(g)) {
-        tr_.send_msg(ack.member, proto::Message(*m));
+        emit(ack.member, *m);
         metrics_.incr(mid_.retransmits);
       }
     }
@@ -473,7 +502,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   for (GlobalSeq g = want; g <= max_seen_gseq_ && g < want + kResendWindow;
        ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
-      tr_.send_msg(m.ap, proto::Message(*dm), ack.member);
+      emit(m.ap, *dm, ack.member);
       metrics_.incr(mid_.retransmits);
       ++resent;
     } else if (!pull_requested &&
@@ -544,7 +573,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
     if (const proto::DataMsg* dm = mq_.find(it->gseq)) {
       proto::DataMsg copy = *dm;
       copy.prev_chain = it->prev;
-      tr_.send_msg(m.ap, proto::Message(copy), member);
+      emit(m.ap, copy, member);
       metrics_.incr(mid_.retransmits);
       ++served;
       ++it;
@@ -603,6 +632,7 @@ void BrRuntime::on_tick(std::int64_t now_us) {
       now_us - last_token_seen_us_ >= cfg_.opts.token_regen_timeout_us()) {
     regenerate_token(now_us);
   }
+  flush_batches();
 }
 
 // ---------------------------------------------------------------------------
@@ -643,18 +673,22 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   // The AP is a store-less relay: it peeks the envelope tag to pick a
   // direction and forwards the payload bytes untouched (no decode/re-encode
   // on the hot path). Only membership deltas are decoded, to track the cell.
+  // The frame is built once: every copy of a cell broadcast is identical.
+  std::vector<std::uint8_t> bytes;
   const auto forward = [&](NodeId to) {
-    tr_.send(to, frame(cfg_.self, FrameKind::Proto, d.payload));
+    if (bytes.empty()) bytes = frame(cfg_.self, FrameKind::Proto, d.payload);
+    tr_.send(to, bytes);
   };
   const auto type = static_cast<proto::MsgType>(d.payload[0]);
   const bool uplink = d.src.tier() == Tier::MH;
   switch (type) {
     case proto::MsgType::Data:
+    case proto::MsgType::DataBatch:
     case proto::MsgType::DeliveryAck:
       if (uplink) {
         forward(cfg_.br);
       } else if (d.relay.valid()) {
-        forward(d.relay);  // targeted retransmission to one member
+        forward(d.relay);  // one member: chain delivery or a resend
       } else {
         for (NodeId mh : attached_) forward(mh);
       }
@@ -749,12 +783,12 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
     return;
   }
   switch (msg->type()) {
-    case proto::MsgType::Data:
-      if (msg->data().ordering_node.valid()) {
+    case proto::MsgType::DataBatch:
+      for (const proto::DataMsg& dm : msg->batch().entries) {
         if (cfg_.groups.multi()) {
-          receive_chain(msg->data(), now_us);
+          receive_chain(dm, now_us);
         } else {
-          receive_ordered(msg->data(), now_us);
+          receive_ordered(dm, now_us);
         }
       }
       break;

@@ -45,8 +45,10 @@ void UdpTransport::open_and_bind(std::uint16_t port) {
     throw std::runtime_error(std::string("socket(): ") +
                              std::strerror(errno));
   }
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // No SO_REUSEADDR: with it set before a port-0 bind, Linux can hand two
+  // sockets the same ephemeral port, and one node then receives another's
+  // frames. A UDP port is free again as soon as its socket closes, so
+  // rebinding after a restart does not need the option either.
   // A whole deployment shares one loopback: fan-out bursts (BR -> APs ->
   // cells) overflow the default ~200KB buffers, and every lost frame there
   // becomes ARQ traffic that amplifies the burst. Size for the storm.
@@ -103,13 +105,18 @@ bool UdpTransport::send(NodeId to, const std::vector<std::uint8_t>& bytes) {
 
 std::optional<Datagram> UdpTransport::recv(std::int64_t timeout_us) {
   if (fd_ < 0) return std::nullopt;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int timeout_ms =
-      timeout_us <= 0 ? 0 : static_cast<int>((timeout_us + 999) / 1000);
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0 || (pfd.revents & POLLIN) == 0) return std::nullopt;
-  const ssize_t n =
+  // The socket is non-blocking: try the read first, so a frame that is
+  // already queued costs one syscall. Wait only when the queue is empty
+  // and the caller allows it.
+  ssize_t n =
       ::recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0, nullptr, nullptr);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) && timeout_us > 0) {
+    pollfd pfd{fd_, POLLIN, 0};
+    const int timeout_ms = static_cast<int>((timeout_us + 999) / 1000);
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready <= 0 || (pfd.revents & POLLIN) == 0) return std::nullopt;
+    n = ::recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0, nullptr, nullptr);
+  }
   if (n <= 0) return std::nullopt;
   auto d = unframe(rx_buf_.data(), static_cast<std::size_t>(n));
   if (!d) {

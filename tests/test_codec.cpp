@@ -2,6 +2,8 @@
 // decode() must reject truncation, trailing garbage and unknown tags
 // rather than mis-parse.
 
+#include <algorithm>
+
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 
@@ -317,6 +319,145 @@ TEST(group_set_fuzz_mutation_safe) {
       for (std::size_t i = 1; i < d.groups.size(); ++i) {
         CHECK(d.groups[i - 1].v < d.groups[i].v);
       }
+    }
+  }
+}
+
+// --- DataBatch: ordered data in bulk ---------------------------------------
+
+namespace {
+
+proto::DataBatchMsg sample_batch() {
+  proto::DataBatchMsg b;
+  b.entries.push_back(sample_data());  // single-group: the legacy layout
+  b.entries.push_back(sample_grouped({1, 3, 9}));
+  proto::DataMsg full = sample_grouped({2, 4, 6, 8});  // largest body
+  full.gseq += 1;
+  full.prev_chain = 987654322ull;
+  b.entries.push_back(full);
+  return b;
+}
+
+bool same_wire_fields(const proto::DataMsg& a, const proto::DataMsg& b) {
+  if (a.gid.v != b.gid.v || a.source.v != b.source.v || a.lseq != b.lseq ||
+      a.ordering_node.v != b.ordering_node.v || a.gseq != b.gseq ||
+      a.epoch != b.epoch || a.payload_size != b.payload_size ||
+      a.groups.size() != b.groups.size() || a.prev_chain != b.prev_chain) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.groups.size(); ++i) {
+    if (a.groups[i].v != b.groups[i].v) return false;
+    if (a.group_seqs[i] != b.group_seqs[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(data_batch_round_trip) {
+  const proto::DataBatchMsg ref = sample_batch();
+  const auto bytes = proto::encode(proto::Message(ref));
+  CHECK_EQ(bytes[0], static_cast<std::uint8_t>(proto::MsgType::DataBatch));
+  // The runtime's direct encoder writes the same bytes from its buffer.
+  CHECK(proto::encode_batch(ref.entries.data(), ref.entries.size()) == bytes);
+  const auto decoded = proto::decode(bytes);
+  CHECK(decoded.has_value());
+  CHECK(decoded->type() == proto::MsgType::DataBatch);
+  const auto& got = decoded->batch().entries;
+  CHECK_EQ(got.size(), ref.entries.size());
+  for (std::size_t i = 0; i < got.size() && i < ref.entries.size(); ++i) {
+    CHECK(same_wire_fields(got[i], ref.entries[i]));
+  }
+  CHECK(got[0].groups.empty());
+  CHECK_EQ(got[2].groups.size(), proto::kMaxDataGroups);
+  CHECK_EQ(got[2].prev_chain, 987654322ull);
+  // A one-entry batch is the smallest legal frame.
+  const proto::DataBatchMsg one{{sample_data()}};
+  const auto small = proto::encode(proto::Message(one));
+  CHECK_EQ(small.size(), std::size_t{1 + 2 + 1 + 40});
+  CHECK(proto::decode(small).has_value());
+}
+
+TEST(data_batch_wire_size_matches_encode) {
+  // Unlike a single Data frame, a batch is sized exactly as encoded: the
+  // entries are descriptors and payload bytes are not modelled.
+  const proto::DataBatchMsg b = sample_batch();
+  CHECK_EQ(proto::wire_size(proto::Message(b)),
+           proto::encode(proto::Message(b)).size());
+  // The largest entry body is the full four-group descriptor.
+  const proto::DataMsg& full = b.entries[2];
+  CHECK_EQ(proto::encode(proto::Message(full)).size(),
+           1 + proto::kMaxDataBodyBytes);
+}
+
+TEST(data_batch_malformed_rejected) {
+  const auto bytes = proto::encode(proto::Message(sample_batch()));
+  // Every strict prefix (a truncated last entry, a missing entry, a cut
+  // count) is rejected, and so is a trailing byte.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                           bytes.begin() + cut);
+    CHECK(!proto::decode(prefix).has_value());
+  }
+  auto padded = bytes;
+  padded.push_back(0x00);
+  CHECK(!proto::decode(padded).has_value());
+
+  // Count 0 is not a batch.
+  const std::vector<std::uint8_t> empty = {
+      static_cast<std::uint8_t>(proto::MsgType::DataBatch), 0, 0};
+  CHECK(!proto::decode(empty).has_value());
+
+  // Layout: tag, u16 count, then the first entry's length byte at offset 3
+  // and its 40-byte single-group body.
+  const std::size_t kFirstLen = 3;
+  CHECK_EQ(bytes[kFirstLen], std::uint8_t{40});
+  // A length that disagrees with its body: one short truncates the body,
+  // one long swallows the next entry's length byte.
+  for (const std::uint8_t len : {std::uint8_t{39}, std::uint8_t{41}}) {
+    auto wrong = bytes;
+    wrong[kFirstLen] = len;
+    CHECK(!proto::decode(wrong).has_value());
+  }
+
+  // An entry slice with bytes left after a valid body: a full four-group
+  // body (nothing may follow its chain link) plus one byte, with the
+  // length claiming both.
+  proto::DataMsg full = sample_grouped({2, 4, 6, 8});
+  auto body = proto::encode(proto::Message(full));
+  body.erase(body.begin());  // drop the Data tag
+  std::vector<std::uint8_t> slack(4 + body.size() + 1, 0x00);
+  slack[0] = static_cast<std::uint8_t>(proto::MsgType::DataBatch);
+  slack[1] = 1;  // count, little-endian
+  slack[3] = static_cast<std::uint8_t>(body.size() + 1);
+  std::copy(body.begin(), body.end(), slack.begin() + 4);
+  CHECK(!proto::decode(slack).has_value());
+  // The same slice without the extra byte is fine.
+  slack.pop_back();
+  slack[3] = static_cast<std::uint8_t>(body.size());
+  CHECK(proto::decode(slack).has_value());
+}
+
+TEST(data_batch_fuzz_mutation_safe) {
+  const auto bytes = proto::encode(proto::Message(sample_batch()));
+  // Single-byte mutations anywhere must never crash the decoder; a batch
+  // that still decodes is canonical, so it re-encodes to the same bytes.
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      auto mutated = bytes;
+      mutated[pos] = static_cast<std::uint8_t>(mutated[pos] ^ mask);
+      const auto decoded = proto::decode(mutated);
+      if (!decoded.has_value()) continue;
+      if (decoded->type() != proto::MsgType::DataBatch) continue;
+      const auto& entries = decoded->batch().entries;
+      CHECK(!entries.empty());
+      for (const auto& d : entries) {
+        CHECK(d.groups.size() <= proto::kMaxDataGroups);
+        for (std::size_t i = 1; i < d.groups.size(); ++i) {
+          CHECK(d.groups[i - 1].v < d.groups[i].v);
+        }
+      }
+      CHECK(proto::encode(*decoded) == mutated);
     }
   }
 }

@@ -11,13 +11,18 @@
 //   3. The satellite regression: the sharded lookahead floor derives from
 //      the per-pair latency matrix and equals the configured WAN latency on
 //      uniform deployments.
+//   4. Lossless multi-group sim runs deliver every member exactly its
+//      destined messages (BRs chain-forward in gseq order).
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/harness.hpp"
 #include "core/analysis.hpp"
 #include "core/groups.hpp"
+#include "net/channel.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/orchestrator.hpp"
 #include "scenario/catalogue.hpp"
@@ -212,6 +217,69 @@ TEST(lookahead_floor_tracks_the_latency_matrix) {
   single.hierarchy.num_brs = 1;
   CHECK(baseline::min_interdomain_latency(single) ==
         single.hierarchy.wan.latency);
+}
+
+TEST(sim_lossless_chains_deliver_every_destined_message) {
+  // Regression: a BR used to chain frames in arrival order. A peer's
+  // distribution landing after the BR had chained its own later gseqs got
+  // backward links, and the member dropped each such frame as a duplicate
+  // while no loss counter moved. Lossless sim on the shape of the
+  // full-length multi-group loopback soak (2 BRs x 2 APs x 8 MHs, 8
+  // groups, 2 per MH, 2 per message, 40 messages per source at 50 Hz):
+  // every member must deliver exactly its destined set.
+  const std::size_t n_mh = 32;
+  const std::uint32_t msgs = 40;
+  const double rate_hz = 50.0;
+  baseline::RunSpec spec;
+  spec.config.hierarchy.num_brs = 2;
+  spec.config.hierarchy.ags_per_br = 1;
+  spec.config.hierarchy.aps_per_ag = 2;
+  spec.config.hierarchy.mhs_per_ap = 8;
+  spec.config.hierarchy.wan = net::ChannelModel::wired_wan(0.0);
+  spec.config.hierarchy.lan = net::ChannelModel::wired_lan(0.0);
+  spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.0);
+  spec.config.num_sources = n_mh;
+  spec.config.groups.count = 8;
+  spec.config.groups.groups_per_mh = 2;
+  spec.config.groups.dest_groups = 2;
+  spec.config.source.rate_hz = rate_hz;
+  spec.config.source.payload_size = 64;
+  spec.config.source.max_messages = msgs;
+  spec.warmup = sim::secs(0.0);
+  spec.run = sim::secs(msgs / rate_hz + 1.0);
+  spec.drain = sim::secs(2.0);
+  spec.seed = 1;
+  spec.export_deliveries = true;
+  const auto r = baseline::run_experiment(spec);
+  CHECK(!r.order_violation.has_value());
+  CHECK_EQ(r.total_sent, std::uint64_t{n_mh * msgs});
+
+  std::size_t mismatched = 0;
+  for (std::size_t m = 0; m < n_mh; ++m) {
+    const proto::GroupSet mine = core::member_groups(m, spec.config.groups);
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> want;
+    for (std::uint32_t s = 0; s < n_mh; ++s) {
+      for (std::uint32_t l = 0; l < msgs; ++l) {
+        if (core::dest_groups(NodeId{s}, l, spec.config.groups)
+                .intersects(mine)) {
+          want.emplace_back(s, l);
+        }
+      }
+    }
+    const auto [recs, n] = r.deliveries_of(m);
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> got;
+    got.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      got.emplace_back(recs[i].source.v, recs[i].lseq);
+    }
+    std::sort(got.begin(), got.end());
+    if (got != want) {
+      std::printf("  mh %zu: delivered %zu of %zu destined\n", m, got.size(),
+                  want.size());
+      ++mismatched;
+    }
+  }
+  CHECK_EQ(mismatched, std::size_t{0});
 }
 
 TEST(inprocess_runtime_delivers_multi_group_chains) {

@@ -2,12 +2,17 @@
 // deployment must boot through the supervisor handshake, deliver the whole
 // scripted workload in total order, and survive scripted token loss (the
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
-// watchdog). Plus direct single-threaded MhRuntime unit coverage for the
-// reordering buffer and gap-skip accounting.
+// watchdog). Plus direct single-threaded unit coverage: the MhRuntime
+// reordering buffer and gap-skip accounting, and the batched ordered
+// datapath (one DataBatch datagram per destination per handler call).
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "core/groups.hpp"
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/inproc_transport.hpp"
@@ -56,6 +61,17 @@ Datagram proto_datagram(const proto::Message& msg) {
   return d;
 }
 
+/// Ordered data travels only inside DataBatch frames: wrap the entries.
+Datagram batch_datagram(std::vector<proto::DataMsg> entries) {
+  return proto_datagram(
+      proto::Message(proto::DataBatchMsg{std::move(entries)}));
+}
+
+/// The one-entry batch that carries a single ordered message.
+Datagram ordered_datagram(const proto::DataMsg& msg) {
+  return batch_datagram({msg});
+}
+
 proto::DataMsg chain_data(GlobalSeq gseq, GlobalSeq prev, NodeId source,
                           LocalSeq lseq) {
   proto::DataMsg m = ordered_data(gseq, source, lseq);
@@ -63,6 +79,40 @@ proto::DataMsg chain_data(GlobalSeq gseq, GlobalSeq prev, NodeId source,
   m.group_seqs[0] = lseq;
   m.prev_chain = prev;
   return m;
+}
+
+/// An MH submission as its AP relays it up to the BR.
+Datagram uplink_datagram(NodeId ap, NodeId source, LocalSeq lseq,
+                         const proto::GroupSet& groups = {}) {
+  proto::DataMsg m;
+  m.gid = kRuntimeGroup;
+  m.source = source;
+  m.lseq = lseq;
+  m.payload_size = 32;
+  m.groups = groups;
+  Datagram d = proto_datagram(proto::Message(m));
+  d.src = ap;
+  return d;
+}
+
+Datagram member_ack_datagram(NodeId from, NodeId member, GlobalSeq wm) {
+  Datagram d = proto_datagram(
+      proto::Message(proto::DeliveryAckMsg{kRuntimeGroup, member, wm}));
+  d.src = from;
+  return d;
+}
+
+/// Every frame waiting in a node's mailbox, oldest first.
+std::vector<Datagram> drain(Transport& tr) {
+  std::vector<Datagram> out;
+  while (auto d = tr.recv(0)) out.push_back(std::move(*d));
+  return out;
+}
+
+std::optional<proto::DataBatchMsg> batch_of(const Datagram& d) {
+  const auto msg = proto::decode(d.payload.data(), d.payload.size());
+  if (!msg || msg->type() != proto::MsgType::DataBatch) return std::nullopt;
+  return msg->batch();
 }
 
 MhConfig chain_cfg(NodeId self) {
@@ -171,11 +221,11 @@ TEST(mh_reorders_out_of_order_gseq) {
   mh.on_start(0);
 
   const auto src = NodeId{3};
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(1, src, 11))), 10);
+  mh.on_datagram(ordered_datagram(ordered_data(1, src, 11)), 10);
   CHECK_EQ(mh.delivered_count(), 0u);  // holding for gseq 0
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(0, src, 10))), 20);
+  mh.on_datagram(ordered_datagram(ordered_data(0, src, 10)), 20);
   CHECK_EQ(mh.delivered_count(), 2u);  // contiguous drain
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(2, src, 12))), 30);
+  mh.on_datagram(ordered_datagram(ordered_data(2, src, 12)), 30);
   CHECK_EQ(mh.delivered_count(), 3u);
 
   const auto& log = mh.deliveries();
@@ -186,7 +236,7 @@ TEST(mh_reorders_out_of_order_gseq) {
 
   // Replays of anything already delivered or buffered only bump the
   // duplicate counter.
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(1, src, 11))), 40);
+  mh.on_datagram(ordered_datagram(ordered_data(1, src, 11)), 40);
   CHECK_EQ(mh.delivered_count(), 3u);
   CHECK_EQ(mh.counters().duplicates, 1u);
 }
@@ -206,9 +256,9 @@ TEST(mh_gap_skip_counts_really_lost) {
   mh.on_start(0);
 
   const auto src = NodeId{3};
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(0, src, 0))), 10);
+  mh.on_datagram(ordered_datagram(ordered_data(0, src, 0)), 10);
   // gseq 1,2 never arrive; 3 is buffered beyond the gap.
-  mh.on_datagram(proto_datagram(proto::Message(ordered_data(3, src, 3))), 20);
+  mh.on_datagram(ordered_datagram(ordered_data(3, src, 3)), 20);
   CHECK_EQ(mh.delivered_count(), 1u);
 
   // The ordering BR advances the floor past the pruned range: the MH must
@@ -243,22 +293,22 @@ TEST(mh_chain_merges_repaired_link_on_resend) {
   const auto src = NodeId{3};
   // gseq 5 chained behind coordinate 3: its predecessor (gseq 2) was lost
   // on the downlink, so the frame is held undeliverable.
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(5, 3, src, 1))), 10);
+  mh.on_datagram(ordered_datagram(chain_data(5, 3, src, 1)), 10);
   CHECK_EQ(mh.delivered_count(), 0u);
   // A byte-identical duplicate is dropped and changes nothing.
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(5, 3, src, 1))), 20);
+  mh.on_datagram(ordered_datagram(chain_data(5, 3, src, 1)), 20);
   CHECK_EQ(mh.delivered_count(), 0u);
   CHECK_EQ(mh.counters().duplicates, 1u);
   // The splice resend carries the repaired link: the held copy must adopt
   // the lower link and drain.
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(5, 0, src, 1))), 30);
+  mh.on_datagram(ordered_datagram(chain_data(5, 0, src, 1)), 30);
   CHECK_EQ(mh.delivered_count(), 1u);
   CHECK_EQ(mh.deliveries().back().gseq, 5u);
   // The chain continues from the new tail (coordinate 6).
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(9, 6, src, 2))), 40);
+  mh.on_datagram(ordered_datagram(chain_data(9, 6, src, 2)), 40);
   CHECK_EQ(mh.delivered_count(), 2u);
   // A stale resend of the settled coordinate stays a plain duplicate.
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(5, 3, src, 1))), 50);
+  mh.on_datagram(ordered_datagram(chain_data(5, 3, src, 1)), 50);
   CHECK_EQ(mh.delivered_count(), 2u);
   CHECK_EQ(mh.counters().duplicates, 2u);
 }
@@ -279,19 +329,17 @@ TEST(mh_chain_hold_queue_is_bounded) {
   // each linked to its immediate predecessor's coordinate.
   const GlobalSeq cap = 4096;
   for (GlobalSeq g = 2; g < 2 + cap; ++g) {
-    mh.on_datagram(proto_datagram(proto::Message(chain_data(g, g, src, g))),
-                   10);
+    mh.on_datagram(ordered_datagram(chain_data(g, g, src, g)), 10);
   }
   CHECK_EQ(mh.delivered_count(), 0u);
   CHECK_EQ(mh.counters().duplicates, 0u);
   // One past the cap: shed instead of held.
   const GlobalSeq over = 2 + cap;
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(over, over, src,
-                                                          over))), 20);
+  mh.on_datagram(ordered_datagram(chain_data(over, over, src, over)), 20);
   CHECK_EQ(mh.counters().duplicates, 1u);
   // The missing head arrives: everything held drains in chain order; only
   // the shed frame is absent (a later resend would replay it).
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(1, 0, src, 1))), 30);
+  mh.on_datagram(ordered_datagram(chain_data(1, 0, src, 1)), 30);
   CHECK_EQ(mh.delivered_count(), cap + 1);
   CHECK_EQ(mh.deliveries().back().gseq, 2 + cap - 1);
 }
@@ -315,7 +363,7 @@ TEST(mh_flight_recorder_wraps_under_load) {
   const auto src = NodeId{3};
   const std::uint64_t n = obs::FlightRecorder::kDefaultCapacity + 50;
   for (std::uint64_t g = 0; g < n; ++g) {
-    mh.on_datagram(proto_datagram(proto::Message(ordered_data(g, src, g))),
+    mh.on_datagram(ordered_datagram(ordered_data(g, src, g)),
                    static_cast<std::int64_t>(10 * g));
   }
   CHECK_EQ(mh.delivered_count(), n);
@@ -351,11 +399,11 @@ TEST(mh_chain_regression_rejected_without_dump) {
   mh.on_start(0);
 
   const auto src = NodeId{3};
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(5, 0, src, 1))), 10);
+  mh.on_datagram(ordered_datagram(chain_data(5, 0, src, 1)), 10);
   CHECK_EQ(mh.delivered_count(), 1u);
   CHECK(!mh.flight_recorder().take_dump_request());
   // gseq 3 (coordinate 4, below the tail at 6): rejected, not delivered.
-  mh.on_datagram(proto_datagram(proto::Message(chain_data(3, 6, src, 2))), 20);
+  mh.on_datagram(ordered_datagram(chain_data(3, 6, src, 2)), 20);
   CHECK_EQ(mh.delivered_count(), 1u);
   CHECK_EQ(mh.counters().duplicates, 1u);
   CHECK(!mh.flight_recorder().take_dump_request());
@@ -411,6 +459,244 @@ TEST(br_token_loss_arms_watchdog_dump) {
   // The unified registry reports the same vocabulary the sim uses.
   CHECK_EQ(br.metrics().counter("token.dropped"), c.token_dropped);
   CHECK_EQ(br.metrics().counter("token.regenerated"), c.token_regenerated);
+}
+
+// --- batched ordered datapath ----------------------------------------------
+
+namespace {
+
+const NodeId kBr0 = NodeId::make(Tier::BR, 0);
+const NodeId kBr1 = NodeId::make(Tier::BR, 1);
+const NodeId kAp0 = NodeId::make(Tier::AP, 0);
+const NodeId kAp1 = NodeId::make(Tier::AP, 1);
+const NodeId kMh0 = NodeId::make(Tier::MH, 0);
+const NodeId kMh1 = NodeId::make(Tier::MH, 1);
+const NodeId kSs{0x00FFFFFEu};
+
+/// BR 0 of a two-BR ring, leader, serving AP 0 (and AP 1 when asked).
+BrConfig leader_cfg(std::vector<NodeId> own_aps) {
+  BrConfig cfg;
+  cfg.self = kBr0;
+  cfg.ss = kSs;
+  cfg.ring = {kBr0, kBr1};
+  cfg.own_aps = std::move(own_aps);
+  return cfg;
+}
+
+}  // namespace
+
+TEST(br_hold_sends_one_batch_per_destination) {
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  auto peer = net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  auto cell1 = net.attach(kAp1);
+  (void)net.attach(kSs);
+  BrRuntime br(leader_cfg({kAp0, kAp1}), *tr);
+  br.on_start(0);  // the leader seeds the token and holds it
+
+  const std::uint64_t n = 12;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(uplink_datagram(kAp0, NodeId{5}, l), 10);
+  }
+  // Past the hold deadline: one tick assigns the staged uplinks and then
+  // releases the token, which must reach the peer after the batch.
+  br.on_tick(250);
+  CHECK_EQ(br.assigned(), n);
+  for (InProcTransport* t : {cell0.get(), cell1.get(), peer.get()}) {
+    const auto frames = drain(*t);
+    const bool at_peer = t == peer.get();
+    CHECK_EQ(frames.size(), at_peer ? 2u : 1u);
+    if (frames.empty()) continue;
+    if (at_peer && frames.size() == 2) CHECK(is_token_frame(frames[1]));
+    const auto b = batch_of(frames[0]);
+    CHECK(b.has_value());
+    if (!b) continue;
+    CHECK(!frames[0].relay.valid());  // cell broadcast / peer copy
+    CHECK_EQ(b->entries.size(), n);
+    for (std::size_t i = 0; i < b->entries.size(); ++i) {
+      CHECK_EQ(b->entries[i].gseq, i);
+      CHECK_EQ(b->entries[i].lseq, i);
+      CHECK_EQ(b->entries[i].ordering_node.v, kBr0.v);
+    }
+  }
+}
+
+TEST(br_batch_splits_at_the_datagram_limit) {
+  // Worst-case entries (four destination groups, so a full 97-byte body):
+  // a hold too big for one datagram splits into frames that each fit, and
+  // only where the next entry would not fit.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  auto peer = net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 4;
+  cfg.groups.groups_per_mh = 4;
+  cfg.groups.dest_groups = 4;
+  cfg.members = {kMh0};
+  cfg.member_ap = {kAp0};
+  const proto::GroupSet all = core::member_groups(0, cfg.groups);
+  CHECK_EQ(all.size(), proto::kMaxDataGroups);
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+
+  const std::uint64_t n = 1500;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(uplink_datagram(kAp0, NodeId{9}, l, all), 10);
+  }
+  br.on_tick(100);
+  CHECK_EQ(br.assigned(), n);
+  for (InProcTransport* t : {cell0.get(), peer.get()}) {
+    const auto frames = drain(*t);
+    CHECK(frames.size() > 1);
+    std::uint64_t next = 0;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      const std::size_t bytes = kFrameHeaderBytes + frames[f].payload.size();
+      CHECK(bytes <= kMaxDatagramBytes);
+      if (f + 1 < frames.size()) {
+        CHECK(bytes + 1 + proto::kMaxDataBodyBytes > kMaxDatagramBytes);
+      }
+      const auto b = batch_of(frames[f]);
+      CHECK(b.has_value());
+      if (!b) continue;
+      for (const proto::DataMsg& m : b->entries) {
+        CHECK_EQ(m.gseq, next);
+        if (t == cell0.get()) {
+          // Chain-mode relay to the member, linked to its predecessor.
+          CHECK_EQ(frames[f].relay.v, kMh0.v);
+          CHECK_EQ(m.prev_chain, next);
+        }
+        ++next;
+      }
+    }
+    CHECK_EQ(next, n);
+  }
+}
+
+TEST(mh_applies_batch_entries_in_order_counting_duplicates) {
+  InProcNet net;
+  (void)net.attach(kAp0);
+  auto tr = net.attach(kMh0);
+  MhConfig cfg;
+  cfg.self = kMh0;
+  cfg.source_id = NodeId{0};
+  cfg.ap = kAp0;
+  cfg.ss = kSs;
+  MhRuntime mh(cfg, *tr);
+  mh.on_start(0);
+  const auto src = NodeId{3};
+  // Reordered and duplicated entries inside one frame.
+  std::vector<proto::DataMsg> entries;
+  for (const GlobalSeq g : {2, 0, 1, 0, 2}) {
+    entries.push_back(ordered_data(g, src, g));
+  }
+  mh.on_datagram(batch_datagram(entries), 10);
+  CHECK_EQ(mh.delivered_count(), 3u);
+  CHECK_EQ(mh.counters().duplicates, 2u);
+  for (std::size_t i = 0; i < mh.deliveries().size(); ++i) {
+    CHECK_EQ(mh.deliveries()[i].gseq, i);
+  }
+
+  // Chain mode: a frame held on a missing link drains once the link lands
+  // later in the same batch; a repeat of it is a duplicate.
+  auto tr1 = net.attach(kMh1);
+  MhRuntime chain(chain_cfg(kMh1), *tr1);
+  chain.on_start(0);
+  std::vector<proto::DataMsg> links;
+  links.push_back(chain_data(5, 3, src, 1));
+  links.push_back(chain_data(2, 0, src, 0));
+  links.push_back(chain_data(5, 3, src, 1));
+  links.push_back(chain_data(9, 6, src, 2));
+  chain.on_datagram(batch_datagram(links), 10);
+  CHECK_EQ(chain.delivered_count(), 3u);
+  CHECK_EQ(chain.counters().duplicates, 1u);
+  CHECK_EQ(chain.deliveries().back().gseq, 9u);
+}
+
+TEST(br_ack_driven_resends_leave_as_one_batch) {
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  auto peer = net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.members = {kMh0};
+  cfg.member_ap = {kAp0};
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const std::uint64_t n = 10;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(uplink_datagram(kAp0, NodeId{7}, l), 10);
+  }
+  br.on_tick(100);
+  CHECK_EQ(drain(*cell0).size(), 1u);
+  CHECK_EQ(drain(*peer).size(), 1u);
+
+  // The member acks watermark 0 until the BR counts it stalled, then the
+  // whole resend window goes to it in one frame.
+  for (int k = 0; k < 4; ++k) {
+    br.on_datagram(member_ack_datagram(kAp0, kMh0, 0), 120 + k);
+  }
+  const auto resent = drain(*cell0);
+  CHECK_EQ(resent.size(), 1u);
+  if (!resent.empty()) {
+    CHECK_EQ(resent[0].relay.v, kMh0.v);
+    const auto b = batch_of(resent[0]);
+    CHECK(b.has_value());
+    if (b) CHECK_EQ(b->entries.size(), n);
+  }
+  CHECK_EQ(br.counters().retransmits, n);
+
+  // A peer's pull for a hole is served the same way.
+  br.on_datagram(member_ack_datagram(kBr1, kBr1, 0), 200);
+  const auto pulled = drain(*peer);
+  CHECK_EQ(pulled.size(), 1u);
+  if (!pulled.empty()) {
+    const auto b = batch_of(pulled[0]);
+    CHECK(b.has_value());
+    if (b) CHECK_EQ(b->entries.size(), n);
+  }
+  CHECK_EQ(br.counters().retransmits, 2 * n);
+}
+
+TEST(ap_relays_batch_bytes_untouched) {
+  InProcNet net;
+  auto tr = net.attach(kAp0);
+  auto m0 = net.attach(kMh0);
+  auto m1 = net.attach(kMh1);
+  (void)net.attach(kSs);
+  ApConfig cfg;
+  cfg.self = kAp0;
+  cfg.br = kBr0;
+  cfg.ss = kSs;
+  cfg.attached = {kMh0, kMh1};
+  ApRuntime ap(cfg, *tr);
+  ap.on_start(0);
+  const auto src = NodeId{3};
+  std::vector<proto::DataMsg> entries;
+  entries.push_back(ordered_data(0, src, 0));
+  entries.push_back(chain_data(4, 1, src, 1));
+  Datagram in = batch_datagram(entries);
+  // Relay target: exactly that member gets the frame.
+  in.relay = kMh1;
+  ap.on_datagram(in, 10);
+  CHECK(drain(*m0).empty());
+  const auto one = drain(*m1);
+  CHECK_EQ(one.size(), 1u);
+  if (!one.empty()) {
+    CHECK(one[0].payload == in.payload);
+    CHECK_EQ(one[0].src.v, kAp0.v);
+  }
+  // No relay target: the whole cell gets it.
+  in.relay = NodeId::invalid();
+  ap.on_datagram(in, 20);
+  for (InProcTransport* t : {m0.get(), m1.get()}) {
+    const auto got = drain(*t);
+    CHECK_EQ(got.size(), 1u);
+    if (!got.empty()) CHECK(got[0].payload == in.payload);
+  }
 }
 
 TEST(loopback_spans_capture_all_stages) {
