@@ -13,6 +13,8 @@
 //      uniform deployments.
 //   4. Lossless multi-group sim runs deliver every member exactly its
 //      destined messages (BRs chain-forward in gseq order).
+//   5. Multi-group sim traces are pinned too: golden fingerprints of the
+//      three group scenarios, on the base shape and on a lossy one.
 
 #include <algorithm>
 #include <string>
@@ -101,6 +103,39 @@ baseline::RunSpec group_scenario_spec(const std::string& name) {
   return spec;
 }
 
+// The lossy shape: 4 BRs x 4 APs x 3 MHs, 2 sources, 5% wireless and 1%
+// WAN loss, at the harness's default run length. Lossy links exercise the
+// chain's ack-driven resends, which the lossless base shape barely touches.
+baseline::RunSpec lossy_group_spec(const std::string& name) {
+  baseline::RunSpec spec;  // default warmup, run and drain
+  spec.config.hierarchy.num_brs = 4;
+  spec.config.hierarchy.aps_per_ag = 4;
+  spec.config.hierarchy.mhs_per_ap = 3;
+  spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.05);
+  spec.config.hierarchy.wan = net::ChannelModel::wired_wan(0.01);
+  spec.config.num_sources = 2;
+  spec.config.record_deliveries = true;
+  spec.seed = 7;
+  spec.export_deliveries = true;
+  const auto parsed = scenario::find_scenario(name);
+  CHECK(parsed.has_value());
+  if (parsed) spec.scenario = *parsed;
+  return spec;
+}
+
+// Multi-group delivery traces, captured before the delivery rules of both
+// engines moved into core/delivery.hpp (same specs, same seed).
+struct GroupPin {
+  const char* scenario;
+  std::uint64_t base;
+  std::uint64_t lossy;
+};
+constexpr GroupPin kGroupPins[] = {
+    {"group-mesh", 0x20ce4037235b09eaull, 0xa76e005ee073939dull},
+    {"group-churn", 0x4203f83cff3e8e5cull, 0x45feef5dc768dd47ull},
+    {"group-flash", 0x0b4da08b86eb8d7aull, 0x5c62d799856cdb95ull},
+};
+
 }  // namespace
 
 TEST(single_group_reproduces_golden_traces) {
@@ -125,6 +160,18 @@ TEST(single_group_reproduces_golden_traces) {
   explicit1_wp.config.groups.count = 1;
   CHECK_EQ(fingerprint(baseline::run_experiment(explicit1_wp)),
            kGoldenWaypoint);
+}
+
+TEST(multi_group_traces_reproduce_golden) {
+  for (const GroupPin& pin : kGroupPins) {
+    const auto base =
+        baseline::run_experiment(group_scenario_spec(pin.scenario));
+    CHECK(!base.order_violation.has_value());
+    CHECK_EQ(fingerprint(base), pin.base);
+    const auto lossy = baseline::run_experiment(lossy_group_spec(pin.scenario));
+    CHECK(!lossy.order_violation.has_value());
+    CHECK_EQ(fingerprint(lossy), pin.lossy);
+  }
 }
 
 TEST(group_catalogue_is_pairwise_consistent) {
