@@ -187,7 +187,8 @@ BENCHMARK(BM_TokenForwardRing);
 void BM_DistributeBatchDeliver(benchmark::State& state) {
   // The delivery fan-out path end to end: ordered batches distributed
   // ring-wide, forwarded down 64-member subtrees and delivered in gseq
-  // order — dominated by forward_down + mh_receive + MQ store/deliver.
+  // order — dominated by the BR's MQ store + forward_down and each
+  // member's core::OrderedReceiver.
   sim::Simulation sim(1);
   core::ProtocolConfig cfg;
   cfg.hierarchy.num_brs = 4;

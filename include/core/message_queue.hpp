@@ -1,22 +1,21 @@
 #pragma once
-// MessageQueue (the paper's MQ): an ordered buffer of globally-sequenced
-// messages keyed by gseq. It absorbs out-of-order arrival (gap windows),
-// exposes the contiguous deliverable prefix, and — once entries are
-// delivered/acked — retains a bounded tail (`retention` entries behind the
-// delivered watermark, the ValidFront lag) so handed-off members can
-// resynchronize without end-to-end retransmission.
+// MessageQueue (the paper's MQ): an ordering node's buffer of globally-
+// sequenced messages keyed by gseq. It absorbs out-of-order arrival (gap
+// windows), tracks the contiguous delivered (subtree-acked) watermark, and
+// retains a bounded tail (`retention` entries behind that watermark, the
+// ValidFront lag) so handed-off members can resynchronize without
+// end-to-end retransmission.
 //
 // Storage is a base-offset deque: gseqs are assigned contiguously by the
 // token, so entry g lives at slot (g - base) and every hot operation
-// (store, mark_delivered, the deliverable walk, prune) is an index, not an
-// ordered-tree descent. Slots inside the span that have not arrived yet
+// (store, find, mark_delivered, prune) is an index, not an ordered-tree
+// descent. Slots inside the span that have not arrived yet
 // are explicit holes; the span stays O(retention + in-flight window).
 
 #include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "proto/messages.hpp"
 #include "sim/time.hpp"
@@ -62,24 +61,7 @@ class MessageQueue {
     prune();
   }
 
-  /// The contiguous run of undelivered messages starting at next_expected.
-  std::vector<proto::DataMsg> deliverable() const {
-    std::vector<proto::DataMsg> out;
-    for (GlobalSeq g = next_expected_;; ++g) {
-      const Entry* e = entry_at(g);
-      if (e == nullptr || !e->present) break;
-      if (!e->delivered) out.push_back(e->msg);
-    }
-    return out;
-  }
-
-  std::optional<proto::DataMsg> fetch(GlobalSeq gseq) const {
-    const Entry* e = entry_at(gseq);
-    if (e == nullptr || !e->present) return std::nullopt;
-    return e->msg;
-  }
-
-  /// The stored message, or nullptr (in place: no copy, unlike fetch).
+  /// The stored message (in place), or nullptr.
   const proto::DataMsg* find(GlobalSeq gseq) const {
     const Entry* e = entry_at(gseq);
     return e != nullptr && e->present ? &e->msg : nullptr;
@@ -95,15 +77,6 @@ class MessageQueue {
     const Entry* e = entry_at(gseq);
     if (e == nullptr || !e->present) return std::nullopt;
     return e->stored_at;
-  }
-
-  /// Gseqs in [next_expected, horizon] that have not arrived (gap list).
-  std::vector<GlobalSeq> missing_before(GlobalSeq horizon) const {
-    std::vector<GlobalSeq> out;
-    for (GlobalSeq g = next_expected_; g <= horizon; ++g) {
-      if (!contains(g)) out.push_back(g);
-    }
-    return out;
   }
 
   /// Oldest gseq this queue can still serve: the start of the retained
@@ -136,10 +109,6 @@ class MessageQueue {
   bool empty() const { return present_count_ == 0; }
   std::size_t size() const { return present_count_; }
   std::size_t retention() const { return retention_; }
-  void set_retention(std::size_t r) {
-    retention_ = r;
-    prune();
-  }
 
  private:
   struct Entry {

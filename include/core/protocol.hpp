@@ -25,13 +25,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/delivery.hpp"
 #include "core/message_queue.hpp"
 #include "core/types.hpp"
 #include "core/working_queue.hpp"
@@ -166,7 +166,7 @@ class SubmitLog {
   LocalSeq base_ = 0;  // lseqs below are pruned
 };
 
-/// Mobile host: reorder buffer + delivery bookkeeping.
+/// Mobile host: the delivery core's receiver + delivery bookkeeping.
 class MhNode {
  public:
   MhNode(NodeId id, NodeId ap) : id_(id), ap_(ap) {}
@@ -184,23 +184,12 @@ class MhNode {
   NodeId ap_;
   bool attached_ = true;
   bool attach_pending_ = false;  // a complete_attach event is in flight
-  MessageQueue mq_{4};  // reorder buffer; tiny retention for dedupe
+  OrderedReceiver ordered_;      // single-group: reorder, dedupe, gap skip
+  ChainReceiver chain_;          // multi-group: delivery in chain order
   std::unordered_set<std::uint64_t> seen_unordered_;
   std::uint64_t delivered_ = 0;
   std::uint64_t ack_gen_ = 0;  // live ack-tick chain (bumps kill old chains)
   sim::SimTime last_delivery_ = sim::SimTime::zero();
-  // Multi-group delivery chain (gseq contiguity no longer identifies
-  // losses: a hole may just be a message for another group). The serving
-  // BR stamps each downlink frame with prev_chain = the chain coordinate
-  // (gseq + 1) of the previous frame forwarded to this member, and the MH
-  // delivers in chain order: multi_tail_ is the coordinate of the last
-  // delivered frame, and out-of-chain arrivals wait in multi_held_ (keyed
-  // by their own coordinate) until their predecessor lands.
-  GlobalSeq multi_tail_ = 0;
-  // lint: map-ok — drained smallest-coordinate-first (begin() is the only
-  // candidate whose prev_chain can extend the tail), so the hold buffer
-  // needs an ordered walk; residency is bounded by the in-flight window.
-  std::map<GlobalSeq, proto::DataMsg> multi_held_;
 };
 
 /// Border router / ordering node state.
@@ -393,8 +382,7 @@ class RingNetProtocol {
   void forward_in_gseq_order(BrNode& b);
   void forward_down(NodeId br, const proto::DataMsg& msg);
   void forward_down_multi(NodeId br, const proto::DataMsg& msg);
-  void mh_receive(NodeId mh, const proto::DataMsg& msg, bool retransmission);
-  void mh_receive_multi(MhNode& m, const proto::DataMsg& msg);
+  void mh_receive(NodeId mh, const proto::DataMsg& msg);
   void deliver_at_mh(MhNode& node, const proto::DataMsg& msg);
   void record_span(const proto::DataMsg& msg);
 
@@ -502,14 +490,9 @@ class RingNetProtocol {
   // subtree has no members of those groups does zero downlink work — the
   // genuineness property bench_groups measures.
   std::vector<std::vector<std::vector<NodeId>>> group_members_;
-  // Per-member delivery-chain bookkeeping at the serving BR (all dense by
-  // MH index, touched only from the member's owning domain):
-  struct FwdEntry {
-    GlobalSeq gseq;  // assigned global sequence of the forwarded frame
-    GlobalSeq prev;  // chain link it was stamped with (predecessor's gseq+1)
-  };
-  std::vector<GlobalSeq> member_fwd_tail_;        // last forwarded coord
-  std::vector<std::deque<FwdEntry>> member_fwd_log_;  // unacked forwards
+  // Per-member delivery-chain bookkeeping at the serving BR (dense by MH
+  // index, touched only from the member's owning domain):
+  std::vector<ChainSender> member_chain_;
   std::vector<GlobalSeq> member_seen_stamp_;  // forward dedupe (gseq+1 tag)
   // Per-group assigned-seq high water (next seq to hand out), maintained at
   // token assignment time in the serialized global context; Token

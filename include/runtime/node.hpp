@@ -14,13 +14,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/delivery.hpp"
 #include "core/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -132,62 +131,6 @@ struct DeliveredRec {
   LocalSeq lseq = 0;
 };
 
-/// Base-offset buffer of ordered messages keyed by contiguous GlobalSeq:
-/// the BR's MQ retention window and the MH's reorder buffer. Slots below
-/// base() have been pruned (BR) or delivered (MH).
-class GseqBuffer {
- public:
-  GlobalSeq base() const { return base_; }
-  GlobalSeq end() const { return base_ + slots_.size(); }
-
-  bool contains(GlobalSeq g) const {
-    return g >= base_ && g < end() && slots_[idx(g)].has_value();
-  }
-
-  const proto::DataMsg* find(GlobalSeq g) const {
-    if (!contains(g)) return nullptr;
-    return &*slots_[idx(g)];
-  }
-
-  /// false when g is below base (stale) or already present (duplicate).
-  bool insert(GlobalSeq g, const proto::DataMsg& msg) {
-    if (g < base_) return false;
-    if (g >= end()) slots_.resize(static_cast<std::size_t>(g - base_) + 1);
-    if (slots_[idx(g)].has_value()) return false;
-    slots_[idx(g)] = msg;
-    return true;
-  }
-
-  /// Drop slots (filled or holes) from the front until at most `retention`
-  /// remain. Returns how many were dropped.
-  std::size_t prune_to(std::size_t retention) {
-    std::size_t dropped = 0;
-    while (slots_.size() > retention) {
-      slots_.pop_front();
-      ++base_;
-      ++dropped;
-    }
-    return dropped;
-  }
-
-  /// Advance base to `g`, discarding everything below (MH delivery prune).
-  void drop_below(GlobalSeq g) {
-    while (base_ < g && !slots_.empty()) {
-      slots_.pop_front();
-      ++base_;
-    }
-    if (base_ < g) base_ = g;
-  }
-
- private:
-  std::size_t idx(GlobalSeq g) const {
-    return static_cast<std::size_t>(g - base_);
-  }
-
-  std::deque<std::optional<proto::DataMsg>> slots_;
-  GlobalSeq base_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Border router / ordering node
 
@@ -250,28 +193,16 @@ class BrRuntime final : public RuntimeNode {
     LocalSeq next_expected = 0;
     std::unordered_map<LocalSeq, proto::DataMsg> pending;
   };
-  // One link of a member's delivery chain: the forwarded message's gseq and
-  // the chain coordinate (gseq + 1) of its predecessor on this member's
-  // chain. Entries are appended in forwarding order, so coordinates rise
-  // strictly along the log.
-  struct FwdEntry {
-    GlobalSeq gseq = 0;
-    GlobalSeq prev = 0;
-  };
   struct Member {
     NodeId ap = NodeId::invalid();
-    // Acked watermark. Legacy mode: next expected gseq. Multi-group mode:
-    // the member's chain tail — both live in the same gseq+1 coordinate
-    // space, so the stall/resync machinery is shared.
+    // Single-group acked watermark (the member's next expected gseq).
     GlobalSeq next_expected = 0;
     GlobalSeq prev_ack_wm = 0;  // watermark of the previous ack (stall check)
     std::uint32_t stalled_acks = 0;  // consecutive acks with no progress
     std::int64_t last_resend_us = kNeverUs;
-    // Multi-group chain state: memberships, the coordinate of the newest
-    // chain-forwarded message, and the unacked chain links.
+    // Multi-group mode: memberships and this member's delivery chain.
     proto::GroupSet groups;
-    GlobalSeq fwd_tail = 0;
-    std::deque<FwdEntry> fwd_log;
+    core::ChainSender chain;
   };
   struct TokenKey {
     std::uint64_t epoch = 0, serial = 0, rotation = 0;
@@ -316,6 +247,7 @@ class BrRuntime final : public RuntimeNode {
                          std::int64_t now_us);
   void handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
                         std::int64_t now_us);
+  bool resync_due(Member& m, GlobalSeq wm, bool behind, std::int64_t now_us);
   void request_pull(GlobalSeq g, std::int64_t now_us);
 
   BrConfig cfg_;
@@ -336,7 +268,7 @@ class BrRuntime final : public RuntimeNode {
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
   std::deque<proto::DataMsg> staging_;
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
-  GseqBuffer mq_;
+  core::GseqBuffer mq_;
   GlobalSeq max_seen_gseq_ = 0;
   bool any_seen_ = false;
   std::uint64_t assigned_ = 0;
@@ -469,11 +401,8 @@ class MhRuntime final : public RuntimeNode {
   };
 
   void submit_one(std::int64_t now_us);
-  void receive_ordered(const proto::DataMsg& msg, std::int64_t now_us);
-  void receive_chain(const proto::DataMsg& msg, std::int64_t now_us);
   void deliver(const proto::DataMsg& msg, std::int64_t now_us);
   void record_latency(std::int64_t lat_us);
-  void gap_skip_to(GlobalSeq floor, std::int64_t now_us);
   void send_ack();
 
   MhConfig cfg_;
@@ -500,12 +429,8 @@ class MhRuntime final : public RuntimeNode {
   // Bounded by the scripted msgs_to_send.
   std::unordered_map<std::uint64_t, std::int64_t> submit_times_us_;
 
-  GseqBuffer buf_;
-  GlobalSeq next_expected_ = 0;
-  // Multi-group chain state: tail coordinate (gseq + 1 of the last chain
-  // delivery) and out-of-chain arrivals held keyed by their own coordinate.
-  GlobalSeq multi_tail_ = 0;
-  std::map<GlobalSeq, proto::DataMsg> held_;
+  core::OrderedReceiver ordered_;  // single-group delivery
+  core::ChainReceiver chain_;      // multi-group delivery
   std::vector<DeliveredRec> log_;
   std::uint64_t delivered_ = 0;
   std::vector<std::int64_t> lat_us_;

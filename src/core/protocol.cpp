@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -99,8 +100,7 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   if (multi_) {
     group_members_.assign(
         n_br, std::vector<std::vector<NodeId>>(config_.groups.count));
-    member_fwd_tail_.assign(n_mh, 0);
-    member_fwd_log_.assign(n_mh, {});
+    member_chain_.resize(n_mh);
     member_seen_stamp_.assign(n_mh, 0);
     group_seq_high_.assign(config_.groups.count, 0);
     for (std::size_t i = 0; i < n_mh; ++i) {
@@ -603,8 +603,7 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
       continue;
     }
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
-    sim_.after(dom, delay,
-               [this, mh, frame] { mh_receive(mh, *frame, false); });
+    sim_.after(dom, delay, [this, mh, frame] { mh_receive(mh, *frame); });
   }
 }
 
@@ -629,16 +628,8 @@ void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
         // and log it for ack-driven resends, even when the radio is dark:
         // the chain must name every destined message or the member could
         // not tell a loss from a non-destination gseq hole.
-        copy.prev_chain = member_fwd_tail_[i];
-        member_fwd_tail_[i] = stamp;
-        auto& log = member_fwd_log_[i];
-        log.push_back(FwdEntry{msg.gseq, copy.prev_chain});
-        if (log.size() > config_.options.mq_retention + kResendWindow) {
-          // A member that never acks (crashed radio, endless blackout)
-          // must not grow O(total sent) state: drop the oldest unacked
-          // forward — the ack-driven resync splices the chain over it.
-          log.pop_front();
-        }
+        copy.prev_chain = member_chain_[i].link(
+            msg.gseq, config_.options.mq_retention + kResendWindow);
       }
       if (!m.attached_) continue;  // repaired via the forward-log resend
       if (cell_blacked_out(m.ap_)) {
@@ -646,15 +637,12 @@ void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
         continue;
       }
       const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
-      sim_.after(dom, delay,
-                 [this, mh, copy] { mh_receive(mh, copy, false); });
+      sim_.after(dom, delay, [this, mh, copy] { mh_receive(mh, copy); });
     }
   }
 }
 
-void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg,
-                                 bool retransmission) {
-  (void)retransmission;
+void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
   MhNode& m = mhs_[mh.index()];
   // Ownership guard: a frame scheduled before the MH migrated to another
   // subtree arrives in the old domain; it missed (resync repairs it).
@@ -674,41 +662,11 @@ void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg,
     deliver_at_mh(m, msg);
     return;
   }
+  const auto deliver = [&](const proto::DataMsg& d) { deliver_at_mh(m, d); };
   if (multi_ && !msg.groups.empty()) {
-    mh_receive_multi(m, msg);
-    return;
-  }
-  if (!m.mq_.store(msg, sim_.now())) return;
-  for (const auto& d : m.mq_.deliverable()) {
-    m.mq_.mark_delivered(d.gseq);
-    deliver_at_mh(m, d);
-  }
-}
-
-void RingNetProtocol::mh_receive_multi(MhNode& m, const proto::DataMsg& msg) {
-  // Chain-order delivery: a frame is deliverable once its predecessor in
-  // the member's chain (prev_chain) has been delivered or settled
-  // (coordinate <= multi_tail_). Held frames wait keyed by their own
-  // coordinate; coordinates rise along the chain, so draining the smallest
-  // held frame while its link is satisfied replays the chain in order.
-  const GlobalSeq coord = msg.gseq + 1;
-  if (coord <= m.multi_tail_) return;  // duplicate (already delivered)
-  const auto [held, inserted] = m.multi_held_.emplace(coord, msg);
-  if (!inserted) {
-    // Same coordinate already held. A resend after the BR spliced an
-    // unrecoverable predecessor out of the chain carries a repaired
-    // (lower) link; keeping the stale held link would wait forever on a
-    // frame that can no longer arrive. Merge the lower link and re-drain;
-    // a byte-identical duplicate merges to a no-op and drains nothing.
-    if (msg.prev_chain >= held->second.prev_chain) return;  // duplicate
-    held->second.prev_chain = msg.prev_chain;
-  }
-  while (!m.multi_held_.empty()) {
-    auto it = m.multi_held_.begin();
-    if (it->second.prev_chain > m.multi_tail_) break;  // link missing
-    m.multi_tail_ = it->first;
-    deliver_at_mh(m, it->second);
-    m.multi_held_.erase(it);
+    m.chain_.receive(msg, deliver);
+  } else {
+    m.ordered_.receive(msg, deliver);
   }
 }
 
@@ -804,7 +762,7 @@ void RingNetProtocol::ack_tick(NodeId mh, std::uint64_t gen) {
   // Multi-group members ack their chain tail instead of the MQ cursor —
   // same coordinate space (a gseq+1 frontier), so the BR-side watermark,
   // floor and pruning math is shared between the modes.
-  const GlobalSeq wm = multi_ ? m.multi_tail_ : m.mq_.next_expected();
+  const GlobalSeq wm = multi_ ? m.chain_.tail() : m.ordered_.next_expected();
   const sim::SimTime delay = uplink_delay(mh, kAckBytes);
   sim_.after(delay, [this, br, mh, wm] { br_receive_ack(br, mh, wm); });
 }
@@ -828,20 +786,17 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
   const GlobalSeq vf = b.mq_.valid_front();
   GlobalSeq cursor = next_expected;
   if (cursor < vf) {
-    const GlobalSeq skipped = vf - cursor;
     const sim::SimTime delay = downlink_delay(mh, kAckBytes);
-    sim_.after(delay, [this, mh, vf, skipped] {
+    sim_.after(delay, [this, mh, vf] {
       MhNode& m = mhs_[mh.index()];
       if (sim_.current_ctx() != mh_domain_[mh.index()]) return;
-      if (!m.attached_ || m.mq_.next_expected() >= vf) return;
-      m.mq_.skip_to(vf);
-      sim_.metrics().incr(mid_.gaps_skipped);
-      sim_.metrics().incr(mid_.gap_skipped_msgs, skipped);
-      sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, skipped);
-      for (const auto& d : m.mq_.deliverable()) {
-        m.mq_.mark_delivered(d.gseq);
-        deliver_at_mh(m, d);
-      }
+      if (!m.attached_) return;
+      const auto skip = m.ordered_.skip_to(
+          vf, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
+      if (skip.lost == 0) return;
+      sim_.metrics().incr(mid_.gaps_skipped, skip.gaps);
+      sim_.metrics().incr(mid_.gap_skipped_msgs, skip.lost);
+      sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, skip.lost);
     });
     cursor = vf;
   }
@@ -876,18 +831,16 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
           // while the BR sat memberless): serve the requesting member
           // directly so it is not wedged behind an unfillable gap.
           const sim::SimTime down = downlink_delay(mh, data_bytes());
-          sim_.after(down, [this, mh, m] { mh_receive(mh, m, true); });
+          sim_.after(down, [this, mh, m] { mh_receive(mh, m); });
         }
       });
       if (++resent >= kResendWindow) break;
       continue;
     }
     if (*stored + grace > sim_.now()) continue;
-    const auto msg = b.mq_.fetch(g);
-    if (!msg) continue;
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
     sim_.metrics().incr(mid_.retransmits);
-    sim_.after(delay, [this, mh, m = *msg] { mh_receive(mh, m, true); });
+    sim_.after(delay, [this, mh, m = *b.mq_.find(g)] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
 }
@@ -926,56 +879,33 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       });
     }
   }
-  auto& log = member_fwd_log_[mh.index()];
-  while (!log.empty() && log.front().gseq + 1 <= tail) log.pop_front();
-  if (log.empty()) return;
-  // The front's predecessor is no longer in the log; if the member has not
-  // settled it (link above the tail), it was dropped beyond recovery —
-  // reconnect the chain at the member's tail so it can advance.
-  if (log.front().prev > tail) {
-    log.front().prev = tail;
+  ChainSender& chain = member_chain_[mh.index()];
+  if (chain.ack(tail)) {
     sim_.metrics().incr(mid_.gaps_skipped);
     sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, 1);
   }
+  using Step = ChainSender::Step;
   std::size_t resent = 0;
-  for (auto it = log.begin(); it != log.end() && resent < kResendWindow;) {
-    const proto::DataMsg* stored = nullptr;
-    auto from_mq = b.mq_.fetch(it->gseq);
-    if (from_mq) {
-      stored = &*from_mq;
-    } else {
-      stored = archive_lookup(it->gseq);
-    }
-    if (!stored) {
-      // Payload unrecoverable: splice this frame out of the member's chain.
-      // The successor inherits the link — or, when the spliced entry was
-      // the newest forward, the chain head rolls back so the next forward
-      // is not chained behind a coordinate the member will never settle.
-      const FwdEntry dead = *it;
-      it = log.erase(it);
-      if (it != log.end()) {
-        it->prev = dead.prev;
-      } else if (member_fwd_tail_[mh.index()] == dead.gseq + 1) {
-        member_fwd_tail_[mh.index()] = dead.prev;
-      }
+  chain.walk([&](const ChainSender::Link& link) {
+    if (resent >= kResendWindow) return Step::Stop;
+    const proto::DataMsg* from_mq = b.mq_.find(link.gseq);
+    const proto::DataMsg* stored =
+        from_mq != nullptr ? from_mq : archive_lookup(link.gseq);
+    if (stored == nullptr) {
       sim_.metrics().incr(mid_.gap_skipped_msgs);
-      continue;
+      return Step::Splice;  // payload unrecoverable
     }
-    const sim::SimTime at =
-        from_mq ? b.mq_.stored_at(it->gseq).value_or(sim::SimTime::zero())
-                : archive_stored_at(it->gseq);
-    if (at + grace > sim_.now()) {
-      ++it;
-      continue;  // normally in flight; do not duplicate it
-    }
+    const sim::SimTime at = from_mq != nullptr ? *b.mq_.stored_at(link.gseq)
+                                               : archive_stored_at(link.gseq);
+    if (at + grace > sim_.now()) return Step::Next;  // normally in flight
     proto::DataMsg copy = *stored;
-    copy.prev_chain = it->prev;
+    copy.prev_chain = link.prev;
     sim_.metrics().incr(mid_.retransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
-    sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy, true); });
+    sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy); });
     ++resent;
-    ++it;
-  }
+    return Step::Next;
+  });
 }
 
 void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
@@ -987,10 +917,10 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
   // collides with a replayed frame) and are dropped at the member.
   const std::size_t i = mh.index();
   MhNode& m = mhs_[i];
-  const GlobalSeq tail = m.multi_tail_;
-  member_fwd_tail_[i] = tail;
-  member_fwd_log_[i].clear();
-  m.multi_held_.clear();  // old-chain holds can never link up again
+  const GlobalSeq tail = m.chain_.tail();
+  ChainSender& chain = member_chain_[i];
+  chain.restart(tail);
+  m.chain_.restart();
   if (!any_assigned_) return;
   if (tail < archive_base_) {
     // Messages between the tail and the archive's base fell out of
@@ -1009,14 +939,13 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     const proto::DataMsg* arch = archive_lookup(g);
     if (!arch || !arch->groups.intersects(mine)) continue;
     proto::DataMsg copy = *arch;
-    copy.prev_chain = member_fwd_tail_[i];
-    member_fwd_tail_[i] = g + 1;
-    member_fwd_log_[i].push_back(FwdEntry{g, copy.prev_chain});
+    // The attach-time replay is not held to the forward log's bound.
+    copy.prev_chain = chain.link(g, std::numeric_limits<std::size_t>::max());
     if (!m.attached_ || cell_blacked_out(m.ap_)) continue;
     sim_.metrics().incr(mid_.retransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
     sim_.after(mh_domain_[i], delay,
-               [this, mh, copy] { mh_receive(mh, copy, true); });
+               [this, mh, copy] { mh_receive(mh, copy); });
   }
 }
 
@@ -1401,7 +1330,8 @@ void RingNetProtocol::detach_from_cell(MhNode& m) {
         auto& slab = slabs[group_index(g)];
         slab.erase(std::remove(slab.begin(), slab.end(), m.id_), slab.end());
       }
-      member_fwd_log_[m.id_.index()].clear();  // chain restarts on attach
+      // The chain restarts on attach; drop the unacked links now.
+      member_chain_[m.id_.index()].restart(m.chain_.tail());
     }
     member_br_[m.id_.index()] = NodeId::invalid();
     BrNode& b = brs_[old_br.index()];
@@ -1542,10 +1472,10 @@ void RingNetProtocol::complete_attach(NodeId mh, NodeId ap) {
       for (GroupId g : mh_groups_[mh.index()]) {
         slabs[group_index(g)].push_back(mh);
       }
-      member_wm_[mh.index()] = m.multi_tail_;
+      member_wm_[mh.index()] = m.chain_.tail();
       if (config_.options.ordered) resync_member_multi(br, mh);
     } else {
-      member_wm_[mh.index()] = m.mq_.next_expected();
+      member_wm_[mh.index()] = m.ordered_.next_expected();
     }
     BrNode& b = brs_[br.index()];
     if (b.alive_) mark_acked(b);

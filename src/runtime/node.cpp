@@ -1,7 +1,6 @@
 #include "runtime/node.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "core/groups.hpp"
@@ -57,10 +56,6 @@ namespace {
 /// member can trigger while still closing multi-message gaps quickly.
 constexpr GlobalSeq kResendWindow = 64;
 constexpr std::size_t kUplinkPendingCap = 4096;
-/// Chain-mode hold queue bound (frames waiting on a predecessor link).
-/// Without it a member wedged behind a lost frame accretes every later
-/// forward over real UDP; shed frames come back via ack-driven resends.
-constexpr std::size_t kHeldChainCap = 4096;
 // Consecutive no-progress acks before a member counts as stalled. One
 // stalled ack is routinely just pipeline lag (deliveries in flight through
 // the AP); resyncing on it floods the cell with duplicates, and the storm
@@ -339,14 +334,8 @@ void BrRuntime::forward_chain(const proto::DataMsg& msg) {
   for (auto& [id, m] : members_) {
     if (!m.groups.intersects(msg.groups)) continue;
     proto::DataMsg copy = msg;
-    copy.prev_chain = m.fwd_tail;
-    m.fwd_tail = msg.gseq + 1;
-    m.fwd_log.push_back(FwdEntry{msg.gseq, copy.prev_chain});
-    // Backstop for a member that never acks (crashed mid-run): bound the
-    // log like the MQ so memory stays flat.
-    if (m.fwd_log.size() > cfg_.opts.mq_retention + kResendWindow) {
-      m.fwd_log.pop_front();
-    }
+    copy.prev_chain =
+        m.chain.link(msg.gseq, cfg_.opts.mq_retention + kResendWindow);
     emit(m.ap, copy, NodeId{id});
   }
 }
@@ -471,20 +460,8 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     return;
   }
   m.next_expected = std::max(m.next_expected, ack.watermark);
-  // Only a *stalled* member needs resync: kStallAckLimit consecutive acks
-  // with no watermark progress while assignments it lacks exist. A merely
-  // lagging member (deliveries in flight through the AP) would turn every
-  // resend into a duplicate at the MH.
   const bool behind = any_seen_ && m.next_expected <= max_seen_gseq_;
-  if (!behind || ack.watermark > m.prev_ack_wm) {
-    m.prev_ack_wm = std::max(m.prev_ack_wm, ack.watermark);
-    m.stalled_acks = 0;
-    return;
-  }
-  if (++m.stalled_acks < kStallAckLimit) return;
-  if (now_us - m.last_resend_us < cfg_.opts.retx_timeout_us) return;
-  m.stalled_acks = 0;
-  m.last_resend_us = now_us;
+  if (!resync_due(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
   fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
   if (want < mq_.base()) {
@@ -519,6 +496,24 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   }
 }
 
+bool BrRuntime::resync_due(Member& m, GlobalSeq wm, bool behind,
+                           std::int64_t now_us) {
+  // Only a *stalled* member needs resync: kStallAckLimit consecutive acks
+  // with no watermark progress while it is behind. A merely lagging member
+  // (deliveries in flight through the AP) would turn every resend into a
+  // duplicate at the MH. Resyncs are at most one per retx window.
+  if (!behind || wm > m.prev_ack_wm) {
+    m.prev_ack_wm = std::max(m.prev_ack_wm, wm);
+    m.stalled_acks = 0;
+    return false;
+  }
+  if (++m.stalled_acks < kStallAckLimit) return false;
+  if (now_us - m.last_resend_us < cfg_.opts.retx_timeout_us) return false;
+  m.stalled_acks = 0;
+  m.last_resend_us = now_us;
+  return true;
+}
+
 void BrRuntime::request_pull(GlobalSeq g, std::int64_t now_us) {
   if (now_us - last_pull_us_ < cfg_.opts.retx_timeout_us) return;
   last_pull_us_ = now_us;
@@ -532,72 +527,46 @@ void BrRuntime::request_pull(GlobalSeq g, std::int64_t now_us) {
 
 void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
                                  std::int64_t now_us) {
-  m.next_expected = std::max(m.next_expected, tail);
-  // Everything at or below the acked chain tail is delivered: prune.
-  while (!m.fwd_log.empty() &&
-         m.fwd_log.front().gseq + 1 <= m.next_expected) {
-    m.fwd_log.pop_front();
-  }
-  // The surviving head links to a predecessor the member can no longer
-  // receive (lost below the floor): rewrite the link so the member
-  // gap-skips straight to the survivor.
-  if (!m.fwd_log.empty() && m.fwd_log.front().prev > m.next_expected) {
-    m.fwd_log.front().prev = m.next_expected;
+  if (m.chain.ack(tail)) {
     metrics_.incr(mid_.gaps_skipped);
     fr_.record(obs::FrEvent::ChainSplice, now_us, member.v,
-               m.fwd_log.front().gseq);
+               m.chain.links().front().gseq);
   }
-  // Stall detection, same discipline as the legacy path: only a member (or
-  // a BR-side chain cursor) making no progress across kStallAckLimit acks
-  // triggers recovery work.
-  const bool behind = !m.fwd_log.empty() ||
+  // A member with unacked links, or a BR-side chain cursor, making no
+  // progress triggers recovery work.
+  const bool behind = !m.chain.links().empty() ||
                       (any_seen_ && chain_next_ <= max_seen_gseq_);
-  if (!behind || tail > m.prev_ack_wm) {
-    m.prev_ack_wm = std::max(m.prev_ack_wm, tail);
-    m.stalled_acks = 0;
-    return;
-  }
-  if (++m.stalled_acks < kStallAckLimit) return;
-  if (now_us - m.last_resend_us < cfg_.opts.retx_timeout_us) return;
-  m.stalled_acks = 0;
-  m.last_resend_us = now_us;
-  if (m.fwd_log.empty()) {
+  if (!resync_due(m, tail, behind, now_us)) return;
+  if (m.chain.links().empty()) {
     // The member is current; the BR itself is stuck on an MQ hole at the
     // chain cursor (a lost peer distribution). Pull it from the ring.
     request_pull(chain_next_, now_us);
     return;
   }
+  using Step = core::ChainSender::Step;
   GlobalSeq served = 0;
-  for (auto it = m.fwd_log.begin();
-       it != m.fwd_log.end() && served < kResendWindow;) {
-    if (const proto::DataMsg* dm = mq_.find(it->gseq)) {
+  m.chain.walk([&](const core::ChainSender::Link& link) {
+    if (served >= kResendWindow) return Step::Stop;
+    if (const proto::DataMsg* dm = mq_.find(link.gseq)) {
       proto::DataMsg copy = *dm;
-      copy.prev_chain = it->prev;
+      copy.prev_chain = link.prev;
       emit(m.ap, copy, member);
       metrics_.incr(mid_.retransmits);
       ++served;
-      ++it;
-    } else if (it->gseq >= mq_.base()) {
+      return Step::Next;
+    }
+    if (link.gseq >= mq_.base()) {
       // MQ hole inside the retained window: refill via peer pull and retry
       // next window — resending past the hole would still honor the chain,
       // but the member can't advance through it anyway.
-      request_pull(it->gseq, now_us);
-      break;
-    } else {
-      // Below the MQ floor: unrecoverable for this member. Splice the link
-      // out — the successor inherits it, or the chain head rolls back when
-      // the spliced entry was the newest one.
-      const FwdEntry dead = *it;
-      it = m.fwd_log.erase(it);
-      if (it != m.fwd_log.end()) {
-        it->prev = dead.prev;
-      } else if (m.fwd_tail == dead.gseq + 1) {
-        m.fwd_tail = dead.prev;
-      }
-      metrics_.incr(mid_.really_lost);
-      fr_.record(obs::FrEvent::ChainSplice, now_us, member.v, dead.gseq);
+      request_pull(link.gseq, now_us);
+      return Step::Stop;
     }
-  }
+    // Below the MQ floor: unrecoverable for this member.
+    metrics_.incr(mid_.really_lost);
+    fr_.record(obs::FrEvent::ChainSplice, now_us, member.v, link.gseq);
+    return Step::Splice;
+  });
 }
 
 void BrRuntime::on_tick(std::int64_t now_us) {
@@ -782,14 +751,14 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
     metrics_.incr(mid_.malformed);
     return;
   }
+  const auto on_deliver = [&](const proto::DataMsg& m) { deliver(m, now_us); };
   switch (msg->type()) {
     case proto::MsgType::DataBatch:
       for (const proto::DataMsg& dm : msg->batch().entries) {
-        if (cfg_.groups.multi()) {
-          receive_chain(dm, now_us);
-        } else {
-          receive_ordered(dm, now_us);
-        }
+        const std::size_t dropped = cfg_.groups.multi()
+                                        ? chain_.receive(dm, on_deliver)
+                                        : ordered_.receive(dm, on_deliver);
+        if (dropped > 0) metrics_.incr(mid_.duplicates, dropped);
       }
       break;
     case proto::MsgType::DeliveryAck: {
@@ -806,62 +775,17 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
         }
         break;
       }
-      if (ack.member == cfg_.self && ack.watermark > next_expected_) {
-        gap_skip_to(ack.watermark, now_us);
+      if (ack.member != cfg_.self) break;
+      const auto skip = ordered_.skip_to(ack.watermark, on_deliver);
+      if (skip.lost > 0) {
+        metrics_.incr(mid_.really_lost, skip.lost);
+        metrics_.incr(mid_.gaps_skipped, skip.gaps);
+        fr_.record(obs::FrEvent::GapSkip, now_us, ack.watermark, skip.lost);
       }
       break;
     }
     default:
       break;
-  }
-}
-
-void MhRuntime::receive_ordered(const proto::DataMsg& msg,
-                                std::int64_t now_us) {
-  if (msg.gseq < next_expected_ || !buf_.insert(msg.gseq, msg)) {
-    metrics_.incr(mid_.duplicates);
-    return;
-  }
-  while (const proto::DataMsg* m = buf_.find(next_expected_)) {
-    deliver(*m, now_us);
-    ++next_expected_;
-  }
-  buf_.drop_below(next_expected_);
-}
-
-void MhRuntime::receive_chain(const proto::DataMsg& msg, std::int64_t now_us) {
-  // Chain delivery: each message names its predecessor's chain coordinate
-  // (gseq + 1 of the previous message the BR forwarded to this member), so
-  // the member delivers exactly the destined subsequence in gseq order with
-  // no contiguity assumption over the global sequence.
-  const GlobalSeq coord = msg.gseq + 1;
-  if (coord <= multi_tail_) {
-    metrics_.incr(mid_.duplicates);
-    return;
-  }
-  const auto [held, inserted] = held_.emplace(coord, msg);
-  if (!inserted) {
-    // A resend after the BR spliced an unrecoverable predecessor out of
-    // the chain (handle_chain_ack) carries a repaired (lower) link; keep
-    // the stale held link and the member waits forever on a frame that
-    // can no longer arrive. Merge the lower link and re-drain.
-    if (msg.prev_chain >= held->second.prev_chain) {
-      metrics_.incr(mid_.duplicates);
-      return;
-    }
-    held->second.prev_chain = msg.prev_chain;
-  }
-  while (!held_.empty() && held_.begin()->second.prev_chain <= multi_tail_) {
-    deliver(held_.begin()->second, now_us);
-    multi_tail_ = held_.begin()->first;
-    held_.erase(held_.begin());
-  }
-  while (held_.size() > kHeldChainCap) {
-    // Bound hold-queue memory against a wedged chain over real UDP: shed
-    // the farthest-future frame — the BR's ack-driven resend replays it
-    // once the member's tail catches up.
-    held_.erase(std::prev(held_.end()));
-    metrics_.incr(mid_.duplicates);
   }
 }
 
@@ -901,32 +825,6 @@ void MhRuntime::record_latency(std::int64_t lat_us) {
   live_lat_.record(lat_us < 0 ? 0 : static_cast<std::uint64_t>(lat_us));
 }
 
-void MhRuntime::gap_skip_to(GlobalSeq floor, std::int64_t now_us) {
-  bool in_gap = false;
-  std::uint64_t skipped = 0;
-  while (next_expected_ < floor) {
-    if (const proto::DataMsg* m = buf_.find(next_expected_)) {
-      deliver(*m, now_us);
-      in_gap = false;
-    } else {
-      metrics_.incr(mid_.really_lost);
-      ++skipped;
-      if (!in_gap) {
-        metrics_.incr(mid_.gaps_skipped);
-        in_gap = true;
-      }
-    }
-    ++next_expected_;
-  }
-  if (skipped > 0) fr_.record(obs::FrEvent::GapSkip, now_us, floor, skipped);
-  buf_.drop_below(next_expected_);
-  while (const proto::DataMsg* m = buf_.find(next_expected_)) {
-    deliver(*m, now_us);
-    ++next_expected_;
-  }
-  buf_.drop_below(next_expected_);
-}
-
 void MhRuntime::submit_one(std::int64_t now_us) {
   proto::DataMsg m;
   m.gid = kRuntimeGroup;
@@ -946,7 +844,8 @@ void MhRuntime::submit_one(std::int64_t now_us) {
 }
 
 void MhRuntime::send_ack() {
-  const GlobalSeq wm = cfg_.groups.multi() ? multi_tail_ : next_expected_;
+  const GlobalSeq wm =
+      cfg_.groups.multi() ? chain_.tail() : ordered_.next_expected();
   tr_.send_msg(cfg_.ap, proto::Message(proto::DeliveryAckMsg{
                             kRuntimeGroup, cfg_.self, wm}));
   metrics_.incr(mid_.acks_sent);

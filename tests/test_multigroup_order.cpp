@@ -15,6 +15,8 @@
 //      destined messages (BRs chain-forward in gseq order).
 //   5. Multi-group sim traces are pinned too: golden fingerprints of the
 //      three group scenarios, on the base shape and on a lossy one.
+//   6. Chain gap skips are real: a lossy run that loses nothing reports no
+//      gap skip either.
 
 #include <algorithm>
 #include <string>
@@ -171,6 +173,19 @@ TEST(multi_group_traces_reproduce_golden) {
     const auto lossy = baseline::run_experiment(lossy_group_spec(pin.scenario));
     CHECK(!lossy.order_violation.has_value());
     CHECK_EQ(fingerprint(lossy), pin.lossy);
+  }
+}
+
+TEST(chain_acks_skip_no_gap_without_loss) {
+  // Regression: the sim used to prune and relink a member's chain on the
+  // raw ack tail, so an ack overtaken by a newer one relinked the head and
+  // counted a gap skip that never happened (43-103 per scenario here, with
+  // nothing lost). The chain watermark is monotone now.
+  for (const GroupPin& pin : kGroupPins) {
+    const auto r = baseline::run_experiment(lossy_group_spec(pin.scenario));
+    CHECK(r.retransmits > 0);  // the lossy links did exercise the resends
+    CHECK_EQ(r.really_lost, std::uint64_t{0});
+    CHECK_EQ(r.mh_gaps_skipped, std::uint64_t{0});
   }
 }
 
