@@ -2,19 +2,25 @@
 // zero-loss channels, ack-driven pruning throttled so delivery fan-out
 // dominates) swept over the MH population (10k -> 1M) and the worker count
 // (serial oracle, then 1 -> hardware_concurrency threads). Reports wall
-// time, simulated events/second and speedup over the single-heap oracle;
-// --json emits the numbers in google-benchmark format so tools/bench_diff.py
+// time, executed events, deliveries, deliveries/second, events per delivery
+// and speedup over the single-heap oracle. A downlink event reaches every
+// member due at one instant, so deliveries/s (not events/s) is the
+// throughput figure. --json emits the numbers in google-benchmark format,
+// with the build type and CPU model in its context, so tools/bench_diff.py
 // and plotting scripts can consume them like any micro run.
 //
 //   bench_scale [--smoke] [--seed N] [--json FILE]
 //
 // --smoke shrinks the sweep to the 10k population and <=2 threads: a
 // seconds-long CI gate that still exercises the full parallel machinery.
+// Every sharded point must execute the oracle's event count and make its
+// delivery count; the sweep exits 1 otherwise.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +45,8 @@ struct SweepResult {
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   double events_per_s = 0.0;
+  double deliveries_per_s = 0.0;
+  double events_per_delivery = 0.0;
   double speedup = 1.0;  // vs the oracle at the same population
 };
 
@@ -91,9 +99,37 @@ SweepResult run_point(const SweepPoint& p, std::uint64_t seed, bool smoke) {
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.events = sim.executed_events();
   r.delivered = sim.metrics().counter("mh.delivered");
-  r.events_per_s =
-      r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
+  if (r.wall_s > 0.0) {
+    r.events_per_s = static_cast<double>(r.events) / r.wall_s;
+    r.deliveries_per_s = static_cast<double>(r.delivered) / r.wall_s;
+  }
+  if (r.delivered > 0) {
+    r.events_per_delivery =
+        static_cast<double>(r.events) / static_cast<double>(r.delivered);
+  }
   return r;
+}
+
+std::string cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string json_str(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
 }
 
 void write_json(const std::string& path,
@@ -106,7 +142,9 @@ void write_json(const std::string& path,
   std::fprintf(f, "{\n  \"context\": {\n");
   std::fprintf(f, "    \"num_cpus\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "    \"library_build_type\": \"release\"\n  },\n");
+  std::fprintf(f, "    \"cpu_model\": %s,\n", json_str(cpu_model()).c_str());
+  std::fprintf(f, "    \"library_build_type\": %s\n  },\n",
+               json_str(RINGNET_BUILD_TYPE).c_str());
   std::fprintf(f, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -118,7 +156,15 @@ void write_json(const std::string& path,
     std::fprintf(f, "      \"real_time\": %.6e,\n", r.wall_s * 1e3);
     std::fprintf(f, "      \"cpu_time\": %.6e,\n", r.wall_s * 1e3);
     std::fprintf(f, "      \"time_unit\": \"ms\",\n");
+    std::fprintf(f, "      \"events\": %llu,\n",
+                 static_cast<unsigned long long>(r.events));
+    std::fprintf(f, "      \"delivered\": %llu,\n",
+                 static_cast<unsigned long long>(r.delivered));
     std::fprintf(f, "      \"events_per_second\": %.6e,\n", r.events_per_s);
+    std::fprintf(f, "      \"deliveries_per_second\": %.6e,\n",
+                 r.deliveries_per_s);
+    std::fprintf(f, "      \"events_per_delivery\": %.4f,\n",
+                 r.events_per_delivery);
     std::fprintf(f, "      \"speedup_vs_serial\": %.4f\n", r.speedup);
     std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
   }
@@ -164,31 +210,38 @@ int main(int argc, char** argv) {
       "# E13 scale sweep: %zu BR domains, zero loss, seed %llu%s\n"
       "# speedup is vs the single-heap oracle at the same population\n\n",
       kBrs, static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
-  std::printf("%10s %8s %12s %12s %14s %9s\n", "mhs", "threads", "wall_s",
-              "events", "events/s", "speedup");
+  std::printf("%10s %8s %9s %10s %11s %11s %12s %7s %8s\n", "mhs",
+              "threads", "wall_s", "events", "delivered", "events/s",
+              "deliveries/s", "ev/dlv", "speedup");
 
   std::vector<SweepResult> results;
   for (const std::size_t mhs : populations) {
-    double serial_evps = 0.0;
-    std::uint64_t serial_events = 0;
+    SweepResult oracle;  // threads[0] == 0: the oracle runs first
     for (const std::size_t t : threads) {
       SweepResult r = run_point(SweepPoint{mhs, t}, seed, smoke);
       if (t == 0) {
-        serial_evps = r.events_per_s;
-        serial_events = r.events;
-      } else if (r.events != serial_events) {
-        // The parallel engine must execute exactly the oracle's run.
+        oracle = r;
+      } else if (r.events != oracle.events || r.delivered != oracle.delivered) {
+        // The parallel engine must execute exactly the oracle's run: the
+        // same events, and the same deliveries from them.
         std::fprintf(stderr,
-                     "FATAL: event count diverged at mhs=%zu threads=%zu "
-                     "(%llu vs %llu)\n",
+                     "FATAL: run diverged from the oracle at mhs=%zu "
+                     "threads=%zu (events %llu vs %llu, delivered %llu vs "
+                     "%llu)\n",
                      mhs, t, static_cast<unsigned long long>(r.events),
-                     static_cast<unsigned long long>(serial_events));
+                     static_cast<unsigned long long>(oracle.events),
+                     static_cast<unsigned long long>(r.delivered),
+                     static_cast<unsigned long long>(oracle.delivered));
         return 1;
       }
-      r.speedup = serial_evps > 0.0 ? r.events_per_s / serial_evps : 1.0;
-      std::printf("%10zu %8s %12.3f %12llu %14.3e %8.2fx\n", mhs,
-                  t == 0 ? "oracle" : std::to_string(t).c_str(), r.wall_s,
-                  static_cast<unsigned long long>(r.events), r.events_per_s,
+      r.speedup = oracle.events_per_s > 0.0
+                      ? r.events_per_s / oracle.events_per_s
+                      : 1.0;
+      std::printf("%10zu %8s %9.3f %10llu %11llu %11.3e %12.3e %7.3f %7.2fx\n",
+                  mhs, t == 0 ? "oracle" : std::to_string(t).c_str(),
+                  r.wall_s, static_cast<unsigned long long>(r.events),
+                  static_cast<unsigned long long>(r.delivered),
+                  r.events_per_s, r.deliveries_per_s, r.events_per_delivery,
                   r.speedup);
       results.push_back(r);
     }

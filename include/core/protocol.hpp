@@ -382,7 +382,27 @@ class RingNetProtocol {
   void forward_in_gseq_order(BrNode& b);
   void forward_down(NodeId br, const proto::DataMsg& msg);
   void forward_down_multi(NodeId br, const proto::DataMsg& msg);
+  /// The members one downlink frame reaches after one arrival delay, in
+  /// the order the BR walked them; on the chain path `links` holds the
+  /// chain link stamped for each of them.
+  struct Arrival {
+    sim::SimTime delay;
+    std::vector<NodeId> to;
+    std::vector<GlobalSeq> links;
+  };
+  /// One step of a downlink walk: files `mh` under its arrival delay (with
+  /// `link` on the chain path) unless it is detached or its cell is dark.
+  void add_recipient(std::vector<Arrival>& arrivals, NodeId mh,
+                     std::uint32_t bytes, std::optional<GlobalSeq> link);
+  /// Schedules one event per arrival, each carrying the one shared frame.
+  void send_arrivals(NodeId br, const proto::DataMsg& msg,
+                     std::vector<Arrival> arrivals);
+  /// A frame reaching one member in an event of its own (resends,
+  /// replays): accepts it and charges what it delivered to mh.delivered.
   void mh_receive(NodeId mh, const proto::DataMsg& msg);
+  /// Accepts one frame at `mh` and returns how many messages it delivered;
+  /// the calling event charges mh.delivered once for all its members.
+  std::uint64_t mh_accept(NodeId mh, const proto::DataMsg& msg);
   void deliver_at_mh(MhNode& node, const proto::DataMsg& msg);
   void record_span(const proto::DataMsg& msg);
 

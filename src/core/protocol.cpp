@@ -584,27 +584,11 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
     forward_down_multi(br, msg);
     return;
   }
-  const sim::Domain dom = br_domain(br);
-  const auto& members = br_members_[br.index()];
-  if (members.empty()) return;
-  // One refcounted copy carries the frame to every member; the per-member
-  // fan-out is the hottest loop in the deployment and must not copy the
-  // full DataMsg per destination (same idiom as distribute()'s ring frame).
-  auto stamped = std::make_shared<proto::DataMsg>(msg);
-  stamped->relay_rx_at = sim_.now();
-  const std::shared_ptr<const proto::DataMsg> frame = std::move(stamped);
-  for (NodeId mh : members) {
-    MhNode& m = mhs_[mh.index()];
-    if (!m.attached_) continue;
-    if (cell_blacked_out(m.ap_)) {
-      // The AP's radio is dark: the frame is dropped at the cell edge and
-      // the member catches up via ack-driven resync after the window.
-      sim_.metrics().incr(mid_.blackout_dropped);
-      continue;
-    }
-    const sim::SimTime delay = downlink_delay(mh, data_bytes());
-    sim_.after(dom, delay, [this, mh, frame] { mh_receive(mh, *frame); });
+  std::vector<Arrival> arrivals;
+  for (NodeId mh : br_members_[br.index()]) {
+    add_recipient(arrivals, mh, data_bytes(), std::nullopt);
   }
+  send_arrivals(br, msg, std::move(arrivals));
 }
 
 void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
@@ -612,55 +596,108 @@ void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
   // whose subtree holds no member of any destination group does zero work
   // here — per-message downlink cost scales with the destination
   // membership, not the deployment's group count or MH population.
-  const sim::Domain dom = br_domain(br);
   auto& slabs = group_members_[br.index()];
   const GlobalSeq stamp = msg.gseq + 1;  // chain coordinate of this frame
+  const std::uint32_t bytes = data_bytes(msg);
+  std::vector<Arrival> arrivals;
   for (GroupId g : msg.groups) {
     for (NodeId mh : slabs[group_index(g)]) {
       const std::size_t i = mh.index();
       if (member_seen_stamp_[i] == stamp) continue;  // overlapping groups
       member_seen_stamp_[i] = stamp;
-      MhNode& m = mhs_[i];
-      proto::DataMsg copy = msg;
-      copy.relay_rx_at = sim_.now();
-      if (config_.options.ordered) {
-        // Chain the frame to the previous one forwarded to this member,
-        // and log it for ack-driven resends, even when the radio is dark:
-        // the chain must name every destined message or the member could
-        // not tell a loss from a non-destination gseq hole.
-        copy.prev_chain = member_chain_[i].link(
-            msg.gseq, config_.options.mq_retention + kResendWindow);
-      }
-      if (!m.attached_) continue;  // repaired via the forward-log resend
-      if (cell_blacked_out(m.ap_)) {
-        sim_.metrics().incr(mid_.blackout_dropped);
+      if (!config_.options.ordered) {
+        add_recipient(arrivals, mh, bytes, std::nullopt);
         continue;
       }
-      const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
-      sim_.after(dom, delay, [this, mh, copy] { mh_receive(mh, copy); });
+      // Chain the frame to the previous one forwarded to this member, and
+      // log it for ack-driven resends, even when the member is detached or
+      // its radio is dark: the chain must name every destined message or
+      // the member could not tell a loss from a non-destination gseq hole.
+      const GlobalSeq link = member_chain_[i].link(
+          msg.gseq, config_.options.mq_retention + kResendWindow);
+      add_recipient(arrivals, mh, bytes, link);
     }
+  }
+  send_arrivals(br, msg, std::move(arrivals));
+}
+
+void RingNetProtocol::add_recipient(std::vector<Arrival>& arrivals, NodeId mh,
+                                    std::uint32_t bytes,
+                                    std::optional<GlobalSeq> link) {
+  const MhNode& m = mhs_[mh.index()];
+  if (!m.attached_) return;  // repaired via ack-driven resync
+  if (cell_blacked_out(m.ap_)) {
+    // The AP's radio is dark: the frame is dropped at the cell edge and
+    // the member catches up via ack-driven resync after the window.
+    sim_.metrics().incr(mid_.blackout_dropped);
+    return;
+  }
+  const sim::SimTime delay = downlink_delay(mh, bytes);
+  // Lossless links give every member the same delay, lossy ones a few
+  // retransmission multiples of it: a linear probe finds the arrival.
+  auto it = std::find_if(arrivals.begin(), arrivals.end(),
+                         [delay](const Arrival& a) {
+                           return a.delay == delay;
+                         });
+  if (it == arrivals.end()) it = arrivals.insert(it, Arrival{delay, {}, {}});
+  it->to.push_back(mh);
+  if (link) it->links.push_back(*link);
+}
+
+void RingNetProtocol::send_arrivals(NodeId br, const proto::DataMsg& msg,
+                                    std::vector<Arrival> arrivals) {
+  if (arrivals.empty()) return;
+  // In the paper's hierarchy an AP hands a frame to its whole cell in one
+  // transmission, so one event per distinct arrival time carries one
+  // refcounted frame to every member due then. One event per member would
+  // take consecutive schedule seqs from this context, so no other event
+  // could sort between two members due at the same instant: running them
+  // in one event, in walk order, is the same order.
+  auto stamped = std::make_shared<proto::DataMsg>(msg);
+  stamped->relay_rx_at = sim_.now();
+  const std::shared_ptr<const proto::DataMsg> frame = std::move(stamped);
+  const sim::Domain dom = br_domain(br);
+  for (Arrival& a : arrivals) {
+    sim_.after(dom, a.delay,
+               [this, frame, to = std::move(a.to), links = std::move(a.links)] {
+                 std::uint64_t delivered = 0;
+                 if (links.empty()) {
+                   for (NodeId mh : to) delivered += mh_accept(mh, *frame);
+                 } else {
+                   proto::DataMsg copy = *frame;
+                   for (std::size_t k = 0; k < to.size(); ++k) {
+                     copy.prev_chain = links[k];
+                     delivered += mh_accept(to[k], copy);
+                   }
+                 }
+                 sim_.metrics().incr(mid_.mh_delivered, delivered);
+               });
   }
 }
 
 void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
+  sim_.metrics().incr(mid_.mh_delivered, mh_accept(mh, msg));
+}
+
+std::uint64_t RingNetProtocol::mh_accept(NodeId mh, const proto::DataMsg& msg) {
   MhNode& m = mhs_[mh.index()];
   // Ownership guard: a frame scheduled before the MH migrated to another
   // subtree arrives in the old domain; it missed (resync repairs it).
   // Trivially true without sharding (both sides are context 0).
-  if (sim_.current_ctx() != mh_domain_[mh.index()]) return;
-  if (!m.attached_) return;  // missed; recovered via ack-driven resend
+  if (sim_.current_ctx() != mh_domain_[mh.index()]) return 0;
+  if (!m.attached_) return 0;  // missed; recovered via ack-driven resend
   if (cell_blacked_out(m.ap_)) {
     // Covers frames (and ARQ resends) already in flight when the window
     // started, so blackout.dropped counts every frame the cell ate.
     sim_.metrics().incr(mid_.blackout_dropped);
-    return;
+    return 0;
   }
+  const std::uint64_t before = m.delivered_;
   if (!config_.options.ordered) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(msg.source.v) << 40) ^ msg.lseq;
-    if (!m.seen_unordered_.insert(key).second) return;
-    deliver_at_mh(m, msg);
-    return;
+    if (m.seen_unordered_.insert(key).second) deliver_at_mh(m, msg);
+    return m.delivered_ - before;
   }
   const auto deliver = [&](const proto::DataMsg& d) { deliver_at_mh(m, d); };
   if (multi_ && !msg.groups.empty()) {
@@ -668,12 +705,13 @@ void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
   } else {
     m.ordered_.receive(msg, deliver);
   }
+  return m.delivered_ - before;
 }
 
 void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
+  // The event that delivers charges mh.delivered, once for all it delivered.
   ++node.delivered_;
   node.last_delivery_ = sim_.now();
-  sim_.metrics().incr(mid_.mh_delivered);
   sim_.trace().record(sim::TraceKind::Deliver, sim_.now(), node.id_, msg.gseq);
   if (migrate_) {
     // The submit stamp rides the message, so cross-domain deliveries never
@@ -791,8 +829,10 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       MhNode& m = mhs_[mh.index()];
       if (sim_.current_ctx() != mh_domain_[mh.index()]) return;
       if (!m.attached_) return;
+      const std::uint64_t before = m.delivered_;
       const auto skip = m.ordered_.skip_to(
           vf, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
+      sim_.metrics().incr(mid_.mh_delivered, m.delivered_ - before);
       if (skip.lost == 0) return;
       sim_.metrics().incr(mid_.gaps_skipped, skip.gaps);
       sim_.metrics().incr(mid_.gap_skipped_msgs, skip.lost);
