@@ -1,9 +1,9 @@
 // E11 (Theorem 5.1 at soak scale): "all the buffers only need limited
 // sizes" must hold for arbitrarily long runs, not just 2-second windows.
 // Drives up to millions of messages through the ordering tier and reports
-// peak vs retained state for the assigned-message archive, the per-source
-// submit logs, and the MQs — all pruned by the global acked-floor
-// watermark — plus the wall-clock event rate of the hot paths.
+// peak vs retained state for the assigned-message archive and the MQs —
+// both pruned by the global acked-floor watermark, which folds at every
+// token hop — plus the wall-clock event rate of the hot paths.
 
 #include <chrono>
 #include <iostream>
@@ -33,8 +33,7 @@ int main() {
 
   stats::Table table("soak state: peak vs retained (messages)",
                      {"BRs", "s", "lambda", "sent", "arch peak", "arch end",
-                      "sublog peak", "sublog end", "MQ peak", "wall ms",
-                      "msg/s wall"});
+                      "MQ peak", "wall ms", "msg/s wall"});
   for (const auto& p : points) {
     sim::Simulation sim(42);
     core::ProtocolConfig cfg;
@@ -71,15 +70,13 @@ int main() {
         .cell(proto.total_sent())
         .cell(static_cast<std::uint64_t>(proto.archive_peak()))
         .cell(static_cast<std::uint64_t>(proto.archive_retained()))
-        .cell(static_cast<std::uint64_t>(proto.submit_log_peak()))
-        .cell(static_cast<std::uint64_t>(proto.submit_log_retained()))
         .cell(sim.metrics().gauge("buf.mq.peak"), 0)
         .cell(wall_ms, 1)
         .cell(static_cast<double>(proto.total_sent()) / wall_ms * 1000.0, 0);
   }
   table.print(std::cout);
   std::printf(
-      "\nExpected shape: 'arch peak' / 'sublog peak' / 'MQ peak' sit at\n"
+      "\nExpected shape: 'arch peak' / 'MQ peak' sit at\n"
       "O(archive_retention + mq_retention + in-flight window) and do NOT\n"
       "grow with 'sent' (rows differ 10x in volume, peaks stay flat);\n"
       "before watermark pruning the archive peak equaled 'sent'.\n");

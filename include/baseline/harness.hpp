@@ -71,8 +71,7 @@ struct RunResult {
   // Buffers
   double wq_peak = 0.0;
   double mq_peak = 0.0;
-  double archive_peak = 0.0;    // peer-repair archive high-watermark
-  double submitlog_peak = 0.0;  // largest per-source submit-log residency
+  double archive_peak = 0.0;  // peer-repair archive high-watermark
   // Reliability work
   std::uint64_t retransmits = 0;
   std::uint64_t really_lost = 0;
@@ -90,6 +89,7 @@ struct RunResult {
   std::uint64_t churn_rejoins = 0;
   std::uint64_t blackout_drops = 0;   // recoverable (downlink / in-flight)
   std::uint64_t uplink_lost = 0;      // unrecoverable: dropped pre-ordering
+  std::uint64_t park_dropped = 0;     // over a detached source's park cap
   std::uint64_t tokens_dropped = 0;
   // Correctness. In multi-group runs order_violation holds the pairwise
   // consistency verdict (core::check_pairwise_order); in single-group runs

@@ -78,9 +78,9 @@ struct ProtocolOptions {
   // (Theorem 5.1's bounded-buffer claim, enforced by test_soak_memory).
   std::size_t archive_retention = 1024;
   // Submissions parked while the host MH is detached are bounded: beyond
-  // this many, the oldest parked message is dropped and its submit-log
-  // entry released, so a permanently-departed member (churn with no
-  // rejoin) cannot grow O(total submissions) state.
+  // this many, the oldest parked message is dropped, so a
+  // permanently-departed member (churn with no rejoin) cannot grow
+  // O(total submissions) state.
   std::size_t source_park_cap = 1024;
   // §3 smooth handoff: keep reserved distribution paths on neighbor APs.
   bool smooth_handoff = true;

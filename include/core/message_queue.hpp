@@ -108,7 +108,6 @@ class MessageQueue {
   GlobalSeq max_seen() const { return max_seen_valid_ ? max_seen_ : 0; }
   bool empty() const { return present_count_ == 0; }
   std::size_t size() const { return present_count_; }
-  std::size_t retention() const { return retention_; }
 
  private:
   struct Entry {

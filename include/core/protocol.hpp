@@ -129,43 +129,6 @@ class DeliveryLog {
 
 class RingNetProtocol;
 
-/// Per-source submit-time log indexed by lseq. A base-offset deque with a
-/// pruned-prefix counter: entries are appended at submit, looked up by lseq
-/// for latency accounting, and released once the message's archive entry
-/// falls below the global acked floor. Release order can differ slightly
-/// from lseq order (uplink ARQ can reorder assignment), so releases mark a
-/// flag and the contiguous released prefix is popped — retained size stays
-/// O(unacked window) while lseq indexing keeps working.
-class SubmitLog {
- public:
-  void push(sim::SimTime at) { entries_.push_back(Entry{at, false}); }
-
-  std::optional<sim::SimTime> get(LocalSeq lseq) const {
-    if (lseq < base_ || lseq - base_ >= entries_.size()) return std::nullopt;
-    return entries_[static_cast<std::size_t>(lseq - base_)].at;
-  }
-
-  void release(LocalSeq lseq) {
-    if (lseq < base_ || lseq - base_ >= entries_.size()) return;
-    entries_[static_cast<std::size_t>(lseq - base_)].released = true;
-    while (!entries_.empty() && entries_.front().released) {
-      entries_.pop_front();
-      ++base_;
-    }
-  }
-
-  LocalSeq base() const { return base_; }
-  std::size_t retained() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    sim::SimTime at;
-    bool released;
-  };
-  std::deque<Entry> entries_;
-  LocalSeq base_ = 0;  // lseqs below are pruned
-};
-
 /// Mobile host: the delivery core's receiver + delivery bookkeeping.
 class MhNode {
  public:
@@ -201,7 +164,6 @@ class BrNode {
   bool alive() const { return alive_; }
   const GroupView& group_view() const { return view_; }
   MessageQueue& mq() { return mq_; }
-  WorkingQueue& wq() { return wq_; }
 
  private:
   friend class RingNetProtocol;
@@ -217,6 +179,7 @@ class BrNode {
   std::deque<proto::DataMsg> staging_;  // waiting for the next tau tick
   WorkingQueue wq_;
   MessageQueue mq_;
+  SeqHighWater seen_;  // noted on every mq_ store
   GroupView view_;
   GlobalSeq acked_floor_ = 0;  // gseqs below are subtree-acked in mq_
   GlobalSeq chain_next_ = 0;   // multi-group: next gseq to chain-forward
@@ -244,7 +207,7 @@ class RingNetProtocol {
   void start();
   void stop_sources();
 
-  /// Fail a node abruptly (used on BRs: the token-loss scenario).
+  /// Fail a border router abruptly (the token-loss scenario).
   void crash_node(NodeId id);
 
   /// Inject a stale duplicate token at `at` (Multiple-Token scenario).
@@ -331,14 +294,6 @@ class RingNetProtocol {
   GlobalSeq global_acked_floor() const { return global_acked_floor_; }
   std::size_t archive_retained() const { return assigned_archive_.size(); }
   std::size_t archive_peak() const { return archive_peak_; }
-  std::size_t submit_log_retained() const {
-    std::size_t n = 0;
-    for (const auto& s : sources_) n += s.submit_log.retained();
-    return n;
-  }
-  std::size_t submit_log_peak() const {
-    return submit_log_peak_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct SourceState {
@@ -348,7 +303,6 @@ class RingNetProtocol {
     LocalSeq next_lseq = 0;
     std::uint64_t gen = 0;  // live tick chain (bumps kill old chains)
     std::deque<proto::DataMsg> parked;  // submitted while detached
-    SubmitLog submit_log;  // lseq -> submit time, watermark-pruned
     double weight = 1.0;  // sender_skew rate multiplier (mean 1)
     // MMPP modulating-chain state. Pre-toggled ON with an expired dwell:
     // the first chain advance flips each source into OFF with its own
@@ -448,25 +402,19 @@ class RingNetProtocol {
   sim::SimTime uplink_delay(NodeId mh, std::uint32_t bytes);
   sim::SimTime downlink_delay(NodeId mh, std::uint32_t bytes);
   void note_wq_depth(const BrNode& br);
-  void note_submit_log_depth(std::size_t retained);
   void mark_acked(BrNode& br);
   void advance_global_floor();
   void prune_archive();
-  void release_submit(const proto::DataMsg& msg);
   const proto::DataMsg* archive_lookup(GlobalSeq gseq) const;
-  sim::SimTime archive_stored_at(GlobalSeq gseq) const;
-  std::uint32_t data_bytes() const {
-    // Envelope tag + DataMsg descriptor (proto::wire_size) + payload.
-    return 41 + config_.source.payload_size;
-  }
   std::uint32_t data_bytes(const proto::DataMsg& m) const {
+    // Envelope tag + DataMsg descriptor (proto::wire_size) + payload.
+    const std::uint32_t plain = 41 + config_.source.payload_size;
     // The multi-group trailing section (count + gid/seq rows + chain link)
-    // rides the frame; legacy messages carry no section, so this reduces
-    // to data_bytes() byte-for-byte in the single-group deployment.
-    if (m.groups.empty()) return data_bytes();
+    // rides the frame; legacy messages carry no section.
+    if (m.groups.empty()) return plain;
     // Clamped like the codec's encode_body, so the modeled frame size
     // matches what would actually go on the wire.
-    return data_bytes() +
+    return plain +
            static_cast<std::uint32_t>(
                1 + 12 * std::min(m.groups.size(), proto::kMaxDataGroups) + 8);
   }
@@ -481,12 +429,11 @@ class RingNetProtocol {
   // string lookup (see BM_MetricsIncr* in bench_micro for the delta).
   struct MetricIds {
     sim::Metrics::MetricId mh_delivered, acks_sent, retransmits, token_held,
-        token_dup_destroyed, token_regenerated, token_dropped, wq_dropped,
-        gaps_skipped, gap_skipped_msgs, membership_applied, membership_relayed,
-        ring_repairs, ring_rejoins, handoff_count, handoff_hot, handoff_cold,
-        archive_pruned, churn_leaves, churn_rejoins, blackout_dropped,
-        blackout_uplink_lost, park_dropped, buf_wq_peak, buf_mq_peak,
-        buf_archive_peak, buf_submitlog_peak;
+        token_dup_destroyed, token_regenerated, token_dropped, gaps_skipped,
+        gap_skipped_msgs, membership_applied, membership_relayed, ring_repairs,
+        ring_rejoins, handoff_count, handoff_hot, handoff_cold, archive_pruned,
+        churn_leaves, churn_rejoins, blackout_dropped, blackout_uplink_lost,
+        park_dropped, buf_wq_peak, buf_mq_peak, buf_archive_peak;
   };
   MetricIds mid_;
 
@@ -514,11 +461,6 @@ class RingNetProtocol {
   // index, touched only from the member's owning domain):
   std::vector<ChainSender> member_chain_;
   std::vector<GlobalSeq> member_seen_stamp_;  // forward dedupe (gseq+1 tag)
-  // Per-group assigned-seq high water (next seq to hand out), maintained at
-  // token assignment time in the serialized global context; Token
-  // Regeneration restores the counters from it so per-group seqs survive a
-  // lost token without a gap or a repeat.
-  std::vector<std::uint64_t> group_seq_high_;
   GroupId boost_group_{0};     // flash-crowd target (0 = off)
   double group_boost_ = 1.0;   // submit-rate multiplier for boost_group_
 
@@ -551,21 +493,16 @@ class RingNetProtocol {
   std::vector<std::uint64_t> membership_seq_;  // by MH index
   std::unordered_set<std::uint64_t> lost_serials_;  // token frames lost in
                                                     // transit (lose_token)
-  // Every assigned message not yet pruned (+ assignment time) — the
-  // stand-in for fetching a missing copy from a peer ordering node's MQ
-  // when a BR has a hole (e.g. it was wrongly ejected from the ring).
+  // Every assigned message not yet pruned — the stand-in for fetching a
+  // missing copy from a peer ordering node's MQ when a BR has a hole (e.g.
+  // it was wrongly ejected from the ring).
   // Gseqs are assigned contiguously, so the archive is a base-offset deque:
   // entry for gseq g lives at index (g - archive_base_). Entries below
   // (global acked floor - archive_retention) are pruned from the front.
-  struct ArchiveEntry {
-    proto::DataMsg msg;
-    sim::SimTime assigned_at;
-  };
-  std::deque<ArchiveEntry> assigned_archive_;
+  std::deque<proto::DataMsg> assigned_archive_;
   GlobalSeq archive_base_ = 0;  // gseq of assigned_archive_.front()
   GlobalSeq global_acked_floor_ = 0;  // min acked_floor_ over alive BRs
   std::size_t archive_peak_ = 0;
-  std::atomic<std::size_t> submit_log_peak_{0};
 
   std::atomic<std::uint64_t> total_sent_{0};
   bool sources_running_ = false;

@@ -14,7 +14,6 @@ inline constexpr const char* kTokenHeld = "token.held";
 inline constexpr const char* kTokenDupDestroyed = "token.duplicates_destroyed";
 inline constexpr const char* kTokenRegenerated = "token.regenerated";
 inline constexpr const char* kTokenDropped = "token.dropped";
-inline constexpr const char* kWqDropped = "wq.dropped";
 inline constexpr const char* kGapsSkipped = "mh.gaps_skipped";
 inline constexpr const char* kGapSkippedMsgs = "mh.gap_skipped_msgs";
 inline constexpr const char* kMembershipApplied = "membership.applied";
@@ -33,7 +32,6 @@ inline constexpr const char* kParkDropped = "source.park_dropped";
 inline constexpr const char* kBufWqPeak = "buf.wq.peak";
 inline constexpr const char* kBufMqPeak = "buf.mq.peak";
 inline constexpr const char* kBufArchivePeak = "buf.archive.peak";
-inline constexpr const char* kBufSubmitlogPeak = "buf.submitlog.peak";
 
 // --- runtime-only counters (RuntimeCounters fields, same vocabulary) ---
 inline constexpr const char* kTokenRetx = "token.retx";

@@ -136,9 +136,8 @@ struct DataMsg {
   // can tell an intentional hole (a gseq it is no destination of) from a
   // lost frame without ring-wide state.
   GlobalSeq prev_chain = 0;
-  // Simulator-side bookkeeping, never serialized: stamped at submit() so
-  // latency accounting reads the message instead of the (possibly remote)
-  // source's submit log.
+  // Simulator-side bookkeeping, never serialized: stamped at submit(), read
+  // by the assignment and end-to-end latency histograms.
   sim::SimTime submit_at = sim::SimTime::zero();
   // Message-lifecycle span stamps (sim only, never serialized; same
   // piggyback pattern as submit_at): uplink arrival at the ordering BR,
@@ -217,7 +216,6 @@ class OrderingToken {
 
   GroupId gid() const { return gid_; }
   std::uint64_t epoch() const { return epoch_; }
-  void set_epoch(std::uint64_t e) { epoch_ = e; }
   GlobalSeq next_gseq() const { return next_gseq_; }
   void set_next_gseq(GlobalSeq g) { next_gseq_ = g; }
   std::uint64_t rotation() const { return rotation_; }
@@ -269,54 +267,6 @@ class OrderingToken {
   std::vector<WtsnpEntry> entries_;
   // Sorted by gid; empty unless multi-group assignment has run.
   std::vector<std::pair<GroupId, std::uint64_t>> group_counters_;
-};
-
-/// Zero-copy view over a serialized OrderingToken body. parse() validates
-/// the length once; header fields are decoded eagerly but the WTSNP rows
-/// stay in the borrowed buffer and are read in place on demand, so a
-/// relay/lookup pass over a token frame never materializes a
-/// vector<WtsnpEntry>. The view borrows the buffer: it must not outlive it.
-class TokenView {
- public:
-  /// Parse a token *body* (the layout OrderingToken::serialize writes,
-  /// without the 1-byte envelope tag). nullopt on truncation or a row
-  /// count that disagrees with the buffer length. A trailing per-group
-  /// counter section (multi-group mode) is length-validated here and read
-  /// on demand via group_counter().
-  static std::optional<TokenView> parse(const std::uint8_t* data,
-                                        std::size_t size);
-  static std::optional<TokenView> parse(const std::vector<std::uint8_t>& buf) {
-    return parse(buf.data(), buf.size());
-  }
-
-  GroupId gid() const { return gid_; }
-  std::uint64_t epoch() const { return epoch_; }
-  std::uint64_t serial() const { return serial_; }
-  std::uint64_t rotation() const { return rotation_; }
-  GlobalSeq next_gseq() const { return next_gseq_; }
-  std::size_t entry_count() const { return entry_count_; }
-
-  /// Decode row `i` in place (no bounds check beyond the parse-time one).
-  WtsnpEntry entry(std::size_t i) const;
-
-  /// Same newest-first supersession rule as OrderingToken::lookup, without
-  /// deserializing the table.
-  std::optional<GlobalSeq> lookup(NodeId source, LocalSeq lseq) const;
-
-  /// Per-group counter section (0 entries on a legacy-layout token).
-  std::size_t group_counter_count() const { return group_counter_count_; }
-  std::pair<GroupId, std::uint64_t> group_counter(std::size_t i) const;
-
- private:
-  const std::uint8_t* rows_ = nullptr;  // first WTSNP row
-  std::size_t entry_count_ = 0;
-  const std::uint8_t* group_rows_ = nullptr;  // first (gid, next) pair
-  std::size_t group_counter_count_ = 0;
-  GroupId gid_;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t serial_ = 0;
-  std::uint64_t rotation_ = 0;
-  GlobalSeq next_gseq_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/delivery.hpp"
 #include "core/types.hpp"
+#include "core/working_queue.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "proto/messages.hpp"
@@ -167,7 +168,6 @@ class BrRuntime final : public RuntimeNode {
   // registry, so it is also safe to sample live (values may be mid-burst).
   RuntimeCounters counters() const;
   std::uint64_t assigned() const { return assigned_; }
-  GlobalSeq mq_floor() const { return mq_.base(); }
   std::uint64_t epoch() const { return epoch_; }
 
   /// Unified metric registry (atomic — safe to read while the loop runs).
@@ -266,11 +266,10 @@ class BrRuntime final : public RuntimeNode {
 
   std::uint64_t epoch_ = 1;
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
-  std::deque<proto::DataMsg> staging_;
+  core::WorkingQueue wq_;
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
   core::GseqBuffer mq_;
-  GlobalSeq max_seen_gseq_ = 0;
-  bool any_seen_ = false;
+  core::SeqHighWater seen_;  // noted on every mq_ store; seeds regeneration
   std::uint64_t assigned_ = 0;
   std::unordered_map<std::uint32_t, Member> members_;
   std::int64_t last_pull_us_ = kNeverUs;  // peer-pull request rate limit
@@ -278,8 +277,6 @@ class BrRuntime final : public RuntimeNode {
   // monotonically per member, so forwarding walks the MQ contiguously and
   // out-of-order peer distributions wait for their hole to fill.
   GlobalSeq chain_next_ = 0;
-  // Next per-group sequence to seed into a regenerated token.
-  std::unordered_map<std::uint32_t, std::uint64_t> group_seq_high_;
 
   bool has_token_ = false;
   proto::OrderingToken token_;

@@ -194,9 +194,6 @@ class Simulation {
   std::uint64_t executed_events() const {
     return sharded_ ? sharded_->executed() : single_.executed();
   }
-  std::size_t pending_events() const {
-    return sharded_ ? sharded_->pending() : single_.pending();
-  }
 
   /// Schedule into the currently-executing context.
   void at(SimTime t, Action action) {

@@ -145,7 +145,6 @@ RunResult run_experiment(const RunSpec& spec, const RunHook& hook) {
   out.wq_peak = metrics.gauge(names::kBufWqPeak);
   out.mq_peak = metrics.gauge(names::kBufMqPeak);
   out.archive_peak = metrics.gauge(names::kBufArchivePeak);
-  out.submitlog_peak = metrics.gauge(names::kBufSubmitlogPeak);
   out.retransmits = metrics.counter(names::kRetransmits);
   out.really_lost = metrics.counter(names::kGapSkippedMsgs);
   out.mh_gaps_skipped = metrics.counter(names::kGapsSkipped);
@@ -159,6 +158,7 @@ RunResult run_experiment(const RunSpec& spec, const RunHook& hook) {
   out.churn_rejoins = metrics.counter(names::kChurnRejoins);
   out.blackout_drops = metrics.counter(names::kBlackoutDropped);
   out.uplink_lost = metrics.counter(names::kBlackoutUplinkLost);
+  out.park_dropped = metrics.counter(names::kParkDropped);
   out.tokens_dropped = metrics.counter(names::kTokenDropped);
 
   if (proto.total_sent() > 0) {

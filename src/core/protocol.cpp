@@ -102,7 +102,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
         n_br, std::vector<std::vector<NodeId>>(config_.groups.count));
     member_chain_.resize(n_mh);
     member_seen_stamp_.assign(n_mh, 0);
-    group_seq_high_.assign(config_.groups.count, 0);
     for (std::size_t i = 0; i < n_mh; ++i) {
       mh_groups_[i] = member_groups(i, config_.groups);
     }
@@ -171,7 +170,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   mid_.token_dup_destroyed = mx.intern(names::kTokenDupDestroyed);
   mid_.token_regenerated = mx.intern(names::kTokenRegenerated);
   mid_.token_dropped = mx.intern(names::kTokenDropped);
-  mid_.wq_dropped = mx.intern(names::kWqDropped);
   mid_.gaps_skipped = mx.intern(names::kGapsSkipped);
   mid_.gap_skipped_msgs = mx.intern(names::kGapSkippedMsgs);
   mid_.membership_applied = mx.intern(names::kMembershipApplied);
@@ -190,7 +188,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   mid_.buf_wq_peak = mx.intern(names::kBufWqPeak);
   mid_.buf_mq_peak = mx.intern(names::kBufMqPeak);
   mid_.buf_archive_peak = mx.intern(names::kBufArchivePeak);
-  mid_.buf_submitlog_peak = mx.intern(names::kBufSubmitlogPeak);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,14 +336,11 @@ sim::SimTime RingNetProtocol::next_submit_interval(SourceState& src) {
 
 void RingNetProtocol::submit(SourceState& src, proto::DataMsg msg) {
   msg.submit_at = sim_.now();
-  src.submit_log.push(sim_.now());
-  note_submit_log_depth(src.submit_log.retained());
   total_sent_.fetch_add(1, std::memory_order_relaxed);
   MhNode& m = mhs_[src.mh.index()];
   if (!m.attached_) {
     src.parked.push_back(msg);
     if (src.parked.size() > config_.options.source_park_cap) {
-      release_submit(src.parked.front());
       src.parked.pop_front();
       sim_.metrics().incr(mid_.park_dropped);
     }
@@ -362,22 +356,15 @@ void RingNetProtocol::uplink_to_br(const proto::DataMsg& msg, NodeId mh) {
     // the submission is lost outright — unlike downlink drops, nothing
     // ever repairs it, so it is counted separately from blackout.dropped.
     sim_.metrics().incr(mid_.blackout_uplink_lost);
-    release_submit(msg);
     return;
   }
   const NodeId br = ap_br_[m.ap_.index()];
-  if (!br.valid()) {
-    release_submit(msg);  // dropped before assignment: never archived
-    return;
-  }
+  if (!br.valid()) return;
   const sim::SimTime delay = uplink_delay(mh, data_bytes(msg));
   if (config_.options.ordered) {
     sim_.after(br_domain(br), delay, [this, br, msg = msg]() mutable {
       BrNode& b = brs_[br.index()];
-      if (!b.alive_) {
-        release_submit(msg);  // lost at a dead BR: never archived
-        return;
-      }
+      if (!b.alive_) return;  // lost at a dead BR
       msg.uplink_rx_at = sim_.now();
       if (config_.options.tau > sim::SimTime::zero()) {
         b.staging_.push_back(msg);
@@ -443,58 +430,27 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   // WTSNP recycling: our previous entries have completed a full rotation.
   token.prune_entries_of(br);
 
-  std::size_t dropped = 0;
-  auto batch = b.wq_.assign(
-      [&](proto::DataMsg& m) {
-        m.gseq = token.append_range(br, m.source, m.lseq, m.lseq);
-        m.ordering_node = br;
-        m.epoch = token.epoch();
-        m.assigned_at = sim_.now();
-        if (multi_ && !m.groups.empty()) {
-          // Per-destination-group dense sequence, drawn from the token's
-          // group counters so it is totally ordered ring-wide. With the
-          // one shared ring the cross-group timestamp merge collapses to
-          // gseq itself; the per-group seqs feed traces and accounting.
-          for (std::size_t i = 0; i < m.groups.size(); ++i) {
-            m.group_seqs[i] = token.bump_group_seq(m.groups[i]);
-            group_seq_high_[group_index(m.groups[i])] = m.group_seqs[i] + 1;
-          }
-        }
-        return true;
-      },
-      dropped);
-  if (dropped > 0) sim_.metrics().incr(mid_.wq_dropped, dropped);
-
+  const auto batch = b.wq_.assign(token, br, sim_.now());
   for (const auto& m : batch) {
-    if (m.source.index() < sources_.size()) {
-      // Token hops are barrier points: every earlier submit has run, so
-      // the (domain-owned) submit log is safe to read here in both modes.
-      const auto at = sources_[m.source.index()].submit_log.get(m.lseq);
-      if (at) {
-        assign_hist_.record(static_cast<std::uint64_t>((sim_.now() - *at).us));
-      }
-    }
+    assign_hist_.record(
+        static_cast<std::uint64_t>((sim_.now() - m.submit_at).us));
     if (!any_assigned_) archive_base_ = m.gseq;
     max_assigned_gseq_ = m.gseq;
     any_assigned_ = true;
     assert(m.gseq == archive_base_ + assigned_archive_.size());
-    assigned_archive_.push_back(ArchiveEntry{m, sim_.now()});
+    assigned_archive_.push_back(m);
   }
   if (!batch.empty()) {
     archive_peak_ = std::max(archive_peak_, assigned_archive_.size());
     sim_.metrics().gauge_max(mid_.buf_archive_peak,
                              static_cast<double>(assigned_archive_.size()));
-    sim_.metrics().gauge_max(
-        mid_.buf_submitlog_peak,
-        static_cast<double>(
-            submit_log_peak_.load(std::memory_order_relaxed)));
     distribute(br, batch);
   }
 
-  // Under domain sharding the subtree-acked floors advance inside their
-  // domains; fold them into the global watermark at this serialization
-  // point instead of on every ack.
-  if (migrate_) advance_global_floor();
+  // The subtree-acked floors advance as acks arrive (inside their domains
+  // under sharding); fold them into the global watermark at this
+  // serialization point instead of on every ack.
+  advance_global_floor();
 
   const NodeId next = next_alive_br(br);
   if (!next.valid()) return;  // ring fully gone
@@ -546,6 +502,7 @@ void RingNetProtocol::br_receive_ordered(NodeId br, const proto::DataMsg& msg) {
   if (!b.alive_) return;
   if (config_.options.ordered) {
     if (!b.mq_.store(msg, sim_.now())) return;  // duplicate
+    b.seen_.note(msg);
     sim_.metrics().gauge_max(mid_.buf_mq_peak,
                              static_cast<double>(b.mq_.size()));
     // With no members there are no acks to drive pruning: advance the
@@ -584,9 +541,10 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
     forward_down_multi(br, msg);
     return;
   }
+  const std::uint32_t bytes = data_bytes(msg);
   std::vector<Arrival> arrivals;
   for (NodeId mh : br_members_[br.index()]) {
-    add_recipient(arrivals, mh, data_bytes(), std::nullopt);
+    add_recipient(arrivals, mh, bytes, std::nullopt);
   }
   send_arrivals(br, msg, std::move(arrivals));
 }
@@ -713,18 +671,8 @@ void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
   ++node.delivered_;
   node.last_delivery_ = sim_.now();
   sim_.trace().record(sim::TraceKind::Deliver, sim_.now(), node.id_, msg.gseq);
-  if (migrate_) {
-    // The submit stamp rides the message, so cross-domain deliveries never
-    // read another domain's (live) submit log.
-    lat_hists_[sim_.current_ctx()].record(
-        static_cast<std::uint64_t>((sim_.now() - msg.submit_at).us));
-  } else if (msg.source.index() < sources_.size()) {
-    const auto at = sources_[msg.source.index()].submit_log.get(msg.lseq);
-    if (at) {
-      lat_hists_[0].record(
-          static_cast<std::uint64_t>((sim_.now() - *at).us));
-    }
-  }
+  lat_hists_[sim_.current_ctx()].record(
+      static_cast<std::uint64_t>((sim_.now() - msg.submit_at).us));
   if (config_.record_spans) record_span(msg);
   if (config_.record_deliveries && config_.options.ordered) {
     GroupId gid = msg.gid;
@@ -857,11 +805,11 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       // re-forwards down-tree.
       const proto::DataMsg* arch = archive_lookup(g);
       if (!arch) continue;
-      if (archive_stored_at(g) + grace > sim_.now()) continue;  // in flight
+      if (arch->assigned_at + grace > sim_.now()) continue;  // in flight
       sim_.metrics().incr(mid_.retransmits);
       const sim::SimTime delay =
           hop_delay(config_.hierarchy.wan,
-                    net::link_key(arch->ordering_node, br), data_bytes());
+                    net::link_key(arch->ordering_node, br), data_bytes(*arch));
       sim_.after(delay, [this, br, mh, m = *arch] {
         BrNode& bb = brs_[br.index()];
         if (!bb.alive_) return;
@@ -870,7 +818,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
           // Below this MQ's delivered watermark (the hole was skipped
           // while the BR sat memberless): serve the requesting member
           // directly so it is not wedged behind an unfillable gap.
-          const sim::SimTime down = downlink_delay(mh, data_bytes());
+          const sim::SimTime down = downlink_delay(mh, data_bytes(m));
           sim_.after(down, [this, mh, m] { mh_receive(mh, m); });
         }
       });
@@ -878,9 +826,10 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       continue;
     }
     if (*stored + grace > sim_.now()) continue;
-    const sim::SimTime delay = downlink_delay(mh, data_bytes());
+    const proto::DataMsg& m = *b.mq_.find(g);
+    const sim::SimTime delay = downlink_delay(mh, data_bytes(m));
     sim_.metrics().incr(mid_.retransmits);
-    sim_.after(delay, [this, mh, m = *b.mq_.find(g)] { mh_receive(mh, m); });
+    sim_.after(delay, [this, mh, m] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
 }
@@ -907,7 +856,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
     for (GlobalSeq g = from; g <= stop; ++g) {
       if (b.mq_.stored_at(g)) continue;
       const proto::DataMsg* arch = archive_lookup(g);
-      if (!arch || archive_stored_at(g) + grace > sim_.now()) continue;
+      if (!arch || arch->assigned_at + grace > sim_.now()) continue;
       sim_.metrics().incr(mid_.retransmits);
       const sim::SimTime d =
           hop_delay(config_.hierarchy.wan,
@@ -915,7 +864,9 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       sim_.after(d, [this, br, m = *arch] {
         BrNode& bb = brs_[br.index()];
         if (!bb.alive_) return;
-        if (bb.mq_.store(m, sim_.now())) forward_in_gseq_order(bb);
+        if (!bb.mq_.store(m, sim_.now())) return;
+        bb.seen_.note(m);
+        forward_in_gseq_order(bb);
       });
     }
   }
@@ -936,7 +887,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       return Step::Splice;  // payload unrecoverable
     }
     const sim::SimTime at = from_mq != nullptr ? *b.mq_.stored_at(link.gseq)
-                                               : archive_stored_at(link.gseq);
+                                               : stored->assigned_at;
     if (at + grace > sim_.now()) return Step::Next;  // normally in flight
     proto::DataMsg copy = *stored;
     copy.prev_chain = link.prev;
@@ -1006,7 +957,7 @@ void RingNetProtocol::mark_acked(BrNode& b) {
     // With no member acks there is no repair path for multicast holes
     // (e.g. from a false ejection): jump the cursor over anything that
     // falls out of the retention window, or this BR would wedge the
-    // global acked floor — and archive/submit-log pruning — ring-wide.
+    // global acked floor — and archive pruning — ring-wide.
     if (b.mq_.next_expected() < floor) b.mq_.skip_to(floor);
   } else {
     floor = member_wm_[members.front().index()];
@@ -1019,16 +970,12 @@ void RingNetProtocol::mark_acked(BrNode& b) {
     b.mq_.mark_delivered(b.acked_floor_);
     ++b.acked_floor_;
   }
-  // Under sharding this runs inside a BR domain, where peer floors are not
-  // readable; the global fold happens at the next token hop instead.
-  if (!migrate_) advance_global_floor();
 }
 
 void RingNetProtocol::advance_global_floor() {
   // Theorem 5.1 watermark: everything below the minimum subtree-acked
   // floor over live ordering nodes has been delivered ring-wide, so the
-  // archive (and each source's submit log) only retains a bounded window
-  // behind it.
+  // archive only retains a bounded window behind it.
   GlobalSeq floor = 0;
   bool any = false;
   for (const auto& br : brs_) {
@@ -1048,7 +995,6 @@ void RingNetProtocol::prune_archive() {
       global_acked_floor_ > keep ? global_acked_floor_ - keep : 0;
   std::size_t pruned = 0;
   while (archive_base_ < cut && !assigned_archive_.empty()) {
-    release_submit(assigned_archive_.front().msg);
     assigned_archive_.pop_front();
     ++archive_base_;
     ++pruned;
@@ -1056,34 +1002,10 @@ void RingNetProtocol::prune_archive() {
   if (pruned > 0) sim_.metrics().incr(mid_.archive_pruned, pruned);
 }
 
-void RingNetProtocol::release_submit(const proto::DataMsg& msg) {
-  if (msg.source.index() >= sources_.size()) return;
-  SourceState& src = sources_[msg.source.index()];
-  if (migrate_) {
-    const sim::Domain ctx = sim_.current_ctx();
-    if (ctx != gdom() && ctx != mh_domain_[src.mh.index()]) {
-      // A foreign domain cannot touch this source's submit log while its
-      // owner runs; hand the release to the serialized global context.
-      sim_.after(gdom(), sim_.lookahead(),
-                 [this, msg] { release_submit(msg); });
-      return;
-    }
-  }
-  src.submit_log.release(msg.lseq);
-}
-
 const proto::DataMsg* RingNetProtocol::archive_lookup(GlobalSeq gseq) const {
   if (gseq < archive_base_ || gseq - archive_base_ >= assigned_archive_.size())
     return nullptr;
-  return &assigned_archive_[static_cast<std::size_t>(gseq - archive_base_)]
-              .msg;
-}
-
-sim::SimTime RingNetProtocol::archive_stored_at(GlobalSeq gseq) const {
-  if (gseq < archive_base_ || gseq - archive_base_ >= assigned_archive_.size())
-    return sim::SimTime::zero();
-  return assigned_archive_[static_cast<std::size_t>(gseq - archive_base_)]
-      .assigned_at;
+  return &assigned_archive_[static_cast<std::size_t>(gseq - archive_base_)];
 }
 
 // ---------------------------------------------------------------------------
@@ -1261,16 +1183,11 @@ void RingNetProtocol::regenerate_token() {
 
   proto::OrderingToken token(kGroup, current_epoch_);
   token.set_serial(active_token_serial_);
-  token.set_next_gseq(any_assigned_ ? max_assigned_gseq_ + 1 : 0);
-  if (multi_) {
-    // Restore the per-group counters alongside the global one, or the
-    // regenerated token would re-issue per-group seqs from zero.
-    for (std::size_t gi = 0; gi < group_seq_high_.size(); ++gi) {
-      if (group_seq_high_[gi] != 0) {
-        token.set_group_seq(group_of_index(gi), group_seq_high_[gi]);
-      }
-    }
-  }
+  // Seed the counters past everything any BR has stored. Each origin
+  // stores its own assignments first, so this is the global high-water.
+  SeqHighWater seen;
+  for (const BrNode& b : brs_) seen.merge(b.seen_);
+  seen.seed(token);
   const NodeId leader = leader_br();
   token_custodian_ = leader;
   sim_.metrics().incr(mid_.token_regenerated);
@@ -1283,26 +1200,13 @@ void RingNetProtocol::regenerate_token() {
 }
 
 void RingNetProtocol::crash_node(NodeId id) {
+  if (id.tier() != Tier::BR || id.index() >= brs_.size()) return;
   sim_.trace().record(sim::TraceKind::NodeCrash, sim_.now(), id);
-  if (id.tier() == Tier::BR && id.index() < brs_.size()) {
-    BrNode& b = brs_[id.index()];
-    b.alive_ = false;
-    // Messages staged here died unassigned: release their submit-log
-    // entries so the pruned-prefix frontier keeps advancing.
-    for (const auto& m : b.staging_) release_submit(m);
-    b.staging_.clear();
-    for (const auto& m : b.wq_.pending()) release_submit(m);
-    b.wq_.clear();
-    advance_global_floor();  // a dead BR no longer holds the watermark
-    return;
-  }
-  if (id.tier() == Tier::MH && id.index() < mhs_.size()) {
-    MhNode& m = mhs_[id.index()];
-    if (m.attached_) {
-      m.attached_ = false;
-      if (ap_occupancy_[m.ap_.index()] > 0) --ap_occupancy_[m.ap_.index()];
-    }
-  }
+  BrNode& b = brs_[id.index()];
+  b.alive_ = false;
+  b.staging_.clear();  // staged messages die unassigned
+  b.wq_.clear();
+  advance_global_floor();  // a dead BR no longer holds the watermark
 }
 
 void RingNetProtocol::eject_br(NodeId br) {
@@ -1642,14 +1546,6 @@ void RingNetProtocol::note_wq_depth(const BrNode& br) {
   sim_.metrics().gauge_max(
       mid_.buf_wq_peak,
       static_cast<double>(br.staging_.size() + br.wq_.size()));
-}
-
-void RingNetProtocol::note_submit_log_depth(std::size_t retained) {
-  std::size_t cur = submit_log_peak_.load(std::memory_order_relaxed);
-  while (retained > cur &&
-         !submit_log_peak_.compare_exchange_weak(cur, retained,
-                                                 std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace ringnet::core

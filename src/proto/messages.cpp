@@ -147,86 +147,6 @@ std::optional<OrderingToken> OrderingToken::deserialize(WireReader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// TokenView
-
-namespace {
-
-constexpr std::size_t kTokenHeaderBytes = 4 + 8 + 8 + 8 + 8 + 4;
-constexpr std::size_t kWtsnpRowBytes = 4 + 4 + 8 + 8 + 8;
-constexpr std::size_t kGroupCounterRowBytes = 4 + 8;
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t read_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(read_u32(p)) |
-         (static_cast<std::uint64_t>(read_u32(p + 4)) << 32);
-}
-
-}  // namespace
-
-std::optional<TokenView> TokenView::parse(const std::uint8_t* data,
-                                          std::size_t size) {
-  if (size < kTokenHeaderBytes) return std::nullopt;
-  TokenView v;
-  v.gid_ = GroupId{read_u32(data)};
-  v.epoch_ = read_u64(data + 4);
-  v.serial_ = read_u64(data + 12);
-  v.rotation_ = read_u64(data + 20);
-  v.next_gseq_ = read_u64(data + 28);
-  v.entry_count_ = read_u32(data + 36);
-  const std::size_t rows_bytes = v.entry_count_ * kWtsnpRowBytes;
-  const std::size_t body = size - kTokenHeaderBytes;
-  if (body < rows_bytes) return std::nullopt;
-  v.rows_ = data + kTokenHeaderBytes;
-  const std::size_t extra = body - rows_bytes;
-  if (extra == 0) return v;  // legacy layout: no group-counter section
-  // Trailing per-group counter section: u32 count + count fixed rows, and
-  // nothing else — any other trailing length is a corrupt frame.
-  if (extra < 4) return std::nullopt;
-  const std::uint8_t* sect = v.rows_ + rows_bytes;
-  const std::uint32_t gc = read_u32(sect);
-  if (gc == 0 || extra - 4 != gc * kGroupCounterRowBytes) return std::nullopt;
-  v.group_rows_ = sect + 4;
-  v.group_counter_count_ = gc;
-  return v;
-}
-
-std::pair<GroupId, std::uint64_t> TokenView::group_counter(
-    std::size_t i) const {
-  const std::uint8_t* p = group_rows_ + i * kGroupCounterRowBytes;
-  return {GroupId{read_u32(p)}, read_u64(p + 4)};
-}
-
-WtsnpEntry TokenView::entry(std::size_t i) const {
-  const std::uint8_t* p = rows_ + i * kWtsnpRowBytes;
-  WtsnpEntry e;
-  e.ordering_node = NodeId{read_u32(p)};
-  e.source = NodeId{read_u32(p + 4)};
-  e.first = read_u64(p + 8);
-  e.last = read_u64(p + 16);
-  e.gseq_first = read_u64(p + 24);
-  return e;
-}
-
-std::optional<GlobalSeq> TokenView::lookup(NodeId source, LocalSeq lseq) const {
-  for (std::size_t i = entry_count_; i-- > 0;) {
-    const std::uint8_t* p = rows_ + i * kWtsnpRowBytes;
-    if (NodeId{read_u32(p + 4)} != source) continue;
-    const LocalSeq first = read_u64(p + 8);
-    const LocalSeq last = read_u64(p + 16);
-    if (first <= lseq && lseq <= last) {
-      return read_u64(p + 24) + (lseq - first);
-    }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
 // Message envelope
 
 MsgType Message::type() const {

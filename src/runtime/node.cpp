@@ -249,16 +249,17 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
     return;
   }
   // Span stamp: first reception of each uplink. The stamp rides the sim-only
-  // (non-serialized) DataMsg field through staging_/pending until assignment,
+  // (non-serialized) DataMsg field through the WQ/pending until assignment,
   // where it lands in span_assigned_.
   const bool spans = cfg_.opts.record_spans;
   if (msg.lseq == si.next_expected) {
-    staging_.push_back(msg);
-    if (spans) staging_.back().uplink_rx_at.us = now_us;
+    proto::DataMsg in = msg;
+    if (spans) in.uplink_rx_at.us = now_us;
+    wq_.add(std::move(in));
     ++si.next_expected;
     auto it = si.pending.find(si.next_expected);
     while (it != si.pending.end()) {
-      staging_.push_back(std::move(it->second));
+      wq_.add(std::move(it->second));
       si.pending.erase(it);
       ++si.next_expected;
       it = si.pending.find(si.next_expected);
@@ -307,10 +308,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
   // for this BR's subtree (emplace keeps the earliest arrival).
   if (cfg_.opts.record_spans) span_relay_rx_us_.emplace(msg.gseq, now_us);
-  if (!any_seen_ || msg.gseq > max_seen_gseq_) {
-    max_seen_gseq_ = msg.gseq;
-    any_seen_ = true;
-  }
+  seen_.note(msg);
   mq_.prune_to(cfg_.opts.mq_retention);
   if (multi()) {
     // Chain links must rise monotonically per member, so chain forwarding
@@ -381,18 +379,8 @@ void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
 }
 
 void BrRuntime::assign_staged(std::int64_t now_us) {
-  while (!staging_.empty()) {
-    proto::DataMsg m = std::move(staging_.front());
-    staging_.pop_front();
-    m.gseq = token_.append_range(cfg_.self, m.source, m.lseq, m.lseq);
-    m.ordering_node = cfg_.self;
-    m.epoch = token_.epoch();
-    if (multi() && !m.groups.empty()) {
-      for (std::size_t i = 0; i < m.groups.size(); ++i) {
-        m.group_seqs[i] = token_.bump_group_seq(m.groups[i]);
-        group_seq_high_[m.groups[i].v] = m.group_seqs[i] + 1;
-      }
-    }
+  for (const proto::DataMsg& m :
+       wq_.assign(token_, cfg_.self, sim::SimTime{now_us})) {
     ++assigned_;
     if (cfg_.opts.record_spans) {
       span_assigned_.push_back(SpanAssignRec{m.source, m.lseq, m.gseq,
@@ -424,13 +412,9 @@ void BrRuntime::regenerate_token(std::int64_t now_us) {
   ++epoch_;
   proto::OrderingToken t(kRuntimeGroup, epoch_);
   t.set_serial(next_serial_++);
-  t.set_next_gseq(any_seen_ ? max_seen_gseq_ + 1 : 0);
-  // Per-group counters survive regeneration from the local high-watermarks
-  // (only counters this BR has witnessed; a peer's newer assignment bumps
-  // them again on the next pass, same as next_gseq).
-  for (const auto& [gid, next] : group_seq_high_) {
-    t.set_group_seq(GroupId{gid}, next);
-  }
+  // Seed the counters past everything this BR's MQ has stored: its own
+  // assignments and every peer's that reached it.
+  seen_.seed(t);
   metrics_.incr(mid_.token_regenerated);
   fr_.record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
   last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
@@ -443,8 +427,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     // Peer-BR gap repair: a peer lost an ordered frame we assigned and asks
     // for the window starting at its hole. Serve whatever the MQ retains.
     for (GlobalSeq g = ack.watermark;
-         g <= max_seen_gseq_ && g < ack.watermark + kResendWindow; ++g) {
-      if (!any_seen_) break;
+         g < seen_.next_gseq() && g < ack.watermark + kResendWindow; ++g) {
       if (const proto::DataMsg* m = mq_.find(g)) {
         emit(ack.member, *m);
         metrics_.incr(mid_.retransmits);
@@ -460,7 +443,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     return;
   }
   m.next_expected = std::max(m.next_expected, ack.watermark);
-  const bool behind = any_seen_ && m.next_expected <= max_seen_gseq_;
+  const bool behind = m.next_expected < seen_.next_gseq();
   if (!resync_due(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
   fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
@@ -476,7 +459,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   }
   bool pull_requested = false;
   std::uint64_t resent = 0;
-  for (GlobalSeq g = want; g <= max_seen_gseq_ && g < want + kResendWindow;
+  for (GlobalSeq g = want; g < seen_.next_gseq() && g < want + kResendWindow;
        ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
       emit(m.ap, *dm, ack.member);
@@ -534,8 +517,8 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
   }
   // A member with unacked links, or a BR-side chain cursor, making no
   // progress triggers recovery work.
-  const bool behind = !m.chain.links().empty() ||
-                      (any_seen_ && chain_next_ <= max_seen_gseq_);
+  const bool behind =
+      !m.chain.links().empty() || chain_next_ < seen_.next_gseq();
   if (!resync_due(m, tail, behind, now_us)) return;
   if (m.chain.links().empty()) {
     // The member is current; the BR itself is stuck on an MQ hole at the

@@ -17,8 +17,12 @@
 //      three group scenarios, on the base shape and on a lossy one.
 //   6. Chain gap skips are real: a lossy run that loses nothing reports no
 //      gap skip either.
+//   7. Members that roam or churn still deliver exactly their destined
+//      sets (chain restart on reattach), and a regenerated token continues
+//      every group's seqs with no repeat and no gap.
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +30,7 @@
 #include "baseline/harness.hpp"
 #include "core/analysis.hpp"
 #include "core/groups.hpp"
+#include "core/protocol.hpp"
 #include "net/channel.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/orchestrator.hpp"
@@ -138,6 +143,63 @@ constexpr GroupPin kGroupPins[] = {
     {"group-flash", 0x0b4da08b86eb8d7aull, 0x5c62d799856cdb95ull},
 };
 
+// The base shape as a multi-group deployment (8 groups, 2 per MH, 2 per
+// message) with count-bounded constant sources, lossless but for
+// `wan_loss`, plus the membership dynamics of `scenario_text`.
+baseline::RunSpec group_motion_spec(const std::string& scenario_text,
+                                    double wan_loss) {
+  auto spec = base_spec();
+  spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.0);
+  spec.config.hierarchy.wan = net::ChannelModel::wired_wan(wan_loss);
+  spec.config.num_sources = 4;
+  spec.config.groups.count = 8;
+  spec.config.groups.groups_per_mh = 2;
+  spec.config.groups.dest_groups = 2;
+  spec.config.source.rate_hz = 100.0;
+  spec.config.source.max_messages = 100;
+  spec.drain = sim::secs(2.0);
+  const auto parsed = scenario::parse_scenario(scenario_text);
+  CHECK(parsed.has_value());
+  if (parsed) spec.scenario = *parsed;
+  return spec;
+}
+
+// Members whose delivered (source, lseq) set differs from their destined
+// one: every message of every count-bounded source whose destination
+// groups meet the member's (static) groups.
+std::size_t destined_mismatches(const baseline::RunSpec& spec,
+                                const baseline::RunResult& r) {
+  const auto& groups = spec.config.groups;
+  const std::uint32_t sources =
+      static_cast<std::uint32_t>(spec.config.num_sources);
+  const std::uint32_t msgs = spec.config.source.max_messages;
+  std::size_t mismatched = 0;
+  for (std::size_t m = 0; m + 1 < r.deliveries_offsets.size(); ++m) {
+    const proto::GroupSet mine = core::member_groups(m, groups);
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> want;
+    for (std::uint32_t s = 0; s < sources; ++s) {
+      for (std::uint32_t l = 0; l < msgs; ++l) {
+        if (core::dest_groups(NodeId{s}, l, groups).intersects(mine)) {
+          want.emplace_back(s, l);
+        }
+      }
+    }
+    const auto [recs, n] = r.deliveries_of(m);
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> got;
+    got.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      got.emplace_back(recs[i].source.v, recs[i].lseq);
+    }
+    std::sort(got.begin(), got.end());
+    if (got != want) {
+      std::printf("  mh %zu: delivered %zu of %zu destined\n", m, got.size(),
+                  want.size());
+      ++mismatched;
+    }
+  }
+  return mismatched;
+}
+
 }  // namespace
 
 TEST(single_group_reproduces_golden_traces) {
@@ -210,9 +272,11 @@ TEST(group_catalogue_is_pairwise_consistent) {
 TEST(sharded_engine_replays_the_serial_oracle_with_groups) {
   // Domain-sharded execution must not perturb multi-group runs: the
   // single-heap oracle over the sharded domain plan and the 4-thread
-  // parallel engine produce identical per-MH delivery traces.
-  for (const std::string name : {"group-mesh", "group-churn"}) {
-    auto spec = group_scenario_spec(name);
+  // parallel engine produce identical per-MH delivery traces, also while
+  // members roam between BR domains.
+  for (auto spec :
+       {group_scenario_spec("group-mesh"), group_scenario_spec("group-churn"),
+        group_motion_spec("name=group-roam;mobility=waypoint,rate=2", 0.0)}) {
     spec.shard = true;
     spec.shard_threads = 0;
     const auto oracle = baseline::run_experiment(spec);
@@ -315,33 +379,88 @@ TEST(sim_lossless_chains_deliver_every_destined_message) {
   const auto r = baseline::run_experiment(spec);
   CHECK(!r.order_violation.has_value());
   CHECK_EQ(r.total_sent, std::uint64_t{n_mh * msgs});
+  CHECK_EQ(destined_mismatches(spec, r), std::size_t{0});
+}
 
-  std::size_t mismatched = 0;
-  for (std::size_t m = 0; m < n_mh; ++m) {
-    const proto::GroupSet mine = core::member_groups(m, spec.config.groups);
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> want;
-    for (std::uint32_t s = 0; s < n_mh; ++s) {
-      for (std::uint32_t l = 0; l < msgs; ++l) {
-        if (core::dest_groups(NodeId{s}, l, spec.config.groups)
-                .intersects(mine)) {
-          want.emplace_back(s, l);
-        }
+TEST(roaming_and_churning_members_deliver_their_destined_sets) {
+  // A member that reattaches — after a handoff or a short absence well
+  // inside retention — restarts its delivery chain at its new BR, which
+  // replays every destined message from the member's tail. Nothing may be
+  // lost, skipped or delivered out of pairwise order, lossless or over a
+  // 1% lossy WAN.
+  for (const char* text :
+       {"name=group-roam;mobility=waypoint,rate=2",
+        "name=group-churn-leave;churn=poisson,leave=0.5,absence=0.3"}) {
+    for (const double wan_loss : {0.0, 0.01}) {
+      const auto spec = group_motion_spec(text, wan_loss);
+      const auto r = baseline::run_experiment(spec);
+      if (r.order_violation) {
+        std::printf("  '%s': %s\n", text, r.order_violation->c_str());
       }
-    }
-    const auto [recs, n] = r.deliveries_of(m);
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> got;
-    got.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      got.emplace_back(recs[i].source.v, recs[i].lseq);
-    }
-    std::sort(got.begin(), got.end());
-    if (got != want) {
-      std::printf("  mh %zu: delivered %zu of %zu destined\n", m, got.size(),
-                  want.size());
-      ++mismatched;
+      CHECK(!r.order_violation.has_value());
+      CHECK(r.handoffs + r.churn_leaves > 0);
+      CHECK(r.retransmits > 0);  // reattach replays ran
+      CHECK_EQ(r.total_sent, std::uint64_t{4 * 100});
+      CHECK_EQ(r.really_lost, std::uint64_t{0});
+      CHECK_EQ(r.mh_gaps_skipped, std::uint64_t{0});
+      CHECK_EQ(destined_mismatches(spec, r), std::size_t{0});
     }
   }
-  CHECK_EQ(mismatched, std::size_t{0});
+}
+
+TEST(regenerated_tokens_continue_every_group_seq) {
+  // Token-Regeneration seeds the new token's per-group counters from what
+  // the BRs have stored. Two token losses on the base group shape: across
+  // BR0's MQ, which retains the whole run here, every group's seqs run on
+  // through both regenerations with no repeat and no gap.
+  const std::string text =
+      "name=group-tokenloss;groups=8,per_mh=2,dest=2;"
+      "traffic=poisson,rate=150;fault=tokenloss,at=0.7;"
+      "fault=tokenloss,at=1.5";
+  for (const double wan_loss : {0.0, 0.01}) {
+    for (const std::uint64_t seed : {7u, 1u, 3u}) {
+      auto spec = group_scenario_spec(text);
+      spec.seed = seed;
+      spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.0);
+      spec.config.hierarchy.wan = net::ChannelModel::wired_wan(wan_loss);
+      std::size_t stored = 0, holes = 0, repeats = 0, gaps = 0;
+      GlobalSeq front = 1;
+      std::uint64_t last_epoch = 0;
+      const sim::SimTime end = spec.warmup + spec.run + spec.drain;
+      const auto r = baseline::run_experiment(
+          spec, [&](core::RingNetProtocol& net, sim::Simulation& sim) {
+            sim.after(end - sim::usecs(1), [&] {
+              core::MessageQueue& mq = net.node(NodeId::make(Tier::BR, 0)).mq();
+              front = mq.valid_front();
+              std::vector<std::optional<std::uint64_t>> last(9);  // by gid
+              for (GlobalSeq g = front; g <= mq.max_seen(); ++g) {
+                const proto::DataMsg* m = mq.find(g);
+                if (m == nullptr) {
+                  ++holes;
+                  continue;
+                }
+                ++stored;
+                last_epoch = m->epoch;
+                for (std::size_t i = 0; i < m->groups.size(); ++i) {
+                  auto& prev = last[m->groups[i].v];
+                  const std::uint64_t seq = m->group_seqs[i];
+                  const std::uint64_t want = prev ? *prev + 1 : 0;
+                  if (seq < want) ++repeats;
+                  if (seq > want) ++gaps;
+                  prev = seq;
+                }
+              }
+            });
+          });
+      CHECK_EQ(r.token_regenerations, std::uint64_t{2});
+      CHECK_EQ(front, GlobalSeq{0});
+      CHECK(stored > 100);
+      CHECK_EQ(last_epoch, std::uint64_t{3});  // assigned after both regens
+      CHECK_EQ(holes, std::size_t{0});
+      CHECK_EQ(repeats, std::size_t{0});
+      CHECK_EQ(gaps, std::size_t{0});
+    }
+  }
 }
 
 TEST(inprocess_runtime_delivers_multi_group_chains) {

@@ -3,8 +3,9 @@
 // scripted workload in total order, and survive scripted token loss (the
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
 // watchdog). Plus direct single-threaded unit coverage: the MhRuntime
-// reordering buffer and gap-skip accounting, and the batched ordered
-// datapath (one DataBatch datagram per destination per handler call).
+// reordering buffer and gap-skip accounting, the batched ordered datapath
+// (one DataBatch datagram per destination per handler call), and the
+// counters a regenerated token starts from.
 
 #include <atomic>
 #include <memory>
@@ -659,6 +660,68 @@ TEST(br_ack_driven_resends_leave_as_one_batch) {
     if (b) CHECK_EQ(b->entries.size(), n);
   }
   CHECK_EQ(br.counters().retransmits, 2 * n);
+}
+
+TEST(br_regenerated_token_continues_peer_group_seqs) {
+  // Token-Regeneration seeds every counter past what the leader's MQ
+  // holds, a peer's assignments included. The leader stores a peer's
+  // group-3 seqs 0-4, its token then dies on the wire (the peer never
+  // acks), and the watchdog regenerates it: the next group-3 message must
+  // get group seq 5, not a second seq 0.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  auto peer = net.attach(kBr1);
+  (void)net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 4;
+  cfg.groups.groups_per_mh = 1;
+  cfg.groups.dest_groups = 1;
+  cfg.opts.retx_timeout_us = 1'000;
+  cfg.opts.max_retx = 2;
+  cfg.opts.heartbeat_period_us = 2'000;
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+
+  proto::GroupSet g3;
+  g3.insert(GroupId{3});
+  std::vector<proto::DataMsg> assigned;
+  for (GlobalSeq g = 0; g < 5; ++g) {
+    proto::DataMsg m = ordered_data(g, NodeId{6}, g);
+    m.ordering_node = kBr1;
+    m.gid = GroupId{3};
+    m.groups = g3;
+    m.group_seqs[0] = g;
+    assigned.push_back(m);
+  }
+  Datagram from_peer = batch_datagram(assigned);
+  from_peer.src = kBr1;
+  br.on_datagram(from_peer, 10);
+
+  std::int64_t t = 100;
+  const std::int64_t horizon =
+      cfg.opts.token_regen_timeout_us() + 5 * cfg.opts.retx_timeout_us;
+  for (; t <= horizon && br.epoch() < 2; t += 100) br.on_tick(t);
+  CHECK_EQ(br.epoch(), 2u);
+  CHECK_EQ(br.counters().token_regenerated, 1u);
+  (void)drain(*peer);
+
+  // The regenerated token is in hand: one group-3 uplink gets assigned.
+  br.on_datagram(uplink_datagram(kAp0, NodeId{5}, 0, g3), t);
+  br.on_tick(t + 10);
+  CHECK_EQ(br.assigned(), 1u);
+  std::vector<proto::DataMsg> out;
+  for (const Datagram& d : drain(*peer)) {
+    if (const auto b = batch_of(d)) {
+      out.insert(out.end(), b->entries.begin(), b->entries.end());
+    }
+  }
+  CHECK_EQ(out.size(), 1u);
+  if (!out.empty()) {
+    CHECK_EQ(out[0].epoch, 2u);
+    CHECK_EQ(out[0].gseq, GlobalSeq{5});
+    CHECK_EQ(out[0].group_seqs[0], std::uint64_t{5});
+  }
 }
 
 TEST(ap_relays_batch_bytes_untouched) {

@@ -2,8 +2,8 @@
 // (the CI tsan job builds every test with -fsanitize=thread). A wider ring
 // than the equivalence test keeps several shard queues busy per window
 // while churn migrates MHs between domains and faults exercise the
-// token-regeneration and blackout paths — the cross-domain inbox,
-// deferred submit-log releases, shared metrics registry and barrier-phase
+// token-regeneration and blackout paths — the cross-domain inbox, the
+// acked-floor fold at token hops, shared metrics registry and barrier-phase
 // re-homing all see real concurrency here.
 
 #include <cstdint>

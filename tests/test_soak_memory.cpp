@@ -1,8 +1,8 @@
 // Tentpole regression: long soak runs must hold Theorem 5.1's bounded-buffer
 // claim in the implementation, not just the analysis. Steady-state state at
-// the ordering tier (assigned-message archive, per-source submit logs, MQs)
-// must stay O(resend/retention window) — pruned by the global acked-floor
-// watermark — instead of O(total messages sent).
+// the ordering tier (assigned-message archive, MQs) must stay
+// O(resend/retention window) — pruned by the global acked-floor watermark —
+// instead of O(total messages sent).
 
 #include <cstdlib>
 
@@ -56,13 +56,11 @@ TEST(archive_prunes_to_retention_window) {
   // total_sent.
   CHECK(proto.archive_retained() < 128);
   CHECK(proto.archive_retained() < proto.total_sent() / 2);
-  // Submit logs drain in lockstep with the archive.
-  CHECK(proto.submit_log_retained() < 256);
 }
 
-// The soak proper: >= 1M messages through a 2-BR ring. Peak archive, submit
-// log, and MQ residency must stay O(window) — orders of magnitude below the
-// total — and nothing may be lost.
+// The soak proper: >= 1M messages through a 2-BR ring. Peak archive and MQ
+// residency must stay O(window) — orders of magnitude below the total —
+// and nothing may be lost.
 TEST(soak_one_million_messages_bounded_memory) {
   std::uint64_t target = 1'000'000;
   // Single-threaded main; no concurrent setenv to race with.
@@ -91,13 +89,11 @@ TEST(soak_one_million_messages_bounded_memory) {
   const std::size_t window =
       cfg.options.archive_retention + cfg.options.mq_retention + 8192;
   CHECK(proto.archive_peak() < window);
-  CHECK(proto.submit_log_peak() < window);
   CHECK(sim.metrics().gauge("buf.mq.peak") < static_cast<double>(window));
   CHECK(proto.archive_peak() < proto.total_sent() / 50);
   // After the drain the floor has caught up: only the retention tails and
   // the final unacked residue remain.
   CHECK(proto.archive_retained() < window);
-  CHECK(proto.submit_log_retained() < window);
   // Nothing lost, nothing skipped: every member saw every message.
   CHECK_EQ(sim.metrics().counter("mh.gaps_skipped"), std::uint64_t{0});
   for (const auto& mh : proto.mhs()) {

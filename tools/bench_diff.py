@@ -28,7 +28,7 @@ import re
 import sys
 
 # The protocol's hot paths (ISSUE 7): token forwarding, batch distribution
-# and delivery, codec encode/decode (owned and zero-copy), metrics incr.
+# and delivery, codec encode/decode, metrics incr.
 # The bench_obs micros (ISSUE 10) gate instrumentation overhead: the same
 # hot paths with span recording off/on, plus the registry and recorder.
 DEFAULT_GATES = [
@@ -36,7 +36,6 @@ DEFAULT_GATES = [
     r"BM_DistributeBatchDeliver",
     r"BM_DataMsgCodecRoundTrip",
     r"BM_TokenDecodeOwned/.*",
-    r"BM_TokenDecodeView/.*",
     r"BM_TokenSerialize/.*",
     r"BM_MetricsIncrInterned",
     r"BM_TokenForwardRing_NoSpans",
