@@ -1,5 +1,5 @@
 // E10: google-benchmark micro suite — the per-operation costs of the data
-// structures on the protocol's hot paths: MQ store/deliver, WQ add/assign,
+// structures on the protocol's hot paths: MQ store/ack, WQ add/assign,
 // token WTSNP update/lookup, wire codec, event scheduler and histogram.
 
 #include <benchmark/benchmark.h>
@@ -35,8 +35,7 @@ void BM_MessageQueueStoreDeliver(benchmark::State& state) {
   GlobalSeq g = 0;
   for (auto _ : state) {
     mq.store(make_data(g), sim::SimTime{0});
-    mq.mark_delivered(g);
-    ++g;
+    mq.ack_to(++g);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(g));
 }
@@ -51,8 +50,8 @@ void BM_MessageQueueOutOfOrderWindow(benchmark::State& state) {
     for (GlobalSeq i = window; i-- > 0;) {
       mq.store(make_data(base + i), sim::SimTime{0});
     }
-    for (GlobalSeq i = 0; i < window; ++i) mq.mark_delivered(base + i);
     base += window;
+    mq.ack_to(base);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(base));
 }

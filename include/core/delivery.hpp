@@ -22,12 +22,15 @@
 namespace ringnet::core {
 
 /// Base-offset buffer of ordered messages keyed by contiguous GlobalSeq:
-/// the BR's MQ retention window and the MH's reorder buffer. Slots below
-/// base() have been pruned (BR) or delivered (MH).
+/// the storage of the ordering node's MQ (core/message_queue.hpp) and the
+/// MH's reorder buffer. Slots below base() have been released (BR) or
+/// delivered (MH).
 class GseqBuffer {
  public:
   GlobalSeq base() const { return base_; }
   GlobalSeq end() const { return base_ + slots_.size(); }
+  /// Filled slots.
+  std::size_t size() const { return filled_; }
 
   bool contains(GlobalSeq g) const {
     return g >= base_ && g < end() && slots_[idx(g)].has_value();
@@ -38,33 +41,26 @@ class GseqBuffer {
     return &*slots_[idx(g)];
   }
 
-  /// false when g is below base (stale) or already present (duplicate).
-  bool insert(GlobalSeq g, const proto::DataMsg& msg) {
-    if (g < base_) return false;
+  /// The stored copy, or nullptr when g is below base (stale) or already
+  /// present (duplicate).
+  proto::DataMsg* insert(GlobalSeq g, const proto::DataMsg& msg) {
+    if (g < base_) return nullptr;
     if (g >= end()) slots_.resize(static_cast<std::size_t>(g - base_) + 1);
-    if (slots_[idx(g)].has_value()) return false;
-    slots_[idx(g)] = msg;
-    return true;
+    auto& slot = slots_[idx(g)];
+    if (slot.has_value()) return nullptr;
+    ++filled_;
+    return &slot.emplace(msg);
   }
 
   /// Drop slots (filled or holes) from the front until at most `retention`
-  /// remain. Returns how many were dropped.
-  std::size_t prune_to(std::size_t retention) {
-    std::size_t dropped = 0;
-    while (slots_.size() > retention) {
-      slots_.pop_front();
-      ++base_;
-      ++dropped;
-    }
-    return dropped;
+  /// remain.
+  void prune_to(std::size_t retention) {
+    while (slots_.size() > retention) pop_front();
   }
 
-  /// Advance base to `g`, discarding everything below (MH delivery prune).
+  /// Advance base to `g`, discarding everything below.
   void drop_below(GlobalSeq g) {
-    while (base_ < g && !slots_.empty()) {
-      slots_.pop_front();
-      ++base_;
-    }
+    while (base_ < g && !slots_.empty()) pop_front();
     if (base_ < g) base_ = g;
   }
 
@@ -73,8 +69,15 @@ class GseqBuffer {
     return static_cast<std::size_t>(g - base_);
   }
 
+  void pop_front() {
+    if (slots_.front().has_value()) --filled_;
+    slots_.pop_front();
+    ++base_;
+  }
+
   std::deque<std::optional<proto::DataMsg>> slots_;
   GlobalSeq base_ = 0;
+  std::size_t filled_ = 0;
 };
 
 /// The single-group member: gseqs are contiguous ring-wide, so it delivers

@@ -1,174 +1,155 @@
 #pragma once
 // MessageQueue (the paper's MQ): an ordering node's buffer of globally-
-// sequenced messages keyed by gseq. It absorbs out-of-order arrival (gap
-// windows), tracks the contiguous delivered (subtree-acked) watermark, and
-// retains a bounded tail (`retention` entries behind that watermark, the
-// ValidFront lag) so handed-off members can resynchronize without
-// end-to-end retransmission.
+// sequenced messages keyed by gseq, shared by the simulator
+// (RingNetProtocol) and the UDP runtime (BrRuntime). It absorbs
+// out-of-order arrival, notes the sequence high-water that seeds a
+// regenerated token, and hands stored messages to the downlink in gseq
+// order through one forward cursor.
 //
-// Storage is a base-offset deque: gseqs are assigned contiguously by the
-// token, so entry g lives at slot (g - base) and every hot operation
-// (store, find, mark_delivered, prune) is an index, not an ordered-tree
-// descent. Slots inside the span that have not arrived yet
-// are explicit holes; the span stays O(retention + in-flight window).
+// The release rule stays per engine. The simulator acks what its subtree
+// delivered (ack_to, skip_to) and keeps `retention` entries behind the ack
+// cursor, the ValidFront lag, so handed-off members can resynchronize
+// without end-to-end retransmission. The runtime keeps no member-ack
+// floor and holds a fixed window instead (prune_to).
+//
+// Sans-I/O: the caller passes the time; no clock, scheduler or socket is
+// reached from here.
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <optional>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "core/delivery.hpp"
 #include "proto/messages.hpp"
 #include "sim/time.hpp"
 
 namespace ringnet::core {
 
-class MessageQueue {
+/// The next gseq and next per-group seqs past every assigned message a
+/// node has stored. The MQ notes each message it stores; seed() writes the
+/// counters into a regenerated token (§4 Token-Regeneration) so neither
+/// gseqs nor per-group seqs repeat.
+class SeqHighWater {
  public:
-  explicit MessageQueue(std::size_t retention) : retention_(retention) {}
-
-  /// Insert a sequenced message. Returns false on duplicate (already
-  /// buffered, or at/below the pruned ValidFront).
-  bool store(const proto::DataMsg& msg, sim::SimTime now) {
-    if (have_delivered_ && msg.gseq <= delivered_) {
-      return false;  // stale: already delivered (possibly pruned)
+  void note(const proto::DataMsg& m) {
+    next_gseq_ = std::max(next_gseq_, m.gseq + 1);
+    for (std::size_t i = 0; i < m.groups.size(); ++i) {
+      raise(m.groups[i], m.group_seqs[i] + 1);
     }
-    Entry& slot = slot_for(msg.gseq);
-    if (slot.present) return false;
-    slot.present = true;
-    slot.msg = msg;
-    slot.stored_at = now;
-    ++present_count_;
-    if (!max_seen_valid_ || msg.gseq > max_seen_) {
-      max_seen_ = msg.gseq;
-      max_seen_valid_ = true;
-    }
-    return true;
   }
 
-  /// Mark one gseq delivered; advances the contiguous delivered watermark
-  /// and prunes everything older than (watermark - retention).
-  void mark_delivered(GlobalSeq gseq) {
-    Entry* e = entry_at(gseq);
-    if (e != nullptr && e->present) e->delivered = true;
-    // Advance the watermark over the contiguous delivered prefix.
-    while (true) {
-      Entry* front = entry_at(next_expected_);
-      if (front == nullptr || !front->present || !front->delivered) break;
-      delivered_ = next_expected_;
-      have_delivered_ = true;
-      ++next_expected_;
-    }
-    prune();
+  /// Fold in another node's high-water.
+  void merge(const SeqHighWater& other) {
+    next_gseq_ = std::max(next_gseq_, other.next_gseq_);
+    for (const auto& [g, next] : other.groups_) raise(g, next);
   }
 
-  /// The stored message (in place), or nullptr.
-  const proto::DataMsg* find(GlobalSeq gseq) const {
-    const Entry* e = entry_at(gseq);
-    return e != nullptr && e->present ? &e->msg : nullptr;
+  void seed(proto::OrderingToken& token) const {
+    token.set_next_gseq(next_gseq_);
+    for (const auto& [g, next] : groups_) token.set_group_seq(g, next);
   }
 
-  bool contains(GlobalSeq gseq) const {
-    const Entry* e = entry_at(gseq);
-    return e != nullptr && e->present;
-  }
-
-  /// When the entry is still materialized, the sim time it was stored.
-  std::optional<sim::SimTime> stored_at(GlobalSeq gseq) const {
-    const Entry* e = entry_at(gseq);
-    if (e == nullptr || !e->present) return std::nullopt;
-    return e->stored_at;
-  }
-
-  /// Oldest gseq this queue can still serve: the start of the retained
-  /// prefix, or next_expected when nothing older is materialized. A hole
-  /// at the *front* (oldest entry above next_expected because it is still
-  /// in flight) does not advance the front — only pruning does.
-  GlobalSeq valid_front() const {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].present) {
-        return std::min(next_expected_,
-                        base_ + static_cast<GlobalSeq>(i));
-      }
-    }
-    return next_expected_;
-  }
-
-  /// Force the expected cursor forward (gap skip after retention loss).
-  void skip_to(GlobalSeq gseq) {
-    if (gseq <= next_expected_) return;
-    next_expected_ = gseq;
-    if (gseq > 0) {
-      delivered_ = gseq - 1;
-      have_delivered_ = true;
-    }
-    prune();
-  }
-
-  GlobalSeq next_expected() const { return next_expected_; }
-  GlobalSeq max_seen() const { return max_seen_valid_ ? max_seen_ : 0; }
-  bool empty() const { return present_count_ == 0; }
-  std::size_t size() const { return present_count_; }
+  /// One past the highest stored gseq (0 before the first store).
+  GlobalSeq next_gseq() const { return next_gseq_; }
 
  private:
-  struct Entry {
-    proto::DataMsg msg;
-    sim::SimTime stored_at;
-    bool present = false;
-    bool delivered = false;
-  };
-
-  Entry* entry_at(GlobalSeq gseq) {
-    if (entries_.empty() || gseq < base_) return nullptr;
-    const GlobalSeq off = gseq - base_;
-    if (off >= entries_.size()) return nullptr;
-    return &entries_[static_cast<std::size_t>(off)];
-  }
-  const Entry* entry_at(GlobalSeq gseq) const {
-    return const_cast<MessageQueue*>(this)->entry_at(gseq);
-  }
-
-  /// The slot for `gseq`, growing the span (with holes) as needed.
-  Entry& slot_for(GlobalSeq gseq) {
-    if (entries_.empty()) {
-      base_ = gseq;
-      entries_.emplace_back();
-      return entries_.front();
-    }
-    while (gseq < base_) {
-      entries_.emplace_front();
-      --base_;
-    }
-    while (gseq - base_ >= entries_.size()) entries_.emplace_back();
-    return entries_[static_cast<std::size_t>(gseq - base_)];
-  }
-
-  void prune() {
-    if (!have_delivered_) return;
-    // Keep `retention_` delivered entries behind the watermark.
-    if (delivered_ + 1 < retention_) return;
-    const GlobalSeq cut = delivered_ + 1 - retention_;  // first kept gseq
-    while (!entries_.empty() && base_ < cut) {
-      if (entries_.front().present) --present_count_;
-      entries_.pop_front();
-      ++base_;
-    }
-    // Unfillable holes at the front (store() rejects anything at or below
-    // the delivered watermark) only waste span: drop them.
-    while (!entries_.empty() && !entries_.front().present &&
-           base_ <= delivered_) {
-      entries_.pop_front();
-      ++base_;
+  void raise(GroupId g, std::uint64_t next) {
+    auto it = std::lower_bound(
+        groups_.begin(), groups_.end(), g,
+        [](const auto& e, GroupId gid) { return e.first < gid; });
+    if (it == groups_.end() || it->first != g) {
+      groups_.insert(it, {g, next});
+    } else {
+      it->second = std::max(it->second, next);
     }
   }
 
-  std::deque<Entry> entries_;  // slot i holds gseq base_ + i
-  GlobalSeq base_ = 0;
-  std::size_t present_count_ = 0;
-  GlobalSeq next_expected_ = 0;
-  GlobalSeq delivered_ = 0;
-  bool have_delivered_ = false;
-  GlobalSeq max_seen_ = 0;
-  bool max_seen_valid_ = false;
+  GlobalSeq next_gseq_ = 0;
+  // Sorted by gid, like the token's own counter table.
+  std::vector<std::pair<GroupId, std::uint64_t>> groups_;
+};
+
+class MessageQueue {
+ public:
+  /// `retention`: acked entries kept behind the ack cursor (ack_to,
+  /// skip_to). prune_to ignores it.
+  explicit MessageQueue(std::size_t retention = 0) : retention_(retention) {}
+
+  /// Store a sequenced message. A stale gseq (below the ack cursor or the
+  /// pruned base) or a duplicate returns nullptr. Otherwise the high-water
+  /// notes it, the stored copy's relay_rx_at is stamped with `now` (its
+  /// arrival at this ordering node), and that copy is returned; it stays
+  /// valid until the next call that releases entries.
+  const proto::DataMsg* store(const proto::DataMsg& msg, sim::SimTime now) {
+    if (msg.gseq < acked_) return nullptr;
+    proto::DataMsg* stored = buf_.insert(msg.gseq, msg);
+    if (stored == nullptr) return nullptr;
+    stored->relay_rx_at = now;
+    high_.note(msg);
+    return stored;
+  }
+
+  const proto::DataMsg* find(GlobalSeq g) const { return buf_.find(g); }
+  bool contains(GlobalSeq g) const { return buf_.contains(g); }
+  std::size_t size() const { return buf_.size(); }
+
+  /// The ack cursor: every gseq below it was acked or skipped.
+  GlobalSeq next_expected() const { return acked_; }
+  /// The pruned base: nothing below it is held.
+  GlobalSeq base() const { return buf_.base(); }
+  /// Oldest gseq a resyncing member can still be served from here.
+  /// Release drops holes below the ack cursor, so the base slot is
+  /// present whenever the base is below the cursor.
+  GlobalSeq valid_front() const { return std::min(buf_.base(), acked_); }
+  const SeqHighWater& high_water() const { return high_; }
+  /// The gseq the forward cursor waits on.
+  GlobalSeq forward_next() const { return fwd_; }
+
+  /// Advance the ack cursor over the stored run below `floor`, then
+  /// release what falls out of retention behind it.
+  void ack_to(GlobalSeq floor) {
+    const GlobalSeq from = acked_;
+    while (acked_ < floor && buf_.contains(acked_)) ++acked_;
+    if (acked_ != from) release();
+  }
+
+  /// Force the ack cursor forward over holes (gap skip); never rewinds.
+  void skip_to(GlobalSeq g) {
+    if (g <= acked_) return;
+    acked_ = g;
+    release();
+  }
+
+  /// Keep at most the newest `window` slots, holes included.
+  void prune_to(std::size_t window) { buf_.prune_to(window); }
+
+  /// Hand `fn` every stored message from the forward cursor up to the
+  /// first hole, in gseq order, and leave the cursor at that hole. The
+  /// cursor starts at the later of the ack cursor and the pruned base.
+  template <class Fn>
+  void forward_in_order(Fn&& fn) {
+    fwd_ = std::max({fwd_, acked_, buf_.base()});
+    while (const proto::DataMsg* m = buf_.find(fwd_)) {
+      fn(*m);
+      ++fwd_;
+    }
+  }
+
+ private:
+  void release() {
+    const auto keep = static_cast<GlobalSeq>(retention_);
+    GlobalSeq cut = std::max(buf_.base(), acked_ > keep ? acked_ - keep : 0);
+    // A hole below the ack cursor can never fill (store rejects it).
+    while (cut < acked_ && !buf_.contains(cut)) ++cut;
+    buf_.drop_below(cut);
+  }
+
+  GseqBuffer buf_;
+  SeqHighWater high_;
+  GlobalSeq acked_ = 0;
+  GlobalSeq fwd_ = 0;
   std::size_t retention_;
 };
 

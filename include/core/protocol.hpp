@@ -178,11 +178,8 @@ class BrNode {
   bool alive_ = true;
   std::deque<proto::DataMsg> staging_;  // waiting for the next tau tick
   WorkingQueue wq_;
-  MessageQueue mq_;
-  SeqHighWater seen_;  // noted on every mq_ store
+  MessageQueue mq_;  // its ack cursor is the subtree-acked floor
   GroupView view_;
-  GlobalSeq acked_floor_ = 0;  // gseqs below are subtree-acked in mq_
-  GlobalSeq chain_next_ = 0;   // multi-group: next gseq to chain-forward
   std::vector<MemberEvent> pending_membership_;
   sim::SimTime last_hb_from_prev_ = sim::SimTime::zero();
 };
@@ -323,6 +320,8 @@ class RingNetProtocol {
   // --- wiring -------------------------------------------------------------
   void start_sources();
   void spawn_source_chain(std::size_t idx, sim::SimTime delay);
+  /// Kill the MH's source chains and restart them in its current domain.
+  void respawn_sources(NodeId mh);
   void source_tick(std::size_t idx, std::uint64_t gen);
   sim::SimTime next_submit_interval(SourceState& src);
   void submit(SourceState& src, proto::DataMsg msg);
@@ -333,7 +332,6 @@ class RingNetProtocol {
   void token_arrive(NodeId br, proto::OrderingToken token);
   void distribute(NodeId origin, const std::vector<proto::DataMsg>& batch);
   void br_receive_ordered(NodeId br, const proto::DataMsg& msg);
-  void forward_in_gseq_order(BrNode& b);
   void forward_down(NodeId br, const proto::DataMsg& msg);
   void forward_down_multi(NodeId br, const proto::DataMsg& msg);
   /// The members one downlink frame reaches after one arrival delay, in
@@ -501,7 +499,7 @@ class RingNetProtocol {
   // (global acked floor - archive_retention) are pruned from the front.
   std::deque<proto::DataMsg> assigned_archive_;
   GlobalSeq archive_base_ = 0;  // gseq of assigned_archive_.front()
-  GlobalSeq global_acked_floor_ = 0;  // min acked_floor_ over alive BRs
+  GlobalSeq global_acked_floor_ = 0;  // min MQ ack cursor over alive BRs
   std::size_t archive_peak_ = 0;
 
   std::atomic<std::uint64_t> total_sent_{0};

@@ -3,16 +3,12 @@
 // (RingNetProtocol) and the UDP runtime (BrRuntime). WorkingQueue (the WQ)
 // holds the messages an ordering node received while waiting for the
 // token; assign() binds each one, in arrival order, to the token's next
-// global sequence number. SeqHighWater is what a node knows of the token's
-// counters from the assigned messages in its MQ, and seeds a regenerated
-// token (§4 Token-Regeneration) so neither gseqs nor per-group seqs repeat.
+// global sequence number.
 //
 // Sans-I/O: the caller passes the token, its own id and the time; no
 // clock, scheduler or socket is reached from here.
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -54,49 +50,6 @@ class WorkingQueue {
 
  private:
   std::deque<proto::DataMsg> pending_;
-};
-
-/// The next gseq and next per-group seqs past every assigned message a
-/// node has stored. Note each message as it enters the MQ; seed() writes
-/// the counters into a regenerated token.
-class SeqHighWater {
- public:
-  void note(const proto::DataMsg& m) {
-    next_gseq_ = std::max(next_gseq_, m.gseq + 1);
-    for (std::size_t i = 0; i < m.groups.size(); ++i) {
-      raise(m.groups[i], m.group_seqs[i] + 1);
-    }
-  }
-
-  /// Fold in another node's high-water.
-  void merge(const SeqHighWater& other) {
-    next_gseq_ = std::max(next_gseq_, other.next_gseq_);
-    for (const auto& [g, next] : other.groups_) raise(g, next);
-  }
-
-  void seed(proto::OrderingToken& token) const {
-    token.set_next_gseq(next_gseq_);
-    for (const auto& [g, next] : groups_) token.set_group_seq(g, next);
-  }
-
-  /// One past the highest stored gseq (0 before the first store).
-  GlobalSeq next_gseq() const { return next_gseq_; }
-
- private:
-  void raise(GroupId g, std::uint64_t next) {
-    auto it = std::lower_bound(
-        groups_.begin(), groups_.end(), g,
-        [](const auto& e, GroupId gid) { return e.first < gid; });
-    if (it == groups_.end() || it->first != g) {
-      groups_.insert(it, {g, next});
-    } else {
-      it->second = std::max(it->second, next);
-    }
-  }
-
-  GlobalSeq next_gseq_ = 0;
-  // Sorted by gid, like the token's own counter table.
-  std::vector<std::pair<GroupId, std::uint64_t>> groups_;
 };
 
 }  // namespace ringnet::core

@@ -139,11 +139,12 @@ struct DataMsg {
   // Simulator-side bookkeeping, never serialized: stamped at submit(), read
   // by the assignment and end-to-end latency histograms.
   sim::SimTime submit_at = sim::SimTime::zero();
-  // Message-lifecycle span stamps (sim only, never serialized; same
-  // piggyback pattern as submit_at): uplink arrival at the ordering BR,
-  // gseq assignment at the token pass, and ordered arrival at the
-  // delivering member's BR. deliver_at_mh() turns consecutive stamps into
-  // per-stage latencies when span recording is enabled.
+  // Message-lifecycle span stamps (never serialized; same piggyback
+  // pattern as submit_at): uplink arrival at the ordering BR, gseq
+  // assignment at the token pass, and ordered arrival at the delivering
+  // member's BR (stamped by its MQ's store). The sim's deliver_at_mh()
+  // turns consecutive stamps into per-stage latencies when span recording
+  // is enabled.
   sim::SimTime uplink_rx_at = sim::SimTime::zero();
   sim::SimTime assigned_at = sim::SimTime::zero();
   sim::SimTime relay_rx_at = sim::SimTime::zero();

@@ -20,6 +20,7 @@
 
 #include "core/config.hpp"
 #include "core/delivery.hpp"
+#include "core/message_queue.hpp"
 #include "core/types.hpp"
 #include "core/working_queue.hpp"
 #include "obs/flight_recorder.hpp"
@@ -268,15 +269,10 @@ class BrRuntime final : public RuntimeNode {
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
   core::WorkingQueue wq_;
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
-  core::GseqBuffer mq_;
-  core::SeqHighWater seen_;  // noted on every mq_ store; seeds regeneration
+  core::MessageQueue mq_;  // released by prune_to: a fixed window
   std::uint64_t assigned_ = 0;
   std::unordered_map<std::uint32_t, Member> members_;
   std::int64_t last_pull_us_ = kNeverUs;  // peer-pull request rate limit
-  // Multi-group mode: next gseq to chain-forward. Chain links must rise
-  // monotonically per member, so forwarding walks the MQ contiguously and
-  // out-of-order peer distributions wait for their hole to fill.
-  GlobalSeq chain_next_ = 0;
 
   bool has_token_ = false;
   proto::OrderingToken token_;

@@ -57,7 +57,6 @@ class ShardedScheduler {
   }
 
   Domain global_domain() const { return global_; }
-  SimTime lookahead() const { return lookahead_; }
   std::size_t worker_count() const { return pool_.worker_count(); }
 
   /// Report engine-level counters (serial steps, parallel windows,

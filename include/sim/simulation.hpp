@@ -157,11 +157,8 @@ class Simulation {
   }
 
   std::uint64_t seed() const { return seed_; }
-  const ShardPlan& plan() const { return plan_; }
   Domain domain_count() const { return plan_.domains; }
   Domain global_domain() const { return plan_.domains; }
-  bool sharded() const { return sharded_ != nullptr; }
-  SimTime lookahead() const { return plan_.lookahead; }
 
   /// The context currently executing (global when called between runs).
   Domain current_ctx() const {
@@ -173,7 +170,6 @@ class Simulation {
     return sharded_ ? sharded_->now() : single_.now();
   }
 
-  Scheduler& scheduler() { return single_; }
   util::Rng& rng() { return rngs_[current_ctx()]; }
   Trace& trace() { return traces_[current_ctx()]; }
   const Trace& trace() const { return traces_[current_ctx()]; }

@@ -258,6 +258,18 @@ void RingNetProtocol::spawn_source_chain(std::size_t idx, sim::SimTime delay) {
              [this, idx, gen] { source_tick(idx, gen); });
 }
 
+void RingNetProtocol::respawn_sources(NodeId mh) {
+  for (const std::uint32_t idx : sources_on_mh_[mh.index()]) {
+    SourceState& src = sources_[idx];
+    ++src.gen;
+    if (sources_running_ && config_.source.rate_hz > 0.0) {
+      sim::SimTime dt = next_submit_interval(src);
+      if (dt <= sim::SimTime::zero()) dt = sim::usecs(1);
+      spawn_source_chain(idx, dt);
+    }
+  }
+}
+
 void RingNetProtocol::source_tick(std::size_t idx, std::uint64_t gen) {
   SourceState& src = sources_[idx];
   if (gen != src.gen) return;  // superseded by a migration respawn
@@ -500,39 +512,32 @@ void RingNetProtocol::distribute(NodeId origin,
 void RingNetProtocol::br_receive_ordered(NodeId br, const proto::DataMsg& msg) {
   BrNode& b = brs_[br.index()];
   if (!b.alive_) return;
-  if (config_.options.ordered) {
-    if (!b.mq_.store(msg, sim_.now())) return;  // duplicate
-    b.seen_.note(msg);
-    sim_.metrics().gauge_max(mid_.buf_mq_peak,
-                             static_cast<double>(b.mq_.size()));
-    // With no members there are no acks to drive pruning: advance the
-    // retention window once enough arrivals pile up (amortized, so the
-    // per-message path stays O(1)) to keep an empty BR's MQ bounded.
-    if (br_members_[br.index()].empty() &&
-        b.mq_.size() > 2 * config_.options.mq_retention + 64) {
-      mark_acked(b);
-    }
-    if (multi_) {
-      forward_in_gseq_order(b);
-      return;
-    }
+  if (!config_.options.ordered) {
+    forward_down(br, msg);
+    return;
   }
-  forward_down(br, msg);
-}
-
-void RingNetProtocol::forward_in_gseq_order(BrNode& b) {
+  const proto::DataMsg* stored = b.mq_.store(msg, sim_.now());
+  if (stored == nullptr) return;  // stale or duplicate
+  sim_.metrics().gauge_max(mid_.buf_mq_peak,
+                           static_cast<double>(b.mq_.size()));
+  // Single-group members take frames in arrival order. Forward before the
+  // pruning below can release the stored copy.
+  if (!multi_) forward_down(br, *stored);
+  // With no members there are no acks to drive pruning: advance the
+  // retention window once enough arrivals pile up (amortized, so the
+  // per-message path stays O(1)) to keep an empty BR's MQ bounded.
+  if (br_members_[br.index()].empty() &&
+      b.mq_.size() > 2 * config_.options.mq_retention + 64) {
+    mark_acked(b);
+  }
   // Chain links must rise per member, so multi-group forwarding walks the
-  // MQ in gseq order, like the runtime's chain_next_ cursor. A peer's
-  // distribution that lands after this BR stored its own later gseqs fills
-  // the hole the cursor waits on; chaining in arrival order would link it
-  // backwards and the member would drop it as a duplicate. Everything
-  // below the MQ's delivered cursor is subtree-acked or skipped: jump it.
-  if (b.chain_next_ < b.mq_.next_expected()) {
-    b.chain_next_ = b.mq_.next_expected();
-  }
-  while (const proto::DataMsg* m = b.mq_.find(b.chain_next_)) {
-    forward_down(b.id_, *m);
-    ++b.chain_next_;
+  // MQ in gseq order. A peer's distribution that lands after this BR
+  // stored its own later gseqs fills the hole the cursor waits on;
+  // chaining in arrival order would link it backwards and the member
+  // would drop it as a duplicate.
+  if (multi_) {
+    b.mq_.forward_in_order(
+        [&](const proto::DataMsg& m) { forward_down(br, m); });
   }
 }
 
@@ -611,9 +616,7 @@ void RingNetProtocol::send_arrivals(NodeId br, const proto::DataMsg& msg,
   // take consecutive schedule seqs from this context, so no other event
   // could sort between two members due at the same instant: running them
   // in one event, in walk order, is the same order.
-  auto stamped = std::make_shared<proto::DataMsg>(msg);
-  stamped->relay_rx_at = sim_.now();
-  const std::shared_ptr<const proto::DataMsg> frame = std::move(stamped);
+  const auto frame = std::make_shared<const proto::DataMsg>(msg);
   const sim::Domain dom = br_domain(br);
   for (Arrival& a : arrivals) {
     sim_.after(dom, a.delay,
@@ -797,8 +800,8 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
                     : cursor;
   std::size_t resent = 0;
   for (GlobalSeq g = cursor; g <= horizon && any_assigned_; ++g) {
-    const auto stored = b.mq_.stored_at(g);
-    if (!stored) {
+    const proto::DataMsg* stored = b.mq_.find(g);
+    if (stored == nullptr) {
       // Hole in this BR's own MQ (it missed the multicast, e.g. while
       // wrongly ejected from the ring): once the copy is overdue, fetch
       // it from a peer ordering node, which stores it here and
@@ -825,11 +828,10 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       if (++resent >= kResendWindow) break;
       continue;
     }
-    if (*stored + grace > sim_.now()) continue;
-    const proto::DataMsg& m = *b.mq_.find(g);
-    const sim::SimTime delay = downlink_delay(mh, data_bytes(m));
+    if (stored->relay_rx_at + grace > sim_.now()) continue;
+    const sim::SimTime delay = downlink_delay(mh, data_bytes(*stored));
     sim_.metrics().incr(mid_.retransmits);
-    sim_.after(delay, [this, mh, m] { mh_receive(mh, m); });
+    sim_.after(delay, [this, mh, m = *stored] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
 }
@@ -854,7 +856,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
     const GlobalSeq stop =
         std::min(max_assigned_gseq_, from + kResendWindow);
     for (GlobalSeq g = from; g <= stop; ++g) {
-      if (b.mq_.stored_at(g)) continue;
+      if (b.mq_.contains(g)) continue;
       const proto::DataMsg* arch = archive_lookup(g);
       if (!arch || arch->assigned_at + grace > sim_.now()) continue;
       sim_.metrics().incr(mid_.retransmits);
@@ -864,9 +866,9 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       sim_.after(d, [this, br, m = *arch] {
         BrNode& bb = brs_[br.index()];
         if (!bb.alive_) return;
-        if (!bb.mq_.store(m, sim_.now())) return;
-        bb.seen_.note(m);
-        forward_in_gseq_order(bb);
+        if (bb.mq_.store(m, sim_.now()) == nullptr) return;
+        bb.mq_.forward_in_order(
+            [&](const proto::DataMsg& f) { forward_down(br, f); });
       });
     }
   }
@@ -886,8 +888,8 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       sim_.metrics().incr(mid_.gap_skipped_msgs);
       return Step::Splice;  // payload unrecoverable
     }
-    const sim::SimTime at = from_mq != nullptr ? *b.mq_.stored_at(link.gseq)
-                                               : stored->assigned_at;
+    const sim::SimTime at =
+        from_mq != nullptr ? from_mq->relay_rx_at : stored->assigned_at;
     if (at + grace > sim_.now()) return Step::Next;  // normally in flight
     proto::DataMsg copy = *stored;
     copy.prev_chain = link.prev;
@@ -942,34 +944,26 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
 
 void RingNetProtocol::mark_acked(BrNode& b) {
   const auto& members = br_members_[b.id_.index()];
-  GlobalSeq floor;
   if (members.empty()) {
-    if (!b.mq_.max_seen() && b.mq_.empty()) return;
     // Nobody to serve right now — but an MH may re-attach moments after
-    // the last one left, and marking everything up to max_seen delivered
-    // would poison the MQ against in-flight stragglers (store() rejects
-    // gseqs at or below the delivered watermark) and leave the returnee
-    // only a gap-skip. Ack only what falls out of the retention window.
-    const GlobalSeq newest = b.mq_.max_seen() + 1;
+    // the last one left, and acking everything stored would poison the
+    // MQ against in-flight stragglers (store() rejects gseqs below the ack
+    // cursor) and leave the returnee only a gap-skip. Ack only what falls
+    // out of the retention window. With no member acks there is no repair
+    // path for multicast holes (e.g. from a false ejection), so skip the
+    // cursor over them, or this BR would wedge the global acked floor —
+    // and archive pruning — ring-wide.
+    const GlobalSeq newest = b.mq_.high_water().next_gseq();
     const GlobalSeq keep =
         static_cast<GlobalSeq>(config_.options.mq_retention);
-    floor = newest > keep ? newest - keep : 0;
-    // With no member acks there is no repair path for multicast holes
-    // (e.g. from a false ejection): jump the cursor over anything that
-    // falls out of the retention window, or this BR would wedge the
-    // global acked floor — and archive pruning — ring-wide.
-    if (b.mq_.next_expected() < floor) b.mq_.skip_to(floor);
-  } else {
-    floor = member_wm_[members.front().index()];
-    for (NodeId mh : members) {
-      floor = std::min(floor, member_wm_[mh.index()]);
-    }
+    b.mq_.skip_to(newest > keep ? newest - keep : 0);
+    return;
   }
-  b.acked_floor_ = std::max(b.acked_floor_, b.mq_.next_expected());
-  while (b.acked_floor_ < floor && b.mq_.contains(b.acked_floor_)) {
-    b.mq_.mark_delivered(b.acked_floor_);
-    ++b.acked_floor_;
+  GlobalSeq floor = member_wm_[members.front().index()];
+  for (NodeId mh : members) {
+    floor = std::min(floor, member_wm_[mh.index()]);
   }
+  b.mq_.ack_to(floor);
 }
 
 void RingNetProtocol::advance_global_floor() {
@@ -980,7 +974,8 @@ void RingNetProtocol::advance_global_floor() {
   bool any = false;
   for (const auto& br : brs_) {
     if (!br.alive_) continue;
-    floor = any ? std::min(floor, br.acked_floor_) : br.acked_floor_;
+    const GlobalSeq acked = br.mq_.next_expected();
+    floor = any ? std::min(floor, acked) : acked;
     any = true;
   }
   if (!any || floor <= global_acked_floor_) return;
@@ -1186,7 +1181,7 @@ void RingNetProtocol::regenerate_token() {
   // Seed the counters past everything any BR has stored. Each origin
   // stores its own assignments first, so this is the global high-water.
   SeqHighWater seen;
-  for (const BrNode& b : brs_) seen.merge(b.seen_);
+  for (const BrNode& b : brs_) seen.merge(b.mq_.high_water());
   seen.seed(token);
   const NodeId leader = leader_br();
   token_custodian_ = leader;
@@ -1287,15 +1282,7 @@ void RingNetProtocol::detach_from_cell(MhNode& m) {
     // there (submissions keep flowing into the park queue while detached).
     ++m.ack_gen_;
     mh_domain_[m.id_.index()] = gdom();
-    for (const std::uint32_t idx : sources_on_mh_[m.id_.index()]) {
-      SourceState& src = sources_[idx];
-      ++src.gen;
-      if (sources_running_ && config_.source.rate_hz > 0.0) {
-        sim::SimTime dt = next_submit_interval(src);
-        if (dt <= sim::SimTime::zero()) dt = sim::usecs(1);
-        spawn_source_chain(idx, dt);
-      }
-    }
+    respawn_sources(m.id_);
   }
 }
 
@@ -1433,15 +1420,7 @@ void RingNetProtocol::complete_attach(NodeId mh, NodeId ap) {
     if (config_.options.ordered) {
       spawn_ack_chain(mh, config_.options.ack_period);
     }
-    for (const std::uint32_t idx : sources_on_mh_[mh.index()]) {
-      SourceState& src = sources_[idx];
-      ++src.gen;
-      if (sources_running_ && config_.source.rate_hz > 0.0) {
-        sim::SimTime dt = next_submit_interval(src);
-        if (dt <= sim::SimTime::zero()) dt = sim::usecs(1);
-        spawn_source_chain(idx, dt);
-      }
-    }
+    respawn_sources(mh);
   }
   queue_membership_event(mh, ap);
 

@@ -301,24 +301,19 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // live token, so the regeneration watchdog must not fire merely because
   // the token itself is crawling behind storm-deep inboxes.
   if (msg.epoch == epoch_) last_token_seen_us_ = now_us;
-  if (!mq_.insert(msg.gseq, msg)) {
+  if (mq_.store(msg, sim::SimTime{now_us}) == nullptr) {
     metrics_.incr(mid_.duplicates);
     return;
   }
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
   // for this BR's subtree (emplace keeps the earliest arrival).
   if (cfg_.opts.record_spans) span_relay_rx_us_.emplace(msg.gseq, now_us);
-  seen_.note(msg);
   mq_.prune_to(cfg_.opts.mq_retention);
   if (multi()) {
     // Chain links must rise monotonically per member, so chain forwarding
     // walks the MQ in gseq order; an out-of-order peer distribution parks
     // in the MQ until the hole fills (peer pull closes persistent holes).
-    if (chain_next_ < mq_.base()) chain_next_ = mq_.base();
-    while (const proto::DataMsg* next = mq_.find(chain_next_)) {
-      forward_chain(*next);
-      ++chain_next_;
-    }
+    mq_.forward_in_order([&](const proto::DataMsg& m) { forward_chain(m); });
     return;
   }
   for (NodeId ap : cfg_.own_aps) emit(ap, msg);
@@ -414,7 +409,7 @@ void BrRuntime::regenerate_token(std::int64_t now_us) {
   t.set_serial(next_serial_++);
   // Seed the counters past everything this BR's MQ has stored: its own
   // assignments and every peer's that reached it.
-  seen_.seed(t);
+  mq_.high_water().seed(t);
   metrics_.incr(mid_.token_regenerated);
   fr_.record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
   last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
@@ -423,11 +418,12 @@ void BrRuntime::regenerate_token(std::int64_t now_us) {
 
 void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
                                   std::int64_t now_us) {
+  const GlobalSeq newest = mq_.high_water().next_gseq();
   if (ack.member.tier() == Tier::BR) {
     // Peer-BR gap repair: a peer lost an ordered frame we assigned and asks
     // for the window starting at its hole. Serve whatever the MQ retains.
     for (GlobalSeq g = ack.watermark;
-         g < seen_.next_gseq() && g < ack.watermark + kResendWindow; ++g) {
+         g < newest && g < ack.watermark + kResendWindow; ++g) {
       if (const proto::DataMsg* m = mq_.find(g)) {
         emit(ack.member, *m);
         metrics_.incr(mid_.retransmits);
@@ -443,7 +439,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     return;
   }
   m.next_expected = std::max(m.next_expected, ack.watermark);
-  const bool behind = m.next_expected < seen_.next_gseq();
+  const bool behind = m.next_expected < newest;
   if (!resync_due(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
   fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
@@ -459,8 +455,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   }
   bool pull_requested = false;
   std::uint64_t resent = 0;
-  for (GlobalSeq g = want; g < seen_.next_gseq() && g < want + kResendWindow;
-       ++g) {
+  for (GlobalSeq g = want; g < newest && g < want + kResendWindow; ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
       emit(m.ap, *dm, ack.member);
       metrics_.incr(mid_.retransmits);
@@ -517,13 +512,13 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
   }
   // A member with unacked links, or a BR-side chain cursor, making no
   // progress triggers recovery work.
-  const bool behind =
-      !m.chain.links().empty() || chain_next_ < seen_.next_gseq();
+  const bool behind = !m.chain.links().empty() ||
+                      mq_.forward_next() < mq_.high_water().next_gseq();
   if (!resync_due(m, tail, behind, now_us)) return;
   if (m.chain.links().empty()) {
     // The member is current; the BR itself is stuck on an MQ hole at the
     // chain cursor (a lost peer distribution). Pull it from the ring.
-    request_pull(chain_next_, now_us);
+    request_pull(mq_.forward_next(), now_us);
     return;
   }
   using Step = core::ChainSender::Step;

@@ -433,7 +433,8 @@ TEST(regenerated_tokens_continue_every_group_seq) {
               core::MessageQueue& mq = net.node(NodeId::make(Tier::BR, 0)).mq();
               front = mq.valid_front();
               std::vector<std::optional<std::uint64_t>> last(9);  // by gid
-              for (GlobalSeq g = front; g <= mq.max_seen(); ++g) {
+              for (GlobalSeq g = front; g < mq.high_water().next_gseq();
+                   ++g) {
                 const proto::DataMsg* m = mq.find(g);
                 if (m == nullptr) {
                   ++holes;

@@ -1,13 +1,15 @@
 // Observability layer: the unified metrics registry (concurrent intern vs
 // hot-path mutation, chunked slot growth, sharded histograms), the span
-// breakdown, and the flight recorder (ring wrap, auto-dump arming, JSON
-// dump shape). The concurrent cases are the TSan regression net for the
-// registry's lock-free read path.
+// breakdown and the simulator's per-stage spans, and the flight recorder
+// (ring wrap, auto-dump arming, JSON dump shape). The concurrent cases are
+// the TSan regression net for the registry's lock-free read path.
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baseline/harness.hpp"
+#include "net/channel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -140,6 +142,39 @@ TEST(span_breakdown_records_and_renders) {
           std::string::npos);
   }
   CHECK(t.find("total") != std::string::npos);
+}
+
+TEST(sim_spans_capture_all_stages) {
+  // The simulator twin of the runtime's loopback_spans_capture_all_stages:
+  // every delivery, resends included, reaches every stage histogram. A
+  // lossy shape makes members recover through MQ resends, in the
+  // single-group and the multi-group (chain) mode alike.
+  for (const std::size_t groups : {std::size_t{1}, std::size_t{8}}) {
+    baseline::RunSpec spec;
+    spec.config.hierarchy.num_brs = 4;
+    spec.config.hierarchy.aps_per_ag = 2;
+    spec.config.hierarchy.mhs_per_ap = 3;
+    spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.05);
+    spec.config.hierarchy.wan = net::ChannelModel::wired_wan(0.01);
+    spec.config.num_sources = 4;
+    spec.config.source.rate_hz = 100.0;
+    spec.config.record_spans = true;
+    if (groups > 1) {
+      spec.config.groups.count = groups;
+      spec.config.groups.groups_per_mh = 2;
+      spec.config.groups.dest_groups = 2;
+    }
+    spec.seed = 7;
+    const auto r = baseline::run_experiment(spec);
+    CHECK(!r.order_violation.has_value());
+    CHECK(r.retransmits > 0);
+    CHECK(r.delivered_total > 0);
+    CHECK_EQ(r.spans.total().count(), r.delivered_total);
+    for (std::size_t i = 0; i < obs::kSpanStages; ++i) {
+      CHECK_EQ(r.spans.stage(static_cast<obs::SpanStage>(i)).count(),
+               r.delivered_total);
+    }
+  }
 }
 
 TEST(flight_recorder_ring_wraps) {

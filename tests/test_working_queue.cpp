@@ -3,6 +3,7 @@
 // token's epoch, the assignment time and per-group seqs, and drains the
 // queue. SeqHighWater seeds a regenerated token past every stored message.
 
+#include "core/message_queue.hpp"
 #include "core/working_queue.hpp"
 #include "ringnet_test.hpp"
 
