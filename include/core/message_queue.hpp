@@ -9,13 +9,16 @@
 // The release rule stays per engine. The simulator acks what its subtree
 // delivered (ack_to, skip_to) and keeps `retention` entries behind the ack
 // cursor, the ValidFront lag, so handed-off members can resynchronize
-// without end-to-end retransmission. The runtime keeps no member-ack
-// floor and holds a fixed window instead (prune_to).
+// without end-to-end retransmission; its ack_to argument is the BR's
+// AckFloor, kept per member watermark as acks and attachments change. The
+// runtime keeps no member-ack floor and holds a fixed window instead
+// (prune_to).
 //
 // Sans-I/O: the caller passes the time; no clock, scheduler or socket is
 // reached from here.
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -69,6 +72,53 @@ class SeqHighWater {
   GlobalSeq next_gseq_ = 0;
   // Sorted by gid, like the token's own counter table.
   std::vector<std::pair<GroupId, std::uint64_t>> groups_;
+};
+
+/// An ordering node's subtree-acked floor (Theorem 5.1): the smallest
+/// next-expected watermark over its attached members, the bound up to
+/// which ack_to may release. It counts members per distinct watermark, so
+/// an ack or an attachment costs O(distinct watermarks), not a member
+/// scan; members acking the same period share a count.
+class AckFloor {
+ public:
+  /// A member joins the subtree at watermark `wm`.
+  void add(GlobalSeq wm) {
+    const auto it = find(wm);
+    if (it == counts_.end() || it->first != wm) {
+      counts_.insert(it, {wm, 1});
+    } else {
+      ++it->second;
+    }
+  }
+
+  /// A member at watermark `wm` leaves; `wm` must be counted.
+  void remove(GlobalSeq wm) {
+    const auto it = find(wm);
+    assert(it != counts_.end() && it->first == wm);
+    if (--it->second == 0) counts_.erase(it);
+  }
+
+  /// A member's watermark rises from `from` to `to`.
+  void raise(GlobalSeq from, GlobalSeq to) {
+    remove(from);
+    add(to);
+  }
+
+  bool empty() const { return counts_.empty(); }
+  /// The smallest member watermark; only defined when not empty().
+  GlobalSeq floor() const { return counts_.front().first; }
+
+ private:
+  using Count = std::pair<GlobalSeq, std::uint32_t>;
+
+  std::vector<Count>::iterator find(GlobalSeq wm) {
+    return std::lower_bound(
+        counts_.begin(), counts_.end(), wm,
+        [](const Count& e, GlobalSeq w) { return e.first < w; });
+  }
+
+  // Sorted by watermark; every count is at least 1.
+  std::vector<Count> counts_;
 };
 
 class MessageQueue {

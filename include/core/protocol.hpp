@@ -179,6 +179,7 @@ class BrNode {
   std::deque<proto::DataMsg> staging_;  // waiting for the next tau tick
   WorkingQueue wq_;
   MessageQueue mq_;  // its ack cursor is the subtree-acked floor
+  AckFloor ack_floor_;  // attached members' watermarks; feeds mq_.ack_to
   GroupView view_;
   std::vector<MemberEvent> pending_membership_;
   sim::SimTime last_hb_from_prev_ = sim::SimTime::zero();

@@ -114,6 +114,7 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
     mhs_.emplace_back(mh, ap);
     const NodeId br = topo_.br_of(ap);
     br_members_[br.index()].push_back(mh);
+    brs_[br.index()].ack_floor_.add(member_wm_[mh.index()]);
     member_br_[mh.index()] = br;
     mh_domain_[mh.index()] = br_domain(br);
     ++ap_occupancy_[ap.index()];
@@ -761,8 +762,10 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
   BrNode& b = brs_[br.index()];
   if (!b.alive_) return;
   if (member_br_[mh.index()] != br) return;  // moved away meanwhile
-  if (next_expected > member_wm_[mh.index()]) {
-    member_wm_[mh.index()] = next_expected;
+  GlobalSeq& wm = member_wm_[mh.index()];
+  if (next_expected > wm) {
+    b.ack_floor_.raise(wm, next_expected);
+    wm = next_expected;
   }
   mark_acked(b);
   if (multi_) {
@@ -943,8 +946,7 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
 }
 
 void RingNetProtocol::mark_acked(BrNode& b) {
-  const auto& members = br_members_[b.id_.index()];
-  if (members.empty()) {
+  if (b.ack_floor_.empty()) {
     // Nobody to serve right now — but an MH may re-attach moments after
     // the last one left, and acking everything stored would poison the
     // MQ against in-flight stragglers (store() rejects gseqs below the ack
@@ -959,11 +961,7 @@ void RingNetProtocol::mark_acked(BrNode& b) {
     b.mq_.skip_to(newest > keep ? newest - keep : 0);
     return;
   }
-  GlobalSeq floor = member_wm_[members.front().index()];
-  for (NodeId mh : members) {
-    floor = std::min(floor, member_wm_[mh.index()]);
-  }
-  b.mq_.ack_to(floor);
+  b.mq_.ack_to(b.ack_floor_.floor());
 }
 
 void RingNetProtocol::advance_global_floor() {
@@ -1274,6 +1272,7 @@ void RingNetProtocol::detach_from_cell(MhNode& m) {
     }
     member_br_[m.id_.index()] = NodeId::invalid();
     BrNode& b = brs_[old_br.index()];
+    b.ack_floor_.remove(member_wm_[m.id_.index()]);
     if (b.alive_) mark_acked(b);
   }
   if (migrate_) {
@@ -1409,6 +1408,7 @@ void RingNetProtocol::complete_attach(NodeId mh, NodeId ap) {
       member_wm_[mh.index()] = m.ordered_.next_expected();
     }
     BrNode& b = brs_[br.index()];
+    b.ack_floor_.add(member_wm_[mh.index()]);
     if (b.alive_) mark_acked(b);
   }
   if (migrate_) {

@@ -1,6 +1,8 @@
 // Mobility: handoffs under the smooth-handoff reservation scheme keep
 // service continuous (hot attaches dominate in sparse membership), the
-// batched membership views reconverge, and total order is mobility-proof.
+// batched membership views reconverge, total order is mobility-proof, and
+// a member that stops acking holds its BR's subtree-acked floor only until
+// it hands off.
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
@@ -62,6 +64,47 @@ TEST(zero_retention_causes_gap_skips) {
   CHECK(r.really_lost > 0);
   CHECK(r.min_delivery_ratio < 1.0);
   CHECK(!r.order_violation.has_value());  // gaps, never reordering
+}
+
+TEST(laggard_pins_the_subtree_floor_until_it_hands_off) {
+  // BR0 serves MH0 (the source) and MH1; BR1 serves MH2 and MH3. While
+  // MH1's cell is dark its acks stop, so BR0's subtree-acked floor, and
+  // with it the MQ's ack cursor, stays at MH1's watermark. Once MH1 hands
+  // off into BR1's subtree, BR0's floor is MH0's alone and moves on.
+  sim::Simulation sim(3);
+  core::ProtocolConfig cfg;
+  cfg.hierarchy.num_brs = 2;
+  cfg.hierarchy.ags_per_br = 1;
+  cfg.hierarchy.aps_per_ag = 2;
+  cfg.hierarchy.mhs_per_ap = 1;
+  cfg.hierarchy.wireless = net::ChannelModel::wireless(0.0);
+  cfg.hierarchy.wireless.burst_loss = false;
+  cfg.num_sources = 1;
+  cfg.source.rate_hz = 200.0;
+  core::RingNetProtocol proto(sim, cfg);
+  proto.start();
+
+  const auto& topo = proto.topology();
+  const NodeId br0 = topo.top_ring[0];
+  const NodeId laggard = topo.mhs[1];
+  const NodeId dark_cell = topo.desc(laggard).parent;
+  const NodeId br1_cell = topo.desc(topo.mhs[2]).parent;
+  CHECK_EQ(topo.br_of(dark_cell), br0);
+  CHECK(topo.br_of(br1_cell) != br0);
+  core::MessageQueue& mq = proto.node(br0).mq();
+
+  sim.run_for(sim::secs(0.25));
+  proto.set_cell_blackout(dark_cell, true);
+  sim.run_for(sim::secs(0.25));  // acks already in flight land
+  const GlobalSeq pinned = mq.next_expected();
+  const GlobalSeq newest = mq.high_water().next_gseq();
+  sim.run_for(sim::secs(1.0));
+  CHECK_EQ(mq.next_expected(), pinned);
+  CHECK(mq.high_water().next_gseq() > newest + 100);
+
+  proto.force_handoff(laggard, br1_cell);
+  sim.run_for(sim::secs(0.5));
+  CHECK(mq.next_expected() > newest + 100);
 }
 
 TEST(membership_views_reconverge) {

@@ -1,7 +1,8 @@
 // MessageQueue (MQ) semantics: in-order and reverse-window acks, duplicate
 // and stale rejection, retention / ValidFront pruning, gap skipping, the
 // high-water and the gseq-order forward cursor; then a randomized run of
-// each engine's release rule against a brute-force model.
+// each engine's release rule against a brute-force model, and of the
+// AckFloor member counts against a brute-force minimum.
 
 #include <algorithm>
 #include <cstdint>
@@ -274,6 +275,58 @@ TEST(random_calls_match_a_brute_force_model) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     CHECK_EQ(run_against_model(seed, /*ack_rule=*/true, 400), 0);
     CHECK_EQ(run_against_model(seed, /*ack_rule=*/false, 400), 0);
+  }
+}
+
+namespace {
+
+// Runs `ops` random add/raise/remove calls on one AckFloor and checks it
+// against the obvious multiset, every member's watermark in a vector, after
+// each call. Watermarks start in a narrow range and rise by small steps, so
+// members often share one. Returns the number of mismatches.
+int run_floor_against_model(std::uint64_t seed, int ops) {
+  util::Rng rng(seed);
+  core::AckFloor floor;
+  std::vector<GlobalSeq> members;
+  int bad = 0;
+  const auto expect = [&bad](bool ok) { bad += ok ? 0 : 1; };
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t pick = rng.bounded(100);
+    if (members.empty() || pick < 35) {
+      const GlobalSeq wm = rng.bounded(8);  // attach, maybe below the floor
+      floor.add(wm);
+      members.push_back(wm);
+    } else {
+      const auto i = static_cast<std::size_t>(rng.bounded(members.size()));
+      if (pick < 75) {
+        const GlobalSeq to = members[i] + 1 + rng.bounded(3);  // an ack
+        floor.raise(members[i], to);
+        members[i] = to;
+      } else {
+        floor.remove(members[i]);  // detach
+        members[i] = members.back();
+        members.pop_back();
+      }
+    }
+    expect(floor.empty() == members.empty());
+    if (!members.empty()) {
+      expect(floor.floor() ==
+             *std::min_element(members.begin(), members.end()));
+    }
+    if (bad != 0) {
+      std::printf("  seed %llu diverged at op %d\n",
+                  static_cast<unsigned long long>(seed), op);
+      return bad;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+TEST(ack_floor_matches_the_member_minimum) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    CHECK_EQ(run_floor_against_model(seed, 400), 0);
   }
 }
 
