@@ -240,20 +240,6 @@ void BM_MetricsIncrInterned(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsIncrInterned);
 
-void BM_TraceRecordCapped(benchmark::State& state) {
-  // Ring-capped tracing: steady-state cost of record + keep-latest trim.
-  sim::Trace trace;
-  trace.enable();
-  trace.set_capacity(static_cast<std::size_t>(state.range(0)));
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    trace.record(sim::TraceKind::Deliver, sim::SimTime{t++}, NodeId{1}, 7);
-  }
-  benchmark::DoNotOptimize(trace.events().size());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceRecordCapped)->Arg(1024)->Arg(65536);
-
 void BM_HistogramRecord(benchmark::State& state) {
   stats::Histogram h;
   util::Rng rng(1);

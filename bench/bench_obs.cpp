@@ -115,7 +115,7 @@ void BM_FlightRecorderRecord(benchmark::State& state) {
   std::int64_t t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
-      fr.record(obs::FrEvent::Deliver, ++t, static_cast<std::uint64_t>(i));
+      fr.record(obs::FrEvent::Deliver, ++t, 1, static_cast<std::uint64_t>(i));
     }
     benchmark::DoNotOptimize(fr.total_recorded());
   }

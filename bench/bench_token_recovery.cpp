@@ -6,6 +6,7 @@
 // ring size, and verifies Multiple-Token elimination.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/protocol.hpp"
@@ -25,7 +26,7 @@ struct RecoveryResult {
 
 RecoveryResult measure_recovery(std::size_t num_brs) {
   sim::Simulation sim(1234 + num_brs);
-  sim.trace().enable();
+  sim.enable_trace();
 
   core::ProtocolConfig cfg;
   cfg.hierarchy.num_brs = num_brs;
@@ -49,22 +50,28 @@ RecoveryResult measure_recovery(std::size_t num_brs) {
   RecoveryResult out;
   out.ring_size = num_brs;
 
-  // Ordering stall: gap in TokenPass events around the crash instant.
-  const auto passes = sim.trace().filter(sim::TraceKind::TokenPass);
+  // Ordering stall: gap in token receipts around the crash instant.
+  std::vector<obs::FrRecord> passes = sim.recorder().snapshot();
+  std::erase_if(passes, [](const obs::FrRecord& ev) {
+    return ev.kind != obs::FrEvent::TokenRx;
+  });
   sim::SimTime last_before = sim::SimTime::zero();
   sim::SimTime first_after = sim::SimTime::max();
   const sim::SimTime crash_time = sim::SimTime::zero() + crash_at;
   for (const auto& ev : passes) {
-    if (ev.at <= crash_time && ev.at > last_before) last_before = ev.at;
-    if (ev.at > crash_time && ev.at < first_after) first_after = ev.at;
+    const sim::SimTime at{ev.t_us};
+    if (at <= crash_time && at > last_before) last_before = at;
+    if (at > crash_time && at < first_after) first_after = at;
   }
   if (first_after != sim::SimTime::max()) {
     out.stall_ms = (first_after - last_before).seconds() * 1e3;
   }
   out.regenerations = sim.metrics().counter("token.regenerated");
-  // Highest epoch observed in token passes after the crash.
+  // Highest epoch observed in token receipts after the crash.
   for (const auto& ev : passes) {
-    if (ev.at > crash_time) out.epochs_after = std::max(out.epochs_after, ev.a);
+    if (sim::SimTime{ev.t_us} > crash_time) {
+      out.epochs_after = std::max(out.epochs_after, ev.a);
+    }
   }
   out.order_ok = !proto.deliveries().check_total_order().has_value();
 

@@ -215,11 +215,9 @@ int main(int argc, char** argv) {
   const auto ep = *book->find(self);
   UdpTransport transport(self, book, ep.port, cli.host);
 
-  std::unique_ptr<RuntimeNode> node;
+  std::unique_ptr<RoleNode> node;
   MhRuntime* mh_node = nullptr;
   SsRuntime* ss_node = nullptr;
-  BrRuntime* br_node = nullptr;
-  ApRuntime* ap_node = nullptr;
   if (cli.role == "ss") {
     SsConfig cfg;
     cfg.self = self;
@@ -245,9 +243,7 @@ int main(int argc, char** argv) {
       cfg.member_ap.push_back(aps[a]);
     }
     cfg.opts = opts;
-    auto owned = std::make_unique<BrRuntime>(std::move(cfg), transport);
-    br_node = owned.get();
-    node = std::move(owned);
+    node = std::make_unique<BrRuntime>(std::move(cfg), transport);
   } else if (cli.role == "ap") {
     ApConfig cfg;
     cfg.self = self;
@@ -257,9 +253,7 @@ int main(int argc, char** argv) {
       if (m / cli.mhs_per_ap == cli.index) cfg.attached.push_back(mhs[m]);
     }
     cfg.opts = opts;
-    auto owned = std::make_unique<ApRuntime>(std::move(cfg), transport);
-    ap_node = owned.get();
-    node = std::move(owned);
+    node = std::make_unique<ApRuntime>(std::move(cfg), transport);
   } else {
     MhConfig cfg;
     cfg.self = self;
@@ -283,21 +277,7 @@ int main(int argc, char** argv) {
   // Every role exposes the same observability surface: an atomic metric
   // registry, a mutex-guarded flight recorder, and (MH only) a live
   // latency histogram — all safe to read from this thread mid-run.
-  obs::FlightRecorder* fr = nullptr;
-  const obs::Metrics* metrics = nullptr;
-  if (ss_node) {
-    fr = &ss_node->flight_recorder();
-    metrics = &ss_node->metrics();
-  } else if (br_node) {
-    fr = &br_node->flight_recorder();
-    metrics = &br_node->metrics();
-  } else if (ap_node) {
-    fr = &ap_node->flight_recorder();
-    metrics = &ap_node->metrics();
-  } else {
-    fr = &mh_node->flight_recorder();
-    metrics = &mh_node->metrics();
-  }
+  obs::FlightRecorder& fr = node->flight_recorder();
   const std::string node_label =
       cli.role + "[" + std::to_string(cli.index) + "]";
 
@@ -327,31 +307,28 @@ int main(int argc, char** argv) {
     clock.sleep_us(50'000);
     if (g_dump_requested) {
       g_dump_requested = 0;
-      fr->take_dump_request();  // fold any pending auto-dump into this one
+      fr.take_dump_request();  // fold any pending auto-dump into this one
       std::fprintf(stderr, "%s\n",
-                   fr->dump_json(node_label, "sigusr1").c_str());
+                   fr.dump_json(node_label, "sigusr1").c_str());
       std::fflush(stderr);
-    } else if (fr->take_dump_request()) {
+    } else if (fr.take_dump_request()) {
       // Armed by the role loop itself: token regeneration (watchdog
       // expiry), a dropped token, or a delivery-order violation.
-      std::fprintf(stderr, "%s\n", fr->dump_json(node_label, "auto").c_str());
+      std::fprintf(stderr, "%s\n", fr.dump_json(node_label, "auto").c_str());
       std::fflush(stderr);
     }
     if (stats_period_us > 0 && clock.now_us() >= next_stats_us) {
       next_stats_us = clock.now_us() + stats_period_us;
       std::fprintf(stderr, "%s\n",
-                   stats_frame(node_label, *metrics, mh_node, clock.now_us())
+                   stats_frame(node_label, node->metrics(), mh_node,
+                               clock.now_us())
                        .c_str());
       std::fflush(stderr);
     }
-    if (ss_node && ss_node->all_done()) {
-      ss_node->request_stop();
-      clock.sleep_us(4 * opts.handshake_resend_us);  // let Stop fan out
-      break;
-    }
-    if (mh_node && mh_node->stop_seen()) break;
-    if (br_node && br_node->stop_seen()) break;
-    if (ap_node && ap_node->stop_seen()) break;
+    // The supervisor starts the Stop fan-out; every role, the supervisor
+    // included once Stop has gone out, then reports stop_seen().
+    if (ss_node != nullptr && ss_node->all_done()) ss_node->request_stop();
+    if (node->stop_seen()) break;
     if (deadline != 0 && clock.now_us() >= deadline) break;
   }
   loop.stop();

@@ -52,12 +52,6 @@ class GseqBuffer {
     return &slot.emplace(msg);
   }
 
-  /// Drop slots (filled or holes) from the front until at most `retention`
-  /// remain.
-  void prune_to(std::size_t retention) {
-    while (slots_.size() > retention) pop_front();
-  }
-
   /// Advance base to `g`, discarding everything below.
   void drop_below(GlobalSeq g) {
     while (base_ < g && !slots_.empty()) pop_front();

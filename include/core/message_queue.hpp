@@ -6,13 +6,13 @@
 // regenerated token, and hands stored messages to the downlink in gseq
 // order through one forward cursor.
 //
-// The release rule stays per engine. The simulator acks what its subtree
-// delivered (ack_to, skip_to) and keeps `retention` entries behind the ack
+// Entries leave through the ack cursor. The simulator acks what its subtree
+// delivered (ack_to, skip_to) and keeps `retention` entries behind the
 // cursor, the ValidFront lag, so handed-off members can resynchronize
 // without end-to-end retransmission; its ack_to argument is the BR's
-// AckFloor, kept per member watermark as acks and attachments change. The
-// runtime keeps no member-ack floor and holds a fixed window instead
-// (prune_to).
+// AckFloor, kept per member watermark as acks and attachments change. A BR
+// with no member acks to go by (a memberless sim BR, every runtime BR)
+// keeps a fixed window of the newest gseqs instead (keep_newest).
 //
 // Sans-I/O: the caller passes the time; no clock, scheduler or socket is
 // reached from here.
@@ -123,15 +123,14 @@ class AckFloor {
 
 class MessageQueue {
  public:
-  /// `retention`: acked entries kept behind the ack cursor (ack_to,
-  /// skip_to). prune_to ignores it.
+  /// `retention`: acked entries kept behind the ack cursor.
   explicit MessageQueue(std::size_t retention = 0) : retention_(retention) {}
 
-  /// Store a sequenced message. A stale gseq (below the ack cursor or the
-  /// pruned base) or a duplicate returns nullptr. Otherwise the high-water
-  /// notes it, the stored copy's relay_rx_at is stamped with `now` (its
-  /// arrival at this ordering node), and that copy is returned; it stays
-  /// valid until the next call that releases entries.
+  /// Store a sequenced message. A stale gseq (below the ack cursor) or a
+  /// duplicate returns nullptr. Otherwise the high-water notes it, the
+  /// stored copy's relay_rx_at is stamped with `now` (its arrival at this
+  /// ordering node), and that copy is returned; it stays valid until the
+  /// next call that releases entries.
   const proto::DataMsg* store(const proto::DataMsg& msg, sim::SimTime now) {
     if (msg.gseq < acked_) return nullptr;
     proto::DataMsg* stored = buf_.insert(msg.gseq, msg);
@@ -147,12 +146,10 @@ class MessageQueue {
 
   /// The ack cursor: every gseq below it was acked or skipped.
   GlobalSeq next_expected() const { return acked_; }
-  /// The pruned base: nothing below it is held.
-  GlobalSeq base() const { return buf_.base(); }
-  /// Oldest gseq a resyncing member can still be served from here.
-  /// Release drops holes below the ack cursor, so the base slot is
-  /// present whenever the base is below the cursor.
-  GlobalSeq valid_front() const { return std::min(buf_.base(), acked_); }
+  /// Oldest gseq a resyncing member can still be served from here: the
+  /// released base, never above the ack cursor. Release drops holes below
+  /// the cursor, so the base slot is present whenever it is below it.
+  GlobalSeq valid_front() const { return buf_.base(); }
   const SeqHighWater& high_water() const { return high_; }
   /// The gseq the forward cursor waits on.
   GlobalSeq forward_next() const { return fwd_; }
@@ -172,15 +169,20 @@ class MessageQueue {
     release();
   }
 
-  /// Keep at most the newest `window` slots, holes included.
-  void prune_to(std::size_t window) { buf_.prune_to(window); }
+  /// Skip the ack cursor to `window` gseqs below the high-water, holes
+  /// included: the release rule of a BR with no member acks to go by.
+  void keep_newest(std::size_t window) {
+    const GlobalSeq newest = high_.next_gseq();
+    const auto keep = static_cast<GlobalSeq>(window);
+    skip_to(newest > keep ? newest - keep : 0);
+  }
 
   /// Hand `fn` every stored message from the forward cursor up to the
   /// first hole, in gseq order, and leave the cursor at that hole. The
-  /// cursor starts at the later of the ack cursor and the pruned base.
+  /// cursor starts no earlier than the ack cursor.
   template <class Fn>
   void forward_in_order(Fn&& fn) {
-    fwd_ = std::max({fwd_, acked_, buf_.base()});
+    fwd_ = std::max(fwd_, acked_);
     while (const proto::DataMsg* m = buf_.find(fwd_)) {
       fn(*m);
       ++fwd_;

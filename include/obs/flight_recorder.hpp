@@ -1,15 +1,18 @@
 #pragma once
-// Flight recorder: a bounded per-node binary ring of recent protocol
-// events (token rx/tx, ARQ retries, regeneration, resync, chain splices).
-// The runtime's role loops record into it from the protocol thread; the
-// daemon (or a test) snapshots it from another thread and renders the ring
-// as a single-line JSON dump. Certain events — watchdog-driven token
-// regeneration, order violations — additionally arm a dump request so a
-// live `ringnet_node` spills its recent history the moment something went
+// Flight recorder: a bounded binary ring of recent protocol events (token
+// rx/tx, ARQ retries, regeneration, ring repair, resync, chain splices,
+// deliveries), the one event log of both engines. Each UDP runtime role
+// keeps one, recorded from its protocol thread; the simulator keeps one per
+// execution context once tracing is enabled (Simulation::enable_trace).
+// A reader snapshots the ring from any thread or renders it as a single-line
+// JSON dump. Certain events — watchdog-driven token regeneration, a dropped
+// token, order violations — additionally arm a dump request so a live
+// `ringnet_node` spills its recent history the moment something went
 // wrong, not only when an operator sends SIGUSR1.
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,13 +21,16 @@
 
 namespace ringnet::obs {
 
+/// Every event either engine records. `node` (FrRecord) is the node the
+/// event happened at; a and b mean the same in the simulator and the
+/// runtime. Node-valued fields carry the raw NodeId value.
 enum class FrEvent : std::uint8_t {
-  TokenRx = 0,       // a = serial, b = rotation
+  TokenRx = 0,       // a = epoch, b = rotation (after the leader's bump)
   TokenTx = 1,       // a = serial, b = next node
-  TokenDupDestroyed = 2,  // a = serial
+  TokenDupDestroyed = 2,  // a = epoch, b = serial of the destroyed token
   TokenRetx = 3,     // a = serial, b = attempt
   TokenDropped = 4,  // a = serial (ARQ gave up)
-  TokenRegen = 5,    // a = new epoch (watchdog expiry at the leader)
+  TokenRegen = 5,    // a = new epoch (regenerated at the leader)
   ArqResend = 6,     // a = member, b = resend count
   UplinkRetx = 7,    // a = lseq, b = attempt
   StallResync = 8,   // a = member, b = stalled watermark
@@ -32,7 +38,10 @@ enum class FrEvent : std::uint8_t {
   GapSkip = 10,      // a = skip target, b = msgs skipped
   OrderViolation = 11,  // a = offending gseq, b = previous gseq
   Deliver = 12,      // a = gseq
-  Submit = 13        // a = lseq
+  Submit = 13,       // a = lseq
+  NodeCrash = 14,    // node = the crashed BR
+  RingRepair = 15,   // node = the BR ejected or rejoined, a = ring size after
+  Handoff = 16       // node = the MH, a = 1 hot attach, 0 cold
 };
 
 /// Stable label for an event kind (used as the JSON "ev" value).
@@ -43,25 +52,28 @@ struct FrRecord {
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   FrEvent kind{};
+  std::uint32_t node = 0;
 };
+static_assert(sizeof(FrRecord) == 32, "node rides in the record's padding");
 
 class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
+  /// Keeps the latest `capacity` events; 0 keeps every event.
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
-      : cap_(capacity == 0 ? 1 : capacity) {}
+      : cap_(capacity == 0 ? kUnbounded : capacity) {}
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void record(FrEvent kind, std::int64_t t_us, std::uint64_t a = 0,
-              std::uint64_t b = 0) {
+  void record(FrEvent kind, std::int64_t t_us, std::uint32_t node,
+              std::uint64_t a = 0, std::uint64_t b = 0) {
     {
       util::MutexLock lock(mu_);
       if (ring_.size() < cap_) {
-        ring_.push_back(FrRecord{t_us, a, b, kind});
+        ring_.push_back(FrRecord{t_us, a, b, kind, node});
       } else {
-        ring_[head_] = FrRecord{t_us, a, b, kind};
+        ring_[head_] = FrRecord{t_us, a, b, kind, node};
         head_ = (head_ + 1) % cap_;
       }
       ++total_;
@@ -72,7 +84,8 @@ class FlightRecorder {
     }
   }
 
-  std::size_t capacity() const { return cap_; }
+  /// 0 when unbounded.
+  std::size_t capacity() const { return cap_ == kUnbounded ? 0 : cap_; }
   std::size_t size() const {
     util::MutexLock lock(mu_);
     return ring_.size();
@@ -101,13 +114,17 @@ class FlightRecorder {
 
   /// Single-line JSON dump of the retained events:
   ///   {"flight_recorder":{"node":"...","reason":"...","recorded":N,
-  ///    "retained":M,"events":[{"ev":"token_rx","t_us":T,"a":A,"b":B},..]}}
+  ///    "retained":M,"events":[{"ev":"token_rx","node":K,"t_us":T,
+  ///    "a":A,"b":B},..]}}
   /// Built into a string; the caller decides where it goes (the daemon
   /// writes it to stderr).
   std::string dump_json(const std::string& node,
                         const std::string& reason) const;
 
  private:
+  static constexpr std::size_t kUnbounded =
+      std::numeric_limits<std::size_t>::max();
+
   mutable util::Mutex mu_;
   std::vector<FrRecord> ring_ RN_GUARDED_BY(mu_);
   std::size_t head_ RN_GUARDED_BY(mu_) = 0;

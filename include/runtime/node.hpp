@@ -49,7 +49,6 @@ struct RuntimeOptions {
   int heartbeat_miss_limit = 4;
   std::int64_t retx_timeout_us = 30'000;
   int max_retx = 10;
-  std::size_t mq_retention = 8192;
   std::int64_t handshake_resend_us = 50'000;
   // Record message-lifecycle span timestamps (uplink-rx / assignment /
   // relay arrival at the BR, submit / delivery at the MH) so the
@@ -114,6 +113,69 @@ struct RuntimeMetricIds {
   void intern_all(obs::Metrics& m);
 };
 
+/// What every role shares: its metric registry, its flight recorder and
+/// the stop flag the daemon polls, all safe to read while the loop runs.
+class RoleNode : public RuntimeNode {
+ public:
+  /// Unified metric registry (atomic — safe to read while the loop runs).
+  const obs::Metrics& metrics() const { return metrics_; }
+  /// Flight recorder (internally synchronized — safe to poll/dump live).
+  obs::FlightRecorder& flight_recorder() { return fr_; }
+  const obs::FlightRecorder& flight_recorder() const { return fr_; }
+  /// The role is finished: it saw Stop (the SS: it sent Stop). Safe to
+  /// poll while the loop runs (the daemon's exit condition).
+  bool stop_seen() const { return stop_seen_.load(std::memory_order_acquire); }
+
+ protected:
+  RoleNode(NodeId self, Transport& tr) : tr_(tr), self_(self) {}
+
+  /// Record an event at this node.
+  void record(obs::FrEvent kind, std::int64_t now_us, std::uint64_t a = 0,
+              std::uint64_t b = 0) {
+    fr_.record(kind, now_us, self_.v, a, b);
+  }
+  void mark_stopped() { stop_seen_.store(true, std::memory_order_release); }
+
+  Transport& tr_;
+  obs::Metrics metrics_;
+
+ private:
+  NodeId self_;
+  obs::FlightRecorder fr_;
+  std::atomic<bool> stop_seen_{false};  // polled by the daemon's main thread
+};
+
+/// A role the supervisor boots and stops (BR, AP, MH). It counts the
+/// RuntimeCounters in its registry and runs the boot handshake: Ready,
+/// resent until Start arrives, then Stop.
+class SupervisedNode : public RoleNode {
+ public:
+  // counters() assembles the struct from the atomic registry, so it is
+  // safe to sample live (values may be mid-burst) as well as after stop.
+  RuntimeCounters counters() const;
+
+ protected:
+  SupervisedNode(NodeId self, NodeId ss, std::int64_t handshake_resend_us,
+                 Transport& tr);
+
+  /// Send Ready to the supervisor (on_start).
+  void send_ready(std::int64_t now_us);
+  /// Resend Ready while Start is outstanding (on_tick).
+  void resend_ready(std::int64_t now_us);
+  /// A supervisor control frame: Start and Stop set their flags, an
+  /// undecodable one counts as malformed. True on the first Start.
+  bool on_control(const Datagram& d);
+  bool start_seen() const { return start_seen_; }
+
+  RuntimeMetricIds mid_;
+
+ private:
+  NodeId ss_;
+  std::int64_t handshake_resend_us_;
+  bool start_seen_ = false;
+  std::int64_t next_ready_us_ = 0;
+};
+
 /// One gseq assignment witnessed by the ordering BR (record_spans mode):
 /// when the uplink first arrived and when the token pass bound its gseq.
 /// Joined post-run with the MH submit/deliver times and the delivering
@@ -157,7 +219,7 @@ struct BrConfig {
 /// its own APs (cell broadcast), each chain member via its AP (relay
 /// target) and the peer BRs. A hold's assignments are flushed before the
 /// token is released.
-class BrRuntime final : public RuntimeNode {
+class BrRuntime final : public SupervisedNode {
  public:
   BrRuntime(BrConfig cfg, Transport& tr);
 
@@ -165,17 +227,9 @@ class BrRuntime final : public RuntimeNode {
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
 
-  // Post-stop inspection. counters() assembles the struct from the atomic
-  // registry, so it is also safe to sample live (values may be mid-burst).
-  RuntimeCounters counters() const;
+  // Post-stop inspection.
   std::uint64_t assigned() const { return assigned_; }
   std::uint64_t epoch() const { return epoch_; }
-
-  /// Unified metric registry (atomic — safe to read while the loop runs).
-  const obs::Metrics& metrics() const { return metrics_; }
-  /// Flight recorder (internally synchronized — safe to poll/dump live).
-  obs::FlightRecorder& flight_recorder() { return fr_; }
-  const obs::FlightRecorder& flight_recorder() const { return fr_; }
 
   // record_spans bookkeeping, valid after stop.
   const std::vector<SpanAssignRec>& span_assigned() const {
@@ -185,9 +239,6 @@ class BrRuntime final : public RuntimeNode {
       const {
     return span_relay_rx_us_;
   }
-
-  /// Safe to poll while the loop runs (daemon exit condition).
-  bool stop_seen() const { return stop_seen_.load(std::memory_order_acquire); }
 
  private:
   struct SourceIn {
@@ -252,10 +303,6 @@ class BrRuntime final : public RuntimeNode {
   void request_pull(GlobalSeq g, std::int64_t now_us);
 
   BrConfig cfg_;
-  Transport& tr_;
-  obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
-  obs::FlightRecorder fr_;
   // record_spans mode: assignment records and first ordered arrival of
   // each gseq in this BR's MQ (relay endpoint for its subtree's members).
   std::vector<SpanAssignRec> span_assigned_;
@@ -269,7 +316,7 @@ class BrRuntime final : public RuntimeNode {
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
   core::WorkingQueue wq_;
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
-  core::MessageQueue mq_;  // released by prune_to: a fixed window
+  core::MessageQueue mq_;  // released by keep_newest: a fixed window
   std::uint64_t assigned_ = 0;
   std::unordered_map<std::uint32_t, Member> members_;
   std::int64_t last_pull_us_ = kNeverUs;  // peer-pull request rate limit
@@ -283,9 +330,6 @@ class BrRuntime final : public RuntimeNode {
 
   std::uint64_t hb_beat_ = 0;
   std::int64_t next_hb_us_ = 0;
-  bool start_seen_ = false;
-  std::atomic<bool> stop_seen_{false};  // polled by the daemon's main thread
-  std::int64_t next_ready_us_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -299,7 +343,7 @@ struct ApConfig {
   RuntimeOptions opts;
 };
 
-class ApRuntime final : public RuntimeNode {
+class ApRuntime final : public SupervisedNode {
  public:
   ApRuntime(ApConfig cfg, Transport& tr);
 
@@ -307,25 +351,10 @@ class ApRuntime final : public RuntimeNode {
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
 
-  RuntimeCounters counters() const;
-  const obs::Metrics& metrics() const { return metrics_; }
-  obs::FlightRecorder& flight_recorder() { return fr_; }
-  const obs::FlightRecorder& flight_recorder() const { return fr_; }
-
-  /// Safe to poll while the loop runs (daemon exit condition).
-  bool stop_seen() const { return stop_seen_.load(std::memory_order_acquire); }
-
  private:
   ApConfig cfg_;
-  Transport& tr_;
-  obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
-  obs::FlightRecorder fr_;
   std::vector<NodeId> attached_;
   std::unordered_set<std::uint32_t> attached_set_;
-  bool start_seen_ = false;
-  std::atomic<bool> stop_seen_{false};  // polled by the daemon's main thread
-  std::int64_t next_ready_us_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -347,7 +376,7 @@ struct MhConfig {
   RuntimeOptions opts;
 };
 
-class MhRuntime final : public RuntimeNode {
+class MhRuntime final : public SupervisedNode {
  public:
   MhRuntime(MhConfig cfg, Transport& tr);
 
@@ -355,19 +384,12 @@ class MhRuntime final : public RuntimeNode {
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
 
-  // Post-stop inspection. counters() assembles the struct from the atomic
-  // registry, so it is also safe to sample live (values may be mid-burst).
-  RuntimeCounters counters() const;
+  // Post-stop inspection.
   const std::vector<DeliveredRec>& deliveries() const { return log_; }
   std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t submitted_count() const { return next_lseq_; }
   const std::vector<std::int64_t>& latencies_us() const { return lat_us_; }
 
-  /// Unified metric registry (atomic — safe to read while the loop runs).
-  const obs::Metrics& metrics() const { return metrics_; }
-  /// Flight recorder (internally synchronized — safe to poll/dump live).
-  obs::FlightRecorder& flight_recorder() { return fr_; }
-  const obs::FlightRecorder& flight_recorder() const { return fr_; }
   /// Mutex-guarded live latency snapshot; safe to poll while the loop runs
   /// (the daemon's periodic stats frame quotes its quantiles).
   stats::Histogram latency_hist() const;
@@ -381,9 +403,6 @@ class MhRuntime final : public RuntimeNode {
   const std::vector<std::int64_t>& deliver_times_us() const {
     return deliver_times_us_;
   }
-
-  /// Safe to poll while the loop runs (daemon exit condition).
-  bool stop_seen() const { return stop_seen_.load(std::memory_order_acquire); }
 
  private:
   struct PendingSubmit {
@@ -399,19 +418,12 @@ class MhRuntime final : public RuntimeNode {
   void send_ack();
 
   MhConfig cfg_;
-  Transport& tr_;
-  obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
-  obs::FlightRecorder fr_;
   mutable util::Mutex lat_mu_;
   stats::Histogram live_lat_ RN_GUARDED_BY(lat_mu_);
   // record_spans mode: submit stamps and delivery stamps (parallel to log_).
   std::vector<std::pair<std::uint64_t, std::int64_t>> span_submits_;
   std::vector<std::int64_t> deliver_times_us_;
 
-  bool start_seen_ = false;
-  std::atomic<bool> stop_seen_{false};  // polled by the daemon's main thread
-  std::int64_t next_ready_us_ = 0;
   std::int64_t period_us_ = 0;
   std::int64_t next_submit_us_ = kNeverUs;
   LocalSeq next_lseq_ = 0;
@@ -445,7 +457,7 @@ struct SsConfig {
   RuntimeOptions opts;
 };
 
-class SsRuntime final : public RuntimeNode {
+class SsRuntime final : public RoleNode {
  public:
   SsRuntime(SsConfig cfg, Transport& tr);
 
@@ -460,30 +472,23 @@ class SsRuntime final : public RuntimeNode {
   bool all_done() const {
     return done_count() >= cfg_.expected_done;
   }
+  /// Broadcast Stop every handshake period from now on; stop_seen() turns
+  /// true once four rounds have gone out, enough to cover a lost one.
   void request_stop() {
     stop_requested_.store(true, std::memory_order_release);
   }
-
-  /// Unified metric registry (atomic — safe to read while the loop runs).
-  const obs::Metrics& metrics() const { return metrics_; }
-  /// Flight recorder (internally synchronized — safe to poll/dump live).
-  obs::FlightRecorder& flight_recorder() { return fr_; }
-  const obs::FlightRecorder& flight_recorder() const { return fr_; }
 
  private:
   void broadcast(ControlMsg msg);
 
   SsConfig cfg_;
-  Transport& tr_;
-  obs::Metrics metrics_;
   obs::Metrics::MetricId mid_heartbeats_ = 0;
-  obs::FlightRecorder fr_;
   std::unordered_set<std::uint32_t> ready_;
   std::unordered_set<std::uint32_t> done_;
-  std::unordered_map<std::uint32_t, std::uint64_t> last_beat_;
   std::atomic<bool> started_{false};
   std::atomic<std::size_t> done_count_{0};
   std::atomic<bool> stop_requested_{false};
+  int stop_rounds_ = 0;
   std::int64_t next_bcast_us_ = 0;
 };
 

@@ -102,7 +102,7 @@ class EventHeap {
 
 /// The context an event is currently executing in, published thread-locally
 /// by whichever scheduler is driving this thread. Simulation routes rng(),
-/// trace() and now() through it so protocol code is context-oblivious.
+/// record() and now() through it so protocol code is context-oblivious.
 struct ExecContext {
   Domain domain = 0;
   SimTime now = SimTime::zero();

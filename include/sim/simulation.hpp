@@ -1,27 +1,25 @@
 #pragma once
 // Simulation: the deterministic world one experiment runs in — an event
 // scheduler, seeded RNG streams, a metrics registry (counters + high-
-// watermark gauges) and optional structured traces. Protocol code never
-// touches wall-clock time or global RNG state, only this object.
+// watermark gauges) and optional event recording into obs::FlightRecorder,
+// the runtime's event log. Protocol code never touches wall-clock time or
+// global RNG state, only this object.
 //
 // A Simulation can be planned with execution contexts ("domains", one per
-// BR subtree, plus a serialized global context). rng(), trace() and now()
+// BR subtree, plus a serialized global context). rng(), record() and now()
 // route to the currently-executing context, so the same protocol code runs
 // unchanged on the single-heap oracle Scheduler (threads == 0) or the
 // domain-sharded parallel engine (threads > 0) — and, because both engines
 // execute the identical per-context event order with identical per-context
 // RNG streams, the two modes produce identical delivery traces.
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/types.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sharded_scheduler.hpp"
@@ -29,88 +27,6 @@
 #include "util/rng.hpp"
 
 namespace ringnet::sim {
-
-enum class TraceKind : std::uint8_t {
-  TokenPass,     // a = epoch, b = rotation counter
-  TokenRegen,    // a = new epoch
-  TokenDestroy,  // a = epoch of the destroyed duplicate
-  NodeCrash,
-  RingRepair,    // a = surviving ring size
-  Handoff,       // a = 1 hot attach, 0 cold
-  GapSkip,       // a = number of sequence numbers skipped
-  Deliver,       // a = gseq
-};
-
-struct TraceEvent {
-  TraceKind kind{};
-  SimTime at;
-  NodeId node;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
-
-class Trace {
- public:
-  void enable() { enabled_ = true; }
-  bool enabled() const { return enabled_; }
-
-  /// Cap retained events at `cap` (keep-latest ring); 0 restores the
-  /// unbounded default. A capped trace can stay enabled through soak runs:
-  /// memory is O(cap) and `dropped()` counts what fell off the front.
-  void set_capacity(std::size_t cap) {
-    capacity_ = cap;
-    while (over_capacity()) {
-      events_.pop_front();
-      ++dropped_;
-    }
-  }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t dropped() const { return dropped_; }
-
-  void record(TraceKind kind, SimTime at, NodeId node, std::uint64_t a = 0,
-              std::uint64_t b = 0) {
-    if (!enabled_) return;
-    events_.push_back(TraceEvent{kind, at, node, a, b});
-    if (over_capacity()) {
-      events_.pop_front();
-      ++dropped_;
-    }
-  }
-
-  const std::deque<TraceEvent>& events() const { return events_; }
-
-  /// Visit every retained event of `kind` in order without materializing a
-  /// filtered copy.
-  template <typename Fn>
-  void for_each(TraceKind kind, Fn&& fn) const {
-    for (const auto& ev : events_) {
-      if (ev.kind == kind) fn(ev);
-    }
-  }
-
-  std::size_t count(TraceKind kind) const {
-    std::size_t n = 0;
-    for_each(kind, [&n](const TraceEvent&) { ++n; });
-    return n;
-  }
-
-  std::vector<TraceEvent> filter(TraceKind kind) const {
-    std::vector<TraceEvent> out;
-    out.reserve(count(kind));
-    for_each(kind, [&out](const TraceEvent& ev) { out.push_back(ev); });
-    return out;
-  }
-
- private:
-  bool over_capacity() const {
-    return capacity_ != 0 && events_.size() > capacity_;
-  }
-
-  bool enabled_ = false;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::uint64_t dropped_ = 0;
-  std::deque<TraceEvent> events_;
-};
 
 /// The unified registry now lives in obs/metrics.hpp (thread-safe intern,
 /// atomic counters/gauges, sharded histograms) and is shared verbatim with
@@ -148,7 +64,6 @@ class Simulation {
                              ? seed
                              : seed ^ (0x9E3779B97F4A7C15ull * (i + 1)));
     }
-    traces_.resize(n_ctx);
     if (plan.domains > 0 && plan.threads > 0) {
       sharded_ = std::make_unique<ShardedScheduler>(
           plan.domains, plan.lookahead, plan.threads);
@@ -171,20 +86,32 @@ class Simulation {
   }
 
   util::Rng& rng() { return rngs_[current_ctx()]; }
-  Trace& trace() { return traces_[current_ctx()]; }
-  const Trace& trace() const { return traces_[current_ctx()]; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Every per-context trace (index global_domain() is the global one).
-  const std::vector<Trace>& traces() const { return traces_; }
-
-  /// Enable (and optionally cap) tracing in every context.
+  /// Give every execution context a flight recorder keeping its latest
+  /// `capacity` events (0 keeps them all). Tracing is off until then.
   void enable_trace(std::size_t capacity = 0) {
-    for (auto& t : traces_) {
-      t.enable();
-      if (capacity != 0) t.set_capacity(capacity);
+    recorders_.clear();
+    for (std::size_t i = 0; i < rngs_.size(); ++i) {
+      recorders_.push_back(std::make_unique<obs::FlightRecorder>(capacity));
     }
+  }
+
+  /// Record an event at `node` into the executing context's recorder, at
+  /// the current time. A single branch while tracing is off.
+  void record(obs::FrEvent kind, NodeId node, std::uint64_t a = 0,
+              std::uint64_t b = 0) {
+    if (!recorders_.empty()) record_traced(kind, node, a, b);
+  }
+
+  /// The recorder of context `ctx` (global_domain() is the global one);
+  /// only after enable_trace().
+  const obs::FlightRecorder& recorder(Domain ctx) const {
+    return *recorders_[ctx];
+  }
+  const obs::FlightRecorder& recorder() const {
+    return recorder(global_domain());
   }
 
   std::uint64_t executed_events() const {
@@ -233,12 +160,18 @@ class Simulation {
   }
 
  private:
+  // Out of line, so that record() inlines to its branch.
+  [[gnu::noinline]] void record_traced(obs::FrEvent kind, NodeId node,
+                                       std::uint64_t a, std::uint64_t b) {
+    recorders_[current_ctx()]->record(kind, now().us, node.v, a, b);
+  }
+
   ShardPlan plan_;
   std::uint64_t seed_;
   Scheduler single_;
   std::unique_ptr<ShardedScheduler> sharded_;
   std::vector<util::Rng> rngs_;
-  std::vector<Trace> traces_;
+  std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
   Metrics metrics_;
 };
 

@@ -429,15 +429,14 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   if (token.serial() != active_token_serial_) {
     // Multiple-Token elimination: only the live lineage survives.
     sim_.metrics().incr(mid_.token_dup_destroyed);
-    sim_.trace().record(sim::TraceKind::TokenDestroy, sim_.now(), br,
-                        token.epoch());
+    sim_.record(obs::FrEvent::TokenDupDestroyed, br, token.epoch(),
+                token.serial());
     return;
   }
 
   token_custodian_ = br;
   if (br == alive_ring_.front()) token.bump_rotation();
-  sim_.trace().record(sim::TraceKind::TokenPass, sim_.now(), br, token.epoch(),
-                      token.rotation());
+  sim_.record(obs::FrEvent::TokenRx, br, token.epoch(), token.rotation());
   sim_.metrics().incr(mid_.token_held);
 
   // WTSNP recycling: our previous entries have completed a full rotation.
@@ -674,7 +673,7 @@ void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
   // The event that delivers charges mh.delivered, once for all it delivered.
   ++node.delivered_;
   node.last_delivery_ = sim_.now();
-  sim_.trace().record(sim::TraceKind::Deliver, sim_.now(), node.id_, msg.gseq);
+  sim_.record(obs::FrEvent::Deliver, node.id_, msg.gseq);
   lat_hists_[sim_.current_ctx()].record(
       static_cast<std::uint64_t>((sim_.now() - msg.submit_at).us));
   if (config_.record_spans) record_span(msg);
@@ -790,7 +789,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       if (skip.lost == 0) return;
       sim_.metrics().incr(mid_.gaps_skipped, skip.gaps);
       sim_.metrics().incr(mid_.gap_skipped_msgs, skip.lost);
-      sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, skip.lost);
+      sim_.record(obs::FrEvent::GapSkip, mh, vf, skip.lost);
     });
     cursor = vf;
   }
@@ -878,7 +877,8 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   ChainSender& chain = member_chain_[mh.index()];
   if (chain.ack(tail)) {
     sim_.metrics().incr(mid_.gaps_skipped);
-    sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, 1);
+    sim_.record(obs::FrEvent::ChainSplice, br, mh.v,
+                chain.links().front().gseq);
   }
   using Step = ChainSender::Step;
   std::size_t resent = 0;
@@ -889,6 +889,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
         from_mq != nullptr ? from_mq : archive_lookup(link.gseq);
     if (stored == nullptr) {
       sim_.metrics().incr(mid_.gap_skipped_msgs);
+      sim_.record(obs::FrEvent::ChainSplice, br, mh.v, link.gseq);
       return Step::Splice;  // payload unrecoverable
     }
     const sim::SimTime at =
@@ -926,8 +927,8 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     // pruned payloads back.
     sim_.metrics().incr(mid_.gaps_skipped);
     sim_.metrics().incr(mid_.gap_skipped_msgs, archive_base_ - tail);
-    sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh,
-                        archive_base_ - tail);
+    sim_.record(obs::FrEvent::GapSkip, mh, archive_base_,
+                archive_base_ - tail);
   }
   const proto::GroupSet& mine = mh_groups_[i];
   const GlobalSeq from = tail > archive_base_ ? tail : archive_base_;
@@ -955,10 +956,7 @@ void RingNetProtocol::mark_acked(BrNode& b) {
     // path for multicast holes (e.g. from a false ejection), so skip the
     // cursor over them, or this BR would wedge the global acked floor —
     // and archive pruning — ring-wide.
-    const GlobalSeq newest = b.mq_.high_water().next_gseq();
-    const GlobalSeq keep =
-        static_cast<GlobalSeq>(config_.options.mq_retention);
-    b.mq_.skip_to(newest > keep ? newest - keep : 0);
+    b.mq_.keep_newest(config_.options.mq_retention);
     return;
   }
   b.mq_.ack_to(b.ack_floor_.floor());
@@ -1122,8 +1120,7 @@ void RingNetProtocol::handle_br_failure(NodeId dead) {
   alive_ring_.erase(alive_ring_.begin() + static_cast<std::ptrdiff_t>(pos));
   rebuild_ring_index();
   sim_.metrics().incr(mid_.ring_repairs);
-  sim_.trace().record(sim::TraceKind::RingRepair, sim_.now(), dead,
-                      alive_ring_.size());
+  sim_.record(obs::FrEvent::RingRepair, dead, alive_ring_.size());
   for (NodeId br : alive_ring_) {
     brs_[br.index()].last_hb_from_prev_ = sim_.now();
   }
@@ -1157,8 +1154,7 @@ void RingNetProtocol::rejoin_ring(NodeId br) {
     brs_[id.index()].last_hb_from_prev_ = sim_.now();
   }
   sim_.metrics().incr(mid_.ring_rejoins);
-  sim_.trace().record(sim::TraceKind::RingRepair, sim_.now(), br,
-                      alive_ring_.size());
+  sim_.record(obs::FrEvent::RingRepair, br, alive_ring_.size());
   // Members under the rejoined BR catch up on anything multicast while it
   // was out through the ack-driven resynchronization path.
 }
@@ -1184,8 +1180,7 @@ void RingNetProtocol::regenerate_token() {
   const NodeId leader = leader_br();
   token_custodian_ = leader;
   sim_.metrics().incr(mid_.token_regenerated);
-  sim_.trace().record(sim::TraceKind::TokenRegen, sim_.now(), leader,
-                      current_epoch_);
+  sim_.record(obs::FrEvent::TokenRegen, leader, current_epoch_);
   sim_.after(sim::usecs(1),
              [this, leader, token = std::move(token)]() mutable {
                token_arrive(leader, std::move(token));
@@ -1194,7 +1189,7 @@ void RingNetProtocol::regenerate_token() {
 
 void RingNetProtocol::crash_node(NodeId id) {
   if (id.tier() != Tier::BR || id.index() >= brs_.size()) return;
-  sim_.trace().record(sim::TraceKind::NodeCrash, sim_.now(), id);
+  sim_.record(obs::FrEvent::NodeCrash, id);
   BrNode& b = brs_[id.index()];
   b.alive_ = false;
   b.staging_.clear();  // staged messages die unassigned
@@ -1302,7 +1297,7 @@ sim::SimTime RingNetProtocol::begin_handoff(NodeId mh, NodeId target_ap) {
   const bool hot = ap_is_hot(target_ap, mh);
   sim_.metrics().incr(mid_.handoff_count);
   sim_.metrics().incr(hot ? mid_.handoff_hot : mid_.handoff_cold);
-  sim_.trace().record(sim::TraceKind::Handoff, sim_.now(), mh, hot ? 1 : 0);
+  sim_.record(obs::FrEvent::Handoff, mh, hot ? 1 : 0);
   return schedule_attach(m, target_ap, hot);
 }
 

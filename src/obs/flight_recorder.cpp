@@ -1,6 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
-#include <cstdio>
+#include <string>
 
 namespace ringnet::obs {
 
@@ -34,6 +34,12 @@ const char* fr_event_name(FrEvent kind) {
       return "deliver";
     case FrEvent::Submit:
       return "submit";
+    case FrEvent::NodeCrash:
+      return "node_crash";
+    case FrEvent::RingRepair:
+      return "ring_repair";
+    case FrEvent::Handoff:
+      return "handoff";
   }
   return "unknown";
 }
@@ -49,26 +55,24 @@ std::string FlightRecorder::dump_json(const std::string& node,
     recorded = total_;
   }
   std::string out;
-  out.reserve(64 + events.size() * 64);
-  char buf[192];
-  int n = std::snprintf(buf, sizeof(buf),
-                        "{\"flight_recorder\":{\"node\":\"%s\","
-                        "\"reason\":\"%s\",\"recorded\":%llu,"
-                        "\"retained\":%zu,\"events\":[",
-                        node.c_str(), reason.c_str(),
-                        static_cast<unsigned long long>(recorded),
-                        events.size());
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+  out.reserve(96 + node.size() + reason.size() + events.size() * 80);
+  out += "{\"flight_recorder\":{\"node\":\"";
+  out += node;
+  out += "\",\"reason\":\"";
+  out += reason;
+  out += "\",\"recorded\":" + std::to_string(recorded);
+  out += ",\"retained\":" + std::to_string(events.size());
+  out += ",\"events\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FrRecord& r = events[i];
-    n = std::snprintf(buf, sizeof(buf),
-                      "%s{\"ev\":\"%s\",\"t_us\":%lld,\"a\":%llu,"
-                      "\"b\":%llu}",
-                      i == 0 ? "" : ",", fr_event_name(r.kind),
-                      static_cast<long long>(r.t_us),
-                      static_cast<unsigned long long>(r.a),
-                      static_cast<unsigned long long>(r.b));
-    if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+    if (i != 0) out += ',';
+    out += "{\"ev\":\"";
+    out += fr_event_name(r.kind);
+    out += "\",\"node\":" + std::to_string(r.node);
+    out += ",\"t_us\":" + std::to_string(r.t_us);
+    out += ",\"a\":" + std::to_string(r.a);
+    out += ",\"b\":" + std::to_string(r.b);
+    out += '}';
   }
   out += "]}}";
   return out;

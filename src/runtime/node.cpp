@@ -10,30 +10,6 @@ namespace ringnet::runtime {
 
 namespace names = obs::names;
 
-namespace {
-/// Rebuild the plain counter struct from a role's atomic registry. Safe
-/// live (relaxed reads) as well as post-stop.
-RuntimeCounters read_counters(const obs::Metrics& m,
-                              const RuntimeMetricIds& id) {
-  RuntimeCounters c;
-  c.tokens_held = m.counter(id.tokens_held);
-  c.token_regenerated = m.counter(id.token_regenerated);
-  c.token_dup_destroyed = m.counter(id.token_dup_destroyed);
-  c.token_retx = m.counter(id.token_retx);
-  c.token_dropped = m.counter(id.token_dropped);
-  c.retransmits = m.counter(id.retransmits);
-  c.floor_advances = m.counter(id.floor_advances);
-  c.duplicates = m.counter(id.duplicates);
-  c.acks_sent = m.counter(id.acks_sent);
-  c.uplink_retx = m.counter(id.uplink_retx);
-  c.uplink_dropped = m.counter(id.uplink_dropped);
-  c.really_lost = m.counter(id.really_lost);
-  c.gaps_skipped = m.counter(id.gaps_skipped);
-  c.malformed = m.counter(id.malformed);
-  return c;
-}
-}  // namespace
-
 void RuntimeMetricIds::intern_all(obs::Metrics& m) {
   tokens_held = m.intern(names::kTokenHeld);
   token_regenerated = m.intern(names::kTokenRegenerated);
@@ -55,6 +31,9 @@ namespace {
 /// Downlink/peer resend batch per ack: bounds the burst a single stuck
 /// member can trigger while still closing multi-message gaps quickly.
 constexpr GlobalSeq kResendWindow = 64;
+/// Newest gseqs a BR's MQ keeps (MessageQueue::keep_newest): the runtime
+/// has no member-ack floor to release by.
+constexpr std::size_t kMqWindow = 8192;
 constexpr std::size_t kUplinkPendingCap = 4096;
 // Consecutive no-progress acks before a member counts as stalled. One
 // stalled ack is routinely just pipeline lag (deliveries in flight through
@@ -67,6 +46,9 @@ constexpr std::uint32_t kStallAckLimit = 4;
 constexpr std::size_t kMaxBatchEntries =
     (kMaxDatagramBytes - kFrameHeaderBytes - 3) /
     (1 + proto::kMaxDataBodyBytes);
+/// Stop broadcasts before the supervisor counts itself stopped: enough
+/// rounds to cover a lost one.
+constexpr int kStopRounds = 4;
 }  // namespace
 
 void RuntimeOptions::scale_timers(double f) {
@@ -98,11 +80,60 @@ void RuntimeCounters::merge(const RuntimeCounters& o) {
 }
 
 // ---------------------------------------------------------------------------
+// SupervisedNode
+
+SupervisedNode::SupervisedNode(NodeId self, NodeId ss,
+                               std::int64_t handshake_resend_us, Transport& tr)
+    : RoleNode(self, tr), ss_(ss), handshake_resend_us_(handshake_resend_us) {
+  mid_.intern_all(metrics_);
+}
+
+RuntimeCounters SupervisedNode::counters() const {
+  RuntimeCounters c;
+  c.tokens_held = metrics_.counter(mid_.tokens_held);
+  c.token_regenerated = metrics_.counter(mid_.token_regenerated);
+  c.token_dup_destroyed = metrics_.counter(mid_.token_dup_destroyed);
+  c.token_retx = metrics_.counter(mid_.token_retx);
+  c.token_dropped = metrics_.counter(mid_.token_dropped);
+  c.retransmits = metrics_.counter(mid_.retransmits);
+  c.floor_advances = metrics_.counter(mid_.floor_advances);
+  c.duplicates = metrics_.counter(mid_.duplicates);
+  c.acks_sent = metrics_.counter(mid_.acks_sent);
+  c.uplink_retx = metrics_.counter(mid_.uplink_retx);
+  c.uplink_dropped = metrics_.counter(mid_.uplink_dropped);
+  c.really_lost = metrics_.counter(mid_.really_lost);
+  c.gaps_skipped = metrics_.counter(mid_.gaps_skipped);
+  c.malformed = metrics_.counter(mid_.malformed);
+  return c;
+}
+
+void SupervisedNode::send_ready(std::int64_t now_us) {
+  next_ready_us_ = now_us + handshake_resend_us_;
+  tr_.send_control(ss_, ControlMsg{ControlOp::Ready, 0});
+}
+
+void SupervisedNode::resend_ready(std::int64_t now_us) {
+  if (!start_seen_ && now_us >= next_ready_us_) send_ready(now_us);
+}
+
+bool SupervisedNode::on_control(const Datagram& d) {
+  const auto ctl = decode_control(d.payload.data(), d.payload.size());
+  if (!ctl) {
+    metrics_.incr(mid_.malformed);
+    return false;
+  }
+  if (ctl->op == ControlOp::Stop) mark_stopped();
+  if (ctl->op != ControlOp::Start || start_seen_) return false;
+  start_seen_ = true;
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // BrRuntime
 
 BrRuntime::BrRuntime(BrConfig cfg, Transport& tr)
-    : cfg_(std::move(cfg)), tr_(tr) {
-  mid_.intern_all(metrics_);
+    : SupervisedNode(cfg.self, cfg.ss, cfg.opts.handshake_resend_us, tr),
+      cfg_(std::move(cfg)) {
   for (std::size_t i = 0; i < cfg_.members.size(); ++i) {
     Member m;
     m.ap = cfg_.member_ap[i];
@@ -111,10 +142,6 @@ BrRuntime::BrRuntime(BrConfig cfg, Transport& tr)
     }
     members_[cfg_.members[i].v] = std::move(m);
   }
-}
-
-RuntimeCounters BrRuntime::counters() const {
-  return read_counters(metrics_, mid_);
 }
 
 NodeId BrRuntime::next_br() const {
@@ -148,8 +175,7 @@ void BrRuntime::flush_batches() {
 void BrRuntime::on_start(std::int64_t now_us) {
   last_token_seen_us_ = now_us;
   next_hb_us_ = now_us + cfg_.opts.heartbeat_period_us;
-  next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
-  tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
+  send_ready(now_us);
   if (leader()) {
     // The leader seeds the first token; peer sockets are already bound (the
     // orchestrator binds every transport before starting any loop), so the
@@ -164,15 +190,7 @@ void BrRuntime::on_start(std::int64_t now_us) {
 
 void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   if (d.kind == FrameKind::Control) {
-    const auto ctl = decode_control(d.payload.data(), d.payload.size());
-    if (!ctl) {
-      metrics_.incr(mid_.malformed);
-      return;
-    }
-    if (ctl->op == ControlOp::Start) start_seen_ = true;
-    if (ctl->op == ControlOp::Stop) {
-      stop_seen_.store(true, std::memory_order_release);
-    }
+    on_control(d);
     return;
   }
   handle_proto(d, now_us);
@@ -308,7 +326,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
   // for this BR's subtree (emplace keeps the earliest arrival).
   if (cfg_.opts.record_spans) span_relay_rx_us_.emplace(msg.gseq, now_us);
-  mq_.prune_to(cfg_.opts.mq_retention);
+  mq_.keep_newest(kMqWindow);
   if (multi()) {
     // Chain links must rise monotonically per member, so chain forwarding
     // walks the MQ in gseq order; an out-of-order peer distribution parks
@@ -327,8 +345,7 @@ void BrRuntime::forward_chain(const proto::DataMsg& msg) {
   for (auto& [id, m] : members_) {
     if (!m.groups.intersects(msg.groups)) continue;
     proto::DataMsg copy = msg;
-    copy.prev_chain =
-        m.chain.link(msg.gseq, cfg_.opts.mq_retention + kResendWindow);
+    copy.prev_chain = m.chain.link(msg.gseq, kMqWindow + kResendWindow);
     emit(m.ap, copy, NodeId{id});
   }
 }
@@ -341,7 +358,8 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
                          cfg_.self, token.serial(), token.rotation()}));
   if (token.epoch() < epoch_) {
     metrics_.incr(mid_.token_dup_destroyed);
-    fr_.record(obs::FrEvent::TokenDupDestroyed, now_us, token.serial());
+    record(obs::FrEvent::TokenDupDestroyed, now_us, token.epoch(),
+           token.serial());
     return;
   }
   // Accept only a strictly newer visit of the same lineage: retransmits
@@ -350,7 +368,8 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
       token.serial() == last_rx_key_.serial &&
       token.rotation() <= last_rx_key_.rotation) {
     metrics_.incr(mid_.token_dup_destroyed);
-    fr_.record(obs::FrEvent::TokenDupDestroyed, now_us, token.serial());
+    record(obs::FrEvent::TokenDupDestroyed, now_us, token.epoch(),
+           token.serial());
     return;
   }
   epoch_ = std::max(epoch_, token.epoch());
@@ -365,9 +384,8 @@ void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
   last_token_seen_us_ = now_us;
   await_.active = false;  // custody is back; any outstanding forward is moot
   metrics_.incr(mid_.tokens_held);
-  fr_.record(obs::FrEvent::TokenRx, now_us, token_.serial(),
-             token_.rotation());
   if (leader()) token_.bump_rotation();
+  record(obs::FrEvent::TokenRx, now_us, token_.epoch(), token_.rotation());
   token_.prune_entries_of(cfg_.self);
   release_deadline_us_ = now_us + cfg_.opts.token_hold_us;
   assign_staged(now_us);
@@ -399,7 +417,7 @@ void BrRuntime::release_token(std::int64_t now_us) {
                       std::move(bytes), 0,
                       now_us + cfg_.opts.retx_timeout_us};
   tr_.send(next_br(), await_.frame_bytes);
-  fr_.record(obs::FrEvent::TokenTx, now_us, token_.serial(), next_br().v);
+  record(obs::FrEvent::TokenTx, now_us, token_.serial(), next_br().v);
   has_token_ = false;
 }
 
@@ -411,7 +429,7 @@ void BrRuntime::regenerate_token(std::int64_t now_us) {
   // assignments and every peer's that reached it.
   mq_.high_water().seed(t);
   metrics_.incr(mid_.token_regenerated);
-  fr_.record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
+  record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
   last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
   accept_token(std::move(t), now_us);
 }
@@ -442,13 +460,14 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   const bool behind = m.next_expected < newest;
   if (!resync_due(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
-  fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
-  if (want < mq_.base()) {
+  record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
+  const GlobalSeq front = mq_.valid_front();
+  if (want < front) {
     // The MQ no longer retains the member's gap: push its floor forward so
     // it gap-skips (those messages are "really lost" for this member).
     tr_.send_msg(m.ap,
                  proto::Message(proto::DeliveryAckMsg{kRuntimeGroup,
-                                                      ack.member, mq_.base()}),
+                                                      ack.member, front}),
                  ack.member);
     metrics_.incr(mid_.floor_advances);
     return;
@@ -470,7 +489,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     }
   }
   if (resent > 0) {
-    fr_.record(obs::FrEvent::ArqResend, now_us, ack.member.v, resent);
+    record(obs::FrEvent::ArqResend, now_us, ack.member.v, resent);
   }
 }
 
@@ -507,8 +526,8 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
                                  std::int64_t now_us) {
   if (m.chain.ack(tail)) {
     metrics_.incr(mid_.gaps_skipped);
-    fr_.record(obs::FrEvent::ChainSplice, now_us, member.v,
-               m.chain.links().front().gseq);
+    record(obs::FrEvent::ChainSplice, now_us, member.v,
+           m.chain.links().front().gseq);
   }
   // A member with unacked links, or a BR-side chain cursor, making no
   // progress triggers recovery work.
@@ -533,7 +552,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
       ++served;
       return Step::Next;
     }
-    if (link.gseq >= mq_.base()) {
+    if (link.gseq >= mq_.valid_front()) {
       // MQ hole inside the retained window: refill via peer pull and retry
       // next window — resending past the hole would still honor the chain,
       // but the member can't advance through it anyway.
@@ -542,16 +561,13 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
     }
     // Below the MQ floor: unrecoverable for this member.
     metrics_.incr(mid_.really_lost);
-    fr_.record(obs::FrEvent::ChainSplice, now_us, member.v, link.gseq);
+    record(obs::FrEvent::ChainSplice, now_us, member.v, link.gseq);
     return Step::Splice;
   });
 }
 
 void BrRuntime::on_tick(std::int64_t now_us) {
-  if (!start_seen_ && now_us >= next_ready_us_) {
-    tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
-    next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
-  }
+  resend_ready(now_us);
   if (has_token_) {
     assign_staged(now_us);  // uplink that arrived during the hold window
     if (now_us >= release_deadline_us_) release_token(now_us);
@@ -560,12 +576,12 @@ void BrRuntime::on_tick(std::int64_t now_us) {
     if (await_.attempts >= cfg_.opts.max_retx) {
       await_.active = false;
       metrics_.incr(mid_.token_dropped);  // leader watchdog regenerates
-      fr_.record(obs::FrEvent::TokenDropped, now_us, await_.serial);
+      record(obs::FrEvent::TokenDropped, now_us, await_.serial);
     } else {
       ++await_.attempts;
       metrics_.incr(mid_.token_retx);
-      fr_.record(obs::FrEvent::TokenRetx, now_us, await_.serial,
-                 static_cast<std::uint64_t>(await_.attempts));
+      record(obs::FrEvent::TokenRetx, now_us, await_.serial,
+             static_cast<std::uint64_t>(await_.attempts));
       tr_.send(next_br(), await_.frame_bytes);
       await_.next_resend_us = now_us + cfg_.opts.retx_timeout_us;
     }
@@ -586,31 +602,17 @@ void BrRuntime::on_tick(std::int64_t now_us) {
 // ApRuntime
 
 ApRuntime::ApRuntime(ApConfig cfg, Transport& tr)
-    : cfg_(std::move(cfg)), tr_(tr), attached_(cfg_.attached) {
-  mid_.intern_all(metrics_);
+    : SupervisedNode(cfg.self, cfg.ss, cfg.opts.handshake_resend_us, tr),
+      cfg_(std::move(cfg)),
+      attached_(cfg_.attached) {
   for (NodeId mh : attached_) attached_set_.insert(mh.v);
 }
 
-RuntimeCounters ApRuntime::counters() const {
-  return read_counters(metrics_, mid_);
-}
-
-void ApRuntime::on_start(std::int64_t now_us) {
-  next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
-  tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
-}
+void ApRuntime::on_start(std::int64_t now_us) { send_ready(now_us); }
 
 void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   if (d.kind == FrameKind::Control) {
-    const auto ctl = decode_control(d.payload.data(), d.payload.size());
-    if (!ctl) {
-      metrics_.incr(mid_.malformed);
-      return;
-    }
-    if (ctl->op == ControlOp::Start) start_seen_ = true;
-    if (ctl->op == ControlOp::Stop) {
-      stop_seen_.store(true, std::memory_order_release);
-    }
+    on_control(d);
     return;
   }
   if (d.payload.empty()) {
@@ -664,26 +666,17 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   }
 }
 
-void ApRuntime::on_tick(std::int64_t now_us) {
-  if (!start_seen_ && now_us >= next_ready_us_) {
-    tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
-    next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
-  }
-}
+void ApRuntime::on_tick(std::int64_t now_us) { resend_ready(now_us); }
 
 // ---------------------------------------------------------------------------
 // MhRuntime
 
 MhRuntime::MhRuntime(MhConfig cfg, Transport& tr)
-    : cfg_(std::move(cfg)), tr_(tr) {
-  mid_.intern_all(metrics_);
+    : SupervisedNode(cfg.self, cfg.ss, cfg.opts.handshake_resend_us, tr),
+      cfg_(std::move(cfg)) {
   period_us_ = cfg_.rate_hz > 0
                    ? static_cast<std::int64_t>(1e6 / cfg_.rate_hz)
                    : 0;
-}
-
-RuntimeCounters MhRuntime::counters() const {
-  return read_counters(metrics_, mid_);
 }
 
 stats::Histogram MhRuntime::latency_hist() const {
@@ -692,36 +685,18 @@ stats::Histogram MhRuntime::latency_hist() const {
 }
 
 void MhRuntime::on_start(std::int64_t now_us) {
-  next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
   next_ack_us_ = now_us + cfg_.opts.ack_period_us;
   // Announce attachment up the tree (redundant with boot membership, but it
   // exercises the membership path end to end on every run).
   tr_.send_msg(cfg_.ap,
                proto::Message(proto::MembershipMsg{
                    kRuntimeGroup, cfg_.self, {{cfg_.self, cfg_.ap}}}));
-  tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
+  send_ready(now_us);
 }
 
 void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   if (d.kind == FrameKind::Control) {
-    const auto ctl = decode_control(d.payload.data(), d.payload.size());
-    if (!ctl) {
-      metrics_.incr(mid_.malformed);
-      return;
-    }
-    switch (ctl->op) {
-      case ControlOp::Start:
-        if (!start_seen_) {
-          start_seen_ = true;
-          next_submit_us_ = now_us + cfg_.submit_phase_us;
-        }
-        break;
-      case ControlOp::Stop:
-        stop_seen_.store(true, std::memory_order_release);
-        break;
-      default:
-        break;
-    }
+    if (on_control(d)) next_submit_us_ = now_us + cfg_.submit_phase_us;
     return;
   }
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
@@ -758,7 +733,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
       if (skip.lost > 0) {
         metrics_.incr(mid_.really_lost, skip.lost);
         metrics_.incr(mid_.gaps_skipped, skip.gaps);
-        fr_.record(obs::FrEvent::GapSkip, now_us, ack.watermark, skip.lost);
+        record(obs::FrEvent::GapSkip, now_us, ack.watermark, skip.lost);
       }
       break;
     }
@@ -771,12 +746,11 @@ void MhRuntime::deliver(const proto::DataMsg& msg, std::int64_t now_us) {
   // Total-order sanity: delivered gseqs must rise strictly. A violation is
   // a protocol bug, so it also arms a flight-recorder dump.
   if (!log_.empty() && msg.gseq <= log_.back().gseq) {
-    fr_.record(obs::FrEvent::OrderViolation, now_us, msg.gseq,
-               log_.back().gseq);
+    record(obs::FrEvent::OrderViolation, now_us, msg.gseq, log_.back().gseq);
   }
   log_.push_back(DeliveredRec{msg.gseq, msg.source, msg.lseq});
   if (cfg_.opts.record_spans) deliver_times_us_.push_back(now_us);
-  fr_.record(obs::FrEvent::Deliver, now_us, msg.gseq);
+  record(obs::FrEvent::Deliver, now_us, msg.gseq);
   ++delivered_;
   if (msg.source == cfg_.source_id) {
     if (cfg_.groups.multi()) {
@@ -815,7 +789,7 @@ void MhRuntime::submit_one(std::int64_t now_us) {
     submit_times_us_.emplace(m.lseq, now_us);
   }
   if (cfg_.opts.record_spans) span_submits_.emplace_back(m.lseq, now_us);
-  fr_.record(obs::FrEvent::Submit, now_us, m.lseq);
+  record(obs::FrEvent::Submit, now_us, m.lseq);
   pending_.push_back(PendingSubmit{m, now_us, now_us, 0});
   tr_.send_msg(cfg_.ap, proto::Message(m));
   next_submit_us_ += period_us_;
@@ -830,11 +804,8 @@ void MhRuntime::send_ack() {
 }
 
 void MhRuntime::on_tick(std::int64_t now_us) {
-  if (!start_seen_ && now_us >= next_ready_us_) {
-    tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
-    next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
-  }
-  if (start_seen_ && !stop_seen()) {
+  resend_ready(now_us);
+  if (start_seen() && !stop_seen()) {
     int burst = 0;
     while (next_lseq_ < cfg_.msgs_to_send && now_us >= next_submit_us_ &&
            burst < 8) {
@@ -862,8 +833,8 @@ void MhRuntime::on_tick(std::int64_t now_us) {
       p.last_send_us = now_us;
       tr_.send_msg(cfg_.ap, proto::Message(p.msg));
       metrics_.incr(mid_.uplink_retx);
-      fr_.record(obs::FrEvent::UplinkRetx, now_us, p.msg.lseq,
-                 static_cast<std::uint64_t>(p.attempts));
+      record(obs::FrEvent::UplinkRetx, now_us, p.msg.lseq,
+             static_cast<std::uint64_t>(p.attempts));
     }
   }
   if (now_us >= next_ack_us_) {
@@ -884,7 +855,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
 // SsRuntime
 
 SsRuntime::SsRuntime(SsConfig cfg, Transport& tr)
-    : cfg_(std::move(cfg)), tr_(tr) {
+    : RoleNode(cfg.self, tr), cfg_(std::move(cfg)) {
   mid_heartbeats_ = metrics_.intern(names::kSsHeartbeats);
 }
 
@@ -919,7 +890,6 @@ void SsRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   }
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (msg && msg->type() == proto::MsgType::Heartbeat) {
-    last_beat_[d.src.v] = msg->heartbeat().beat;
     metrics_.incr(mid_heartbeats_);
   }
 }
@@ -929,6 +899,9 @@ void SsRuntime::on_tick(std::int64_t now_us) {
   next_bcast_us_ = now_us + cfg_.opts.handshake_resend_us;
   if (stop_requested_.load(std::memory_order_acquire)) {
     broadcast(ControlMsg{ControlOp::Stop, 0});
+    if (stop_rounds_ < kStopRounds && ++stop_rounds_ == kStopRounds) {
+      mark_stopped();
+    }
   } else if (started()) {
     broadcast(ControlMsg{ControlOp::Start, 0});  // covers a lost Start
   }

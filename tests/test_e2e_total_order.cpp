@@ -4,6 +4,7 @@
 // pruning its buffers.
 
 #include <set>
+#include <vector>
 
 #include "baseline/harness.hpp"
 #include "core/analysis.hpp"
@@ -76,11 +77,14 @@ TEST(buffers_stay_bounded) {
 TEST(token_rotates_continuously) {
   const auto spec = spec_4br();
   sim::Simulation sim(spec.seed);
-  sim.trace().enable();
+  sim.enable_trace();
   core::RingNetProtocol proto(sim, baseline::effective_config(spec));
   proto.start();
   sim.run_for(sim::secs(1.0));
-  const auto passes = sim.trace().filter(sim::TraceKind::TokenPass);
+  std::vector<obs::FrRecord> passes = sim.recorder().snapshot();
+  std::erase_if(passes, [](const obs::FrRecord& ev) {
+    return ev.kind != obs::FrEvent::TokenRx;
+  });
   // One hop every (wan one-way + hold) ~ 5.1ms: expect on the order of
   // 190 passes/s; allow generous slack.
   CHECK(passes.size() > 100);
@@ -89,7 +93,7 @@ TEST(token_rotates_continuously) {
   for (const auto& ev : passes) epochs_ok = epochs_ok && ev.a == 1;
   CHECK(epochs_ok);
   std::set<std::uint32_t> visited;
-  for (const auto& ev : passes) visited.insert(ev.node.v);
+  for (const auto& ev : passes) visited.insert(ev.node);
   CHECK_EQ(visited.size(), std::size_t{4});
 }
 

@@ -17,7 +17,7 @@ using namespace ringnet;
 
 TEST(wan_burst_delay_is_independent_per_destination_link) {
   sim::Simulation sim(17);
-  sim.trace().enable();
+  sim.enable_trace();
   core::ProtocolConfig cfg;
   cfg.hierarchy.num_brs = 3;  // BR0 (origin + local MH0), BR1/MH1, BR2/MH2
   cfg.hierarchy.ags_per_br = 1;
@@ -48,8 +48,9 @@ TEST(wan_burst_delay_is_independent_per_destination_link) {
   // frame per destination makes every message of a batch share it.
   std::unordered_map<NodeId, std::unordered_map<std::uint64_t, sim::SimTime>>
       at;
-  for (const auto& ev : sim.trace().filter(sim::TraceKind::Deliver)) {
-    at[ev.node].emplace(ev.a, ev.at);
+  for (const obs::FrRecord& ev : sim.recorder().snapshot()) {
+    if (ev.kind != obs::FrEvent::Deliver) continue;
+    at[NodeId{ev.node}].emplace(ev.a, sim::SimTime{ev.t_us});
   }
   const NodeId mh0 = proto.topology().mhs[0];
   const NodeId mh1 = proto.topology().mhs[1];

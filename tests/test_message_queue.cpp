@@ -119,17 +119,19 @@ TEST(skip_to_advances_cursor_and_never_rewinds) {
   CHECK_EQ(forwarded(mq), std::vector<GlobalSeq>{100});
 }
 
-TEST(window_prune_moves_the_base_and_the_forward_cursor) {
-  // The runtime's release rule: a fixed window of slots, holes included.
+TEST(keep_newest_moves_the_ack_and_forward_cursors) {
+  // The window rule (runtime BRs, memberless sim BRs): keep the newest
+  // gseqs, holes included.
   core::MessageQueue mq;
   for (GlobalSeq g = 0; g < 4; ++g) mq.store(mk(g), t0);
   mq.store(mk(6), t0);
   CHECK_EQ(forwarded(mq), (std::vector<GlobalSeq>{0, 1, 2, 3}));
   CHECK_EQ(mq.forward_next(), GlobalSeq{4});
-  mq.prune_to(2);  // keeps slots 5 and 6
-  CHECK_EQ(mq.base(), GlobalSeq{5});
+  mq.keep_newest(2);  // keeps gseqs 5 and 6
+  CHECK_EQ(mq.next_expected(), GlobalSeq{5});
+  CHECK_EQ(mq.valid_front(), GlobalSeq{5});
   CHECK_EQ(mq.size(), std::size_t{1});
-  CHECK(mq.store(mk(4), t0) == nullptr);  // below the base
+  CHECK(mq.store(mk(4), t0) == nullptr);  // below the cursor
   CHECK(forwarded(mq).empty());           // cursor jumps to 5, a hole
   CHECK(mq.store(mk(5), t0) != nullptr);
   CHECK_EQ(forwarded(mq), (std::vector<GlobalSeq>{5, 6}));
@@ -143,17 +145,14 @@ namespace {
 struct Model {
   std::map<GlobalSeq, std::int64_t> held;  // gseq -> relay stamp
   GlobalSeq acked = 0;
-  GlobalSeq base = 0;  // window rule only
-  GlobalSeq end = 0;   // window rule only: one past the newest slot
   GlobalSeq next_gseq = 0;
   GlobalSeq fwd = 0;
   std::size_t retention = 0;
 
   bool store(GlobalSeq g, std::int64_t now) {
-    if (g < acked || g < base || held.count(g) != 0) return false;
+    if (g < acked || held.count(g) != 0) return false;
     held.emplace(g, now);
     next_gseq = std::max(next_gseq, g + 1);
-    end = std::max(end, g + 1);
     return true;
   }
   void release() {
@@ -168,9 +167,8 @@ struct Model {
     acked = std::max(acked, g);
     release();
   }
-  void prune_to(std::size_t window) {
-    if (end - base > window) base = end - window;
-    held.erase(held.begin(), held.lower_bound(base));
+  void keep_newest(std::size_t window) {
+    if (next_gseq > window) skip_to(next_gseq - window);
   }
   // The paper's ValidFront: the oldest held message, unless the ack cursor
   // is older still.
@@ -179,18 +177,20 @@ struct Model {
   }
   std::vector<GlobalSeq> forward() {
     std::vector<GlobalSeq> out;
-    fwd = std::max({fwd, acked, base});
+    fwd = std::max(fwd, acked);
     for (; held.count(fwd) != 0; ++fwd) out.push_back(fwd);
     return out;
   }
 };
 
 // Runs `ops` random calls on one MQ; `ack_rule` picks the simulator's
-// release rule (ack_to, skip_to), otherwise the runtime's (prune_to).
+// release rule (ack_to, skip_to), otherwise the runtime's (keep_newest
+// after every store).
 // Returns the number of mismatches against the model.
 int run_against_model(std::uint64_t seed, bool ack_rule, int ops) {
   util::Rng rng(seed);
   const std::size_t retention = rng.bounded(12);
+  const std::size_t window = rng.bounded(20);
   core::MessageQueue mq(ack_rule ? retention : 0);
   Model model;
   model.retention = ack_rule ? retention : 0;
@@ -219,6 +219,10 @@ int run_against_model(std::uint64_t seed, bool ack_rule, int ops) {
       expect((got != nullptr) == want);
       if (got != nullptr) {
         expect(got->gseq == g && got->relay_rx_at.us == now);
+        if (!ack_rule) {
+          mq.keep_newest(window);
+          model.keep_newest(window);
+        }
       }
     } else if (pick < 85) {
       std::vector<GlobalSeq> got;
@@ -226,9 +230,7 @@ int run_against_model(std::uint64_t seed, bool ack_rule, int ops) {
           [&](const proto::DataMsg& m) { got.push_back(m.gseq); });
       expect(got == model.forward());
     } else if (!ack_rule) {
-      const std::size_t window = rng.bounded(20);
-      mq.prune_to(window);
-      model.prune_to(window);
+      // The window rule releases only after a store.
     } else if (pick < 95) {
       const GlobalSeq floor = model.acked + rng.bounded(16);
       mq.ack_to(floor);
@@ -244,9 +246,6 @@ int run_against_model(std::uint64_t seed, bool ack_rule, int ops) {
     expect(mq.size() == model.held.size());
     expect(mq.next_expected() == model.acked);
     expect(mq.valid_front() == model.valid_front());
-    // Under the ack rule, release leaves the base on a held message or at
-    // the cursor, so the base is the ValidFront.
-    expect(mq.base() == (ack_rule ? model.valid_front() : model.base));
     expect(mq.high_water().next_gseq() == model.next_gseq);
     expect(mq.forward_next() == model.fwd);
     const GlobalSeq lo = next > 40 ? next - 40 : 0;

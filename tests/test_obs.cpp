@@ -1,22 +1,72 @@
 // Observability layer: the unified metrics registry (concurrent intern vs
 // hot-path mutation, chunked slot growth, sharded histograms), the span
 // breakdown and the simulator's per-stage spans, and the flight recorder
-// (ring wrap, auto-dump arming, JSON dump shape). The concurrent cases are
-// the TSan regression net for the registry's lock-free read path.
+// (ring wrap, auto-dump arming, and one JSON dump shape for a bare ring, a
+// runtime BR and a simulator context). The concurrent cases are the TSan
+// regression net for the registry's lock-free read path.
 
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baseline/harness.hpp"
+#include "core/protocol.hpp"
 #include "net/channel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
 #include "ringnet_test.hpp"
+#include "runtime/inproc_transport.hpp"
+#include "runtime/node.hpp"
+#include "sim/simulation.hpp"
 
 using namespace ringnet;
+
+namespace {
+
+bool has(const std::string& json, const std::string& part) {
+  return json.find(part) != std::string::npos;
+}
+
+/// The dump shape both engines share: one line opening with the header
+/// fields, one five-field object per retained event, balanced braces and
+/// brackets, and `]}}` last.
+void check_dump_shape(const std::string& json, const std::string& node,
+                      const std::string& reason,
+                      const obs::FlightRecorder& fr) {
+  const std::string head = "{\"flight_recorder\":{\"node\":\"" + node + "\",";
+  CHECK(json.rfind(head, 0) == 0);
+  CHECK(has(json, "\"reason\":\"" + reason + "\","));
+  CHECK(has(json, "\"recorded\":" + std::to_string(fr.total_recorded()) +
+                      ","));
+  CHECK(has(json, "\"retained\":" + std::to_string(fr.size()) + ","));
+  std::size_t events = 0;
+  for (std::size_t at = json.find("{\"ev\":\""); at != std::string::npos;
+       at = json.find("{\"ev\":\"", at + 1)) {
+    ++events;
+  }
+  CHECK_EQ(events, fr.size());
+  if (fr.size() > 0) {
+    CHECK(has(json, "\",\"node\":") && has(json, ",\"t_us\":") &&
+          has(json, ",\"a\":") && has(json, ",\"b\":"));
+  }
+  CHECK(!has(json, "\n"));  // single line for the daemon
+  // Balanced braces/brackets: a cheap well-formedness proxy the CI soak
+  // backs with a real json.loads parse.
+  int depth = 0;
+  bool ok = true;
+  for (const char c : json) {
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') --depth;
+    if (depth < 0) ok = false;
+  }
+  CHECK(ok);
+  CHECK_EQ(depth, 0);
+  CHECK(json.size() >= 3 && json.compare(json.size() - 3, 3, "]}}") == 0);
+}
+
+}  // namespace
 
 TEST(metrics_intern_is_idempotent) {
   obs::Metrics m;
@@ -181,7 +231,7 @@ TEST(flight_recorder_ring_wraps) {
   obs::FlightRecorder fr(8);
   CHECK_EQ(fr.capacity(), std::size_t{8});
   for (std::uint64_t i = 0; i < 20; ++i) {
-    fr.record(obs::FrEvent::Deliver, static_cast<std::int64_t>(i), i);
+    fr.record(obs::FrEvent::Deliver, static_cast<std::int64_t>(i), 3, i);
   }
   CHECK_EQ(fr.size(), std::size_t{8});
   CHECK_EQ(fr.total_recorded(), std::uint64_t{20});
@@ -190,6 +240,7 @@ TEST(flight_recorder_ring_wraps) {
   // Oldest-to-newest: the retained window is exactly the last 8 records.
   for (std::size_t i = 0; i < snap.size(); ++i) {
     CHECK_EQ(snap[i].a, std::uint64_t{12 + i});
+    CHECK_EQ(snap[i].node, std::uint32_t{3});
     CHECK(snap[i].kind == obs::FrEvent::Deliver);
   }
 }
@@ -197,14 +248,16 @@ TEST(flight_recorder_ring_wraps) {
 TEST(flight_recorder_auto_dump_arming) {
   obs::FlightRecorder fr;
   CHECK(!fr.take_dump_request());
-  fr.record(obs::FrEvent::TokenRx, 1, 5);
-  fr.record(obs::FrEvent::Deliver, 2, 9);
+  fr.record(obs::FrEvent::TokenRx, 1, 0, 5);
+  fr.record(obs::FrEvent::Deliver, 2, 0, 9);
+  fr.record(obs::FrEvent::NodeCrash, 3, 0);
+  fr.record(obs::FrEvent::RingRepair, 3, 0, 2);
   CHECK(!fr.take_dump_request());  // routine events never arm a dump
-  fr.record(obs::FrEvent::TokenRegen, 3, 2);
+  fr.record(obs::FrEvent::TokenRegen, 3, 0, 2);
   CHECK(fr.take_dump_request());
   CHECK(!fr.take_dump_request());  // take clears it
-  fr.record(obs::FrEvent::OrderViolation, 4, 11, 10);
-  fr.record(obs::FrEvent::TokenDropped, 5, 7);
+  fr.record(obs::FrEvent::OrderViolation, 4, 0, 11, 10);
+  fr.record(obs::FrEvent::TokenDropped, 5, 0, 7);
   CHECK(fr.take_dump_request());
   CHECK(!fr.take_dump_request());
 }
@@ -212,33 +265,93 @@ TEST(flight_recorder_auto_dump_arming) {
 TEST(flight_recorder_dump_json_shape) {
   obs::FlightRecorder fr(4);
   for (std::uint64_t i = 0; i < 6; ++i) {
-    fr.record(obs::FrEvent::TokenTx, static_cast<std::int64_t>(100 + i), i,
-              i + 1);
+    fr.record(obs::FrEvent::TokenTx, static_cast<std::int64_t>(100 + i), 7,
+              i, i + 1);
   }
   const std::string json = fr.dump_json("br[0]", "sigusr1");
-  CHECK(json.find("\"flight_recorder\"") != std::string::npos);
-  CHECK(json.find("\"node\":\"br[0]\"") != std::string::npos);
-  CHECK(json.find("\"reason\":\"sigusr1\"") != std::string::npos);
-  CHECK(json.find("\"recorded\":6") != std::string::npos);
-  CHECK(json.find("\"retained\":4") != std::string::npos);
-  CHECK(json.find("\"ev\":\"token_tx\"") != std::string::npos);
-  CHECK(json.find('\n') == std::string::npos);  // single line for the daemon
-  // Balanced braces/brackets: a cheap well-formedness proxy the CI soak
-  // backs with a real json.loads parse.
-  int depth = 0;
-  bool ok = true;
-  for (const char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) ok = false;
-  }
-  CHECK(ok);
-  CHECK_EQ(depth, 0);
+  check_dump_shape(json, "br[0]", "sigusr1", fr);
+  CHECK(has(json, "\"recorded\":6"));
+  CHECK(has(json, "\"retained\":4"));
+  CHECK(has(json, "{\"ev\":\"token_tx\",\"node\":7,\"t_us\":105,\"a\":5,"
+                  "\"b\":6}"));
   // An empty recorder still dumps well-formed JSON (quiet AP nodes).
   const obs::FlightRecorder empty;
   const std::string ej = empty.dump_json("ap[1]", "auto");
-  CHECK(ej.find("\"retained\":0") != std::string::npos);
-  CHECK(ej.find("\"events\":[]") != std::string::npos);
+  check_dump_shape(ej, "ap[1]", "auto", empty);
+  CHECK(has(ej, "\"events\":[]"));
+}
+
+TEST(flight_recorder_dump_keeps_long_labels_whole) {
+  // Labels longer than any fixed formatting buffer must neither be cut nor
+  // read past.
+  obs::FlightRecorder fr;
+  fr.record(obs::FrEvent::Deliver, 1, 2, 3);
+  const std::string node(300, 'n');
+  const std::string reason(300, 'r');
+  const std::string json = fr.dump_json(node, reason);
+  CHECK(has(json, "\"node\":\"" + node + "\""));
+  CHECK(has(json, "\"reason\":\"" + reason + "\""));
+  check_dump_shape(json, node, reason, fr);
+}
+
+TEST(runtime_br_dump_has_the_shared_shape) {
+  // A leader BR whose only peer never answers: the forward ARQ gives up
+  // and the watchdog regenerates the token.
+  runtime::InProcNet net;
+  const auto br0 = NodeId::make(Tier::BR, 0);
+  const auto br1 = NodeId::make(Tier::BR, 1);
+  const auto ss = NodeId{0x00FFFFFEu};
+  auto tr = net.attach(br0);
+  (void)net.attach(br1);
+  (void)net.attach(ss);
+  runtime::BrConfig cfg;
+  cfg.self = br0;
+  cfg.ss = ss;
+  cfg.ring = {br0, br1};
+  cfg.opts.retx_timeout_us = 1'000;
+  cfg.opts.max_retx = 2;
+  cfg.opts.heartbeat_period_us = 2'000;
+  runtime::BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  for (std::int64_t t = 100; t <= cfg.opts.token_regen_timeout_us() + 5'000;
+       t += 100) {
+    br.on_tick(t);
+  }
+  const obs::FlightRecorder& fr = br.flight_recorder();
+  const std::string json = fr.dump_json("br[0]", "auto");
+  check_dump_shape(json, "br[0]", "auto", fr);
+  CHECK(has(json, "\"ev\":\"token_dropped\""));
+  CHECK(has(json, "\"ev\":\"token_regen\""));
+  // Every event is stamped with the BR that recorded it.
+  for (const obs::FrRecord& ev : fr.snapshot()) CHECK_EQ(ev.node, br0.v);
+}
+
+TEST(sim_crash_dump_has_the_shared_shape) {
+  // The simulator records into the same recorder type: a crashed token
+  // holder shows up in the global context as a crash, a ring repair and a
+  // regeneration.
+  sim::Simulation sim(99);
+  sim.enable_trace();
+  core::ProtocolConfig cfg;
+  cfg.hierarchy.num_brs = 4;
+  cfg.hierarchy.ags_per_br = 1;
+  cfg.hierarchy.aps_per_ag = 1;
+  cfg.hierarchy.mhs_per_ap = 1;
+  cfg.num_sources = 2;
+  cfg.source.rate_hz = 100.0;
+  core::RingNetProtocol proto(sim, cfg);
+  proto.start();
+  const NodeId victim = proto.topology().top_ring[1];
+  sim.after(sim::secs(0.5), [&proto, victim] { proto.crash_node(victim); });
+  sim.run_for(sim::secs(2.0));
+  const obs::FlightRecorder& fr = sim.recorder();
+  const std::string json = fr.dump_json("sim", "crash_node");
+  check_dump_shape(json, "sim", "crash_node", fr);
+  CHECK(has(json, "{\"ev\":\"node_crash\",\"node\":" +
+                      std::to_string(victim.v) + ",\"t_us\":500000,"));
+  CHECK(has(json, "{\"ev\":\"ring_repair\",\"node\":" +
+                      std::to_string(victim.v) + ","));
+  CHECK(has(json, "\"ev\":\"token_regen\""));
 }
 
 TEST(names_constants_are_namespaced) {

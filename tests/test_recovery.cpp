@@ -25,7 +25,7 @@ core::ProtocolConfig small_cfg(std::size_t brs) {
 
 TEST(crash_triggers_regeneration_with_fresh_epoch) {
   sim::Simulation sim(99);
-  sim.trace().enable();
+  sim.enable_trace();
   core::RingNetProtocol proto(sim, small_cfg(4));
   proto.start();
   const NodeId victim = proto.topology().top_ring[1];
@@ -40,10 +40,11 @@ TEST(crash_triggers_regeneration_with_fresh_epoch) {
   const sim::SimTime crash_at = sim::secs(0.5);
   std::uint64_t max_epoch = 0;
   bool visited_victim_late = false;
-  for (const auto& ev : sim.trace().filter(sim::TraceKind::TokenPass)) {
-    if (ev.at > crash_at + sim::secs(0.5)) {
+  for (const obs::FrRecord& ev : sim.recorder().snapshot()) {
+    if (ev.kind != obs::FrEvent::TokenRx) continue;
+    if (sim::SimTime{ev.t_us} > crash_at + sim::secs(0.5)) {
       max_epoch = std::max(max_epoch, ev.a);
-      visited_victim_late = visited_victim_late || ev.node == victim;
+      visited_victim_late = visited_victim_late || ev.node == victim.v;
     }
   }
   CHECK_EQ(max_epoch, std::uint64_t{2});

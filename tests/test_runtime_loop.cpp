@@ -462,6 +462,37 @@ TEST(br_token_loss_arms_watchdog_dump) {
   CHECK_EQ(br.metrics().counter("token.regenerated"), c.token_regenerated);
 }
 
+TEST(ss_counts_itself_stopped_after_four_stop_rounds) {
+  // The daemon ends every role on stop_seen(); the supervisor's turns true
+  // once its Stop broadcast has gone out four times, enough to cover a
+  // lost one.
+  InProcNet net;
+  const auto ss_id = NodeId{0x00FFFFFEu};
+  const auto br0 = NodeId::make(Tier::BR, 0);
+  auto tr = net.attach(ss_id);
+  auto peer = net.attach(br0);
+  SsConfig cfg;
+  cfg.self = ss_id;
+  cfg.all_nodes = {br0};
+  SsRuntime ss(cfg, *tr);
+  ss.on_start(0);
+  ss.request_stop();
+  const std::int64_t period = cfg.opts.handshake_resend_us;
+  for (std::int64_t round = 1; round <= 4; ++round) {
+    CHECK(!ss.stop_seen());
+    ss.on_tick(round * period);
+  }
+  CHECK(ss.stop_seen());
+  std::size_t stops = 0;
+  for (const Datagram& d : drain(*peer)) {
+    const auto ctl = decode_control(d.payload.data(), d.payload.size());
+    if (d.kind == FrameKind::Control && ctl && ctl->op == ControlOp::Stop) {
+      ++stops;
+    }
+  }
+  CHECK_EQ(stops, std::size_t{4});
+}
+
 // --- batched ordered datapath ----------------------------------------------
 
 namespace {

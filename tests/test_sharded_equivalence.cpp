@@ -67,11 +67,12 @@ ModeResult run_mode(baseline::RunSpec spec, std::size_t threads) {
 
   ModeResult out;
   // An MH's deliveries land in whichever context owned it at the time, so
-  // gather from every per-context trace and canonicalize the order.
-  for (const auto& tr : sim.traces()) {
-    tr.for_each(sim::TraceKind::Deliver, [&out](const sim::TraceEvent& ev) {
-      out.deliveries.push_back(DeliverRec{ev.node.v, ev.a, ev.at.us});
-    });
+  // gather from every per-context recorder and canonicalize the order.
+  for (sim::Domain ctx = 0; ctx <= sim.global_domain(); ++ctx) {
+    for (const obs::FrRecord& ev : sim.recorder(ctx).snapshot()) {
+      if (ev.kind != obs::FrEvent::Deliver) continue;
+      out.deliveries.push_back(DeliverRec{ev.node, ev.a, ev.t_us});
+    }
   }
   std::sort(out.deliveries.begin(), out.deliveries.end());
   const auto& mx = sim.metrics();

@@ -1,6 +1,7 @@
-// Simulation container: trace filtering, metrics counters / high-watermark
-// gauges, and whole-run determinism — the same (seed, config) must replay
-// an identical protocol trace, which is what makes every bench reproducible.
+// Simulation container: per-context event recording, metrics counters /
+// high-watermark gauges, and whole-run determinism — the same (seed,
+// config) must replay an identical protocol trace, which is what makes
+// every bench reproducible.
 
 #include <string>
 
@@ -23,20 +24,27 @@ TEST(metrics_counters_and_gauges) {
   CHECK_NEAR(sim.metrics().gauge("g"), 7.0, 1e-9);
 }
 
-TEST(trace_filter) {
+TEST(record_stamps_time_and_node) {
   sim::Simulation sim(1);
-  sim.trace().enable();
-  sim.trace().record(sim::TraceKind::TokenPass, sim::SimTime{1}, NodeId{1}, 9);
-  sim.trace().record(sim::TraceKind::Handoff, sim::SimTime{2}, NodeId{2});
-  sim.trace().record(sim::TraceKind::TokenPass, sim::SimTime{3}, NodeId{3}, 9);
-  const auto passes = sim.trace().filter(sim::TraceKind::TokenPass);
-  CHECK_EQ(passes.size(), std::size_t{2});
-  CHECK_EQ(passes[1].at.us, std::int64_t{3});
-  CHECK_EQ(passes[1].a, std::uint64_t{9});
-  // Disabled traces record nothing.
-  sim::Simulation quiet(1);
-  quiet.trace().record(sim::TraceKind::TokenPass, sim::SimTime{1}, NodeId{1});
-  CHECK(quiet.trace().events().empty());
+  sim.enable_trace();
+  sim.at(sim::SimTime{1}, [&sim] {
+    sim.record(obs::FrEvent::TokenRx, NodeId{1}, 9, 4);
+  });
+  sim.at(sim::SimTime{2}, [&sim] {
+    sim.record(obs::FrEvent::Handoff, NodeId{2}, 1);
+  });
+  sim.at(sim::SimTime{3}, [&sim] {
+    sim.record(obs::FrEvent::TokenRx, NodeId{3}, 9, 5);
+  });
+  sim.run_to_completion();
+  const auto events = sim.recorder().snapshot();
+  CHECK_EQ(events.size(), std::size_t{3});
+  CHECK(events[2].kind == obs::FrEvent::TokenRx);
+  CHECK_EQ(events[2].t_us, std::int64_t{3});
+  CHECK_EQ(events[2].node, std::uint32_t{3});
+  CHECK_EQ(events[2].a, std::uint64_t{9});
+  CHECK_EQ(events[2].b, std::uint64_t{5});
+  CHECK(events[1].kind == obs::FrEvent::Handoff);
 }
 
 TEST(metrics_interned_handles_alias_string_keys) {
@@ -55,38 +63,40 @@ TEST(metrics_interned_handles_alias_string_keys) {
   CHECK_NEAR(m.gauge(g), 9.0, 1e-9);
 }
 
-TEST(trace_ring_capacity_keeps_latest) {
-  sim::Trace trace;
-  trace.enable();
-  trace.set_capacity(3);
+TEST(trace_capacity_keeps_latest_per_context) {
+  // Two domains plus the global context, each with its own capped ring.
+  sim::Simulation sim(1, sim::ShardPlan{2, sim::msecs(5), 0});
+  sim.enable_trace(3);
   for (std::int64_t i = 0; i < 5; ++i) {
-    trace.record(sim::TraceKind::Deliver, sim::SimTime{i}, NodeId{1},
+    sim.at(sim::Domain{1}, sim::SimTime{i}, [&sim, i] {
+      sim.record(obs::FrEvent::Deliver, NodeId{1},
                  static_cast<std::uint64_t>(i));
+    });
   }
-  CHECK_EQ(trace.events().size(), std::size_t{3});
-  CHECK_EQ(trace.dropped(), std::uint64_t{2});
-  CHECK_EQ(trace.events().front().a, std::uint64_t{2});  // oldest kept
-  CHECK_EQ(trace.events().back().a, std::uint64_t{4});
-  // Shrinking the cap trims the front immediately.
-  trace.set_capacity(1);
-  CHECK_EQ(trace.events().size(), std::size_t{1});
-  CHECK_EQ(trace.events().front().a, std::uint64_t{4});
-  CHECK_EQ(trace.dropped(), std::uint64_t{4});
-  // for_each visits without materializing; count matches filter.
-  trace.record(sim::TraceKind::Handoff, sim::SimTime{9}, NodeId{2});
-  CHECK_EQ(trace.count(sim::TraceKind::Handoff), std::size_t{1});
-  CHECK_EQ(trace.filter(sim::TraceKind::Handoff).size(), std::size_t{1});
-  std::uint64_t sum = 0;
-  trace.for_each(sim::TraceKind::Handoff,
-                 [&sum](const sim::TraceEvent& ev) { sum += ev.node.v; });
-  CHECK_EQ(sum, std::uint64_t{2});
+  sim.run_to_completion();
+  const obs::FlightRecorder& ring = sim.recorder(sim::Domain{1});
+  CHECK_EQ(ring.capacity(), std::size_t{3});
+  CHECK_EQ(ring.total_recorded(), std::uint64_t{5});
+  const auto kept = ring.snapshot();
+  CHECK_EQ(kept.size(), std::size_t{3});
+  CHECK_EQ(kept.front().a, std::uint64_t{2});  // oldest kept
+  CHECK_EQ(kept.back().a, std::uint64_t{4});
+  CHECK_EQ(sim.recorder(sim::Domain{0}).size(), std::size_t{0});
+  CHECK_EQ(sim.recorder().size(), std::size_t{0});
+  // Capacity 0 keeps every event.
+  sim::Simulation all(1);
+  all.enable_trace();
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    all.record(obs::FrEvent::Deliver, NodeId{1});
+  }
+  CHECK_EQ(all.recorder().size(), std::size_t{1000});
 }
 
 namespace {
 
 std::string trace_fingerprint(std::uint64_t seed) {
   sim::Simulation sim(seed);
-  sim.trace().enable();
+  sim.enable_trace();
   core::ProtocolConfig cfg;
   cfg.hierarchy.num_brs = 3;
   cfg.hierarchy.ags_per_br = 1;
@@ -100,9 +110,9 @@ std::string trace_fingerprint(std::uint64_t seed) {
   proto.start();
   sim.run_for(sim::secs(1.0));
   std::string fp;
-  for (const auto& ev : sim.trace().events()) {
+  for (const obs::FrRecord& ev : sim.recorder().snapshot()) {
     fp += std::to_string(static_cast<int>(ev.kind)) + ":" +
-          std::to_string(ev.at.us) + ":" + std::to_string(ev.node.v) + ":" +
+          std::to_string(ev.t_us) + ":" + std::to_string(ev.node) + ":" +
           std::to_string(ev.a) + ";";
   }
   fp += "|delivered=" + std::to_string(sim.metrics().counter("mh.delivered"));

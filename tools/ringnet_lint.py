@@ -30,14 +30,15 @@ RN003 raw-rng
 
 RN004 stdout-in-library
     No `std::cout` / `printf` / `puts` in library code (include/, src/).
-    The library reports through Metrics/Trace/Table values; only benches,
-    tests, and tools own process output.
+    The library reports through Metrics, the flight recorder and Table
+    values; only benches, tests, and tools own process output.
 
 RN005 header-self-containment
     Every public header under include/ must compile standalone: a
     generated TU containing only `#include "<header>"` is compiled with
-    `-fsyntax-only -std=c++20`. Catches headers that lean on includes
-    supplied by whoever included them first.
+    `-fsyntax-only -std=c++20`, os.cpu_count() compiles at a time.
+    Catches headers that lean on includes supplied by whoever included
+    them first.
 
 RN006 raw-wall-clock
     No raw wall-clock reads (`std::chrono::*_clock::now`, `gettimeofday`,
@@ -72,6 +73,7 @@ linter cannot silently rot.
 """
 
 import argparse
+import concurrent.futures
 import os
 import re
 import shutil
@@ -190,8 +192,8 @@ def check_stdout_in_library(root):
                 findings.append(Finding(
                     "RN004", rel(root, path), i,
                     f"'{m.group(0).strip()}' in library code; the library "
-                    "reports through Metrics/Trace/Table — process output "
-                    "belongs to benches, tests, and tools"))
+                    "reports through Metrics, the flight recorder and Table "
+                    "— process output belongs to benches, tests, and tools"))
     return findings
 
 
@@ -293,7 +295,8 @@ def check_adhoc_metric_name(root):
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
-    findings = []
+    """One compile per header, os.cpu_count() at a time; findings come back
+    in header order."""
     include_dir = os.path.join(root, "include")
     headers = []
     for dirpath, _, names in os.walk(include_dir):
@@ -301,20 +304,25 @@ def check_header_self_containment(root, cxx):
             if name.endswith(".hpp"):
                 headers.append(os.path.join(dirpath, name))
     with tempfile.TemporaryDirectory(prefix="ringnet_lint_") as tmp:
-        for hdr in headers:
+        def compile_alone(index, hdr):
             hrel = os.path.relpath(hdr, include_dir).replace(os.sep, "/")
-            tu = os.path.join(tmp, "tu.cpp")
+            tu = os.path.join(tmp, f"tu{index}.cpp")
             with open(tu, "w", encoding="utf-8") as f:
                 f.write(f'#include "{hrel}"\n')
             proc = subprocess.run(
                 [cxx, "-fsyntax-only", "-std=c++20", "-I", include_dir, tu],
                 capture_output=True, text=True)
-            if proc.returncode != 0:
-                first = (proc.stderr.strip().splitlines() or ["?"])[0]
-                findings.append(Finding(
-                    "RN005", rel(root, hdr), 1,
-                    f"header is not self-contained ({first})"))
-    return findings
+            if proc.returncode == 0:
+                return None
+            first = (proc.stderr.strip().splitlines() or ["?"])[0]
+            return Finding("RN005", rel(root, hdr), 1,
+                           f"header is not self-contained ({first})")
+
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(compile_alone, range(len(headers)),
+                                    headers))
+    return [f for f in results if f is not None]
 
 
 # --------------------------------------------------------------------------
