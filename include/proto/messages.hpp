@@ -31,6 +31,9 @@ class WireWriter {
   void u32(std::uint32_t v) { append(v); }
   void u64(std::uint64_t v) { append(v); }
   void node(NodeId id) { u32(id.v); }
+  void raw(const std::uint8_t* p, std::size_t n) {
+    buf_.insert(buf_.end(), p, p + n);
+  }
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   std::size_t size() const { return buf_.size(); }
@@ -105,6 +108,7 @@ enum class MsgType : std::uint8_t {
   Heartbeat = 5,
   TokenAck = 6,
   DataBatch = 7,
+  CellFrame = 8,
 };
 
 /// Destination-group cap for one data message. The wire extension stores a
@@ -161,6 +165,38 @@ constexpr std::size_t kMaxDataBodyBytes = 40 + 1 + kMaxDataGroups * 12 + 8;
 struct DataBatchMsg {
   std::vector<DataMsg> entries;
 };
+
+/// Multi-group chain data for one AP's cell: everything one BR handler call
+/// sends to the chain members behind that AP. Each DataMsg body travels
+/// once; each destined member lists its entries as links, in send order.
+/// The AP sends member `mh` one DataBatch: for each link, bodies[body] with
+/// prev_chain set to the link's.
+///
+/// Wire form: u16 body count (>= 1), then per body a u8 length and a
+/// DataMsg body with a group section and a zero chain link, which must parse
+/// to exactly that length; then u16 member count (>= 1), and per member its
+/// u32 NodeId, a u16 link count (>= 1) and per link a u16 body index and a
+/// u64 prev_chain. Strict: members are distinct, and each member's body
+/// indices are in range and strictly increasing, so the batch the AP builds
+/// for one member is never larger than the frame it came from.
+struct CellFrameMsg {
+  struct Link {
+    std::uint16_t body = 0;
+    GlobalSeq prev_chain = 0;
+  };
+  struct Member {
+    NodeId mh;
+    std::vector<Link> links;
+  };
+  std::vector<DataMsg> bodies;
+  std::vector<Member> members;
+};
+
+/// CellFrame sizes, for a sender that splits at a byte budget: the tag and
+/// both counts, each member's id and link count, and each link.
+constexpr std::size_t kCellFrameFixedBytes = 1 + 2 + 2;
+constexpr std::size_t kCellMemberBytes = 4 + 2;
+constexpr std::size_t kCellLinkBytes = 2 + 8;
 
 /// Periodic delivery watermark from an MH up its tree path: "I have
 /// delivered every global sequence number <= watermark".
@@ -277,7 +313,7 @@ class Message {
  public:
   using Body = std::variant<DataMsg, OrderingToken, DeliveryAckMsg,
                             MembershipMsg, HeartbeatMsg, TokenAckMsg,
-                            DataBatchMsg>;
+                            DataBatchMsg, CellFrameMsg>;
 
   Message(DataMsg m) : body_(std::move(m)) {}                 // NOLINT
   Message(OrderingToken m) : body_(std::move(m)) {}           // NOLINT
@@ -286,6 +322,7 @@ class Message {
   Message(HeartbeatMsg m) : body_(std::move(m)) {}            // NOLINT
   Message(TokenAckMsg m) : body_(std::move(m)) {}             // NOLINT
   Message(DataBatchMsg m) : body_(std::move(m)) {}            // NOLINT
+  Message(CellFrameMsg m) : body_(std::move(m)) {}            // NOLINT
 
   MsgType type() const;
   const Body& body() const { return body_; }
@@ -303,6 +340,7 @@ class Message {
     return std::get<TokenAckMsg>(body_);
   }
   const DataBatchMsg& batch() const { return std::get<DataBatchMsg>(body_); }
+  const CellFrameMsg& cell() const { return std::get<CellFrameMsg>(body_); }
 
  private:
   Body body_;
@@ -320,9 +358,40 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 /// produces the same bytes.
 std::vector<std::uint8_t> encode_batch(const DataMsg* entries, std::size_t n);
 
+/// One member's entry in a sender's queued cell data: the index of its
+/// body among the queued bodies, the member, and the member's chain link.
+struct CellLink {
+  std::size_t body = 0;
+  NodeId mh;
+  GlobalSeq prev_chain = 0;
+};
+
+/// Pack queued cell data into CellFrame payloads of at most `max_bytes`
+/// each: `bodies` in order, each with its `links` (grouped by body, in body
+/// order, each member at most once per body). A frame ends only where the
+/// next body and its links would not fit; a body with more links than a
+/// whole frame holds goes on in the next one.
+std::vector<std::vector<std::uint8_t>> pack_cells(
+    const std::vector<DataMsg>& bodies, const std::vector<CellLink>& links,
+    std::size_t max_bytes);
+
+/// One member's share of a CellFrame: the DataBatch payload its AP sends it.
+struct MemberBatch {
+  NodeId mh;
+  std::vector<std::uint8_t> payload;
+};
+
+/// Split a CellFrame payload the way an AP does: for each member, in frame
+/// order, the DataBatch of its entries stamped with its links, byte for
+/// byte encode_batch() of them. nullopt when decode() rejects the payload
+/// or it is not a CellFrame.
+std::optional<std::vector<MemberBatch>> split_cell(const std::uint8_t* data,
+                                                   std::size_t size);
+
 /// Wire size of a message without materializing the buffer (used by the
-/// simulator to charge link serialization time). A DataBatch is sized
-/// exactly as encoded; a single Data frame also counts its payload bytes.
+/// simulator to charge link serialization time). A DataBatch or CellFrame
+/// is sized exactly as encoded; a single Data frame also counts its payload
+/// bytes.
 std::size_t wire_size(const Message& msg);
 
 }  // namespace ringnet::proto

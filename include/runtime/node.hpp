@@ -212,13 +212,14 @@ struct BrConfig {
   RuntimeOptions opts;
 };
 
-/// The ordering node. Ordered data leaves it only as DataBatch datagrams:
-/// whatever one handler call (on_start, on_datagram, on_tick) sends to one
-/// destination travels in one datagram, split only when it reaches the
-/// most worst-case entries that fit in kMaxDatagramBytes. Destinations are
-/// its own APs (cell broadcast), each chain member via its AP (relay
-/// target) and the peer BRs. A hold's assignments are flushed before the
-/// token is released.
+/// The ordering node. Whatever one handler call (on_start, on_datagram,
+/// on_tick) sends to one destination travels in one datagram, split only
+/// when the next part would not fit in kMaxDatagramBytes. Peer BRs get
+/// DataBatch frames. So do its own APs in single-group mode: a cell
+/// broadcast, or one member's resends (the relay target). In multi-group
+/// mode each AP gets CellFrames, which carry each body once and every
+/// destined member's chain links. A hold's assignments are flushed before
+/// the token is released.
 class BrRuntime final : public SupervisedNode {
  public:
   BrRuntime(BrConfig cfg, Transport& tr);
@@ -269,19 +270,24 @@ class BrRuntime final : public SupervisedNode {
   };
 
   // Ordered data bound for one (destination, relay target) pair. Entries
-  // accumulate during one handler call and leave as DataBatch datagrams at
-  // flush_batches().
+  // accumulate during one handler call and leave at flush_batches(): as
+  // DataBatch datagrams, or, when the outbox holds links, as CellFrames
+  // whose bodies are the entries.
   struct Outbox {
     NodeId to;
     NodeId relay;
     std::vector<proto::DataMsg> entries;
+    std::vector<proto::CellLink> links;  // grouped by body, in body order
   };
 
   bool leader() const { return cfg_.ring.front() == cfg_.self; }
   bool multi() const { return cfg_.groups.multi(); }
   NodeId next_br() const;
+  Outbox& outbox(NodeId to, NodeId relay = NodeId::invalid());
   void emit(NodeId to, const proto::DataMsg& msg,
             NodeId relay = NodeId::invalid());
+  void emit_chain(NodeId ap, const proto::DataMsg& msg, NodeId mh,
+                  GlobalSeq prev_chain, bool share_body);
   void flush_batches();
   void handle_proto(const Datagram& d, std::int64_t now_us);
   void handle_uplink(const proto::DataMsg& msg, std::int64_t now_us);
@@ -343,6 +349,10 @@ struct ApConfig {
   RuntimeOptions opts;
 };
 
+/// The access proxy relays uplink frames, acks and single-group data byte
+/// for byte. A multi-group CellFrame it decodes and splits
+/// (proto::split_cell): each member the frame names gets one DataBatch of
+/// its own entries.
 class ApRuntime final : public SupervisedNode {
  public:
   ApRuntime(ApConfig cfg, Transport& tr);

@@ -1,6 +1,7 @@
 #include "proto/messages.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace ringnet::proto {
 
@@ -107,7 +108,9 @@ std::optional<OrderingToken> OrderingToken::deserialize(WireReader& r) {
   t.serial_ = *serial;
   t.rotation_ = *rotation;
   t.next_gseq_ = *next_gseq;
-  t.entries_.reserve(*n);
+  // Bound each reservation by what the frame can hold (32 bytes per entry,
+  // 12 per counter), not by the claimed count.
+  t.entries_.reserve(std::min<std::size_t>(*n, r.remaining() / 32));
   for (std::uint32_t i = 0; i < *n; ++i) {
     const auto on = r.node();
     const auto src = r.node();
@@ -131,7 +134,7 @@ std::optional<OrderingToken> OrderingToken::deserialize(WireReader& r) {
   if (!r.exhausted()) {
     const auto gc = r.u32();
     if (!gc || *gc == 0) return std::nullopt;
-    t.group_counters_.reserve(*gc);
+    t.group_counters_.reserve(std::min<std::size_t>(*gc, r.remaining() / 12));
     for (std::uint32_t i = 0; i < *gc; ++i) {
       const auto gid = r.u32();
       const auto next = r.u64();
@@ -163,6 +166,9 @@ MsgType Message::type() const {
     MsgType operator()(const TokenAckMsg&) const { return MsgType::TokenAck; }
     MsgType operator()(const DataBatchMsg&) const {
       return MsgType::DataBatch;
+    }
+    MsgType operator()(const CellFrameMsg&) const {
+      return MsgType::CellFrame;
     }
   };
   return std::visit(Visitor{}, body_);
@@ -276,6 +282,82 @@ std::optional<Message> decode_batch(WireReader& r) {
   return Message(std::move(b));
 }
 
+/// Bytes one body takes in a CellFrame: its length byte and its encoding.
+std::size_t cell_body_bytes(const DataMsg& body) {
+  return 1 + data_body_bytes(body);
+}
+
+void encode_body(const CellFrameMsg& m, WireWriter& w) {
+  w.u16(static_cast<std::uint16_t>(m.bodies.size()));
+  for (const DataMsg& b : m.bodies) {
+    w.u8(static_cast<std::uint8_t>(data_body_bytes(b)));
+    encode_body(b, w);
+  }
+  w.u16(static_cast<std::uint16_t>(m.members.size()));
+  for (const CellFrameMsg::Member& mem : m.members) {
+    w.node(mem.mh);
+    w.u16(static_cast<std::uint16_t>(mem.links.size()));
+    for (const CellFrameMsg::Link& l : mem.links) {
+      w.u16(l.body);
+      w.u64(l.prev_chain);
+    }
+  }
+}
+
+std::optional<Message> decode_cell(WireReader& r) {
+  const auto nb = r.u16();
+  if (!nb || *nb == 0) return std::nullopt;
+  CellFrameMsg c;
+  // Reservations are bounded by what the frame can hold: a length byte and
+  // the smallest body with a group section (40 + 1 + 12 + 8 bytes) per body,
+  // a member header and one link per member, a link per link.
+  c.bodies.reserve(std::min<std::size_t>(*nb, r.remaining() / 62));
+  for (std::uint16_t i = 0; i < *nb; ++i) {
+    const auto len = r.u8();
+    if (!len) return std::nullopt;
+    const std::uint8_t* body = r.take(*len);
+    if (body == nullptr) return std::nullopt;
+    WireReader er(body, *len);
+    auto m = decode_data(er);
+    // Chain data only, and the links carry every chain link.
+    if (!m || !er.exhausted() || m->groups.empty() || m->prev_chain != 0) {
+      return std::nullopt;
+    }
+    c.bodies.push_back(std::move(*m));
+  }
+  const auto nm = r.u16();
+  if (!nm || *nm == 0) return std::nullopt;
+  c.members.reserve(std::min<std::size_t>(
+      *nm, r.remaining() / (kCellMemberBytes + kCellLinkBytes)));
+  std::vector<std::uint32_t> ids;
+  ids.reserve(c.members.capacity());
+  for (std::uint16_t i = 0; i < *nm; ++i) {
+    const auto mh = r.node();
+    const auto nl = r.u16();
+    if (!mh || !nl || *nl == 0) return std::nullopt;
+    CellFrameMsg::Member mem;
+    mem.mh = *mh;
+    mem.links.reserve(
+        std::min<std::size_t>(*nl, r.remaining() / kCellLinkBytes));
+    for (std::uint16_t k = 0; k < *nl; ++k) {
+      const auto b = r.u16();
+      const auto prev = r.u64();
+      if (!b || !prev || *b >= *nb) return std::nullopt;
+      if (!mem.links.empty() && *b <= mem.links.back().body) {
+        return std::nullopt;
+      }
+      mem.links.push_back(CellFrameMsg::Link{*b, *prev});
+    }
+    ids.push_back(mh->v);
+    c.members.push_back(std::move(mem));
+  }
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return std::nullopt;
+  }
+  return Message(std::move(c));
+}
+
 void encode_body(const DeliveryAckMsg& m, WireWriter& w) {
   w.u32(m.gid.v);
   w.node(m.member);
@@ -312,7 +394,7 @@ std::optional<Message> decode_membership(WireReader& r) {
   MembershipMsg m;
   m.gid = GroupId{*gid};
   m.origin = *origin;
-  m.events.reserve(*n);
+  m.events.reserve(std::min<std::size_t>(*n, r.remaining() / 8));
   for (std::uint32_t i = 0; i < *n; ++i) {
     const auto mh = r.node();
     const auto ap = r.node();
@@ -371,6 +453,7 @@ std::vector<std::uint8_t> encode(const Message& msg) {
     void operator()(const DataBatchMsg& m) const {
       encode_entries(m.entries.data(), m.entries.size(), w);
     }
+    void operator()(const CellFrameMsg& m) const { encode_body(m, w); }
   };
   std::visit(Visitor{w}, msg.body());
   return w.take();
@@ -382,6 +465,88 @@ std::vector<std::uint8_t> encode_batch(const DataMsg* entries, std::size_t n) {
   w.u8(static_cast<std::uint8_t>(MsgType::DataBatch));
   encode_entries(entries, n, w);
   return w.take();
+}
+
+std::vector<std::vector<std::uint8_t>> pack_cells(
+    const std::vector<DataMsg>& bodies, const std::vector<CellLink>& links,
+    std::size_t max_bytes) {
+  std::vector<std::vector<std::uint8_t>> out;
+  CellFrameMsg cell;
+  std::size_t bytes = kCellFrameFixedBytes;
+  std::unordered_map<std::uint32_t, std::size_t> slot;  // member -> index
+  const auto cut = [&] {
+    out.push_back(encode(Message(std::move(cell))));
+    cell = {};
+    slot.clear();
+    bytes = kCellFrameFixedBytes;
+  };
+  const auto open_body = [&](const DataMsg& body) {
+    cell.bodies.push_back(body);
+    bytes += cell_body_bytes(body);
+  };
+  std::size_t end = 0;
+  for (std::size_t b = 0; b < bodies.size(); ++b) {
+    const std::size_t begin = end;
+    std::size_t need = cell_body_bytes(bodies[b]);
+    for (; end < links.size() && links[end].body == b; ++end) {
+      need += kCellLinkBytes;
+      if (slot.count(links[end].mh.v) == 0) need += kCellMemberBytes;
+    }
+    if (!cell.bodies.empty() && bytes + need > max_bytes) cut();
+    open_body(bodies[b]);
+    for (std::size_t l = begin; l < end; ++l) {
+      auto at = slot.try_emplace(links[l].mh.v, cell.members.size());
+      std::size_t add = kCellLinkBytes + (at.second ? kCellMemberBytes : 0);
+      if (bytes + add > max_bytes) {
+        cut();
+        open_body(bodies[b]);
+        at = slot.try_emplace(links[l].mh.v, cell.members.size());
+        add = kCellLinkBytes + kCellMemberBytes;
+      }
+      if (at.second) cell.members.push_back({links[l].mh, {}});
+      cell.members[at.first->second].links.push_back(CellFrameMsg::Link{
+          static_cast<std::uint16_t>(cell.bodies.size() - 1),
+          links[l].prev_chain});
+      bytes += add;
+    }
+  }
+  if (!cell.bodies.empty()) cut();
+  return out;
+}
+
+std::optional<std::vector<MemberBatch>> split_cell(const std::uint8_t* data,
+                                                   std::size_t size) {
+  const auto msg = decode(data, size);
+  if (!msg || msg->type() != MsgType::CellFrame) return std::nullopt;
+  const CellFrameMsg& cell = msg->cell();
+  // The strict decoder accepts only the canonical encoding, so each body's
+  // slice of `data` (its length byte, then the body ending in its zero
+  // chain link) is what encode_batch() writes for it: copy the slice and
+  // write the member's link over the last eight bytes.
+  std::vector<std::size_t> at;  // each body's slice: [at[b], at[b + 1])
+  at.reserve(cell.bodies.size() + 1);
+  at.push_back(3);  // past the tag and the body count
+  for (const DataMsg& b : cell.bodies) {
+    at.push_back(at.back() + cell_body_bytes(b));
+  }
+  std::vector<MemberBatch> out;
+  out.reserve(cell.members.size());
+  for (const CellFrameMsg::Member& mem : cell.members) {
+    std::size_t n = 3;
+    for (const CellFrameMsg::Link& l : mem.links) {
+      n += at[l.body + 1] - at[l.body];
+    }
+    WireWriter w;
+    w.reserve(n);
+    w.u8(static_cast<std::uint8_t>(MsgType::DataBatch));
+    w.u16(static_cast<std::uint16_t>(mem.links.size()));
+    for (const CellFrameMsg::Link& l : mem.links) {
+      w.raw(data + at[l.body], at[l.body + 1] - at[l.body] - 8);
+      w.u64(l.prev_chain);
+    }
+    out.push_back(MemberBatch{mem.mh, w.take()});
+  }
+  return out;
 }
 
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
@@ -414,6 +579,9 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
       break;
     case MsgType::DataBatch:
       out = decode_batch(r);
+      break;
+    case MsgType::CellFrame:
+      out = decode_cell(r);
       break;
     default:
       return std::nullopt;
@@ -449,6 +617,13 @@ std::size_t wire_size(const Message& msg) {
     void operator()(const DataBatchMsg& m) const {
       body = 2;
       for (const DataMsg& e : m.entries) body += 1 + data_body_bytes(e);
+    }
+    void operator()(const CellFrameMsg& m) const {
+      body = kCellFrameFixedBytes - 1;
+      for (const DataMsg& b : m.bodies) body += cell_body_bytes(b);
+      for (const CellFrameMsg::Member& mem : m.members) {
+        body += kCellMemberBytes + mem.links.size() * kCellLinkBytes;
+      }
     }
   };
   std::visit(Visitor{body}, msg.body());

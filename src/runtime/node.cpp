@@ -46,6 +46,8 @@ constexpr std::uint32_t kStallAckLimit = 4;
 constexpr std::size_t kMaxBatchEntries =
     (kMaxDatagramBytes - kFrameHeaderBytes - 3) /
     (1 + proto::kMaxDataBodyBytes);
+/// CellFrame payload budget: one datagram after the frame header.
+constexpr std::size_t kMaxCellBytes = kMaxDatagramBytes - kFrameHeaderBytes;
 /// Stop broadcasts before the supervisor counts itself stopped: enough
 /// rounds to cover a lost one.
 constexpr int kStopRounds = 4;
@@ -153,15 +155,39 @@ NodeId BrRuntime::next_br() const {
   return cfg_.self;
 }
 
-void BrRuntime::emit(NodeId to, const proto::DataMsg& msg, NodeId relay) {
+BrRuntime::Outbox& BrRuntime::outbox(NodeId to, NodeId relay) {
   const std::uint64_t key = (std::uint64_t{to.v} << 32) | relay.v;
   const auto [it, fresh] = outbox_of_.try_emplace(key, outboxes_.size());
-  if (fresh) outboxes_.push_back(Outbox{to, relay, {}});
-  outboxes_[it->second].entries.push_back(msg);
+  if (fresh) outboxes_.push_back(Outbox{to, relay, {}, {}});
+  return outboxes_[it->second];
+}
+
+void BrRuntime::emit(NodeId to, const proto::DataMsg& msg, NodeId relay) {
+  outbox(to, relay).entries.push_back(msg);
+}
+
+void BrRuntime::emit_chain(NodeId ap, const proto::DataMsg& msg, NodeId mh,
+                           GlobalSeq prev_chain, bool share_body) {
+  // `share_body`: every destined member of the cell links the one body of
+  // this message (forward_chain); a resend queues a body of its own.
+  Outbox& box = outbox(ap);
+  if (!share_body || box.entries.empty() ||
+      box.entries.back().gseq != msg.gseq) {
+    box.entries.push_back(msg);
+    box.entries.back().prev_chain = 0;  // the links carry the chain
+  }
+  box.links.push_back(proto::CellLink{box.entries.size() - 1, mh, prev_chain});
 }
 
 void BrRuntime::flush_batches() {
   for (const Outbox& box : outboxes_) {
+    if (!box.links.empty()) {
+      for (const auto& payload :
+           proto::pack_cells(box.entries, box.links, kMaxCellBytes)) {
+        tr_.send(box.to, frame(cfg_.self, FrameKind::Proto, payload));
+      }
+      continue;
+    }
     for (std::size_t at = 0; at < box.entries.size(); at += kMaxBatchEntries) {
       const std::size_t n = std::min(kMaxBatchEntries, box.entries.size() - at);
       const auto payload = proto::encode_batch(box.entries.data() + at, n);
@@ -255,6 +281,7 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
       break;
     }
     case proto::MsgType::Heartbeat:
+    case proto::MsgType::CellFrame:  // AP-bound only
       break;
   }
 }
@@ -339,14 +366,12 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
 
 void BrRuntime::forward_chain(const proto::DataMsg& msg) {
   // Genuine relay: only members whose memberships intersect the message's
-  // destination set get a copy, each stamped with its own chain link and
-  // addressed through the serving AP (relay target) instead of the legacy
-  // cell broadcast.
+  // destination set get it, each with its own chain link. Their AP gets
+  // the body once, in its cell frame.
   for (auto& [id, m] : members_) {
     if (!m.groups.intersects(msg.groups)) continue;
-    proto::DataMsg copy = msg;
-    copy.prev_chain = m.chain.link(msg.gseq, kMqWindow + kResendWindow);
-    emit(m.ap, copy, NodeId{id});
+    emit_chain(m.ap, msg, NodeId{id},
+               m.chain.link(msg.gseq, kMqWindow + kResendWindow), true);
   }
 }
 
@@ -545,9 +570,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
   m.chain.walk([&](const core::ChainSender::Link& link) {
     if (served >= kResendWindow) return Step::Stop;
     if (const proto::DataMsg* dm = mq_.find(link.gseq)) {
-      proto::DataMsg copy = *dm;
-      copy.prev_chain = link.prev;
-      emit(m.ap, copy, member);
+      emit_chain(m.ap, *dm, member, link.prev, false);
       metrics_.incr(mid_.retransmits);
       ++served;
       return Step::Next;
@@ -620,8 +643,8 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
     return;
   }
   // The AP is a store-less relay: it peeks the envelope tag to pick a
-  // direction and forwards the payload bytes untouched (no decode/re-encode
-  // on the hot path). Only membership deltas are decoded, to track the cell.
+  // direction and forwards the payload bytes untouched. It decodes only
+  // membership deltas, to track the cell, and cell frames, to split them.
   // The frame is built once: every copy of a cell broadcast is identical.
   std::vector<std::uint8_t> bytes;
   const auto forward = [&](NodeId to) {
@@ -659,6 +682,21 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
         }
       }
       forward(cfg_.br);
+      break;
+    }
+    case proto::MsgType::CellFrame: {
+      if (uplink) break;
+      // Each member the frame names gets one DataBatch of its entries. The
+      // decoder's rules keep that batch no larger than the frame.
+      const auto batches =
+          proto::split_cell(d.payload.data(), d.payload.size());
+      if (!batches) {
+        metrics_.incr(mid_.malformed);
+        return;
+      }
+      for (const proto::MemberBatch& b : *batches) {
+        tr_.send(b.mh, frame(cfg_.self, FrameKind::Proto, b.payload));
+      }
       break;
     }
     default:

@@ -3,6 +3,7 @@
 // rather than mis-parse.
 
 #include <algorithm>
+#include <optional>
 
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
@@ -460,6 +461,269 @@ TEST(data_batch_fuzz_mutation_safe) {
       CHECK(proto::encode(*decoded) == mutated);
     }
   }
+}
+
+// --- CellFrame: one AP's chain data, each body once ------------------------
+
+namespace {
+
+proto::DataMsg cell_body(GlobalSeq gseq,
+                         std::initializer_list<std::uint32_t> gids) {
+  proto::DataMsg m = sample_grouped(gids);
+  m.gseq = gseq;
+  m.prev_chain = 0;  // the links carry the chain
+  return m;
+}
+
+/// Three bodies (one with a full group section); member 10 links all three,
+/// member 11 the first and last, member 12 the middle one.
+proto::CellFrameMsg sample_cell() {
+  proto::CellFrameMsg c;
+  c.bodies.push_back(cell_body(100, {1, 3}));
+  c.bodies.push_back(cell_body(104, {2, 4, 6, 8}));
+  c.bodies.push_back(cell_body(107, {3}));
+  const auto mh = [](std::uint32_t i) { return NodeId::make(Tier::MH, i); };
+  c.members.push_back({mh(10), {{0, 0}, {1, 101}, {2, 105}}});
+  c.members.push_back({mh(11), {{0, 42}, {2, 101}}});
+  c.members.push_back({mh(12), {{1, 7}}});
+  return c;
+}
+
+/// Offsets in sample_cell()'s encoding: tag, u16 body count, then per body
+/// a length byte and the body.
+constexpr std::size_t kCellFirstBodyLen = 3;
+
+std::size_t cell_members_at(const std::vector<std::uint8_t>& bytes) {
+  std::size_t at = kCellFirstBodyLen;
+  for (int b = 0; b < 3; ++b) at += 1 + bytes[at];
+  return at;  // the u16 member count
+}
+
+void put_u16(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint16_t v) {
+  bytes[at] = static_cast<std::uint8_t>(v);
+  bytes[at + 1] = static_cast<std::uint8_t>(v >> 8);
+}
+
+/// decode() rejects the bytes, and does not throw on the way.
+bool rejects_cleanly(const std::vector<std::uint8_t>& bytes) {
+  try {
+    return !proto::decode(bytes).has_value();
+  } catch (...) {
+    return false;
+  }
+}
+
+/// Every single-byte mutation of `bytes` (three masks per byte): decode()
+/// never throws, and anything that still decodes re-encodes to the mutant.
+void mutation_fuzz(const std::vector<std::uint8_t>& bytes) {
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xFF}) {
+      auto mutated = bytes;
+      mutated[pos] = static_cast<std::uint8_t>(mutated[pos] ^ mask);
+      bool threw = false;
+      std::optional<proto::Message> decoded;
+      try {
+        decoded = proto::decode(mutated);
+      } catch (...) {
+        threw = true;
+      }
+      CHECK(!threw);
+      if (decoded) CHECK(proto::encode(*decoded) == mutated);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(cell_frame_round_trip) {
+  const proto::CellFrameMsg ref = sample_cell();
+  const auto bytes = proto::encode(proto::Message(ref));
+  CHECK_EQ(bytes[0], static_cast<std::uint8_t>(proto::MsgType::CellFrame));
+  CHECK_EQ(proto::wire_size(proto::Message(ref)), bytes.size());
+  const auto decoded = proto::decode(bytes);
+  CHECK(decoded.has_value());
+  if (!decoded) return;
+  CHECK(decoded->type() == proto::MsgType::CellFrame);
+  const proto::CellFrameMsg& got = decoded->cell();
+  CHECK_EQ(got.bodies.size(), ref.bodies.size());
+  for (std::size_t i = 0; i < got.bodies.size() && i < ref.bodies.size(); ++i) {
+    CHECK(same_wire_fields(got.bodies[i], ref.bodies[i]));
+  }
+  CHECK_EQ(got.members.size(), ref.members.size());
+  for (std::size_t i = 0; i < got.members.size() && i < ref.members.size();
+       ++i) {
+    CHECK_EQ(got.members[i].mh.v, ref.members[i].mh.v);
+    CHECK_EQ(got.members[i].links.size(), ref.members[i].links.size());
+    for (std::size_t k = 0; k < got.members[i].links.size() &&
+                            k < ref.members[i].links.size();
+         ++k) {
+      CHECK_EQ(got.members[i].links[k].body, ref.members[i].links[k].body);
+      CHECK_EQ(got.members[i].links[k].prev_chain,
+               ref.members[i].links[k].prev_chain);
+    }
+  }
+  // Each body is on the wire once: three bodies, six links. A body takes
+  // its length byte and its encoding, as many bytes as a Data frame of it.
+  std::size_t body_bytes = 0;
+  for (const auto& b : ref.bodies) {
+    body_bytes += proto::encode(proto::Message(b)).size();
+  }
+  CHECK_EQ(bytes.size(), proto::kCellFrameFixedBytes + body_bytes +
+                             3 * proto::kCellMemberBytes +
+                             6 * proto::kCellLinkBytes);
+}
+
+TEST(cell_frame_malformed_rejected) {
+  const auto bytes = proto::encode(proto::Message(sample_cell()));
+  CHECK(proto::decode(bytes).has_value());
+  // Truncation at every prefix, and a trailing byte.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                           bytes.begin() + cut);
+    CHECK(rejects_cleanly(prefix));
+  }
+  auto padded = bytes;
+  padded.push_back(0x00);
+  CHECK(rejects_cleanly(padded));
+
+  const std::size_t members_at = cell_members_at(bytes);
+  CHECK_EQ(members_at + 2 + 3 * proto::kCellMemberBytes +
+               6 * proto::kCellLinkBytes,
+           bytes.size());
+  // Member 10: id at +2, link count at +6, links at +8 (u16 body, u64
+  // prev); member 11 starts at +8 + 3 * 10.
+  const std::size_t m10 = members_at + 2;
+  const std::size_t m11 = m10 + proto::kCellMemberBytes +
+                          3 * proto::kCellLinkBytes;
+
+  // No bodies.
+  auto no_bodies = bytes;
+  put_u16(no_bodies, 1, 0);
+  CHECK(rejects_cleanly(no_bodies));
+  // No members: a frame that ends after its bodies with member count 0.
+  std::vector<std::uint8_t> no_members(bytes.begin(),
+                                       bytes.begin() + members_at + 2);
+  put_u16(no_members, members_at, 0);
+  CHECK(rejects_cleanly(no_members));
+  // A member with no links.
+  auto no_links = bytes;
+  put_u16(no_links, m10 + 4, 0);
+  CHECK(rejects_cleanly(no_links));
+  // A body index out of range (three bodies: 0..2).
+  auto out_of_range = bytes;
+  put_u16(out_of_range, m10 + proto::kCellMemberBytes +
+                            2 * proto::kCellLinkBytes,
+          3);
+  CHECK(rejects_cleanly(out_of_range));
+  // A member's body indices must rise: member 10 links 0, 1, 2; make the
+  // second link repeat body 0.
+  auto repeated_link = bytes;
+  put_u16(repeated_link, m10 + proto::kCellMemberBytes + proto::kCellLinkBytes,
+          0);
+  CHECK(rejects_cleanly(repeated_link));
+  // A repeated member: member 11 renamed to member 10.
+  auto repeated_member = bytes;
+  std::copy(bytes.begin() + m10, bytes.begin() + m10 + 4,
+            repeated_member.begin() + m11);
+  CHECK(rejects_cleanly(repeated_member));
+  // A body that does not parse to its stated length: one byte short cuts
+  // its chain link, one long swallows the next body's length byte.
+  for (const int delta : {-1, 1}) {
+    auto wrong = bytes;
+    wrong[kCellFirstBodyLen] =
+        static_cast<std::uint8_t>(wrong[kCellFirstBodyLen] + delta);
+    CHECK(rejects_cleanly(wrong));
+  }
+  // A body with a nonzero chain link of its own.
+  auto own_link = bytes;
+  const std::size_t first_len = bytes[kCellFirstBodyLen];
+  own_link[kCellFirstBodyLen + first_len] = 1;  // low byte of its link
+  CHECK(rejects_cleanly(own_link));
+  // A body with no group section: a single-group descriptor.
+  proto::CellFrameMsg plain = sample_cell();
+  plain.bodies[2] = sample_data();
+  const auto plain_bytes = proto::encode(proto::Message(plain));
+  CHECK(rejects_cleanly(plain_bytes));
+  plain.bodies[2] = cell_body(107, {3});
+  CHECK(proto::decode(proto::encode(proto::Message(plain))).has_value());
+}
+
+TEST(cell_frame_fuzz_mutation_safe) {
+  mutation_fuzz(proto::encode(proto::Message(sample_cell())));
+}
+
+TEST(split_cell_gives_each_member_its_stamped_batch) {
+  const proto::CellFrameMsg cell = sample_cell();
+  const auto bytes = proto::encode(proto::Message(cell));
+  const auto batches = proto::split_cell(bytes.data(), bytes.size());
+  CHECK(batches.has_value());
+  if (!batches) return;
+  CHECK_EQ(batches->size(), cell.members.size());
+  for (std::size_t i = 0; i < batches->size() && i < cell.members.size();
+       ++i) {
+    const auto& mem = cell.members[i];
+    std::vector<proto::DataMsg> entries;
+    for (const auto& link : mem.links) {
+      entries.push_back(cell.bodies[link.body]);
+      entries.back().prev_chain = link.prev_chain;
+    }
+    CHECK_EQ((*batches)[i].mh.v, mem.mh.v);
+    CHECK((*batches)[i].payload ==
+          proto::encode_batch(entries.data(), entries.size()));
+    // Never larger than the frame it came from.
+    CHECK((*batches)[i].payload.size() < bytes.size());
+  }
+  // Not a CellFrame, or not a valid one: nothing to split.
+  const auto batch = proto::encode(proto::Message(sample_batch()));
+  CHECK(!proto::split_cell(batch.data(), batch.size()).has_value());
+  const std::vector<std::uint8_t> cut(bytes.begin(), bytes.end() - 1);
+  CHECK(!proto::split_cell(cut.data(), cut.size()).has_value());
+}
+
+// --- counts read off the wire ----------------------------------------------
+
+TEST(huge_wire_counts_reject_without_throwing) {
+  // A count of 0xFFFFFFFF with a few bytes behind it: the decoder must
+  // bound its reservation by the bytes left, run out of them and return
+  // nullopt, not try to reserve for four billion elements.
+  const std::vector<std::uint8_t> all_ones = {0xFF, 0xFF, 0xFF, 0xFF};
+  proto::MembershipMsg m;
+  auto membership = proto::encode(proto::Message(m));  // count 0 at the end
+  std::copy(all_ones.begin(), all_ones.end(), membership.end() - 4);
+  membership.insert(membership.end(), {1, 2, 3, 4});
+  CHECK_EQ(membership.size(), std::size_t{17});
+  CHECK(rejects_cleanly(membership));
+
+  proto::OrderingToken t(GroupId{1}, 1);
+  auto entries = proto::encode(proto::Message(t));  // entry count at the end
+  std::copy(all_ones.begin(), all_ones.end(), entries.end() - 4);
+  entries.insert(entries.end(), {1, 2, 3, 4});
+  CHECK_EQ(entries.size(), std::size_t{45});
+  CHECK(rejects_cleanly(entries));
+
+  t.set_group_seq(GroupId{2}, 5);
+  auto counters = proto::encode(proto::Message(t));
+  // The counter section: u32 count, then (u32 gid, u64 next) per group.
+  const std::size_t count_at = counters.size() - 4 - 12;
+  std::copy(all_ones.begin(), all_ones.end(), counters.begin() + count_at);
+  CHECK(rejects_cleanly(counters));
+}
+
+TEST(token_and_membership_fuzz_mutation_safe) {
+  proto::OrderingToken t(GroupId{1}, 3);
+  t.append_range(NodeId::make(Tier::BR, 0), NodeId{9}, 0, 4);
+  t.append_range(NodeId::make(Tier::BR, 1), NodeId{4}, 2, 3);
+  t.set_group_seq(GroupId{2}, 10);
+  t.set_group_seq(GroupId{5}, 42);
+  mutation_fuzz(proto::encode(proto::Message(t)));
+
+  proto::MembershipMsg m;
+  m.gid = GroupId{1};
+  m.origin = NodeId::make(Tier::AP, 1);
+  m.events.push_back({NodeId::make(Tier::MH, 1), NodeId::make(Tier::AP, 2)});
+  m.events.push_back({NodeId::make(Tier::MH, 3), NodeId::invalid()});
+  mutation_fuzz(proto::encode(proto::Message(m)));
 }
 
 TEST(token_group_counters_round_trip) {

@@ -4,9 +4,11 @@
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
 // watchdog). Plus direct single-threaded unit coverage: the MhRuntime
 // reordering buffer and gap-skip accounting, the batched ordered datapath
-// (one DataBatch datagram per destination per handler call), and the
+// (one datagram per destination per handler call: a DataBatch, or a
+// multi-group AP's CellFrame, which the AP splits per member), and the
 // counters a regenerated token starts from.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -114,6 +116,12 @@ std::optional<proto::DataBatchMsg> batch_of(const Datagram& d) {
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg || msg->type() != proto::MsgType::DataBatch) return std::nullopt;
   return msg->batch();
+}
+
+std::optional<proto::CellFrameMsg> cell_of(const Datagram& d) {
+  const auto msg = proto::decode(d.payload.data(), d.payload.size());
+  if (!msg || msg->type() != proto::MsgType::CellFrame) return std::nullopt;
+  return msg->cell();
 }
 
 MhConfig chain_cfg(NodeId self) {
@@ -557,7 +565,8 @@ TEST(br_hold_sends_one_batch_per_destination) {
 TEST(br_batch_splits_at_the_datagram_limit) {
   // Worst-case entries (four destination groups, so a full 97-byte body):
   // a hold too big for one datagram splits into frames that each fit, and
-  // only where the next entry would not fit.
+  // only where the next entry would not fit. The peer gets DataBatches; the
+  // AP gets CellFrames, where the next entry is a body and its link.
   InProcNet net;
   auto tr = net.attach(kBr0);
   auto peer = net.attach(kBr1);
@@ -587,23 +596,234 @@ TEST(br_batch_splits_at_the_datagram_limit) {
     for (std::size_t f = 0; f < frames.size(); ++f) {
       const std::size_t bytes = kFrameHeaderBytes + frames[f].payload.size();
       CHECK(bytes <= kMaxDatagramBytes);
-      if (f + 1 < frames.size()) {
-        CHECK(bytes + 1 + proto::kMaxDataBodyBytes > kMaxDatagramBytes);
+      if (t == peer.get()) {
+        if (f + 1 < frames.size()) {
+          CHECK(bytes + 1 + proto::kMaxDataBodyBytes > kMaxDatagramBytes);
+        }
+        const auto b = batch_of(frames[f]);
+        CHECK(b.has_value());
+        if (!b) continue;
+        for (const proto::DataMsg& m : b->entries) {
+          CHECK_EQ(m.gseq, next);
+          ++next;
+        }
+        continue;
       }
-      const auto b = batch_of(frames[f]);
-      CHECK(b.has_value());
-      if (!b) continue;
-      for (const proto::DataMsg& m : b->entries) {
-        CHECK_EQ(m.gseq, next);
-        if (t == cell0.get()) {
-          // Chain-mode relay to the member, linked to its predecessor.
-          CHECK_EQ(frames[f].relay.v, kMh0.v);
-          CHECK_EQ(m.prev_chain, next);
+      if (f + 1 < frames.size()) {
+        CHECK(bytes + 1 + proto::kMaxDataBodyBytes + proto::kCellLinkBytes >
+              kMaxDatagramBytes);
+      }
+      // Chain data for the one member, each entry linked to its
+      // predecessor; the frame itself names no relay target.
+      CHECK(!frames[f].relay.valid());
+      const auto c = cell_of(frames[f]);
+      CHECK(c.has_value());
+      if (!c) continue;
+      CHECK_EQ(c->members.size(), 1u);
+      if (c->members.size() != 1) continue;
+      CHECK_EQ(c->members[0].mh.v, kMh0.v);
+      CHECK_EQ(c->members[0].links.size(), c->bodies.size());
+      for (std::size_t k = 0; k < c->bodies.size(); ++k) {
+        CHECK_EQ(c->bodies[k].gseq, next);
+        if (k < c->members[0].links.size()) {
+          CHECK_EQ(c->members[0].links[k].body, k);
+          CHECK_EQ(c->members[0].links[k].prev_chain, next);
         }
         ++next;
       }
     }
     CHECK_EQ(next, n);
+  }
+}
+
+namespace {
+
+/// The chain links a member's ChainSender stamps, in gseq order: its
+/// predecessor's coordinate (gseq + 1), 0 for the first.
+std::vector<GlobalSeq> chain_links(const std::vector<GlobalSeq>& gseqs) {
+  core::ChainSender chain;
+  std::vector<GlobalSeq> out;
+  for (const GlobalSeq g : gseqs) out.push_back(chain.link(g, 1u << 20));
+  return out;
+}
+
+}  // namespace
+
+TEST(br_chain_sends_one_frame_per_ap) {
+  // Multi-group hold: 2 APs x 3 members, 12 messages with 2 of 4 groups
+  // each. Each AP gets one CellFrame for the hold: each destined message's
+  // body once, and each member its links, as its ChainSender stamps them.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  auto peer = net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  auto cell1 = net.attach(kAp1);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0, kAp1});
+  cfg.groups.count = 4;
+  cfg.groups.groups_per_mh = 2;
+  cfg.groups.dest_groups = 2;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    cfg.members.push_back(NodeId::make(Tier::MH, i));
+    cfg.member_ap.push_back(i < 3 ? kAp0 : kAp1);
+  }
+  const BrConfig ref = cfg;
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+
+  const NodeId src{9};  // not a member: no submit-acks in the cells
+  const std::uint64_t n = 12;
+  std::vector<proto::GroupSet> dest;
+  for (LocalSeq l = 0; l < n; ++l) {
+    dest.push_back(core::dest_groups(src, l, ref.groups));
+    br.on_datagram(uplink_datagram(kAp0, src, l, dest.back()), 10);
+  }
+  br.on_tick(250);
+  CHECK_EQ(br.assigned(), n);
+  (void)drain(*peer);
+
+  std::size_t linked = 0;
+  for (std::size_t a = 0; a < 2; ++a) {
+    const auto frames = drain(a == 0 ? *cell0 : *cell1);
+    CHECK_EQ(frames.size(), 1u);
+    if (frames.size() != 1) continue;
+    CHECK(!frames[0].relay.valid());
+    const auto c = cell_of(frames[0]);
+    CHECK(c.has_value());
+    if (!c) continue;
+    // Expected: the gseqs each of this AP's members is a destination of.
+    std::vector<std::vector<GlobalSeq>> want(3);
+    std::vector<GlobalSeq> bodies;
+    for (GlobalSeq g = 0; g < n; ++g) {
+      bool any = false;
+      for (std::size_t k = 0; k < 3; ++k) {
+        const auto groups = core::member_groups(3 * a + k, ref.groups);
+        if (!groups.intersects(dest[g])) continue;
+        want[k].push_back(g);
+        any = true;
+      }
+      if (any) bodies.push_back(g);
+    }
+    CHECK_EQ(c->bodies.size(), bodies.size());
+    for (std::size_t b = 0; b < c->bodies.size() && b < bodies.size(); ++b) {
+      CHECK_EQ(c->bodies[b].gseq, bodies[b]);  // each body once
+    }
+    std::size_t named = 0;
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (!want[k].empty()) ++named;
+    }
+    CHECK_EQ(c->members.size(), named);
+    for (const auto& mem : c->members) {
+      const std::size_t k = mem.mh.index() - 3 * a;
+      CHECK(k < 3);
+      if (k >= 3) continue;
+      const auto links = chain_links(want[k]);
+      CHECK_EQ(mem.links.size(), links.size());
+      for (std::size_t i = 0; i < mem.links.size() && i < links.size(); ++i) {
+        CHECK_EQ(c->bodies[mem.links[i].body].gseq, want[k][i]);
+        CHECK_EQ(mem.links[i].prev_chain, links[i]);
+      }
+      linked += mem.links.size();
+    }
+  }
+  CHECK(linked > n);  // several members share most bodies
+}
+
+TEST(br_cell_frame_splits_a_body_with_more_links_than_a_frame_holds) {
+  // 4000 members in one cell, every one a destination: one body's links
+  // need more than one datagram, so the body goes out in each frame.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  (void)net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 2;
+  cfg.groups.groups_per_mh = 2;
+  cfg.groups.dest_groups = 1;
+  const std::uint32_t members = 4000;
+  for (std::uint32_t i = 0; i < members; ++i) {
+    cfg.members.push_back(NodeId::make(Tier::MH, i));
+    cfg.member_ap.push_back(kAp0);
+  }
+  const auto groups = core::dest_groups(NodeId{members}, 0, cfg.groups);
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  br.on_datagram(uplink_datagram(kAp0, NodeId{members}, 0, groups), 10);
+  br.on_tick(250);
+  CHECK_EQ(br.assigned(), 1u);
+  const auto frames = drain(*cell0);
+  CHECK_EQ(frames.size(), 2u);
+  std::vector<std::uint8_t> seen(members, 0);
+  for (const Datagram& d : frames) {
+    CHECK(kFrameHeaderBytes + d.payload.size() <= kMaxDatagramBytes);
+    const auto c = cell_of(d);
+    CHECK(c.has_value());
+    if (!c) continue;
+    CHECK_EQ(c->bodies.size(), 1u);
+    for (const auto& mem : c->members) {
+      CHECK_EQ(mem.links.size(), 1u);
+      if (mem.mh.index() < members) ++seen[mem.mh.index()];
+    }
+  }
+  CHECK(std::all_of(seen.begin(), seen.end(),
+                    [](std::uint8_t v) { return v == 1; }));
+}
+
+TEST(br_stalled_chain_member_gets_one_cell_frame) {
+  // Two members of one cell get every message. The first member stalls:
+  // its resend window leaves as one CellFrame that names only it.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  (void)net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 4;
+  cfg.groups.groups_per_mh = 4;
+  cfg.groups.dest_groups = 2;
+  cfg.members = {kMh0, kMh1};
+  cfg.member_ap = {kAp0, kAp0};
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const NodeId src{7};
+  const std::uint64_t n = 10;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(
+        uplink_datagram(kAp0, src, l, core::dest_groups(src, l, cfg.groups)),
+        10);
+  }
+  br.on_tick(100);
+  const auto first = drain(*cell0);
+  CHECK_EQ(first.size(), 1u);
+  if (!first.empty()) {
+    const auto c = cell_of(first[0]);
+    CHECK(c.has_value());
+    if (c) CHECK_EQ(c->members.size(), 2u);
+  }
+
+  for (int k = 0; k < 4; ++k) {
+    br.on_datagram(member_ack_datagram(kAp0, kMh0, 0), 120 + k);
+  }
+  const auto resent = drain(*cell0);
+  CHECK_EQ(resent.size(), 1u);
+  CHECK_EQ(br.counters().retransmits, n);
+  if (resent.empty()) return;
+  CHECK(!resent[0].relay.valid());
+  const auto c = cell_of(resent[0]);
+  CHECK(c.has_value());
+  if (!c) return;
+  CHECK_EQ(c->bodies.size(), n);
+  CHECK_EQ(c->members.size(), 1u);
+  if (c->members.size() != 1) return;
+  CHECK_EQ(c->members[0].mh.v, kMh0.v);
+  std::vector<GlobalSeq> all;
+  for (GlobalSeq g = 0; g < n; ++g) all.push_back(g);
+  const auto links = chain_links(all);
+  CHECK_EQ(c->members[0].links.size(), n);
+  for (std::size_t i = 0; i < c->members[0].links.size(); ++i) {
+    CHECK_EQ(c->bodies[c->members[0].links[i].body].gseq, all[i]);
+    CHECK_EQ(c->members[0].links[i].prev_chain, links[i]);
   }
 }
 
@@ -790,6 +1010,59 @@ TEST(ap_relays_batch_bytes_untouched) {
     const auto got = drain(*t);
     CHECK_EQ(got.size(), 1u);
     if (!got.empty()) CHECK(got[0].payload == in.payload);
+  }
+}
+
+TEST(ap_splits_a_cell_frame_into_one_batch_per_member) {
+  InProcNet net;
+  auto tr = net.attach(kAp0);
+  auto m0 = net.attach(kMh0);
+  auto m1 = net.attach(kMh1);
+  const NodeId mh2 = NodeId::make(Tier::MH, 2);
+  auto m2 = net.attach(mh2);
+  (void)net.attach(kBr0);
+  (void)net.attach(kSs);
+  ApConfig cfg;
+  cfg.self = kAp0;
+  cfg.br = kBr0;
+  cfg.ss = kSs;
+  cfg.attached = {kMh0, kMh1, mh2};
+  ApRuntime ap(cfg, *tr);
+  ap.on_start(0);
+
+  const auto src = NodeId{3};
+  proto::CellFrameMsg cell;
+  cell.bodies.push_back(chain_data(4, 0, src, 1));
+  cell.bodies.push_back(chain_data(6, 0, src, 2));
+  cell.bodies.push_back(chain_data(9, 0, src, 3));
+  // Member 0 gets all three, member 2 the last two; member 1 is not named.
+  cell.members.push_back({kMh0, {{0, 0}, {1, 5}, {2, 7}}});
+  cell.members.push_back({mh2, {{1, 2}, {2, 7}}});
+  Datagram in = proto_datagram(proto::Message(cell));
+  ap.on_datagram(in, 10);
+
+  CHECK(drain(*m1).empty());
+  for (const auto& mem : cell.members) {
+    std::vector<proto::DataMsg> entries;
+    for (const auto& link : mem.links) {
+      entries.push_back(cell.bodies[link.body]);
+      entries.back().prev_chain = link.prev_chain;
+    }
+    const auto got = drain(mem.mh == kMh0 ? *m0 : *m2);
+    CHECK_EQ(got.size(), 1u);
+    if (got.empty()) continue;
+    CHECK(got[0].payload ==
+          proto::encode_batch(entries.data(), entries.size()));
+    CHECK_EQ(got[0].src.v, kAp0.v);
+  }
+  CHECK_EQ(ap.counters().malformed, 0u);
+
+  // A malformed cell frame (a member repeated) is counted; nothing leaves.
+  cell.members.push_back({kMh0, {{2, 7}}});
+  ap.on_datagram(proto_datagram(proto::Message(cell)), 20);
+  CHECK_EQ(ap.counters().malformed, 1u);
+  for (InProcTransport* t : {m0.get(), m1.get(), m2.get()}) {
+    CHECK(drain(*t).empty());
   }
 }
 

@@ -65,6 +65,14 @@ RN008 adhoc-metric-name
     one place the spellings live; benches, tests, and tools keep free-form
     names.
 
+RN009 unclamped-wire-reserve
+    No `reserve(*count)` on a count decoded from the wire in proto code
+    (include/proto/, src/proto/). A decoded count is whatever the sender
+    wrote: reserving it up front turns one short datagram into a request
+    for gigabytes (std::bad_alloc, or an abort under ASan) instead of a
+    clean reject. Bound the reservation by what the remaining bytes can
+    hold, e.g. `reserve(std::min<std::size_t>(*n, r.remaining() / 8))`.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -292,6 +300,25 @@ def check_adhoc_metric_name(root):
 
 
 # --------------------------------------------------------------------------
+# RN009: unclamped reservation by a decoded wire count in proto/
+
+UNCLAMPED_RESERVE_RE = re.compile(r"\breserve\s*\(\s*\*\s*[A-Za-z_]\w*\s*\)")
+
+
+def check_unclamped_wire_reserve(root):
+    findings = []
+    for path in repo_files(root, ("include/proto", "src/proto")):
+        for i, text in enumerate(open(path, encoding="utf-8"), 1):
+            m = UNCLAMPED_RESERVE_RE.search(text)
+            if m:
+                findings.append(Finding(
+                    "RN009", rel(root, path), i,
+                    f"'{m.group(0)}' reserves by a decoded wire count; bound "
+                    "it by what the remaining bytes can hold"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -337,6 +364,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_raw_wall_clock(root)
     findings += check_hardcoded_group(root)
     findings += check_adhoc_metric_name(root)
+    findings += check_unclamped_wire_reserve(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -426,10 +454,22 @@ def self_test(cxx):
         write("bench/ok_name.cpp",
               'void f(M& m) { m.intern("bench.freeform"); }\n')
 
+        # RN009: a reservation sized by a decoded count; the clamped form
+        # and a reservation outside proto/ must NOT fire.
+        os.makedirs(os.path.join(tmp, "src/proto"))
+        write("src/proto/bad_reserve.cpp",
+              "void f(R& r, V& v) { const auto n = r.u32(); "
+              "v.reserve(*n); }\n")
+        write("src/proto/good_reserve.cpp",
+              "void f(R& r, V& v) { const auto n = r.u32(); "
+              "v.reserve(std::min<std::size_t>(*n, r.remaining() / 8)); }\n")
+        write("src/core/ok_reserve.cpp",
+              "void f(V& v, const O& n) { v.reserve(*n); }\n")
+
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN001", "RN002", "RN003", "RN004", "RN005", "RN006",
-                     "RN007", "RN008"):
+                     "RN007", "RN008", "RN009"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -444,7 +484,9 @@ def self_test(cxx):
                             ("RN006", "ok_wait.cpp"),
                             ("RN007", "good_group.cpp"),
                             ("RN008", "good_name.cpp"),
-                            ("RN008", "ok_name.cpp")):
+                            ("RN008", "ok_name.cpp"),
+                            ("RN009", "good_reserve.cpp"),
+                            ("RN009", "ok_reserve.cpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
