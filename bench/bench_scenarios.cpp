@@ -46,11 +46,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The sweep assigns each resolved spec itself; keep apply_cli to the
-  // seed/duration overrides so --scenario is not re-resolved per spec.
-  bench::Options run_opts = opts;
-  run_opts.scenario.reset();
-
   std::vector<baseline::RunSpec> specs;
   for (const auto& [name, sc] : entries) {
     for (const auto& var : variants) {
@@ -62,7 +57,7 @@ int main(int argc, char** argv) {
       spec.config.num_sources = 2;
       spec.variant = var.v;
       spec.seed = 7;
-      bench::apply_cli(run_opts, spec);
+      bench::apply_cli(opts, spec);
       spec.scenario = sc;
       specs.push_back(spec);
     }

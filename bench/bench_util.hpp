@@ -1,16 +1,20 @@
 #pragma once
 // Shared helpers for the experiment benches: parallel sweep execution (one
 // deterministic Simulation per sweep point, fanned across a thread pool),
-// table headers, and common CLI parsing (seed / duration / scenario
-// overrides) so benches stop duplicating argv handling. Analytic bounds
-// live in the library proper (core/analysis.hpp) so applications can size
-// deployments with the same model the benches validate.
+// table headers, pass/fail claim checks, and common CLI parsing (seed /
+// duration / scenario overrides) so benches stop duplicating argv handling.
+// Analytic bounds live in the library proper (core/analysis.hpp) so
+// applications can size deployments with the same model the benches
+// validate.
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/harness.hpp"
@@ -35,6 +39,75 @@ inline void print_header(const std::string& title, const std::string& claim) {
   std::printf("# Paper claim: %s\n", claim.c_str());
   std::printf("################################################################\n\n");
 }
+
+/// `v` printed to `precision` decimals.
+inline std::string fixed(double v, int precision) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  return buf;
+}
+
+/// Paper-claim verdicts. Each check becomes one
+/// `PASS|FAIL <claim> <check> <row>: <measured> vs <op> <bound>` line, held
+/// until flush() so a claim can check rows while it fills its table and
+/// still print the table first. Any failure makes the exit status 1.
+class Checks {
+ public:
+  enum class Op { Le, Lt, Ge, Gt, Eq };
+
+  explicit Checks(std::ostream& out) : out_(out) {}
+
+  /// Name the claim the following checks belong to.
+  void begin(std::string claim) { claim_ = std::move(claim); }
+
+  /// Record a verdict whose two sides are already text.
+  bool record(std::string_view check, std::string_view row, bool ok,
+              std::string_view measured, std::string_view bound) {
+    ++total_;
+    if (!ok) ++failed_;
+    pending_ << (ok ? "PASS " : "FAIL ") << claim_ << ' ' << check << ' '
+             << row << ": " << measured << " vs " << bound << '\n';
+    return ok;
+  }
+
+  /// Record `measured <op> bound` for any two arithmetic values, both
+  /// printed to `precision`.
+  template <typename M, typename B>
+  bool compare(std::string_view check, std::string_view row, M measured,
+               Op op, B bound, int precision) {
+    static constexpr const char* kSymbols[] = {"<= ", "< ", ">= ", "> ",
+                                               "== "};
+    const auto m = static_cast<double>(measured);
+    const auto b = static_cast<double>(bound);
+    const bool ok = op == Op::Le   ? m <= b
+                    : op == Op::Lt ? m < b
+                    : op == Op::Ge ? m >= b
+                    : op == Op::Gt ? m > b
+                                   : m == b;
+    return record(check, row, ok, fixed(m, precision),
+                  kSymbols[static_cast<int>(op)] + fixed(b, precision));
+  }
+
+  /// Print the lines recorded since the last flush.
+  void flush() {
+    out_ << pending_.str();
+    pending_.str("");
+  }
+
+  /// Flush, print the summary line and return the process exit status.
+  int finish() {
+    flush();
+    out_ << "SUMMARY " << total_ << " checks, " << failed_ << " failed\n";
+    return failed_ == 0 ? 0 : 1;
+  }
+
+ private:
+  std::ostream& out_;
+  std::string claim_;
+  std::ostringstream pending_;
+  std::size_t total_ = 0;
+  std::size_t failed_ = 0;
+};
 
 /// Common bench CLI:
 ///   --seed N       override every sweep point's seed
@@ -130,9 +203,9 @@ inline std::optional<scenario::ScenarioSpec> resolve_scenario(
   return parsed;
 }
 
-/// Apply the shared overrides to one sweep point. The scenario override
-/// resolves through the catalogue (exiting with a message on an unknown
-/// name) so every bench accepts the same `--scenario` vocabulary.
+/// Apply the shared seed / shard / window / spans overrides to one sweep
+/// point. `--scenario` is the caller's to resolve (resolve_scenario): a
+/// scenario sweep assigns each resolved spec itself.
 inline void apply_cli(const Options& opts, baseline::RunSpec& spec) {
   if (opts.seed) spec.seed = *opts.seed;
   if (opts.shard_threads) {
@@ -149,11 +222,6 @@ inline void apply_cli(const Options& opts, baseline::RunSpec& spec) {
   }
   if (opts.run_secs) spec.run = sim::secs(*opts.run_secs);
   if (opts.spans) spec.config.record_spans = true;
-  if (opts.scenario) {
-    auto parsed = resolve_scenario(*opts.scenario);
-    if (!parsed) std::exit(2);
-    spec.scenario = std::move(*parsed);
-  }
 }
 
 }  // namespace ringnet::bench

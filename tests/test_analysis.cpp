@@ -1,5 +1,6 @@
 // core::analyze: Theorem 5.1 bound structure — monotonicity in r / tau /
-// s*lambda, the paper-vs-tight constant relationship, and unit sanity.
+// s*lambda, the paper-vs-two-rotation constant relationship, the uplink
+// terms of the submit-timed bounds, and unit sanity.
 
 #include "core/analysis.hpp"
 #include "ringnet_test.hpp"
@@ -50,6 +51,41 @@ TEST(tight_bound_dominates_paper_bound) {
     CHECK(b.tight_e2e_bound_s() > b.tight_order_bound_s());
     CHECK(b.tdeliver_s > 0.0);
   }
+}
+
+TEST(uplink_bounds_add_their_terms) {
+  for (std::size_t r : {2u, 4u, 16u}) {
+    auto cfg = base();
+    cfg.hierarchy.num_brs = r;
+    const auto b = core::analyze(cfg);
+    // The uplink crosses the down tree's hops: Tuplink == Tdeliver.
+    CHECK_NEAR(b.uplink_max_order_transmit_tau_s() - b.paper_order_bound_s(),
+               b.tdeliver_s, 1e-12);
+    CHECK_NEAR(b.uplink_order_tau_transmit_deliver_s(),
+               b.tuplink_s + b.torder_s + b.tau_s + b.ttransmit_s +
+                   b.tdeliver_s,
+               1e-12);
+  }
+}
+
+TEST(uplink_bounds_rise_with_ring_size_and_tau) {
+  auto cfg = base();
+  const auto b4 = core::analyze(cfg);
+  cfg.hierarchy.num_brs = 8;
+  const auto b8 = core::analyze(cfg);
+  CHECK(b8.uplink_max_order_transmit_tau_s() >
+        b4.uplink_max_order_transmit_tau_s());
+  CHECK(b8.uplink_order_tau_transmit_deliver_s() >
+        b4.uplink_order_tau_transmit_deliver_s());
+  cfg = base();
+  cfg.options.tau = sim::msecs(15);
+  const auto b15 = core::analyze(cfg);
+  CHECK_NEAR(b15.uplink_max_order_transmit_tau_s() -
+                 b4.uplink_max_order_transmit_tau_s(),
+             0.010, 1e-9);
+  CHECK_NEAR(b15.uplink_order_tau_transmit_deliver_s() -
+                 b4.uplink_order_tau_transmit_deliver_s(),
+             0.010, 1e-9);
 }
 
 TEST(buffer_bounds_scale_with_load) {

@@ -49,9 +49,9 @@ TEST(latency_within_tight_bound) {
   const auto spec = spec_4br();
   const auto r = baseline::run_experiment(spec);
   const auto bounds = core::analyze(baseline::effective_config(spec));
-  // Ordering latency: the paper's Max(Torder,Ttransmit)+tau constant is
-  // too small (Proof 5.1 misses a rotation); the tight 2*Torder+tau bound
-  // must hold with slack for ARQ jitter on the lossy cells.
+  // Ordering latency on lossy cells: the two-rotation 2*Torder+tau budget
+  // must hold with slack for ARQ jitter (the loss-free bounds, with their
+  // uplink term, are bench_paper's E3).
   CHECK(static_cast<double>(r.assign_max_us) <=
         bounds.tight_order_bound_s() * 1.2e6);
   CHECK(static_cast<double>(r.lat_p99_us) <=
