@@ -31,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/node.hpp"
+#include "runtime/orchestrator.hpp"
 #include "runtime/udp_transport.hpp"
 #include "util/clock.hpp"
 
@@ -43,8 +44,6 @@ volatile std::sig_atomic_t g_interrupted = 0;
 void on_sigint(int) { g_interrupted = 1; }
 volatile std::sig_atomic_t g_dump_requested = 0;
 void on_sigusr1(int) { g_dump_requested = 1; }
-
-constexpr NodeId kSupervisorId{0x00FFFFFEu};
 
 struct Cli {
   std::string role;  // ss | br | ap | mh
@@ -169,44 +168,33 @@ Cli parse_cli(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const Cli cli = parse_cli(argc, argv);
-  const std::size_t n_ap = cli.brs * cli.aps_per_br;
-  const std::size_t n_mh = n_ap * cli.mhs_per_ap;
+  LoopbackSpec spec;
+  spec.num_brs = cli.brs;
+  spec.aps_per_br = cli.aps_per_br;
+  spec.mhs_per_ap = cli.mhs_per_ap;
+  spec.rate_hz = cli.rate_hz;
+  spec.msgs_per_source = cli.msgs;
+  spec.time_scale = cli.time_scale;
+  spec.tick_us = cli.tick_us;
+  spec = scaled(spec);
+  const Deployment dep = make_deployment(spec);
 
-  std::vector<NodeId> brs, aps, mhs, all;
+  // The static port scheme: the supervisor, then every other node in the
+  // deployment's order.
   auto book = std::make_shared<AddressBook>();
   std::uint16_t port = cli.port_base;
-  book->set(kSupervisorId, Endpoint{cli.host, port++});
-  for (std::size_t i = 0; i < cli.brs; ++i) {
-    brs.push_back(NodeId::make(Tier::BR, static_cast<std::uint32_t>(i)));
-    book->set(brs.back(), Endpoint{cli.host, port++});
-  }
-  for (std::size_t a = 0; a < n_ap; ++a) {
-    aps.push_back(NodeId::make(Tier::AP, static_cast<std::uint32_t>(a)));
-    book->set(aps.back(), Endpoint{cli.host, port++});
-  }
-  for (std::size_t m = 0; m < n_mh; ++m) {
-    mhs.push_back(NodeId::make(Tier::MH, static_cast<std::uint32_t>(m)));
-    book->set(mhs.back(), Endpoint{cli.host, port++});
-  }
-  all = brs;
-  all.insert(all.end(), aps.begin(), aps.end());
-  all.insert(all.end(), mhs.begin(), mhs.end());
-
-  RuntimeOptions opts;
-  opts.scale_timers(cli.time_scale);
-  const double rate = cli.rate_hz / cli.time_scale;
-  const std::int64_t tick_us =
-      static_cast<std::int64_t>(cli.tick_us * cli.time_scale);
+  book->set(dep.ss.self, Endpoint{cli.host, port++});
+  for (NodeId id : dep.ss.all_nodes) book->set(id, Endpoint{cli.host, port++});
 
   NodeId self;
   if (cli.role == "ss") {
-    self = kSupervisorId;
-  } else if (cli.role == "br" && cli.index < cli.brs) {
-    self = brs[cli.index];
-  } else if (cli.role == "ap" && cli.index < n_ap) {
-    self = aps[cli.index];
-  } else if (cli.role == "mh" && cli.index < n_mh) {
-    self = mhs[cli.index];
+    self = dep.ss.self;
+  } else if (cli.role == "br" && cli.index < dep.brs.size()) {
+    self = dep.brs[cli.index].self;
+  } else if (cli.role == "ap" && cli.index < dep.aps.size()) {
+    self = dep.aps[cli.index].self;
+  } else if (cli.role == "mh" && cli.index < dep.mhs.size()) {
+    self = dep.mhs[cli.index].self;
   } else {
     std::fprintf(stderr, "--index out of range for role %s\n",
                  cli.role.c_str());
@@ -219,57 +207,15 @@ int main(int argc, char** argv) {
   MhRuntime* mh_node = nullptr;
   SsRuntime* ss_node = nullptr;
   if (cli.role == "ss") {
-    SsConfig cfg;
-    cfg.self = self;
-    cfg.all_nodes = all;
-    cfg.expected_ready = all.size();
-    cfg.expected_done = n_mh;
-    cfg.opts = opts;
-    auto owned = std::make_unique<SsRuntime>(cfg, transport);
+    auto owned = std::make_unique<SsRuntime>(dep.ss, transport);
     ss_node = owned.get();
     node = std::move(owned);
   } else if (cli.role == "br") {
-    BrConfig cfg;
-    cfg.self = self;
-    cfg.ss = kSupervisorId;
-    cfg.ring = brs;
-    for (std::size_t a = 0; a < n_ap; ++a) {
-      if (a / cli.aps_per_br == cli.index) cfg.own_aps.push_back(aps[a]);
-    }
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      const std::size_t a = m / cli.mhs_per_ap;
-      if (a / cli.aps_per_br != cli.index) continue;
-      cfg.members.push_back(mhs[m]);
-      cfg.member_ap.push_back(aps[a]);
-    }
-    cfg.opts = opts;
-    node = std::make_unique<BrRuntime>(std::move(cfg), transport);
+    node = std::make_unique<BrRuntime>(dep.brs[cli.index], transport);
   } else if (cli.role == "ap") {
-    ApConfig cfg;
-    cfg.self = self;
-    cfg.br = brs[cli.index / cli.aps_per_br];
-    cfg.ss = kSupervisorId;
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      if (m / cli.mhs_per_ap == cli.index) cfg.attached.push_back(mhs[m]);
-    }
-    cfg.opts = opts;
-    node = std::make_unique<ApRuntime>(std::move(cfg), transport);
+    node = std::make_unique<ApRuntime>(dep.aps[cli.index], transport);
   } else {
-    MhConfig cfg;
-    cfg.self = self;
-    cfg.source_id = NodeId{static_cast<std::uint32_t>(cli.index)};
-    cfg.ap = aps[cli.index / cli.mhs_per_ap];
-    cfg.ss = kSupervisorId;
-    cfg.rate_hz = rate;
-    cfg.msgs_to_send = cli.msgs;
-    cfg.expected_total = static_cast<std::uint64_t>(n_mh) * cli.msgs;
-    cfg.submit_phase_us = rate > 0
-                              ? static_cast<std::int64_t>(cli.index) *
-                                    static_cast<std::int64_t>(1e6 / rate) /
-                                    static_cast<std::int64_t>(n_mh)
-                              : 0;
-    cfg.opts = opts;
-    auto owned = std::make_unique<MhRuntime>(std::move(cfg), transport);
+    auto owned = std::make_unique<MhRuntime>(dep.mhs[cli.index], transport);
     mh_node = owned.get();
     node = std::move(owned);
   }
@@ -285,12 +231,12 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, on_sigint);
   std::signal(SIGUSR1, on_sigusr1);
   util::WallClock clock;
-  NodeLoop loop(*node, transport, clock, tick_us);
+  NodeLoop loop(*node, transport, clock, spec.tick_us);
   loop.start();
   std::printf("ringnet_node %s[%zu] up on %u.%u.%u.%u:%u (%zu nodes total)\n",
               cli.role.c_str(), cli.index, (cli.host >> 24) & 255,
               (cli.host >> 16) & 255, (cli.host >> 8) & 255, cli.host & 255,
-              ep.port, all.size() + 1);
+              ep.port, dep.ss.all_nodes.size() + 1);
   std::fflush(stdout);
 
   const std::int64_t deadline =

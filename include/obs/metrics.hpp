@@ -13,23 +13,17 @@
 // races a thread interning a new name (no deque/vector growth on the read
 // path).
 //
-// Histogram members are sharded (one stats::Histogram per shard per name)
-// with merge-on-read. Histogram recording itself is NOT atomic: the
-// contract is single-writer-per-shard — the sim routes each execution
-// context to its own shard, the runtime records under the node's state
-// mutex — and hist() merges are taken after quiescence or under the same
-// external synchronization.
+// The registry holds counters and max-gauges only. Latency distributions
+// stay with their single writers, which read them safely: the simulator's
+// per-context histograms and the runtime MH's mutex-guarded one.
 
 #include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "stats/histogram.hpp"
 #include "util/annotations.hpp"
 #include "util/sync.hpp"
 
@@ -38,12 +32,8 @@ namespace ringnet::obs {
 class Metrics {
  public:
   using MetricId = std::uint32_t;
-  using HistId = std::uint32_t;
 
-  /// `hist_shards` fixes the per-histogram shard count (one independent
-  /// writer slot each); counters/gauges are atomic and need no shards.
-  explicit Metrics(std::size_t hist_shards = 1)
-      : hist_shards_(hist_shards == 0 ? 1 : hist_shards) {}
+  Metrics() = default;
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
@@ -54,7 +44,7 @@ class Metrics {
     util::MutexLock lock(mu_);
     const auto [it, inserted] = ids_.emplace(name, next_id_);
     if (inserted) {
-      ensure_chunk(slots_, next_id_);
+      ensure_chunk(next_id_);
       ++next_id_;
     }
     return it->second;
@@ -111,57 +101,6 @@ class Metrics {
     }
   }
 
-  // --- histograms (sharded, merge-on-read) ---
-
-  std::size_t hist_shards() const { return hist_shards_; }
-
-  HistId intern_hist(const std::string& name) {
-    util::MutexLock lock(mu_);
-    const auto [it, inserted] = hist_ids_.emplace(name, next_hist_id_);
-    if (inserted) {
-      ensure_chunk(hists_, next_hist_id_, hist_shards_);
-      ++next_hist_id_;
-    }
-    return it->second;
-  }
-
-  /// Record into `shard`'s slot for `id`. Single writer per (id, shard):
-  /// the caller routes each concurrent writer to its own shard.
-  void hist_record(HistId id, std::size_t shard, std::uint64_t value) {
-    hist_slot(id)[shard % hist_shards_].record(value);
-  }
-
-  /// All shards of `id` folded into one histogram (merge-on-read). Take
-  /// it after the writers quiesced or under their synchronization.
-  stats::Histogram hist(HistId id) const {
-    stats::Histogram merged;
-    const std::vector<stats::Histogram>& shards = hist_slot(id);
-    for (const auto& h : shards) merged.merge_from(h);
-    return merged;
-  }
-  stats::Histogram hist(const std::string& name) const {
-    HistId id = 0;
-    {
-      util::MutexLock lock(mu_);
-      const auto it = hist_ids_.find(name);
-      if (it == hist_ids_.end()) return {};
-      id = it->second;
-    }
-    return hist(id);
-  }
-
-  /// Visit every (name, merged histogram) pair; same quiescence contract
-  /// as hist().
-  template <typename Fn>
-  void for_each_hist(Fn&& fn) const {
-    std::vector<std::pair<std::string, HistId>> snap;
-    {
-      util::MutexLock lock(mu_);
-      snap.assign(hist_ids_.begin(), hist_ids_.end());
-    }
-    for (const auto& [name, id] : snap) fn(name, hist(id));
-  }
-
  private:
   // Fixed-geometry chunked storage: a slot's address never changes after
   // intern, and chunk pointers are published with release/acquire, so the
@@ -175,52 +114,36 @@ class Metrics {
     std::atomic<double> gauge{0.0};
   };
 
-  template <typename T>
   struct Chunk {
-    std::array<T, kChunk> slots;
+    std::array<Slot, kChunk> slots;
   };
 
-  template <typename T>
   struct ChunkTable {
-    std::array<std::atomic<Chunk<T>*>, kMaxChunks> chunks{};
+    std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
 
     ~ChunkTable() {
       for (auto& c : chunks) delete c.load(std::memory_order_relaxed);
     }
-    T& at(std::uint32_t id) const {
-      Chunk<T>* c =
-          chunks[id >> kChunkBits].load(std::memory_order_acquire);
+    Slot& at(std::uint32_t id) const {
+      Chunk* c = chunks[id >> kChunkBits].load(std::memory_order_acquire);
       return c->slots[id & (kChunk - 1)];
     }
   };
 
-  template <typename T, typename... Args>
-  static void ensure_chunk(ChunkTable<T>& table, std::uint32_t id,
-                           Args&&... init) {
+  void ensure_chunk(std::uint32_t id) {
     const std::size_t c = id >> kChunkBits;
     assert(c < kMaxChunks && "metric name space exhausted");
-    if (table.chunks[c].load(std::memory_order_relaxed) == nullptr) {
-      auto* chunk = new Chunk<T>;
-      if constexpr (sizeof...(Args) > 0) {
-        for (auto& s : chunk->slots) s = T(std::forward<Args>(init)...);
-      }
-      table.chunks[c].store(chunk, std::memory_order_release);
+    if (slots_.chunks[c].load(std::memory_order_relaxed) == nullptr) {
+      slots_.chunks[c].store(new Chunk, std::memory_order_release);
     }
   }
 
   Slot& slot(MetricId id) const { return slots_.at(id); }
-  std::vector<stats::Histogram>& hist_slot(HistId id) const {
-    return hists_.at(id);
-  }
 
   mutable util::Mutex mu_;
   std::unordered_map<std::string, MetricId> ids_ RN_GUARDED_BY(mu_);
-  std::unordered_map<std::string, HistId> hist_ids_ RN_GUARDED_BY(mu_);
   MetricId next_id_ RN_GUARDED_BY(mu_) = 0;
-  HistId next_hist_id_ RN_GUARDED_BY(mu_) = 0;
-  std::size_t hist_shards_;
-  ChunkTable<Slot> slots_;
-  ChunkTable<std::vector<stats::Histogram>> hists_;
+  ChunkTable slots_;
 };
 
 }  // namespace ringnet::obs

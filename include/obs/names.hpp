@@ -48,9 +48,6 @@ inline constexpr const char* kSchedSerialSteps = "sched.serial_steps";
 inline constexpr const char* kSchedWindows = "sched.windows";
 inline constexpr const char* kSchedInboxDeferred = "sched.inbox_deferred";
 
-// --- histograms ---
-inline constexpr const char* kMhLatencyUs = "mh.latency_us";
-
 // --- message-lifecycle span stages (submit -> ... -> delivery) ---
 // Stage k measures the hop *into* that stage: kStageSubmit is
 // submit -> uplink-rx at the ordering BR, kStageAssign is uplink-rx ->

@@ -1,31 +1,22 @@
 #pragma once
-// Threaded per-node event loop. Each node runs three threads behind the
-// annotated util::sync primitives:
-//   rx thread       — blocks in Transport::recv, pushes datagrams into the
-//                     inbox
-//   timer thread    — a fixed-cadence ticker (default 1ms) that marks a
-//                     tick pending, driving every wall-clock watchdog
-//   protocol thread — the only thread that touches node state: drains the
-//                     inbox into RuntimeNode::on_datagram and fires
-//                     RuntimeNode::on_tick when a tick is pending
-// The node's role logic is therefore single-threaded by construction; all
-// cross-thread state is RN_GUARDED_BY the loop mutex, and reading node
-// state from outside is safe only after stop() has joined the threads.
+// Per-node event loop: one thread runs the node. It calls on_start, then
+// until stopped fires on_tick whenever the tick (default every 1ms) is
+// due, and otherwise waits in Transport::recv until the next tick and
+// hands whatever arrives to on_datagram. The node's role logic is
+// therefore single-threaded by construction, and reading node state from
+// outside is safe only after stop() has joined the thread.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <thread>
 
 #include "runtime/transport.hpp"
-#include "util/annotations.hpp"
 #include "util/clock.hpp"
-#include "util/sync.hpp"
 
 namespace ringnet::runtime {
 
-/// Role logic driven by a NodeLoop. Every method is called from the
-/// protocol thread only, with `now_us` read from the injected clock.
+/// Role logic driven by a NodeLoop. Every method is called from the loop's
+/// thread only, with `now_us` read from the injected clock.
 class RuntimeNode {
  public:
   virtual ~RuntimeNode() = default;
@@ -44,32 +35,20 @@ class NodeLoop {
   NodeLoop& operator=(const NodeLoop&) = delete;
 
   void start();
-  /// Signal all three threads and join them. Pending inbox datagrams are
-  /// drained through the node before the protocol thread exits. Idempotent.
+  /// Signal the loop and join it. Datagrams the transport already holds
+  /// are handed to the node before the thread exits. Idempotent.
   void stop();
 
  private:
-  void rx_main();
-  void timer_main() RN_EXCLUDES(mu_);
-  void proto_main() RN_EXCLUDES(mu_);
+  void run();
 
   RuntimeNode& node_;
   Transport& transport_;
   util::Clock& clock_;
   const std::int64_t tick_us_;
 
-  util::Mutex mu_;
-  util::CondVar work_cv_;   // protocol thread: inbox growth, tick, stop
-  util::CondVar timer_cv_;  // timer thread: stop only
-  std::deque<Datagram> inbox_ RN_GUARDED_BY(mu_);
-  bool tick_pending_ RN_GUARDED_BY(mu_) = false;
-  bool stopping_ RN_GUARDED_BY(mu_) = false;
-  std::atomic<bool> stop_flag_{false};  // rx thread's lock-free exit check
-
-  std::thread rx_thread_;
-  std::thread timer_thread_;
-  std::thread proto_thread_;
-  bool started_ = false;
+  std::atomic<bool> stop_flag_{false};
+  std::thread thread_;
 };
 
 }  // namespace ringnet::runtime

@@ -6,10 +6,10 @@
 // token-regeneration on custody loss, ack-driven downlink retransmission
 // with MQ-floor gap skips, and uplink resubmission until assignment.
 //
-// Every method runs on the owning NodeLoop's protocol thread; reading a
-// node's state from outside is safe only after the loop has been stopped
-// (NodeLoop::stop joins). All time comes from the injected util::Clock via
-// the loop — no direct wall-clock reads (RN006 boundary).
+// Every method runs on the owning NodeLoop's thread; reading a node's state
+// from outside is safe only after the loop has been stopped (NodeLoop::stop
+// joins). All time comes from the injected util::Clock via the loop — no
+// direct wall-clock reads (RN006 boundary).
 
 #include <atomic>
 #include <cstdint>
@@ -92,7 +92,7 @@ struct RuntimeCounters {
 /// Interned handles into a role's obs::Metrics registry — one per
 /// RuntimeCounters field, under the same names the sim oracle reports
 /// (obs/names.hpp), so counters line up across the two engines. Roles
-/// increment through these on the protocol thread; the daemon reads the
+/// increment through these on the loop thread; the daemon reads the
 /// atomic registry live from its main thread.
 struct RuntimeMetricIds {
   obs::Metrics::MetricId tokens_held = 0;

@@ -1,7 +1,7 @@
 #pragma once
 // Loopback orchestrator: boots a full Figure-1 deployment (SS + BR ring +
-// APs + MH cells) as real processes-in-miniature — one threaded NodeLoop
-// per node over UDP sockets on 127.0.0.1 (or the in-process transport twin
+// APs + MH cells) as real processes-in-miniature — one NodeLoop thread per
+// node over UDP sockets on 127.0.0.1 (or the in-process transport twin
 // for deterministic tests) — runs a count-bounded scripted workload through
 // the supervisor handshake, and collects per-MH delivery logs plus
 // aggregated counters for comparison against the simulator oracle.
@@ -63,6 +63,21 @@ struct LoopbackSpec {
 /// The spec with time_scale folded into every duration (and the source rate
 /// slowed to match); idempotent once time_scale is 1.
 LoopbackSpec scaled(LoopbackSpec spec);
+
+/// Every node's config in a spec's Figure-1 deployment: BR i serves APs
+/// [i*aps_per_br, (i+1)*aps_per_br), AP a serves MHs [a*mhs_per_ap,
+/// (a+1)*mhs_per_ap), and MH m hosts source NodeId{m}. Shared by
+/// run_loopback and the ringnet_node daemon, which takes its own node's
+/// config from it.
+struct Deployment {
+  std::vector<BrConfig> brs;
+  std::vector<ApConfig> aps;
+  std::vector<MhConfig> mhs;
+  SsConfig ss;  // ss.all_nodes: every other node, BRs, then APs, then MHs
+};
+
+/// The deployment for scaled(spec).
+Deployment make_deployment(const LoopbackSpec& spec);
 
 struct LoopbackResult {
   bool completed = false;  // every MH reported Done before the deadline

@@ -139,7 +139,7 @@ class Transport {
   explicit Transport(NodeId self) : self_(self) {}
 
   NodeId self_;
-  // Touched by the owning node's rx/protocol threads only; reads from the
+  // Touched by the owning node's loop thread only; reads from the
   // orchestrator happen after the loops have joined.
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;

@@ -52,8 +52,7 @@ class Simulation {
   Simulation(std::uint64_t seed, ShardPlan plan)
       : plan_(plan),
         seed_(seed),
-        single_(plan.domains),
-        metrics_(static_cast<std::size_t>(plan.domains) + 1) {
+        single_(plan.domains) {
     const std::size_t n_ctx = static_cast<std::size_t>(plan.domains) + 1;
     rngs_.reserve(n_ctx);
     for (std::size_t i = 0; i < n_ctx; ++i) {

@@ -71,9 +71,10 @@ class CondVar {
   }
 
   /// wait() with a relative deadline: returns true when notified, false on
-  /// timeout. Same capability contract as wait(). Used by the runtime's
-  /// timer threads (a duration-bounded block is not a wall-clock *read*,
-  /// so this stays outside the RN006 boundary).
+  /// timeout. Same capability contract as wait(). Used by the in-process
+  /// transport's receive, which a NodeLoop calls with the time left to its
+  /// next tick (a duration-bounded block is not a wall-clock *read*, so
+  /// this stays outside the RN006 boundary).
   bool wait_for_us(Mutex& mu, std::int64_t timeout_us) RN_REQUIRES(mu) {
     std::unique_lock<std::mutex> lk(mu.native(), std::adopt_lock);
     const auto status =

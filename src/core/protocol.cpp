@@ -137,14 +137,15 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
     }
   }
 
-  // Sources live on MHs, spread evenly across the population.
-  sources_.reserve(config_.num_sources);
-  for (std::size_t i = 0; i < config_.num_sources; ++i) {
+  // Sources live on MHs, spread evenly across the population; with no MH
+  // to host one, none is placed and the run is idle.
+  const std::size_t n_sources = n_mh == 0 ? 0 : config_.num_sources;
+  sources_.reserve(n_sources);
+  for (std::size_t i = 0; i < n_sources; ++i) {
     SourceState s;
     s.index = static_cast<std::uint32_t>(i);
     s.source_id = NodeId{static_cast<std::uint32_t>(i)};
-    s.mh = topo_.mhs[(i * n_mh) / std::max<std::size_t>(config_.num_sources,
-                                                        1)];
+    s.mh = topo_.mhs[(i * n_mh) / n_sources];
     sources_on_mh_[s.mh.index()].push_back(static_cast<std::uint32_t>(i));
     sources_.push_back(std::move(s));
   }

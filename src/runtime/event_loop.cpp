@@ -1,8 +1,5 @@
 #include "runtime/event_loop.hpp"
 
-#include <utility>
-#include <vector>
-
 namespace ringnet::runtime {
 
 NodeLoop::NodeLoop(RuntimeNode& node, Transport& transport,
@@ -15,85 +12,37 @@ NodeLoop::NodeLoop(RuntimeNode& node, Transport& transport,
 NodeLoop::~NodeLoop() { stop(); }
 
 void NodeLoop::start() {
-  if (started_) return;
-  started_ = true;
-  proto_thread_ = std::thread([this] { proto_main(); });
-  rx_thread_ = std::thread([this] { rx_main(); });
-  timer_thread_ = std::thread([this] { timer_main(); });
+  if (thread_.joinable()) return;
+  thread_ = std::thread([this] { run(); });
 }
 
 void NodeLoop::stop() {
-  if (!started_) return;
+  if (!thread_.joinable()) return;
   stop_flag_.store(true, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  timer_cv_.notify_all();
-  rx_thread_.join();
-  timer_thread_.join();
-  proto_thread_.join();
-  started_ = false;
+  thread_.join();
 }
 
-void NodeLoop::rx_main() {
-  // A bounded recv timeout keeps the exit latency low without a wake-up
-  // channel into the transport.
-  while (!stop_flag_.load(std::memory_order_relaxed)) {
-    auto d = transport_.recv(5000);
-    if (!d) continue;
-    {
-      util::MutexLock lock(mu_);
-      inbox_.push_back(std::move(*d));
-    }
-    work_cv_.notify_one();
-  }
-}
-
-void NodeLoop::timer_main() {
-  for (;;) {
-    bool fire = false;
-    {
-      util::MutexLock lock(mu_);
-      if (stopping_) return;
-      (void)timer_cv_.wait_for_us(mu_, tick_us_);
-      if (stopping_) return;
-      if (!tick_pending_) {
-        tick_pending_ = true;
-        fire = true;
-      }
-    }
-    if (fire) work_cv_.notify_one();
-  }
-}
-
-void NodeLoop::proto_main() {
+void NodeLoop::run() {
   node_.on_start(clock_.now_us());
-  std::vector<Datagram> batch;
-  for (;;) {
-    bool tick = false;
-    bool exiting = false;
-    {
-      util::MutexLock lock(mu_);
-      while (inbox_.empty() && !tick_pending_ && !stopping_) {
-        work_cv_.wait(mu_);
-      }
-      while (!inbox_.empty()) {
-        batch.push_back(std::move(inbox_.front()));
-        inbox_.pop_front();
-      }
-      tick = tick_pending_;
-      tick_pending_ = false;
-      exiting = stopping_;
+  std::int64_t next_tick_us = clock_.now_us() + tick_us_;
+  // recv waits at most until the next tick, which also bounds how long
+  // stop() waits for the loop to notice the flag.
+  while (!stop_flag_.load(std::memory_order_relaxed)) {
+    const std::int64_t now_us = clock_.now_us();
+    if (now_us >= next_tick_us) {
+      node_.on_tick(now_us);
+      // A tick after this one fired, not on a fixed grid: nodes' ticks then
+      // drift apart. Two ring BRs whose ticks stay in step each hold the
+      // token until their next tick, a whole tick per hold.
+      next_tick_us = now_us + tick_us_;
+      continue;
     }
-    for (const Datagram& d : batch) {
-      node_.on_datagram(d, clock_.now_us());
+    if (auto d = transport_.recv(next_tick_us - now_us)) {
+      node_.on_datagram(*d, clock_.now_us());
     }
-    batch.clear();
-    if (tick && !exiting) node_.on_tick(clock_.now_us());
-    if (exiting) return;
   }
+  // A malformed frame reads as an empty transport and ends the drain.
+  while (auto d = transport_.recv(0)) node_.on_datagram(*d, clock_.now_us());
 }
 
 }  // namespace ringnet::runtime

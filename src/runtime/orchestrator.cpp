@@ -46,13 +46,13 @@ LoopbackSpec scaled(LoopbackSpec spec) {
   return spec;
 }
 
-LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
+Deployment make_deployment(const LoopbackSpec& raw_spec) {
   const LoopbackSpec spec = scaled(raw_spec);
   const std::size_t n_br = spec.num_brs;
   const std::size_t n_ap = spec.n_aps();
   const std::size_t n_mh = spec.n_mhs();
 
-  std::vector<NodeId> brs, aps, mhs, all;
+  std::vector<NodeId> brs, aps, mhs;
   for (std::size_t i = 0; i < n_br; ++i) {
     brs.push_back(NodeId::make(Tier::BR, static_cast<std::uint32_t>(i)));
   }
@@ -62,16 +62,79 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
   for (std::size_t m = 0; m < n_mh; ++m) {
     mhs.push_back(NodeId::make(Tier::MH, static_cast<std::uint32_t>(m)));
   }
-  all = brs;
-  all.insert(all.end(), aps.begin(), aps.end());
-  all.insert(all.end(), mhs.begin(), mhs.end());
+  const auto ap_of_mh = [&](std::size_t m) { return m / spec.mhs_per_ap; };
+  const auto br_of_ap = [&](std::size_t a) { return a / spec.aps_per_br; };
 
-  const auto ap_of_mh = [&](std::size_t m) { return aps[m / spec.mhs_per_ap]; };
-  const auto br_of_ap = [&](std::size_t a) { return brs[a / spec.aps_per_br]; };
+  Deployment dep;
+  for (std::size_t i = 0; i < n_br; ++i) {
+    BrConfig cfg;
+    cfg.self = brs[i];
+    cfg.ss = kSupervisorId;
+    cfg.ring = brs;
+    for (std::size_t a = 0; a < n_ap; ++a) {
+      if (br_of_ap(a) == i) cfg.own_aps.push_back(aps[a]);
+    }
+    for (std::size_t m = 0; m < n_mh; ++m) {
+      if (br_of_ap(ap_of_mh(m)) != i) continue;
+      cfg.members.push_back(mhs[m]);
+      cfg.member_ap.push_back(aps[ap_of_mh(m)]);
+    }
+    cfg.groups = spec.groups;
+    cfg.opts = spec.opts;
+    dep.brs.push_back(std::move(cfg));
+  }
+  for (std::size_t a = 0; a < n_ap; ++a) {
+    ApConfig cfg;
+    cfg.self = aps[a];
+    cfg.br = brs[br_of_ap(a)];
+    cfg.ss = kSupervisorId;
+    for (std::size_t m = 0; m < n_mh; ++m) {
+      if (ap_of_mh(m) == a) cfg.attached.push_back(mhs[m]);
+    }
+    cfg.opts = spec.opts;
+    dep.aps.push_back(std::move(cfg));
+  }
+  const std::int64_t period_us =
+      spec.rate_hz > 0 ? static_cast<std::int64_t>(1e6 / spec.rate_hz) : 0;
+  for (std::size_t m = 0; m < n_mh; ++m) {
+    MhConfig cfg;
+    cfg.self = mhs[m];
+    cfg.source_id = NodeId{static_cast<std::uint32_t>(m)};  // matches the sim
+    cfg.ap = aps[ap_of_mh(m)];
+    cfg.ss = kSupervisorId;
+    cfg.rate_hz = spec.rate_hz;
+    cfg.msgs_to_send = spec.msgs_per_source;
+    cfg.expected_total = spec.expected_at(m);
+    cfg.payload_size = spec.payload_size;
+    cfg.groups = spec.groups;
+    cfg.submit_phase_us = static_cast<std::int64_t>(m) * period_us /
+                          static_cast<std::int64_t>(n_mh);
+    cfg.opts = spec.opts;
+    // An MH expecting zero deliveries (possible under sparse multi-group
+    // workloads) never reports Done, so the supervisor does not wait for it.
+    if (cfg.expected_total > 0) ++dep.ss.expected_done;
+    dep.mhs.push_back(std::move(cfg));
+  }
+  dep.ss.self = kSupervisorId;
+  dep.ss.all_nodes = brs;
+  dep.ss.all_nodes.insert(dep.ss.all_nodes.end(), aps.begin(), aps.end());
+  dep.ss.all_nodes.insert(dep.ss.all_nodes.end(), mhs.begin(), mhs.end());
+  dep.ss.expected_ready = dep.ss.all_nodes.size();
+  dep.ss.opts = spec.opts;
+  return dep;
+}
+
+LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
+  const LoopbackSpec spec = scaled(raw_spec);
+  const Deployment dep = make_deployment(spec);
+  const std::vector<NodeId>& all = dep.ss.all_nodes;
+  const std::size_t n_br = dep.brs.size();
+  const std::size_t n_ap = dep.aps.size();
+  const std::size_t n_mh = dep.mhs.size();
 
   // Transports first: every socket is bound (ephemeral ports resolved via
   // getsockname) and the address book complete before any loop starts, so
-  // no node ever sends into the void.
+  // no node ever sends into the void. Order: BRs, APs, MHs, then the SS.
   std::vector<std::unique_ptr<Transport>> transports(all.size() + 1);
   InProcNet net;
   auto book = std::make_shared<AddressBook>();
@@ -83,84 +146,31 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
   for (std::size_t i = 0; i < all.size(); ++i) {
     transports[i] = make_transport(all[i]);
   }
-  transports.back() = make_transport(kSupervisorId);
+  transports.back() = make_transport(dep.ss.self);
   if (spec.use_udp) {
     for (std::size_t i = 0; i < all.size(); ++i) {
       book->set(all[i], static_cast<UdpTransport&>(*transports[i])
                             .local_endpoint());
     }
-    book->set(kSupervisorId,
+    book->set(dep.ss.self,
               static_cast<UdpTransport&>(*transports.back()).local_endpoint());
   }
 
   std::vector<std::unique_ptr<BrRuntime>> br_nodes;
   std::vector<std::unique_ptr<ApRuntime>> ap_nodes;
   std::vector<std::unique_ptr<MhRuntime>> mh_nodes;
-  const std::int64_t period_us =
-      spec.rate_hz > 0 ? static_cast<std::int64_t>(1e6 / spec.rate_hz) : 0;
-
   for (std::size_t i = 0; i < n_br; ++i) {
-    BrConfig cfg;
-    cfg.self = brs[i];
-    cfg.ss = kSupervisorId;
-    cfg.ring = brs;
-    for (std::size_t a = 0; a < n_ap; ++a) {
-      if (br_of_ap(a) != brs[i]) continue;
-      cfg.own_aps.push_back(aps[a]);
-    }
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      if (br_of_ap(m / spec.mhs_per_ap) != brs[i]) continue;
-      cfg.members.push_back(mhs[m]);
-      cfg.member_ap.push_back(ap_of_mh(m));
-    }
-    cfg.groups = spec.groups;
-    cfg.opts = spec.opts;
-    br_nodes.push_back(
-        std::make_unique<BrRuntime>(std::move(cfg), *transports[i]));
+    br_nodes.push_back(std::make_unique<BrRuntime>(dep.brs[i], *transports[i]));
   }
   for (std::size_t a = 0; a < n_ap; ++a) {
-    ApConfig cfg;
-    cfg.self = aps[a];
-    cfg.br = br_of_ap(a);
-    cfg.ss = kSupervisorId;
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      if (ap_of_mh(m) == aps[a]) cfg.attached.push_back(mhs[m]);
-    }
-    cfg.opts = spec.opts;
     ap_nodes.push_back(
-        std::make_unique<ApRuntime>(std::move(cfg), *transports[n_br + a]));
+        std::make_unique<ApRuntime>(dep.aps[a], *transports[n_br + a]));
   }
   for (std::size_t m = 0; m < n_mh; ++m) {
-    MhConfig cfg;
-    cfg.self = mhs[m];
-    cfg.source_id = NodeId{static_cast<std::uint32_t>(m)};  // matches the sim
-    cfg.ap = ap_of_mh(m);
-    cfg.ss = kSupervisorId;
-    cfg.rate_hz = spec.rate_hz;
-    cfg.msgs_to_send = spec.msgs_per_source;
-    cfg.expected_total = spec.expected_at(m);
-    cfg.payload_size = spec.payload_size;
-    cfg.groups = spec.groups;
-    cfg.submit_phase_us =
-        n_mh > 0 ? static_cast<std::int64_t>(m) * period_us /
-                       static_cast<std::int64_t>(n_mh)
-                 : 0;
-    cfg.opts = spec.opts;
     mh_nodes.push_back(std::make_unique<MhRuntime>(
-        std::move(cfg), *transports[n_br + n_ap + m]));
+        dep.mhs[m], *transports[n_br + n_ap + m]));
   }
-  SsConfig ss_cfg;
-  ss_cfg.self = kSupervisorId;
-  ss_cfg.all_nodes = all;
-  ss_cfg.expected_ready = all.size();
-  // An MH expecting zero deliveries (possible under sparse multi-group
-  // workloads) never reports Done; don't wait for it.
-  ss_cfg.expected_done = 0;
-  for (std::size_t m = 0; m < n_mh; ++m) {
-    if (spec.expected_at(m) > 0) ++ss_cfg.expected_done;
-  }
-  ss_cfg.opts = spec.opts;
-  SsRuntime ss(ss_cfg, *transports.back());
+  SsRuntime ss(dep.ss, *transports.back());
 
   util::WallClock clock;
   std::vector<std::unique_ptr<NodeLoop>> loops;
@@ -201,6 +211,8 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
   out.completed = completed;
   out.n_mh = n_mh;
   out.expected_total = spec.expected_total();
+  std::vector<NodeId> mhs;
+  for (const MhConfig& cfg : dep.mhs) mhs.push_back(cfg.self);
   out.log.reset(mhs);
   for (std::size_t m = 0; m < n_mh; ++m) {
     const MhRuntime& node = *mh_nodes[m];

@@ -111,9 +111,12 @@ std::optional<Datagram> UdpTransport::recv(std::int64_t timeout_us) {
   ssize_t n =
       ::recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0, nullptr, nullptr);
   if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) && timeout_us > 0) {
+    // ppoll, not poll: a millisecond timeout would round a NodeLoop's wait
+    // for its next tick up to a whole millisecond and stretch the cadence.
     pollfd pfd{fd_, POLLIN, 0};
-    const int timeout_ms = static_cast<int>((timeout_us + 999) / 1000);
-    const int ready = ::poll(&pfd, 1, timeout_ms);
+    const timespec timeout{static_cast<time_t>(timeout_us / 1'000'000),
+                           static_cast<long>(timeout_us % 1'000'000) * 1000};
+    const int ready = ::ppoll(&pfd, 1, &timeout, nullptr);
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) return std::nullopt;
     n = ::recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0, nullptr, nullptr);
   }

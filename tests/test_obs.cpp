@@ -1,9 +1,9 @@
 // Observability layer: the unified metrics registry (concurrent intern vs
-// hot-path mutation, chunked slot growth, sharded histograms), the span
-// breakdown and the simulator's per-stage spans, and the flight recorder
-// (ring wrap, auto-dump arming, and one JSON dump shape for a bare ring, a
-// runtime BR and a simulator context). The concurrent cases are the TSan
-// regression net for the registry's lock-free read path.
+// hot-path mutation, chunked slot growth), the span breakdown and the
+// simulator's per-stage spans, and the flight recorder (ring wrap,
+// auto-dump arming, and one JSON dump shape for a bare ring, a runtime BR
+// and a simulator context). The concurrent cases are the TSan regression
+// net for the registry's lock-free read path.
 
 #include <string>
 #include <thread>
@@ -144,24 +144,6 @@ TEST(metrics_concurrent_intern_vs_incr) {
   CHECK_EQ(m.counter(hot),
            std::uint64_t{kWriters} * std::uint64_t{kIncrsPerWriter});
   CHECK_EQ(m.counter("race.shared.0"), std::uint64_t{2});
-}
-
-TEST(metrics_sharded_hist_merges_on_read) {
-  obs::Metrics m(4);
-  CHECK_EQ(m.hist_shards(), std::size_t{4});
-  const auto h = m.intern_hist(obs::names::kMhLatencyUs);
-  for (std::uint64_t v = 0; v < 400; ++v) m.hist_record(h, v % 4, v);
-  const auto merged = m.hist(h);
-  CHECK_EQ(merged.count(), std::uint64_t{400});
-  CHECK_EQ(merged.max(), std::uint64_t{399});
-  CHECK_EQ(m.hist(obs::names::kMhLatencyUs).count(), std::uint64_t{400});
-  CHECK_EQ(m.hist("obs.no-such-hist").count(), std::uint64_t{0});
-  std::size_t hists = 0;
-  m.for_each_hist([&](const std::string&, const stats::Histogram& hist) {
-    ++hists;
-    CHECK_EQ(hist.count(), std::uint64_t{400});
-  });
-  CHECK_EQ(hists, std::size_t{1});
 }
 
 TEST(span_breakdown_records_and_renders) {
@@ -361,8 +343,6 @@ TEST(names_constants_are_namespaced) {
   const std::string delivered = obs::names::kMhDelivered;
   CHECK_EQ(held, std::string{"token.held"});
   CHECK_EQ(delivered, std::string{"mh.delivered"});
-  CHECK_EQ(std::string{obs::names::kMhLatencyUs},
-           std::string{"mh.latency_us"});
   CHECK_EQ(std::string{obs::stage_name(obs::SpanStage::Submit)},
            std::string{obs::names::kStageSubmit});
 }

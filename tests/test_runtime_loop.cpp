@@ -2,11 +2,12 @@
 // deployment must boot through the supervisor handshake, deliver the whole
 // scripted workload in total order, and survive scripted token loss (the
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
-// watchdog). Plus direct single-threaded unit coverage: the MhRuntime
-// reordering buffer and gap-skip accounting, the batched ordered datapath
-// (one datagram per destination per handler call: a DataBatch, or a
-// multi-group AP's CellFrame, which the AP splits per member), and the
-// counters a regenerated token starts from.
+// watchdog). The deployment both hosts boot is checked field by field.
+// Plus direct single-threaded unit coverage: the MhRuntime reordering
+// buffer and gap-skip accounting, the batched ordered datapath (one
+// datagram per destination per handler call: a DataBatch, or a multi-group
+// AP's CellFrame, which the AP splits per member), and the counters a
+// regenerated token starts from.
 
 #include <algorithm>
 #include <atomic>
@@ -138,6 +139,70 @@ MhConfig chain_cfg(NodeId self) {
 }
 
 }  // namespace
+
+// --- the Figure-1 deployment that run_loopback and ringnet_node boot -------
+
+TEST(deployment_wires_the_figure1_shape) {
+  LoopbackSpec spec;
+  spec.num_brs = 2;
+  spec.aps_per_br = 2;
+  spec.mhs_per_ap = 2;
+  spec.rate_hz = 100.0;
+  spec.msgs_per_source = 3;
+  spec.time_scale = 2.0;  // folded in: 50 Hz, so a 20 ms source period
+  const Deployment dep = make_deployment(spec);
+  const auto br = [](std::uint32_t i) { return NodeId::make(Tier::BR, i); };
+  const auto ap = [](std::uint32_t i) { return NodeId::make(Tier::AP, i); };
+  const auto mh = [](std::uint32_t i) { return NodeId::make(Tier::MH, i); };
+
+  CHECK_EQ(dep.brs.size(), std::size_t{2});
+  CHECK_EQ(dep.aps.size(), std::size_t{4});
+  CHECK_EQ(dep.mhs.size(), std::size_t{8});
+  const BrConfig& br1 = dep.brs[1];
+  CHECK(br1.self == br(1));
+  CHECK(br1.ss == dep.ss.self);
+  CHECK(br1.ring == (std::vector<NodeId>{br(0), br(1)}));
+  CHECK(br1.own_aps == (std::vector<NodeId>{ap(2), ap(3)}));
+  CHECK(br1.members == (std::vector<NodeId>{mh(4), mh(5), mh(6), mh(7)}));
+  CHECK(br1.member_ap == (std::vector<NodeId>{ap(2), ap(2), ap(3), ap(3)}));
+  CHECK(dep.aps[3].self == ap(3));
+  CHECK(dep.aps[3].br == br(1));
+  CHECK(dep.aps[3].attached == (std::vector<NodeId>{mh(6), mh(7)}));
+  for (std::uint32_t m = 0; m < 8; ++m) {
+    const MhConfig& cfg = dep.mhs[m];
+    CHECK(cfg.self == mh(m));
+    CHECK(cfg.source_id == NodeId{m});
+    CHECK(cfg.ap == ap(m / 2));
+    CHECK_NEAR(cfg.rate_hz, 50.0, 1e-9);
+    CHECK_EQ(cfg.msgs_to_send, 3u);
+    CHECK_EQ(cfg.expected_total, std::uint64_t{8 * 3});
+    CHECK_EQ(cfg.submit_phase_us, std::int64_t{m} * 20'000 / 8);
+  }
+  CHECK_EQ(dep.mhs[1].opts.retx_timeout_us,
+           2 * RuntimeOptions{}.retx_timeout_us);
+  std::vector<NodeId> all = {br(0), br(1)};
+  for (std::uint32_t a = 0; a < 4; ++a) all.push_back(ap(a));
+  for (std::uint32_t m = 0; m < 8; ++m) all.push_back(mh(m));
+  CHECK(dep.ss.all_nodes == all);
+  CHECK_EQ(dep.ss.expected_ready, std::size_t{14});
+  CHECK_EQ(dep.ss.expected_done, std::size_t{8});
+
+  // Multi-group: each MH expects its destined subsequence, and the
+  // supervisor waits only for MHs that expect something. With one message
+  // per source over 8 groups, some MH is destined none.
+  spec.groups.count = 8;
+  spec.groups.groups_per_mh = 1;
+  spec.groups.dest_groups = 1;
+  spec.msgs_per_source = 1;
+  const Deployment multi = make_deployment(spec);
+  std::size_t expecting = 0;
+  for (std::size_t m = 0; m < multi.mhs.size(); ++m) {
+    CHECK_EQ(multi.mhs[m].expected_total, spec.expected_at(m));
+    expecting += spec.expected_at(m) > 0 ? 1 : 0;
+  }
+  CHECK(expecting < multi.mhs.size());
+  CHECK_EQ(multi.ss.expected_done, expecting);
+}
 
 // --- full deployment over InProc + NodeLoop --------------------------------
 

@@ -259,4 +259,20 @@ TEST(harness_shard_spec_reports_same_results) {
   }
 }
 
+TEST(sources_without_mhs_leave_the_run_idle) {
+  // No MH can host a source, so none is placed: the run is idle on the
+  // serial engine and on the sharded one alike.
+  baseline::RunSpec spec;
+  spec.config.hierarchy.num_brs = 3;
+  spec.config.hierarchy.mhs_per_ap = 0;
+  spec.config.num_sources = 2;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    spec.shard = threads > 0;
+    spec.shard_threads = threads;
+    const auto r = baseline::run_experiment(spec);
+    CHECK_EQ(r.total_sent, std::uint64_t{0});
+    CHECK(!r.order_violation.has_value());
+  }
+}
+
 TEST_MAIN()

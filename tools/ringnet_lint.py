@@ -56,9 +56,8 @@ RN007 hardcoded-group
 
 RN008 adhoc-metric-name
     No string-literal metric/span name at a registry call site
-    (`intern("...")`, `intern_hist("...")`, `counter("...")`,
-    `gauge("...")`, `hist("...")`, `incr("...")`, `gauge_max("...")`,
-    `hist_record("...")`) in core, sim, runtime, obs, or baseline code.
+    (`intern("...")`, `counter("...")`, `gauge("...")`, `incr("...")`,
+    `gauge_max("...")`) in core, sim, runtime, obs, or baseline code.
     Names must come from the constants in obs/names.hpp so the sim oracle
     and the UDP runtime report one vocabulary — a metric that exists under
     two spellings is worse than no metric. obs/names.hpp itself is the
@@ -273,8 +272,7 @@ def check_hardcoded_group(root):
 # RN008: ad-hoc metric/span name literal at a registry call site
 
 ADHOC_NAME_RE = re.compile(
-    r"\.(incr|gauge_max|counter|gauge|intern|intern_hist|hist|hist_record)"
-    r'\s*\(\s*"')
+    r'\.(incr|gauge_max|counter|gauge|intern)\s*\(\s*"')
 
 RN008_DIRS = ("include/core", "src/core", "include/sim", "src/sim",
               "include/runtime", "src/runtime", "include/obs", "src/obs",
@@ -450,7 +448,7 @@ def self_test(cxx):
               'void f(M& m) { m.metrics().intern("my.adhoc.name"); }\n')
         write("src/runtime/good_name.cpp",
               "void f(M& m) { m.intern(obs::names::kTokenHeld); }\n"
-              "void g(M& m) { (void)m.hist(obs::names::kMhLatencyUs); }\n")
+              "void g(M& m) { (void)m.counter(obs::names::kMhDelivered); }\n")
         write("bench/ok_name.cpp",
               'void f(M& m) { m.intern("bench.freeform"); }\n')
 
