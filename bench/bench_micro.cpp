@@ -8,6 +8,7 @@
 #include "core/protocol.hpp"
 #include "core/working_queue.hpp"
 #include "net/channel.hpp"
+#include "obs/names.hpp"
 #include "proto/messages.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/simulation.hpp"
@@ -157,8 +158,8 @@ void BM_TokenForwardRing(benchmark::State& state) {
   for (auto _ : state) {
     sim.run_for(sim::msecs(50));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(sim.metrics().counter("token.held")));
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      sim.metrics().counter(obs::names::kTokenHeld)));
 }
 BENCHMARK(BM_TokenForwardRing);
 
@@ -185,8 +186,8 @@ void BM_DistributeBatchDeliver(benchmark::State& state) {
   for (auto _ : state) {
     sim.run_for(sim::msecs(10));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(sim.metrics().counter("mh.delivered")));
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      sim.metrics().counter(obs::names::kMhDelivered)));
 }
 BENCHMARK(BM_DistributeBatchDeliver);
 
@@ -216,29 +217,6 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerThroughput);
-
-void BM_MetricsIncrStringKey(benchmark::State& state) {
-  // The pre-interning hot path: every incr pays a string hash + lookup.
-  sim::Metrics m;
-  for (auto _ : state) {
-    m.incr("arq.retransmits");
-  }
-  benchmark::DoNotOptimize(m.counter("arq.retransmits"));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsIncrStringKey);
-
-void BM_MetricsIncrInterned(benchmark::State& state) {
-  // The protocol's hot path: handles interned once, incr is a vector index.
-  sim::Metrics m;
-  const auto id = m.intern("arq.retransmits");
-  for (auto _ : state) {
-    m.incr(id);
-  }
-  benchmark::DoNotOptimize(m.counter(id));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsIncrInterned);
 
 void BM_HistogramRecord(benchmark::State& state) {
   stats::Histogram h;

@@ -22,6 +22,7 @@
 
 #include "bench_util.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "topo/hierarchy.hpp"
 
 using namespace ringnet;
@@ -680,7 +681,7 @@ Recovery measure_recovery(const core::ProtocolConfig& cfg) {
   if (regen_hold != sim::SimTime::max()) {
     out.outage_ms = (regen_hold - crash_time).seconds() * 1e3;
   }
-  out.regenerations = sim.metrics().counter("token.regenerated");
+  out.regenerations = sim.metrics().counter(obs::names::kTokenRegenerated);
   out.order_ok = !proto.deliveries().check_total_order().has_value();
   // Ordering resumed: the last MH (under the last BR, never the victim's
   // subtree) delivers after the regenerated token's first hold.
@@ -780,8 +781,8 @@ void a1_membership_batch(bench::Checks& checks) {
         sim.run_for(sim::secs(1.0));
         const auto& view =
             proto.node(proto.topology().top_ring.front()).group_view();
-        return Row{sim.metrics().counter("membership.relayed"),
-                   sim.metrics().counter("membership.applied"),
+        return Row{sim.metrics().counter(obs::names::kMembershipRelayed),
+                   sim.metrics().counter(obs::names::kMembershipApplied),
                    view.member_count() == proto.topology().mhs.size()};
       });
   stats::Table table(
@@ -821,13 +822,14 @@ void a2_ack_cadence(bench::Checks& checks) {
         sim.run_for(sim::secs(2.0));
         proto.stop_sources();
         sim.run_for(sim::secs(1.0));
-        const double delivered =
-            static_cast<double>(sim.metrics().counter("mh.delivered"));
+        const double delivered = static_cast<double>(
+            sim.metrics().counter(obs::names::kMhDelivered));
         const double expected =
             static_cast<double>(proto.total_sent()) *
             static_cast<double>(proto.topology().mhs.size());
-        return Row{sim.metrics().counter("arq.acks_sent"),
-                   sim.metrics().gauge("buf.mq.peak"), delivered / expected};
+        return Row{sim.metrics().counter(obs::names::kAcksSent),
+                   sim.metrics().gauge(obs::names::kBufMqPeak),
+                   delivered / expected};
       });
   stats::Table table("A2: DeliveryAck period (WT freshness)",
                      {"ack ms", "acks sent", "mq peak", "delivery"});

@@ -27,6 +27,7 @@
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "sim/simulation.hpp"
 #include "stats/table.hpp"
 
@@ -98,7 +99,7 @@ SweepResult run_point(const SweepPoint& p, std::uint64_t seed, bool smoke) {
   r.point = p;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.events = sim.executed_events();
-  r.delivered = sim.metrics().counter("mh.delivered");
+  r.delivered = sim.metrics().counter(obs::names::kMhDelivered);
   if (r.wall_s > 0.0) {
     r.events_per_s = static_cast<double>(r.events) / r.wall_s;
     r.deliveries_per_s = static_cast<double>(r.delivered) / r.wall_s;

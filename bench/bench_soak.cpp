@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 
 using namespace ringnet;
 
@@ -70,7 +71,7 @@ int main() {
         .cell(proto.total_sent())
         .cell(static_cast<std::uint64_t>(proto.archive_peak()))
         .cell(static_cast<std::uint64_t>(proto.archive_retained()))
-        .cell(sim.metrics().gauge("buf.mq.peak"), 0)
+        .cell(sim.metrics().gauge(obs::names::kBufMqPeak), 0)
         .cell(wall_ms, 1)
         .cell(static_cast<double>(proto.total_sent()) / wall_ms * 1000.0, 0);
   }

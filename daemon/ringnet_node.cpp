@@ -29,6 +29,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/node.hpp"
 #include "runtime/orchestrator.hpp"
@@ -67,8 +68,9 @@ std::string stats_frame(const std::string& node, const obs::Metrics& metrics,
                         const MhRuntime* mh, std::int64_t t_us) {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   metrics.for_each_counter(
-      [&](const std::string& name, std::uint64_t count, double) {
-        if (count != 0) counters.emplace_back(name, count);
+      [&](obs::names::Metric m, std::uint64_t count, double) {
+        if (count == 0) return;
+        counters.emplace_back(obs::names::metric_name(m), count);
       });
   std::sort(counters.begin(), counters.end());
   std::string out = "ringnet_node stats " + node + " t_us=" +

@@ -423,19 +423,6 @@ class RingNetProtocol {
   topo::Topology topo_;
   bool migrate_;  // domain-planned simulation: per-subtree contexts exist
 
-  // Pre-interned handles for every metric touched on a per-message or
-  // per-tick path: incr/gauge_max through these is a vector index, not a
-  // string lookup (see BM_MetricsIncr* in bench_micro for the delta).
-  struct MetricIds {
-    sim::Metrics::MetricId mh_delivered, acks_sent, retransmits, token_held,
-        token_dup_destroyed, token_regenerated, token_dropped, gaps_skipped,
-        gap_skipped_msgs, membership_applied, membership_relayed, ring_repairs,
-        ring_rejoins, handoff_count, handoff_hot, handoff_cold, archive_pruned,
-        churn_leaves, churn_rejoins, blackout_dropped, blackout_uplink_lost,
-        park_dropped, buf_wq_peak, buf_mq_peak, buf_archive_peak;
-  };
-  MetricIds mid_;
-
   static constexpr std::size_t kNoRingPos = static_cast<std::size_t>(-1);
 
   // Dense per-tier state, indexed by NodeId::index() within each tier.

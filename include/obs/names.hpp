@@ -1,63 +1,143 @@
 #pragma once
-// The one table of metric and span-stage names. Sim and runtime intern
-// from these constants so both report the same metric vocabulary, and the
-// RN008 lint rule rejects ad-hoc name literals on core/runtime paths —
-// a metric that exists under two spellings is worse than no metric.
+// The metric vocabulary: every counter and max-gauge the sim oracle and the
+// UDP runtime report, as one enum. obs::Metrics is a fixed array indexed by
+// it, so both engines share one vocabulary by construction — a metric that
+// is not listed here does not compile — and metric_name() is the one place
+// the spellings live.
+
+#include <cstddef>
+#include <cstdint>
 
 namespace ringnet::obs::names {
 
-// --- protocol counters (shared by the sim oracle and the UDP runtime) ---
-inline constexpr const char* kMhDelivered = "mh.delivered";
-inline constexpr const char* kAcksSent = "arq.acks_sent";
-inline constexpr const char* kRetransmits = "arq.retransmits";
-inline constexpr const char* kTokenHeld = "token.held";
-inline constexpr const char* kTokenDupDestroyed = "token.duplicates_destroyed";
-inline constexpr const char* kTokenRegenerated = "token.regenerated";
-inline constexpr const char* kTokenDropped = "token.dropped";
-inline constexpr const char* kGapsSkipped = "mh.gaps_skipped";
-inline constexpr const char* kGapSkippedMsgs = "mh.gap_skipped_msgs";
-inline constexpr const char* kMembershipApplied = "membership.applied";
-inline constexpr const char* kMembershipRelayed = "membership.relayed";
-inline constexpr const char* kRingRepairs = "ring.repairs";
-inline constexpr const char* kRingRejoins = "ring.rejoins";
-inline constexpr const char* kHandoffCount = "handoff.count";
-inline constexpr const char* kHandoffHot = "handoff.hot";
-inline constexpr const char* kHandoffCold = "handoff.cold";
-inline constexpr const char* kArchivePruned = "archive.pruned";
-inline constexpr const char* kChurnLeaves = "churn.leaves";
-inline constexpr const char* kChurnRejoins = "churn.rejoins";
-inline constexpr const char* kBlackoutDropped = "blackout.dropped";
-inline constexpr const char* kBlackoutUplinkLost = "blackout.uplink_lost";
-inline constexpr const char* kParkDropped = "source.park_dropped";
-inline constexpr const char* kBufWqPeak = "buf.wq.peak";
-inline constexpr const char* kBufMqPeak = "buf.mq.peak";
-inline constexpr const char* kBufArchivePeak = "buf.archive.peak";
+enum Metric : std::uint8_t {
+  // --- protocol counters (shared by the sim oracle and the UDP runtime) ---
+  kMhDelivered,
+  kAcksSent,
+  kRetransmits,
+  kTokenHeld,
+  kTokenDupDestroyed,
+  kTokenRegenerated,
+  kTokenDropped,
+  kGapsSkipped,
+  kGapSkippedMsgs,
+  kMembershipApplied,
+  kMembershipRelayed,
+  kRingRepairs,
+  kRingRejoins,
+  kHandoffCount,
+  kHandoffHot,
+  kHandoffCold,
+  kArchivePruned,
+  kChurnLeaves,
+  kChurnRejoins,
+  kBlackoutDropped,
+  kBlackoutUplinkLost,
+  kParkDropped,
+  kBufWqPeak,
+  kBufMqPeak,
+  kBufArchivePeak,
 
-// --- runtime-only counters (RuntimeCounters fields, same vocabulary) ---
-inline constexpr const char* kTokenRetx = "token.retx";
-inline constexpr const char* kFloorAdvances = "arq.floor_advances";
-inline constexpr const char* kDuplicates = "mh.duplicates";
-inline constexpr const char* kUplinkRetx = "arq.uplink_retx";
-inline constexpr const char* kUplinkDropped = "arq.uplink_dropped";
-inline constexpr const char* kReallyLost = "mh.really_lost";
-inline constexpr const char* kMalformed = "transport.malformed";
-inline constexpr const char* kSsHeartbeats = "ss.heartbeats";
+  // --- runtime-only counters (RuntimeCounters fields, same vocabulary) ---
+  kTokenRetx,
+  kFloorAdvances,
+  kDuplicates,
+  kUplinkRetx,
+  kUplinkDropped,
+  kReallyLost,
+  kMalformed,
+  kSsHeartbeats,
 
-// --- scheduler engine counters ---
-inline constexpr const char* kSchedSerialSteps = "sched.serial_steps";
-inline constexpr const char* kSchedWindows = "sched.windows";
-inline constexpr const char* kSchedInboxDeferred = "sched.inbox_deferred";
+  // --- scheduler engine counters ---
+  kSchedSerialSteps,
+  kSchedWindows,
+  kSchedInboxDeferred,
+};
 
-// --- message-lifecycle span stages (submit -> ... -> delivery) ---
-// Stage k measures the hop *into* that stage: kStageSubmit is
-// submit -> uplink-rx at the ordering BR, kStageAssign is uplink-rx ->
-// gseq assignment at a token pass, kStageRelay is assignment -> ordered
-// arrival at the delivering member's BR, kStageDeliver is BR arrival ->
-// delivery at the MH (AP downlink included).
-inline constexpr const char* kStageSubmit = "submit";
-inline constexpr const char* kStageAssign = "assign";
-inline constexpr const char* kStageRelay = "relay";
-inline constexpr const char* kStageDeliver = "deliver";
-inline constexpr const char* kStageTotal = "total";
+inline constexpr std::size_t kMetricCount = kSchedInboxDeferred + 1;
+
+/// The reported spelling of a metric. No default case: a metric added
+/// without a spelling fails the build under -Wall -Werror (-Wswitch).
+constexpr const char* metric_name(Metric m) {
+  switch (m) {
+    case kMhDelivered:
+      return "mh.delivered";
+    case kAcksSent:
+      return "arq.acks_sent";
+    case kRetransmits:
+      return "arq.retransmits";
+    case kTokenHeld:
+      return "token.held";
+    case kTokenDupDestroyed:
+      return "token.duplicates_destroyed";
+    case kTokenRegenerated:
+      return "token.regenerated";
+    case kTokenDropped:
+      return "token.dropped";
+    case kGapsSkipped:
+      return "mh.gaps_skipped";
+    case kGapSkippedMsgs:
+      return "mh.gap_skipped_msgs";
+    case kMembershipApplied:
+      return "membership.applied";
+    case kMembershipRelayed:
+      return "membership.relayed";
+    case kRingRepairs:
+      return "ring.repairs";
+    case kRingRejoins:
+      return "ring.rejoins";
+    case kHandoffCount:
+      return "handoff.count";
+    case kHandoffHot:
+      return "handoff.hot";
+    case kHandoffCold:
+      return "handoff.cold";
+    case kArchivePruned:
+      return "archive.pruned";
+    case kChurnLeaves:
+      return "churn.leaves";
+    case kChurnRejoins:
+      return "churn.rejoins";
+    case kBlackoutDropped:
+      return "blackout.dropped";
+    case kBlackoutUplinkLost:
+      return "blackout.uplink_lost";
+    case kParkDropped:
+      return "source.park_dropped";
+    case kBufWqPeak:
+      return "buf.wq.peak";
+    case kBufMqPeak:
+      return "buf.mq.peak";
+    case kBufArchivePeak:
+      return "buf.archive.peak";
+    case kTokenRetx:
+      return "token.retx";
+    case kFloorAdvances:
+      return "arq.floor_advances";
+    case kDuplicates:
+      return "mh.duplicates";
+    case kUplinkRetx:
+      return "arq.uplink_retx";
+    case kUplinkDropped:
+      return "arq.uplink_dropped";
+    case kReallyLost:
+      return "mh.really_lost";
+    case kMalformed:
+      return "transport.malformed";
+    case kSsHeartbeats:
+      return "ss.heartbeats";
+    case kSchedSerialSteps:
+      return "sched.serial_steps";
+    case kSchedWindows:
+      return "sched.windows";
+    case kSchedInboxDeferred:
+      return "sched.inbox_deferred";
+  }
+  return "?";
+}
+
+// kMetricCount sizes obs::Metrics' slot array: a metric appended after
+// kSchedInboxDeferred without moving it would get a spelling here.
+static_assert(metric_name(static_cast<Metric>(kMetricCount))[0] == '?');
 
 }  // namespace ringnet::obs::names

@@ -23,7 +23,7 @@ enum class SpanStage : std::uint8_t {
 };
 inline constexpr std::size_t kSpanStages = 4;
 
-/// Stable label for a stage (from obs/names.hpp).
+/// Stable label for a stage ("submit", "assign", "relay", "deliver").
 const char* stage_name(SpanStage stage);
 
 class SpanBreakdown {

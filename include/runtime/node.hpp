@@ -25,6 +25,7 @@
 #include "core/working_queue.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "proto/messages.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/transport.hpp"
@@ -89,30 +90,6 @@ struct RuntimeCounters {
   void merge(const RuntimeCounters& o);
 };
 
-/// Interned handles into a role's obs::Metrics registry — one per
-/// RuntimeCounters field, under the same names the sim oracle reports
-/// (obs/names.hpp), so counters line up across the two engines. Roles
-/// increment through these on the loop thread; the daemon reads the
-/// atomic registry live from its main thread.
-struct RuntimeMetricIds {
-  obs::Metrics::MetricId tokens_held = 0;
-  obs::Metrics::MetricId token_regenerated = 0;
-  obs::Metrics::MetricId token_dup_destroyed = 0;
-  obs::Metrics::MetricId token_retx = 0;
-  obs::Metrics::MetricId token_dropped = 0;
-  obs::Metrics::MetricId retransmits = 0;
-  obs::Metrics::MetricId floor_advances = 0;
-  obs::Metrics::MetricId duplicates = 0;
-  obs::Metrics::MetricId acks_sent = 0;
-  obs::Metrics::MetricId uplink_retx = 0;
-  obs::Metrics::MetricId uplink_dropped = 0;
-  obs::Metrics::MetricId really_lost = 0;
-  obs::Metrics::MetricId gaps_skipped = 0;
-  obs::Metrics::MetricId malformed = 0;
-
-  void intern_all(obs::Metrics& m);
-};
-
 /// What every role shares: its metric registry, its flight recorder and
 /// the stop flag the daemon polls, all safe to read while the loop runs.
 class RoleNode : public RuntimeNode {
@@ -166,8 +143,6 @@ class SupervisedNode : public RoleNode {
   /// undecodable one counts as malformed. True on the first Start.
   bool on_control(const Datagram& d);
   bool start_seen() const { return start_seen_; }
-
-  RuntimeMetricIds mid_;
 
  private:
   NodeId ss_;
@@ -396,7 +371,9 @@ class MhRuntime final : public SupervisedNode {
 
   // Post-stop inspection.
   const std::vector<DeliveredRec>& deliveries() const { return log_; }
-  std::uint64_t delivered_count() const { return delivered_; }
+  std::uint64_t delivered_count() const {
+    return metrics_.counter(obs::names::kMhDelivered);
+  }
   std::uint64_t submitted_count() const { return next_lseq_; }
   const std::vector<std::int64_t>& latencies_us() const { return lat_us_; }
 
@@ -447,7 +424,6 @@ class MhRuntime final : public SupervisedNode {
   core::OrderedReceiver ordered_;  // single-group delivery
   core::ChainReceiver chain_;      // multi-group delivery
   std::vector<DeliveredRec> log_;
-  std::uint64_t delivered_ = 0;
   std::vector<std::int64_t> lat_us_;
   std::int64_t next_ack_us_ = 0;
   bool done_ = false;
@@ -492,7 +468,6 @@ class SsRuntime final : public RoleNode {
   void broadcast(ControlMsg msg);
 
   SsConfig cfg_;
-  obs::Metrics::MetricId mid_heartbeats_ = 0;
   std::unordered_set<std::uint32_t> ready_;
   std::unordered_set<std::uint32_t> done_;
   std::atomic<bool> started_{false};

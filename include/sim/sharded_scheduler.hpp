@@ -61,14 +61,7 @@ class ShardedScheduler {
 
   /// Report engine-level counters (serial steps, parallel windows,
   /// barrier-deferred cross-shard events) into the unified registry.
-  void set_metrics(obs::Metrics* metrics) {
-    metrics_ = metrics;
-    if (metrics_ != nullptr) {
-      mid_serial_ = metrics_->intern(obs::names::kSchedSerialSteps);
-      mid_windows_ = metrics_->intern(obs::names::kSchedWindows);
-      mid_inbox_ = metrics_->intern(obs::names::kSchedInboxDeferred);
-    }
-  }
+  void set_metrics(obs::Metrics* metrics) { metrics_ = metrics; }
 
   void schedule(Domain target, SimTime t, Action action) {
     const ExecContext* ec = tls_exec_ctx;
@@ -79,7 +72,7 @@ class ShardedScheduler {
       // A running shard reaching across: the lookahead contract says this
       // cannot land inside the open window.
       assert(t >= window_end_);
-      if (metrics_ != nullptr) metrics_->incr(mid_inbox_);
+      if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedInboxDeferred);
       Shard& dst = *shards_[target];
       util::MutexLock lock(dst.inbox_mu);
       dst.inbox.push_back(std::move(ev));
@@ -185,7 +178,7 @@ class ShardedScheduler {
   /// and write shard-owned state.
   void serial_step(SimTime t) {
     if (t > now_) now_ = t;
-    if (metrics_ != nullptr) metrics_->incr(mid_serial_);
+    if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedSerialSteps);
     for (;;) {
       Shard* best = nullptr;
       for (auto& s : shards_) {
@@ -206,7 +199,7 @@ class ShardedScheduler {
   void run_window(SimTime end) {
     window_end_ = end;
     parallel_phase_ = true;
-    if (metrics_ != nullptr) metrics_->incr(mid_windows_);
+    if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedWindows);
     for (Domain d = 0; d < global_; ++d) {
       Shard* s = shards_[d].get();
       if (s->heap.empty() || !(s->heap.top_key().at < end)) continue;
@@ -238,9 +231,6 @@ class ShardedScheduler {
   SimTime window_end_ = SimTime::zero();
   bool parallel_phase_ = false;
   obs::Metrics* metrics_ = nullptr;
-  obs::Metrics::MetricId mid_serial_ = 0;
-  obs::Metrics::MetricId mid_windows_ = 0;
-  obs::Metrics::MetricId mid_inbox_ = 0;
   util::ThreadPool pool_;
 };
 

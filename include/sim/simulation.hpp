@@ -28,12 +28,6 @@
 
 namespace ringnet::sim {
 
-/// The unified registry now lives in obs/metrics.hpp (thread-safe intern,
-/// atomic counters/gauges, sharded histograms) and is shared verbatim with
-/// the real-socket runtime; the sim-era name stays as an alias so every
-/// existing call site keeps compiling.
-using Metrics = obs::Metrics;
-
 /// Execution plan for a Simulation. domains == 0 is the classic
 /// single-context simulation. With domains > 0, threads selects the
 /// engine: 0 runs the single-heap deterministic oracle (same contexts,
@@ -85,8 +79,8 @@ class Simulation {
   }
 
   util::Rng& rng() { return rngs_[current_ctx()]; }
-  Metrics& metrics() { return metrics_; }
-  const Metrics& metrics() const { return metrics_; }
+  obs::Metrics& metrics() { return metrics_; }
+  const obs::Metrics& metrics() const { return metrics_; }
 
   /// Give every execution context a flight recorder keeping its latest
   /// `capacity` events (0 keeps them all). Tracing is off until then.
@@ -171,7 +165,7 @@ class Simulation {
   std::unique_ptr<ShardedScheduler> sharded_;
   std::vector<util::Rng> rngs_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> recorders_;
-  Metrics metrics_;
+  obs::Metrics metrics_;
 };
 
 }  // namespace ringnet::sim

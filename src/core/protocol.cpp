@@ -13,6 +13,8 @@
 
 namespace ringnet::core {
 
+namespace names = obs::names;
+
 namespace {
 
 // RN007-ok: the degenerate single-group deployment's one ring-wide group;
@@ -162,34 +164,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
     const double norm = static_cast<double>(sources_.size()) / sum;
     for (auto& s : sources_) s.weight *= norm;
   }
-
-  auto& mx = sim_.metrics();
-  namespace names = obs::names;
-  mid_.mh_delivered = mx.intern(names::kMhDelivered);
-  mid_.acks_sent = mx.intern(names::kAcksSent);
-  mid_.retransmits = mx.intern(names::kRetransmits);
-  mid_.token_held = mx.intern(names::kTokenHeld);
-  mid_.token_dup_destroyed = mx.intern(names::kTokenDupDestroyed);
-  mid_.token_regenerated = mx.intern(names::kTokenRegenerated);
-  mid_.token_dropped = mx.intern(names::kTokenDropped);
-  mid_.gaps_skipped = mx.intern(names::kGapsSkipped);
-  mid_.gap_skipped_msgs = mx.intern(names::kGapSkippedMsgs);
-  mid_.membership_applied = mx.intern(names::kMembershipApplied);
-  mid_.membership_relayed = mx.intern(names::kMembershipRelayed);
-  mid_.ring_repairs = mx.intern(names::kRingRepairs);
-  mid_.ring_rejoins = mx.intern(names::kRingRejoins);
-  mid_.handoff_count = mx.intern(names::kHandoffCount);
-  mid_.handoff_hot = mx.intern(names::kHandoffHot);
-  mid_.handoff_cold = mx.intern(names::kHandoffCold);
-  mid_.archive_pruned = mx.intern(names::kArchivePruned);
-  mid_.churn_leaves = mx.intern(names::kChurnLeaves);
-  mid_.churn_rejoins = mx.intern(names::kChurnRejoins);
-  mid_.blackout_dropped = mx.intern(names::kBlackoutDropped);
-  mid_.blackout_uplink_lost = mx.intern(names::kBlackoutUplinkLost);
-  mid_.park_dropped = mx.intern(names::kParkDropped);
-  mid_.buf_wq_peak = mx.intern(names::kBufWqPeak);
-  mid_.buf_mq_peak = mx.intern(names::kBufMqPeak);
-  mid_.buf_archive_peak = mx.intern(names::kBufArchivePeak);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +330,7 @@ void RingNetProtocol::submit(SourceState& src, proto::DataMsg msg) {
     src.parked.push_back(msg);
     if (src.parked.size() > config_.options.source_park_cap) {
       src.parked.pop_front();
-      sim_.metrics().incr(mid_.park_dropped);
+      sim_.metrics().incr(names::kParkDropped);
     }
     return;
   }
@@ -369,7 +343,7 @@ void RingNetProtocol::uplink_to_br(const proto::DataMsg& msg, NodeId mh) {
     // The radio cannot reach the AP and there is no end-to-end source ARQ:
     // the submission is lost outright — unlike downlink drops, nothing
     // ever repairs it, so it is counted separately from blackout.dropped.
-    sim_.metrics().incr(mid_.blackout_uplink_lost);
+    sim_.metrics().incr(names::kBlackoutUplinkLost);
     return;
   }
   const NodeId br = ap_br_[m.ap_.index()];
@@ -417,7 +391,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   if (!lost_serials_.empty() && lost_serials_.count(token.serial()) != 0) {
     // The frame carrying this token was declared lost in transit
     // (lose_token): it never arrives anywhere.
-    sim_.metrics().incr(mid_.token_dropped);
+    sim_.metrics().incr(names::kTokenDropped);
     return;
   }
   BrNode& b = brs_[br.index()];
@@ -429,7 +403,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   }
   if (token.serial() != active_token_serial_) {
     // Multiple-Token elimination: only the live lineage survives.
-    sim_.metrics().incr(mid_.token_dup_destroyed);
+    sim_.metrics().incr(names::kTokenDupDestroyed);
     sim_.record(obs::FrEvent::TokenDupDestroyed, br, token.epoch(),
                 token.serial());
     return;
@@ -438,7 +412,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   token_custodian_ = br;
   if (br == alive_ring_.front()) token.bump_rotation();
   sim_.record(obs::FrEvent::TokenRx, br, token.epoch(), token.rotation());
-  sim_.metrics().incr(mid_.token_held);
+  sim_.metrics().incr(names::kTokenHeld);
 
   // WTSNP recycling: our previous entries have completed a full rotation.
   token.prune_entries_of(br);
@@ -455,7 +429,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   }
   if (!batch.empty()) {
     archive_peak_ = std::max(archive_peak_, assigned_archive_.size());
-    sim_.metrics().gauge_max(mid_.buf_archive_peak,
+    sim_.metrics().gauge_max(names::kBufArchivePeak,
                              static_cast<double>(assigned_archive_.size()));
     distribute(br, batch);
   }
@@ -519,7 +493,7 @@ void RingNetProtocol::br_receive_ordered(NodeId br, const proto::DataMsg& msg) {
   }
   const proto::DataMsg* stored = b.mq_.store(msg, sim_.now());
   if (stored == nullptr) return;  // stale or duplicate
-  sim_.metrics().gauge_max(mid_.buf_mq_peak,
+  sim_.metrics().gauge_max(names::kBufMqPeak,
                            static_cast<double>(b.mq_.size()));
   // Single-group members take frames in arrival order. Forward before the
   // pruning below can release the stored copy.
@@ -593,7 +567,7 @@ void RingNetProtocol::add_recipient(std::vector<Arrival>& arrivals, NodeId mh,
   if (cell_blacked_out(m.ap_)) {
     // The AP's radio is dark: the frame is dropped at the cell edge and
     // the member catches up via ack-driven resync after the window.
-    sim_.metrics().incr(mid_.blackout_dropped);
+    sim_.metrics().incr(names::kBlackoutDropped);
     return;
   }
   const sim::SimTime delay = downlink_delay(mh, bytes);
@@ -632,13 +606,13 @@ void RingNetProtocol::send_arrivals(NodeId br, const proto::DataMsg& msg,
                      delivered += mh_accept(to[k], copy);
                    }
                  }
-                 sim_.metrics().incr(mid_.mh_delivered, delivered);
+                 sim_.metrics().incr(names::kMhDelivered, delivered);
                });
   }
 }
 
 void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
-  sim_.metrics().incr(mid_.mh_delivered, mh_accept(mh, msg));
+  sim_.metrics().incr(names::kMhDelivered, mh_accept(mh, msg));
 }
 
 std::uint64_t RingNetProtocol::mh_accept(NodeId mh, const proto::DataMsg& msg) {
@@ -651,7 +625,7 @@ std::uint64_t RingNetProtocol::mh_accept(NodeId mh, const proto::DataMsg& msg) {
   if (cell_blacked_out(m.ap_)) {
     // Covers frames (and ARQ resends) already in flight when the window
     // started, so blackout.dropped counts every frame the cell ate.
-    sim_.metrics().incr(mid_.blackout_dropped);
+    sim_.metrics().incr(names::kBlackoutDropped);
     return 0;
   }
   const std::uint64_t before = m.delivered_;
@@ -748,7 +722,7 @@ void RingNetProtocol::ack_tick(NodeId mh, std::uint64_t gen) {
   if (cell_blacked_out(m.ap_)) return;  // the ack cannot leave the cell
   const NodeId br = ap_br_[m.ap_.index()];
   if (!br.valid() || !brs_[br.index()].alive_) return;
-  sim_.metrics().incr(mid_.acks_sent);
+  sim_.metrics().incr(names::kAcksSent);
   // Multi-group members ack their chain tail instead of the MQ cursor —
   // same coordinate space (a gseq+1 frontier), so the BR-side watermark,
   // floor and pruning math is shared between the modes.
@@ -786,10 +760,10 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       const std::uint64_t before = m.delivered_;
       const auto skip = m.ordered_.skip_to(
           vf, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
-      sim_.metrics().incr(mid_.mh_delivered, m.delivered_ - before);
+      sim_.metrics().incr(names::kMhDelivered, m.delivered_ - before);
       if (skip.lost == 0) return;
-      sim_.metrics().incr(mid_.gaps_skipped, skip.gaps);
-      sim_.metrics().incr(mid_.gap_skipped_msgs, skip.lost);
+      sim_.metrics().incr(names::kGapsSkipped, skip.gaps);
+      sim_.metrics().incr(names::kGapSkippedMsgs, skip.lost);
       sim_.record(obs::FrEvent::GapSkip, mh, vf, skip.lost);
     });
     cursor = vf;
@@ -812,7 +786,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       const proto::DataMsg* arch = archive_lookup(g);
       if (!arch) continue;
       if (arch->assigned_at + grace > sim_.now()) continue;  // in flight
-      sim_.metrics().incr(mid_.retransmits);
+      sim_.metrics().incr(names::kRetransmits);
       const sim::SimTime delay =
           hop_delay(config_.hierarchy.wan,
                     net::link_key(arch->ordering_node, br), data_bytes(*arch));
@@ -833,7 +807,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
     }
     if (stored->relay_rx_at + grace > sim_.now()) continue;
     const sim::SimTime delay = downlink_delay(mh, data_bytes(*stored));
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     sim_.after(delay, [this, mh, m = *stored] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
@@ -862,7 +836,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       if (b.mq_.contains(g)) continue;
       const proto::DataMsg* arch = archive_lookup(g);
       if (!arch || arch->assigned_at + grace > sim_.now()) continue;
-      sim_.metrics().incr(mid_.retransmits);
+      sim_.metrics().incr(names::kRetransmits);
       const sim::SimTime d =
           hop_delay(config_.hierarchy.wan,
                     net::link_key(arch->ordering_node, br), data_bytes(*arch));
@@ -877,7 +851,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   }
   ChainSender& chain = member_chain_[mh.index()];
   if (chain.ack(tail)) {
-    sim_.metrics().incr(mid_.gaps_skipped);
+    sim_.metrics().incr(names::kGapsSkipped);
     sim_.record(obs::FrEvent::ChainSplice, br, mh.v,
                 chain.links().front().gseq);
   }
@@ -889,7 +863,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
     const proto::DataMsg* stored =
         from_mq != nullptr ? from_mq : archive_lookup(link.gseq);
     if (stored == nullptr) {
-      sim_.metrics().incr(mid_.gap_skipped_msgs);
+      sim_.metrics().incr(names::kGapSkippedMsgs);
       sim_.record(obs::FrEvent::ChainSplice, br, mh.v, link.gseq);
       return Step::Splice;  // payload unrecoverable
     }
@@ -898,7 +872,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
     if (at + grace > sim_.now()) return Step::Next;  // normally in flight
     proto::DataMsg copy = *stored;
     copy.prev_chain = link.prev;
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
     sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy); });
     ++resent;
@@ -926,8 +900,8 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     // count is in gseqs, an overestimate of destined messages (holes for
     // other groups are counted too) — exact accounting would need the
     // pruned payloads back.
-    sim_.metrics().incr(mid_.gaps_skipped);
-    sim_.metrics().incr(mid_.gap_skipped_msgs, archive_base_ - tail);
+    sim_.metrics().incr(names::kGapsSkipped);
+    sim_.metrics().incr(names::kGapSkippedMsgs, archive_base_ - tail);
     sim_.record(obs::FrEvent::GapSkip, mh, archive_base_,
                 archive_base_ - tail);
   }
@@ -940,7 +914,7 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     // The attach-time replay is not held to the forward log's bound.
     copy.prev_chain = chain.link(g, std::numeric_limits<std::size_t>::max());
     if (!m.attached_ || cell_blacked_out(m.ap_)) continue;
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
     sim_.after(mh_domain_[i], delay,
                [this, mh, copy] { mh_receive(mh, copy); });
@@ -991,7 +965,7 @@ void RingNetProtocol::prune_archive() {
     ++archive_base_;
     ++pruned;
   }
-  if (pruned > 0) sim_.metrics().incr(mid_.archive_pruned, pruned);
+  if (pruned > 0) sim_.metrics().incr(names::kArchivePruned, pruned);
 }
 
 const proto::DataMsg* RingNetProtocol::archive_lookup(GlobalSeq gseq) const {
@@ -1028,11 +1002,11 @@ void RingNetProtocol::membership_flush_tick(NodeId br) {
   events.swap(b.pending_membership_);
   for (const auto& ev : events) {
     b.view_.apply(ev.mh, ev.ap, ev.seq);
-    sim_.metrics().incr(mid_.membership_applied);
+    sim_.metrics().incr(names::kMembershipApplied);
   }
   if (alive_ring_.size() > 1) {
     const NodeId next = next_alive_br(br);
-    sim_.metrics().incr(mid_.membership_relayed);
+    sim_.metrics().incr(names::kMembershipRelayed);
     const sim::SimTime delay =
         hop_delay(config_.hierarchy.wan, net::link_key(br, next),
                   static_cast<std::uint32_t>(13 + 8 * events.size()));
@@ -1054,7 +1028,7 @@ void RingNetProtocol::membership_relay(
   if (!b.alive_) return;
   for (const auto& ev : events) {
     b.view_.apply(ev.mh, ev.ap, ev.seq);
-    sim_.metrics().incr(mid_.membership_applied);
+    sim_.metrics().incr(names::kMembershipApplied);
   }
   visited.push_back(br);
   const NodeId next = next_alive_br(br);
@@ -1062,7 +1036,7 @@ void RingNetProtocol::membership_relay(
   if (std::find(visited.begin(), visited.end(), next) != visited.end()) {
     return;  // the batch has visited the whole (current) ring
   }
-  sim_.metrics().incr(mid_.membership_relayed);
+  sim_.metrics().incr(names::kMembershipRelayed);
   const sim::SimTime delay =
       hop_delay(config_.hierarchy.wan, net::link_key(br, next),
                 static_cast<std::uint32_t>(13 + 8 * events.size()));
@@ -1120,7 +1094,7 @@ void RingNetProtocol::handle_br_failure(NodeId dead) {
   if (pos == kNoRingPos) return;
   alive_ring_.erase(alive_ring_.begin() + static_cast<std::ptrdiff_t>(pos));
   rebuild_ring_index();
-  sim_.metrics().incr(mid_.ring_repairs);
+  sim_.metrics().incr(names::kRingRepairs);
   sim_.record(obs::FrEvent::RingRepair, dead, alive_ring_.size());
   for (NodeId br : alive_ring_) {
     brs_[br.index()].last_hb_from_prev_ = sim_.now();
@@ -1154,7 +1128,7 @@ void RingNetProtocol::rejoin_ring(NodeId br) {
   for (NodeId id : alive_ring_) {
     brs_[id.index()].last_hb_from_prev_ = sim_.now();
   }
-  sim_.metrics().incr(mid_.ring_rejoins);
+  sim_.metrics().incr(names::kRingRejoins);
   sim_.record(obs::FrEvent::RingRepair, br, alive_ring_.size());
   // Members under the rejoined BR catch up on anything multicast while it
   // was out through the ack-driven resynchronization path.
@@ -1180,7 +1154,7 @@ void RingNetProtocol::regenerate_token() {
   seen.seed(token);
   const NodeId leader = leader_br();
   token_custodian_ = leader;
-  sim_.metrics().incr(mid_.token_regenerated);
+  sim_.metrics().incr(names::kTokenRegenerated);
   sim_.record(obs::FrEvent::TokenRegen, leader, current_epoch_);
   sim_.after(sim::usecs(1),
              [this, leader, token = std::move(token)]() mutable {
@@ -1296,8 +1270,8 @@ sim::SimTime RingNetProtocol::begin_handoff(NodeId mh, NodeId target_ap) {
   detach_from_cell(m);
 
   const bool hot = ap_is_hot(target_ap, mh);
-  sim_.metrics().incr(mid_.handoff_count);
-  sim_.metrics().incr(hot ? mid_.handoff_hot : mid_.handoff_cold);
+  sim_.metrics().incr(names::kHandoffCount);
+  sim_.metrics().incr(hot ? names::kHandoffHot : names::kHandoffCold);
   sim_.record(obs::FrEvent::Handoff, mh, hot ? 1 : 0);
   return schedule_attach(m, target_ap, hot);
 }
@@ -1306,13 +1280,13 @@ void RingNetProtocol::detach_mh(NodeId mh) {
   MhNode& m = mhs_[mh.index()];
   if (!m.attached_) return;
   detach_from_cell(m);
-  sim_.metrics().incr(mid_.churn_leaves);
+  sim_.metrics().incr(names::kChurnLeaves);
 }
 
 void RingNetProtocol::reattach_mh(NodeId mh, NodeId ap) {
   MhNode& m = mhs_[mh.index()];
   if (m.attached_ || m.attach_pending_) return;
-  sim_.metrics().incr(mid_.churn_rejoins);
+  sim_.metrics().incr(names::kChurnRejoins);
   schedule_attach(m, ap, ap_is_hot(ap, mh));
 }
 
@@ -1489,6 +1463,12 @@ net::LossProcess& RingNetProtocol::loss_process(
 sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
                                         net::LinkKey link,
                                         std::uint32_t bytes) {
+  // Link-layer ARQ modelled as delay only: each lost attempt adds a
+  // retransmission timeout and another transit, for at most max_retx
+  // attempts, and then the frame arrives whether or not its last attempt
+  // was lost. No frame dies on a link, so link loss shows up as latency
+  // and retransmissions, never as a missing delivery.
+  //
   // Lossless links skip the per-link process entirely. This is RNG-neutral
   // (LossProcess::lost never draws when loss_rate <= 0) — it just avoids
   // the map probe on every hop of a zero-loss configuration.
@@ -1497,7 +1477,7 @@ sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
   sim::SimTime d = model.one_way(bytes);
   const int budget = std::max(1, config_.options.max_retx);
   for (int attempt = 1; attempt < budget && lp.lost(sim_.rng()); ++attempt) {
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     d += config_.options.retx_timeout + model.one_way(bytes);
   }
   return d;
@@ -1519,7 +1499,7 @@ sim::SimTime RingNetProtocol::downlink_delay(NodeId mh, std::uint32_t bytes) {
 
 void RingNetProtocol::note_wq_depth(const BrNode& br) {
   sim_.metrics().gauge_max(
-      mid_.buf_wq_peak,
+      names::kBufWqPeak,
       static_cast<double>(br.staging_.size() + br.wq_.size()));
 }
 

@@ -2,20 +2,18 @@
 
 #include <cstdio>
 
-#include "obs/names.hpp"
-
 namespace ringnet::obs {
 
 const char* stage_name(SpanStage stage) {
   switch (stage) {
     case SpanStage::Submit:
-      return names::kStageSubmit;
+      return "submit";
     case SpanStage::Assign:
-      return names::kStageAssign;
+      return "assign";
     case SpanStage::Relay:
-      return names::kStageRelay;
+      return "relay";
     case SpanStage::Deliver:
-      return names::kStageDeliver;
+      return "deliver";
   }
   return "?";
 }
@@ -51,7 +49,7 @@ std::string SpanBreakdown::table(const std::string& title) const {
   for (std::size_t i = 0; i < kSpanStages; ++i) {
     append_row(out, stage_name(static_cast<SpanStage>(i)), stages_[i]);
   }
-  append_row(out, names::kStageTotal, total_);
+  append_row(out, "total", total_);
   return out;
 }
 

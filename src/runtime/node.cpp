@@ -10,23 +10,6 @@ namespace ringnet::runtime {
 
 namespace names = obs::names;
 
-void RuntimeMetricIds::intern_all(obs::Metrics& m) {
-  tokens_held = m.intern(names::kTokenHeld);
-  token_regenerated = m.intern(names::kTokenRegenerated);
-  token_dup_destroyed = m.intern(names::kTokenDupDestroyed);
-  token_retx = m.intern(names::kTokenRetx);
-  token_dropped = m.intern(names::kTokenDropped);
-  retransmits = m.intern(names::kRetransmits);
-  floor_advances = m.intern(names::kFloorAdvances);
-  duplicates = m.intern(names::kDuplicates);
-  acks_sent = m.intern(names::kAcksSent);
-  uplink_retx = m.intern(names::kUplinkRetx);
-  uplink_dropped = m.intern(names::kUplinkDropped);
-  really_lost = m.intern(names::kReallyLost);
-  gaps_skipped = m.intern(names::kGapsSkipped);
-  malformed = m.intern(names::kMalformed);
-}
-
 namespace {
 /// Downlink/peer resend batch per ack: bounds the burst a single stuck
 /// member can trigger while still closing multi-message gaps quickly.
@@ -86,26 +69,24 @@ void RuntimeCounters::merge(const RuntimeCounters& o) {
 
 SupervisedNode::SupervisedNode(NodeId self, NodeId ss,
                                std::int64_t handshake_resend_us, Transport& tr)
-    : RoleNode(self, tr), ss_(ss), handshake_resend_us_(handshake_resend_us) {
-  mid_.intern_all(metrics_);
-}
+    : RoleNode(self, tr), ss_(ss), handshake_resend_us_(handshake_resend_us) {}
 
 RuntimeCounters SupervisedNode::counters() const {
   RuntimeCounters c;
-  c.tokens_held = metrics_.counter(mid_.tokens_held);
-  c.token_regenerated = metrics_.counter(mid_.token_regenerated);
-  c.token_dup_destroyed = metrics_.counter(mid_.token_dup_destroyed);
-  c.token_retx = metrics_.counter(mid_.token_retx);
-  c.token_dropped = metrics_.counter(mid_.token_dropped);
-  c.retransmits = metrics_.counter(mid_.retransmits);
-  c.floor_advances = metrics_.counter(mid_.floor_advances);
-  c.duplicates = metrics_.counter(mid_.duplicates);
-  c.acks_sent = metrics_.counter(mid_.acks_sent);
-  c.uplink_retx = metrics_.counter(mid_.uplink_retx);
-  c.uplink_dropped = metrics_.counter(mid_.uplink_dropped);
-  c.really_lost = metrics_.counter(mid_.really_lost);
-  c.gaps_skipped = metrics_.counter(mid_.gaps_skipped);
-  c.malformed = metrics_.counter(mid_.malformed);
+  c.tokens_held = metrics_.counter(names::kTokenHeld);
+  c.token_regenerated = metrics_.counter(names::kTokenRegenerated);
+  c.token_dup_destroyed = metrics_.counter(names::kTokenDupDestroyed);
+  c.token_retx = metrics_.counter(names::kTokenRetx);
+  c.token_dropped = metrics_.counter(names::kTokenDropped);
+  c.retransmits = metrics_.counter(names::kRetransmits);
+  c.floor_advances = metrics_.counter(names::kFloorAdvances);
+  c.duplicates = metrics_.counter(names::kDuplicates);
+  c.acks_sent = metrics_.counter(names::kAcksSent);
+  c.uplink_retx = metrics_.counter(names::kUplinkRetx);
+  c.uplink_dropped = metrics_.counter(names::kUplinkDropped);
+  c.really_lost = metrics_.counter(names::kReallyLost);
+  c.gaps_skipped = metrics_.counter(names::kGapsSkipped);
+  c.malformed = metrics_.counter(names::kMalformed);
   return c;
 }
 
@@ -121,7 +102,7 @@ void SupervisedNode::resend_ready(std::int64_t now_us) {
 bool SupervisedNode::on_control(const Datagram& d) {
   const auto ctl = decode_control(d.payload.data(), d.payload.size());
   if (!ctl) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return false;
   }
   if (ctl->op == ControlOp::Stop) mark_stopped();
@@ -226,7 +207,7 @@ void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
 void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
   auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   switch (msg->type()) {
@@ -289,7 +270,7 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
 void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
   SourceIn& si = uplink_[msg.source.v];
   if (msg.lseq < si.next_expected) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
     ack_uplink(msg.source, si);
     return;
   }
@@ -315,7 +296,7 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
   if (si.pending.size() >= kUplinkPendingCap) return;  // source ARQ re-offers
   const auto [it, inserted] = si.pending.emplace(msg.lseq, msg);
   if (!inserted) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
   } else if (spans) {
     it->second.uplink_rx_at.us = now_us;
   }
@@ -347,7 +328,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // the token itself is crawling behind storm-deep inboxes.
   if (msg.epoch == epoch_) last_token_seen_us_ = now_us;
   if (mq_.store(msg, sim::SimTime{now_us}) == nullptr) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
     return;
   }
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
@@ -382,7 +363,7 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
   tr_.send_msg(from, proto::Message(proto::TokenAckMsg{
                          cfg_.self, token.serial(), token.rotation()}));
   if (token.epoch() < epoch_) {
-    metrics_.incr(mid_.token_dup_destroyed);
+    metrics_.incr(names::kTokenDupDestroyed);
     record(obs::FrEvent::TokenDupDestroyed, now_us, token.epoch(),
            token.serial());
     return;
@@ -392,7 +373,7 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
   if (last_rx_key_.valid && token.epoch() == last_rx_key_.epoch &&
       token.serial() == last_rx_key_.serial &&
       token.rotation() <= last_rx_key_.rotation) {
-    metrics_.incr(mid_.token_dup_destroyed);
+    metrics_.incr(names::kTokenDupDestroyed);
     record(obs::FrEvent::TokenDupDestroyed, now_us, token.epoch(),
            token.serial());
     return;
@@ -408,7 +389,7 @@ void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
   token_ = std::move(token);
   last_token_seen_us_ = now_us;
   await_.active = false;  // custody is back; any outstanding forward is moot
-  metrics_.incr(mid_.tokens_held);
+  metrics_.incr(names::kTokenHeld);
   if (leader()) token_.bump_rotation();
   record(obs::FrEvent::TokenRx, now_us, token_.epoch(), token_.rotation());
   token_.prune_entries_of(cfg_.self);
@@ -453,7 +434,7 @@ void BrRuntime::regenerate_token(std::int64_t now_us) {
   // Seed the counters past everything this BR's MQ has stored: its own
   // assignments and every peer's that reached it.
   mq_.high_water().seed(t);
-  metrics_.incr(mid_.token_regenerated);
+  metrics_.incr(names::kTokenRegenerated);
   record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
   last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
   accept_token(std::move(t), now_us);
@@ -469,7 +450,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
          g < newest && g < ack.watermark + kResendWindow; ++g) {
       if (const proto::DataMsg* m = mq_.find(g)) {
         emit(ack.member, *m);
-        metrics_.incr(mid_.retransmits);
+        metrics_.incr(names::kRetransmits);
       }
     }
     return;
@@ -494,7 +475,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
                  proto::Message(proto::DeliveryAckMsg{kRuntimeGroup,
                                                       ack.member, front}),
                  ack.member);
-    metrics_.incr(mid_.floor_advances);
+    metrics_.incr(names::kFloorAdvances);
     return;
   }
   bool pull_requested = false;
@@ -502,7 +483,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   for (GlobalSeq g = want; g < newest && g < want + kResendWindow; ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
       emit(m.ap, *dm, ack.member);
-      metrics_.incr(mid_.retransmits);
+      metrics_.incr(names::kRetransmits);
       ++resent;
     } else if (!pull_requested &&
                now_us - last_pull_us_ >= cfg_.opts.retx_timeout_us) {
@@ -550,7 +531,7 @@ void BrRuntime::request_pull(GlobalSeq g, std::int64_t now_us) {
 void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
                                  std::int64_t now_us) {
   if (m.chain.ack(tail)) {
-    metrics_.incr(mid_.gaps_skipped);
+    metrics_.incr(names::kGapsSkipped);
     record(obs::FrEvent::ChainSplice, now_us, member.v,
            m.chain.links().front().gseq);
   }
@@ -571,7 +552,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
     if (served >= kResendWindow) return Step::Stop;
     if (const proto::DataMsg* dm = mq_.find(link.gseq)) {
       emit_chain(m.ap, *dm, member, link.prev, false);
-      metrics_.incr(mid_.retransmits);
+      metrics_.incr(names::kRetransmits);
       ++served;
       return Step::Next;
     }
@@ -583,7 +564,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
       return Step::Stop;
     }
     // Below the MQ floor: unrecoverable for this member.
-    metrics_.incr(mid_.really_lost);
+    metrics_.incr(names::kReallyLost);
     record(obs::FrEvent::ChainSplice, now_us, member.v, link.gseq);
     return Step::Splice;
   });
@@ -598,11 +579,11 @@ void BrRuntime::on_tick(std::int64_t now_us) {
   if (await_.active && now_us >= await_.next_resend_us) {
     if (await_.attempts >= cfg_.opts.max_retx) {
       await_.active = false;
-      metrics_.incr(mid_.token_dropped);  // leader watchdog regenerates
+      metrics_.incr(names::kTokenDropped);  // leader watchdog regenerates
       record(obs::FrEvent::TokenDropped, now_us, await_.serial);
     } else {
       ++await_.attempts;
-      metrics_.incr(mid_.token_retx);
+      metrics_.incr(names::kTokenRetx);
       record(obs::FrEvent::TokenRetx, now_us, await_.serial,
              static_cast<std::uint64_t>(await_.attempts));
       tr_.send(next_br(), await_.frame_bytes);
@@ -639,7 +620,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
     return;
   }
   if (d.payload.empty()) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   // The AP is a store-less relay: it peeks the envelope tag to pick a
@@ -669,7 +650,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
       if (!uplink) break;
       const auto msg = proto::decode(d.payload.data(), d.payload.size());
       if (!msg) {
-        metrics_.incr(mid_.malformed);
+        metrics_.incr(names::kMalformed);
         return;
       }
       for (const auto& ev : msg->membership().events) {
@@ -691,7 +672,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
       const auto batches =
           proto::split_cell(d.payload.data(), d.payload.size());
       if (!batches) {
-        metrics_.incr(mid_.malformed);
+        metrics_.incr(names::kMalformed);
         return;
       }
       for (const proto::MemberBatch& b : *batches) {
@@ -739,7 +720,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   }
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   const auto on_deliver = [&](const proto::DataMsg& m) { deliver(m, now_us); };
@@ -749,7 +730,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
         const std::size_t dropped = cfg_.groups.multi()
                                         ? chain_.receive(dm, on_deliver)
                                         : ordered_.receive(dm, on_deliver);
-        if (dropped > 0) metrics_.incr(mid_.duplicates, dropped);
+        if (dropped > 0) metrics_.incr(names::kDuplicates, dropped);
       }
       break;
     case proto::MsgType::DeliveryAck: {
@@ -769,8 +750,8 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
       if (ack.member != cfg_.self) break;
       const auto skip = ordered_.skip_to(ack.watermark, on_deliver);
       if (skip.lost > 0) {
-        metrics_.incr(mid_.really_lost, skip.lost);
-        metrics_.incr(mid_.gaps_skipped, skip.gaps);
+        metrics_.incr(names::kReallyLost, skip.lost);
+        metrics_.incr(names::kGapsSkipped, skip.gaps);
         record(obs::FrEvent::GapSkip, now_us, ack.watermark, skip.lost);
       }
       break;
@@ -789,7 +770,7 @@ void MhRuntime::deliver(const proto::DataMsg& msg, std::int64_t now_us) {
   log_.push_back(DeliveredRec{msg.gseq, msg.source, msg.lseq});
   if (cfg_.opts.record_spans) deliver_times_us_.push_back(now_us);
   record(obs::FrEvent::Deliver, now_us, msg.gseq);
-  ++delivered_;
+  metrics_.incr(names::kMhDelivered);
   if (msg.source == cfg_.source_id) {
     if (cfg_.groups.multi()) {
       const auto it = submit_times_us_.find(msg.lseq);
@@ -838,7 +819,7 @@ void MhRuntime::send_ack() {
       cfg_.groups.multi() ? chain_.tail() : ordered_.next_expected();
   tr_.send_msg(cfg_.ap, proto::Message(proto::DeliveryAckMsg{
                             kRuntimeGroup, cfg_.self, wm}));
-  metrics_.incr(mid_.acks_sent);
+  metrics_.incr(names::kAcksSent);
 }
 
 void MhRuntime::on_tick(std::int64_t now_us) {
@@ -856,7 +837,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
   while (!pending_.empty() && pending_.front().attempts >= cfg_.opts.max_retx &&
          now_us - pending_.front().last_send_us >= cfg_.opts.retx_timeout_us) {
     pending_.pop_front();
-    metrics_.incr(mid_.uplink_dropped);
+    metrics_.incr(names::kUplinkDropped);
   }
   std::size_t scanned = 0;
   for (auto& p : pending_) {
@@ -870,7 +851,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
       ++p.attempts;
       p.last_send_us = now_us;
       tr_.send_msg(cfg_.ap, proto::Message(p.msg));
-      metrics_.incr(mid_.uplink_retx);
+      metrics_.incr(names::kUplinkRetx);
       record(obs::FrEvent::UplinkRetx, now_us, p.msg.lseq,
              static_cast<std::uint64_t>(p.attempts));
     }
@@ -879,12 +860,13 @@ void MhRuntime::on_tick(std::int64_t now_us) {
     send_ack();
     next_ack_us_ = now_us + cfg_.opts.ack_period_us;
   }
-  if (!done_ && cfg_.expected_total > 0 && delivered_ >= cfg_.expected_total) {
+  if (!done_ && cfg_.expected_total > 0 &&
+      delivered_count() >= cfg_.expected_total) {
     done_ = true;
     next_done_us_ = now_us;
   }
   if (done_ && !stop_seen() && now_us >= next_done_us_) {
-    tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Done, delivered_});
+    tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Done, delivered_count()});
     next_done_us_ = now_us + cfg_.opts.handshake_resend_us;
   }
 }
@@ -893,9 +875,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
 // SsRuntime
 
 SsRuntime::SsRuntime(SsConfig cfg, Transport& tr)
-    : RoleNode(cfg.self, tr), cfg_(std::move(cfg)) {
-  mid_heartbeats_ = metrics_.intern(names::kSsHeartbeats);
-}
+    : RoleNode(cfg.self, tr), cfg_(std::move(cfg)) {}
 
 void SsRuntime::on_start(std::int64_t now_us) {
   next_bcast_us_ = now_us + cfg_.opts.handshake_resend_us;
@@ -928,7 +908,7 @@ void SsRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   }
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (msg && msg->type() == proto::MsgType::Heartbeat) {
-    metrics_.incr(mid_heartbeats_);
+    metrics_.incr(names::kSsHeartbeats);
   }
 }
 

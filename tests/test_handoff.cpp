@@ -6,6 +6,7 @@
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -116,8 +117,8 @@ TEST(membership_views_reconverge) {
   proto.stop_sources();
   proto.mobility().stop();
   sim.run_for(sim::secs(1.5));  // drain reattachments + batched relays
-  CHECK(sim.metrics().counter("membership.applied") > 0);
-  CHECK(sim.metrics().counter("membership.relayed") > 0);
+  CHECK(sim.metrics().counter(obs::names::kMembershipApplied) > 0);
+  CHECK(sim.metrics().counter(obs::names::kMembershipRelayed) > 0);
   for (NodeId br : proto.topology().top_ring) {
     CHECK_EQ(proto.node(br).group_view().member_count(),
              proto.topology().mhs.size());

@@ -5,6 +5,7 @@
 // ring until it closes on itself.
 
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "sim/simulation.hpp"
 
@@ -37,8 +38,8 @@ TEST(relay_reaches_br_that_rejoins_mid_relay) {
   sim.after(sim::msecs(40), [&] { proto.eject_br(ejected); });
   sim.run_for(sim::msecs(300));
 
-  CHECK_EQ(sim.metrics().counter("ring.repairs"), std::uint64_t{1});
-  CHECK_EQ(sim.metrics().counter("ring.rejoins"), std::uint64_t{1});
+  CHECK_EQ(sim.metrics().counter(obs::names::kRingRepairs), std::uint64_t{1});
+  CHECK_EQ(sim.metrics().counter(obs::names::kRingRejoins), std::uint64_t{1});
   // Every BR — including the one that rejoined mid-relay — converged on
   // the MH's new cell.
   for (NodeId br : proto.topology().top_ring) {

@@ -1,12 +1,14 @@
-// Observability layer: the unified metrics registry (concurrent intern vs
-// hot-path mutation, chunked slot growth), the span breakdown and the
-// simulator's per-stage spans, and the flight recorder (ring wrap,
+// Observability layer: the unified metrics registry (the pinned metric
+// vocabulary, enum-only keys, concurrent increments), the span breakdown
+// and the simulator's per-stage spans, and the flight recorder (ring wrap,
 // auto-dump arming, and one JSON dump shape for a bare ring, a runtime BR
 // and a simulator context). The concurrent cases are the TSan regression
-// net for the registry's lock-free read path.
+// net for the registry's lock-free slots.
 
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/harness.hpp"
@@ -68,82 +70,68 @@ void check_dump_shape(const std::string& json, const std::string& node,
 
 }  // namespace
 
-TEST(metrics_intern_is_idempotent) {
-  obs::Metrics m;
-  const auto a = m.intern("x.alpha");
-  const auto b = m.intern("x.beta");
-  CHECK(a != b);
-  CHECK_EQ(m.intern("x.alpha"), a);
-  m.incr(a, 3);
-  m.incr("x.alpha");
-  CHECK_EQ(m.counter(a), std::uint64_t{4});
-  CHECK_EQ(m.counter("x.alpha"), std::uint64_t{4});
-  CHECK_EQ(m.counter("x.never-interned"), std::uint64_t{0});
-}
+// The registry takes only a names::Metric: a string key or a bare integer
+// does not compile, so no name outside the vocabulary reaches a registry.
+template <typename Key>
+constexpr bool kIncrAccepts = requires(obs::Metrics& m, Key k) { m.incr(k); };
+template <typename Key>
+constexpr bool kCounterAccepts =
+    requires(const obs::Metrics& m, Key k) { m.counter(k); };
+static_assert(kIncrAccepts<obs::names::Metric>);
+static_assert(!kIncrAccepts<const char*>);
+static_assert(!kIncrAccepts<std::string>);
+static_assert(!kIncrAccepts<int>);
+static_assert(kCounterAccepts<obs::names::Metric>);
+static_assert(!kCounterAccepts<const char*>);
+static_assert(!kCounterAccepts<std::string>);
+static_assert(!kCounterAccepts<int>);
 
 TEST(metrics_gauge_keeps_maximum) {
   obs::Metrics m;
-  const auto g = m.intern("x.peak");
-  m.gauge_max(g, 4.0);
-  m.gauge_max(g, 9.0);
-  m.gauge_max(g, 2.0);
-  CHECK_NEAR(m.gauge(g), 9.0, 1e-12);
+  m.gauge_max(obs::names::kBufArchivePeak, 4.0);
+  m.gauge_max(obs::names::kBufArchivePeak, 9.0);
+  m.gauge_max(obs::names::kBufArchivePeak, 2.0);
+  CHECK_NEAR(m.gauge(obs::names::kBufArchivePeak), 9.0, 1e-12);
+  CHECK_NEAR(m.gauge(obs::names::kBufMqPeak), 0.0, 1e-12);
 }
 
-TEST(metrics_slots_survive_chunk_growth) {
-  // Handles must stay valid while intern crosses chunk boundaries (64
-  // slots per chunk): write through early handles after 300 later interns.
+TEST(metrics_concurrent_incr_is_exact) {
+  // The TSan net: writer threads hammer one slot; the count check catches
+  // lost updates.
   obs::Metrics m;
-  const auto first = m.intern("grow.first");
-  m.incr(first);
-  std::vector<obs::Metrics::MetricId> ids;
-  for (int i = 0; i < 300; ++i) {
-    ids.push_back(m.intern("grow." + std::to_string(i)));
-  }
-  for (const auto id : ids) m.incr(id);
-  m.incr(first);
-  CHECK_EQ(m.counter(first), std::uint64_t{2});
-  for (const auto id : ids) CHECK_EQ(m.counter(id), std::uint64_t{1});
-  std::size_t seen = 0;
-  std::uint64_t sum = 0;
-  m.for_each_counter([&](const std::string&, std::uint64_t c, double) {
-    ++seen;
-    sum += c;
-  });
-  CHECK_EQ(seen, std::size_t{301});
-  CHECK_EQ(sum, std::uint64_t{302});
-}
-
-TEST(metrics_concurrent_intern_vs_incr) {
-  // The TSan net: writer threads hammer held handles while intern threads
-  // force chunk publications. Any growth on the read path is a data race
-  // the sanitizer leg catches; the count check catches lost updates.
-  obs::Metrics m;
-  const auto hot = m.intern("race.hot");
   constexpr int kWriters = 4;
   constexpr int kIncrsPerWriter = 20000;
   std::vector<std::thread> threads;
-  threads.reserve(kWriters + 2);
+  threads.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&m, hot] {
-      for (int i = 0; i < kIncrsPerWriter; ++i) m.incr(hot);
-    });
-  }
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&m, t] {
-      for (int i = 0; i < 200; ++i) {
-        const auto id =
-            m.intern("race.t" + std::to_string(t) + "." + std::to_string(i));
-        m.incr(id);
-        // Same-name interning from both threads must converge on one slot.
-        m.incr(m.intern("race.shared." + std::to_string(i)));
+    threads.emplace_back([&m] {
+      for (int i = 0; i < kIncrsPerWriter; ++i) {
+        m.incr(obs::names::kRetransmits);
       }
     });
   }
   for (auto& th : threads) th.join();
-  CHECK_EQ(m.counter(hot),
+  CHECK_EQ(m.counter(obs::names::kRetransmits),
            std::uint64_t{kWriters} * std::uint64_t{kIncrsPerWriter});
-  CHECK_EQ(m.counter("race.shared.0"), std::uint64_t{2});
+}
+
+TEST(for_each_counter_visits_every_metric_in_enum_order) {
+  obs::Metrics m;
+  m.incr(obs::names::kTokenHeld, 7);
+  m.gauge_max(obs::names::kBufWqPeak, 3.0);
+  std::size_t next = 0;
+  std::set<std::string> spellings;
+  m.for_each_counter([&](obs::names::Metric id, std::uint64_t c, double g) {
+    CHECK_EQ(static_cast<std::size_t>(id), next);
+    ++next;
+    spellings.insert(obs::names::metric_name(id));
+    CHECK_EQ(c, id == obs::names::kTokenHeld ? std::uint64_t{7}
+                                             : std::uint64_t{0});
+    CHECK_NEAR(g, id == obs::names::kBufWqPeak ? 3.0 : 0.0, 1e-12);
+  });
+  CHECK_EQ(next, obs::names::kMetricCount);
+  CHECK_EQ(spellings.size(), obs::names::kMetricCount);
+  CHECK(spellings.count("?") == 0);
 }
 
 TEST(span_breakdown_records_and_renders) {
@@ -336,15 +324,58 @@ TEST(sim_crash_dump_has_the_shared_shape) {
   CHECK(has(json, "\"ev\":\"token_regen\""));
 }
 
-TEST(names_constants_are_namespaced) {
-  // The RN008 lint forces core/runtime call sites through these constants;
-  // sanity-pin a few so a rename cannot silently decouple sim and runtime.
-  const std::string held = obs::names::kTokenHeld;
-  const std::string delivered = obs::names::kMhDelivered;
-  CHECK_EQ(held, std::string{"token.held"});
-  CHECK_EQ(delivered, std::string{"mh.delivered"});
+TEST(metric_names_pin_the_vocabulary) {
+  // Every spelling both engines report, in enum order: a rename here
+  // changes what the daemon's stats frames and bench tables print.
+  namespace names = obs::names;
+  const std::vector<std::pair<names::Metric, std::string>> pinned{
+      {names::kMhDelivered, "mh.delivered"},
+      {names::kAcksSent, "arq.acks_sent"},
+      {names::kRetransmits, "arq.retransmits"},
+      {names::kTokenHeld, "token.held"},
+      {names::kTokenDupDestroyed, "token.duplicates_destroyed"},
+      {names::kTokenRegenerated, "token.regenerated"},
+      {names::kTokenDropped, "token.dropped"},
+      {names::kGapsSkipped, "mh.gaps_skipped"},
+      {names::kGapSkippedMsgs, "mh.gap_skipped_msgs"},
+      {names::kMembershipApplied, "membership.applied"},
+      {names::kMembershipRelayed, "membership.relayed"},
+      {names::kRingRepairs, "ring.repairs"},
+      {names::kRingRejoins, "ring.rejoins"},
+      {names::kHandoffCount, "handoff.count"},
+      {names::kHandoffHot, "handoff.hot"},
+      {names::kHandoffCold, "handoff.cold"},
+      {names::kArchivePruned, "archive.pruned"},
+      {names::kChurnLeaves, "churn.leaves"},
+      {names::kChurnRejoins, "churn.rejoins"},
+      {names::kBlackoutDropped, "blackout.dropped"},
+      {names::kBlackoutUplinkLost, "blackout.uplink_lost"},
+      {names::kParkDropped, "source.park_dropped"},
+      {names::kBufWqPeak, "buf.wq.peak"},
+      {names::kBufMqPeak, "buf.mq.peak"},
+      {names::kBufArchivePeak, "buf.archive.peak"},
+      {names::kTokenRetx, "token.retx"},
+      {names::kFloorAdvances, "arq.floor_advances"},
+      {names::kDuplicates, "mh.duplicates"},
+      {names::kUplinkRetx, "arq.uplink_retx"},
+      {names::kUplinkDropped, "arq.uplink_dropped"},
+      {names::kReallyLost, "mh.really_lost"},
+      {names::kMalformed, "transport.malformed"},
+      {names::kSsHeartbeats, "ss.heartbeats"},
+      {names::kSchedSerialSteps, "sched.serial_steps"},
+      {names::kSchedWindows, "sched.windows"},
+      {names::kSchedInboxDeferred, "sched.inbox_deferred"},
+  };
+  CHECK_EQ(pinned.size(), names::kMetricCount);
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    CHECK_EQ(static_cast<std::size_t>(pinned[i].first), i);
+    CHECK_EQ(std::string{names::metric_name(pinned[i].first)},
+             pinned[i].second);
+  }
   CHECK_EQ(std::string{obs::stage_name(obs::SpanStage::Submit)},
-           std::string{obs::names::kStageSubmit});
+           std::string{"submit"});
+  CHECK_EQ(std::string{obs::stage_name(obs::SpanStage::Deliver)},
+           std::string{"deliver"});
 }
 
 TEST_MAIN()

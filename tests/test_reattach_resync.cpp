@@ -6,6 +6,7 @@
 // empty-BR path now acks only what falls out of the retention window.
 
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "sim/simulation.hpp"
 
@@ -44,10 +45,10 @@ TEST(reattach_after_empty_br_resyncs_without_skips) {
   proto.stop_sources();
   sim.run_for(sim::secs(2.0));
 
-  CHECK_EQ(sim.metrics().counter("handoff.count"), std::uint64_t{4});
+  CHECK_EQ(sim.metrics().counter(obs::names::kHandoffCount), std::uint64_t{4});
   // The returnee resynchronizes from BR1's retained MQ window: no skips,
   // no losses, order intact.
-  CHECK_EQ(sim.metrics().counter("mh.gaps_skipped"), std::uint64_t{0});
+  CHECK_EQ(sim.metrics().counter(obs::names::kGapsSkipped), std::uint64_t{0});
   CHECK(!proto.deliveries().check_total_order().has_value());
   for (const auto& mh : proto.mhs()) {
     CHECK_EQ(mh.delivered_count(), proto.total_sent());

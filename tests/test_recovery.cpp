@@ -4,6 +4,7 @@
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -34,8 +35,9 @@ TEST(crash_triggers_regeneration_with_fresh_epoch) {
   proto.stop_sources();
   sim.run_for(sim::secs(1.0));
 
-  CHECK_EQ(sim.metrics().counter("token.regenerated"), std::uint64_t{1});
-  CHECK_EQ(sim.metrics().counter("ring.repairs"), std::uint64_t{1});
+  CHECK_EQ(sim.metrics().counter(obs::names::kTokenRegenerated),
+           std::uint64_t{1});
+  CHECK_EQ(sim.metrics().counter(obs::names::kRingRepairs), std::uint64_t{1});
   // The post-crash token carries epoch 2 and never visits the dead node.
   const sim::SimTime crash_at = sim::secs(0.5);
   std::uint64_t max_epoch = 0;
@@ -92,8 +94,9 @@ TEST(false_ejection_heals_via_rejoin) {
   proto.stop_sources();
   sim.run_for(spec.drain);
 
-  CHECK(sim.metrics().counter("ring.repairs") > 0);   // false positives fired
-  CHECK(sim.metrics().counter("ring.rejoins") > 0);   // and healed
+  // False positives fired, and healed.
+  CHECK(sim.metrics().counter(obs::names::kRingRepairs) > 0);
+  CHECK(sim.metrics().counter(obs::names::kRingRejoins) > 0);
   CHECK(!proto.deliveries().check_total_order().has_value());
   for (const auto& mh : proto.mhs()) {
     CHECK(static_cast<double>(mh.delivered_count()) >=

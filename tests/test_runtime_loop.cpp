@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/groups.hpp"
+#include "obs/names.hpp"
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/inproc_transport.hpp"
@@ -277,6 +278,26 @@ TEST(token_destroyed_recovers_via_leader_regeneration) {
   }
 }
 
+TEST(mh_delivered_counter_matches_delivery_log) {
+  // delivered_count() reads the MH's registry counter, mh.delivered, the
+  // delivery metric the sim oracle reports: it counts exactly the logged
+  // deliveries, and the per-MH counts sum to the derived expectation.
+  auto spec = tiny_spec();
+  spec.mhs_per_ap = 4;
+  spec.groups.count = 2;
+  spec.groups.groups_per_mh = 1;
+  spec.groups.dest_groups = 1;
+  const auto res = run_loopback(scaled(spec));
+  CHECK(res.completed);
+  std::uint64_t sum = 0;
+  for (std::size_t m = 0; m < res.n_mh; ++m) {
+    CHECK_EQ(res.delivered_counts[m], res.per_mh[m].size());
+    sum += res.delivered_counts[m];
+  }
+  CHECK_EQ(sum, res.expected_total);
+  CHECK(sum > 0);
+}
+
 // --- MhRuntime unit coverage (single-threaded, no loop) --------------------
 
 TEST(mh_reorders_out_of_order_gseq) {
@@ -307,6 +328,7 @@ TEST(mh_reorders_out_of_order_gseq) {
   for (std::size_t i = 0; i < log.size(); ++i) {
     CHECK_EQ(log[i].gseq, i);
   }
+  CHECK_EQ(mh.metrics().counter(obs::names::kMhDelivered), 3u);
 
   // Replays of anything already delivered or buffered only bump the
   // duplicate counter.
@@ -531,8 +553,9 @@ TEST(br_token_loss_arms_watchdog_dump) {
   CHECK(json.find("\"ev\":\"token_dropped\"") != std::string::npos);
   CHECK(json.find("\"ev\":\"token_regen\"") != std::string::npos);
   // The unified registry reports the same vocabulary the sim uses.
-  CHECK_EQ(br.metrics().counter("token.dropped"), c.token_dropped);
-  CHECK_EQ(br.metrics().counter("token.regenerated"), c.token_regenerated);
+  CHECK_EQ(br.metrics().counter(obs::names::kTokenDropped), c.token_dropped);
+  CHECK_EQ(br.metrics().counter(obs::names::kTokenRegenerated),
+           c.token_regenerated);
 }
 
 TEST(ss_counts_itself_stopped_after_four_stop_rounds) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "baseline/harness.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "scenario/catalogue.hpp"
 #include "scenario/engine.hpp"
@@ -178,8 +179,9 @@ TEST(br_crash_regenerates_token_and_survivors_continue) {
   engine.stop();
   sim.run_for(spec.drain);
 
-  CHECK_EQ(sim.metrics().counter("token.regenerated"), std::uint64_t{1});
-  CHECK(sim.metrics().counter("ring.repairs") > 0);
+  CHECK_EQ(sim.metrics().counter(obs::names::kTokenRegenerated),
+           std::uint64_t{1});
+  CHECK(sim.metrics().counter(obs::names::kRingRepairs) > 0);
   CHECK(!proto.deliveries().check_total_order().has_value());
   // Members outside the dead domain keep delivering after the crash.
   const sim::SimTime crash_at = sim::secs(1.0);

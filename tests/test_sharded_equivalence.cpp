@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baseline/harness.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "scenario/catalogue.hpp"
 #include "scenario/engine.hpp"
@@ -76,24 +77,27 @@ ModeResult run_mode(baseline::RunSpec spec, std::size_t threads) {
   }
   std::sort(out.deliveries.begin(), out.deliveries.end());
   const auto& mx = sim.metrics();
-  for (const char* name :
-       {"mh.delivered", "token.held", "arq.acks_sent", "arq.retransmits",
-        "handoff.count", "handoff.hot", "churn.leaves", "churn.rejoins",
-        "mh.gaps_skipped", "mh.gap_skipped_msgs", "blackout.dropped",
-        "blackout.uplink_lost", "token.regenerated", "token.dropped",
-        "membership.applied", "ring.repairs"}) {
-    out.counters += std::string(name) + "=" +
-                    std::to_string(mx.counter(name)) + ";";
+  namespace names = obs::names;
+  for (const names::Metric m :
+       {names::kMhDelivered, names::kTokenHeld, names::kAcksSent,
+        names::kRetransmits, names::kHandoffCount, names::kHandoffHot,
+        names::kChurnLeaves, names::kChurnRejoins, names::kGapsSkipped,
+        names::kGapSkippedMsgs, names::kBlackoutDropped,
+        names::kBlackoutUplinkLost, names::kTokenRegenerated,
+        names::kTokenDropped, names::kMembershipApplied,
+        names::kRingRepairs}) {
+    out.counters += std::string(names::metric_name(m)) + "=" +
+                    std::to_string(mx.counter(m)) + ";";
   }
   out.acked_floor = proto.global_acked_floor();
   out.total_sent = proto.total_sent();
   out.executed_events = sim.executed_events();
-  out.delivered = mx.counter("mh.delivered");
+  out.delivered = mx.counter(names::kMhDelivered);
   for (const auto& mh : proto.mhs()) {
     out.member_delivered += mh.delivered_count();
   }
-  out.retransmits = mx.counter("arq.retransmits");
-  out.gaps_skipped = mx.counter("mh.gaps_skipped");
+  out.retransmits = mx.counter(names::kRetransmits);
+  out.gaps_skipped = mx.counter(names::kGapsSkipped);
   return out;
 }
 

@@ -7,21 +7,23 @@
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "sim/simulation.hpp"
 
 using namespace ringnet;
 
 TEST(metrics_counters_and_gauges) {
+  namespace names = obs::names;
   sim::Simulation sim(1);
-  sim.metrics().incr("a");
-  sim.metrics().incr("a", 4);
-  CHECK_EQ(sim.metrics().counter("a"), std::uint64_t{5});
-  CHECK_EQ(sim.metrics().counter("missing"), std::uint64_t{0});
-  sim.metrics().gauge_max("g", 3.0);
-  sim.metrics().gauge_max("g", 7.0);
-  sim.metrics().gauge_max("g", 5.0);
-  CHECK_NEAR(sim.metrics().gauge("g"), 7.0, 1e-9);
+  sim.metrics().incr(names::kAcksSent);
+  sim.metrics().incr(names::kAcksSent, 4);
+  CHECK_EQ(sim.metrics().counter(names::kAcksSent), std::uint64_t{5});
+  CHECK_EQ(sim.metrics().counter(names::kRetransmits), std::uint64_t{0});
+  sim.metrics().gauge_max(names::kBufMqPeak, 3.0);
+  sim.metrics().gauge_max(names::kBufMqPeak, 7.0);
+  sim.metrics().gauge_max(names::kBufMqPeak, 5.0);
+  CHECK_NEAR(sim.metrics().gauge(names::kBufMqPeak), 7.0, 1e-9);
 }
 
 TEST(record_stamps_time_and_node) {
@@ -45,22 +47,6 @@ TEST(record_stamps_time_and_node) {
   CHECK_EQ(events[2].a, std::uint64_t{9});
   CHECK_EQ(events[2].b, std::uint64_t{5});
   CHECK(events[1].kind == obs::FrEvent::Handoff);
-}
-
-TEST(metrics_interned_handles_alias_string_keys) {
-  sim::Metrics m;
-  const auto id = m.intern("hot.counter");
-  CHECK_EQ(m.intern("hot.counter"), id);  // idempotent
-  m.incr(id, 3);
-  m.incr("hot.counter", 2);
-  CHECK_EQ(m.counter(id), std::uint64_t{5});
-  CHECK_EQ(m.counter("hot.counter"), std::uint64_t{5});
-  const auto g = m.intern("hot.gauge");
-  m.gauge_max(g, 4.0);
-  m.gauge_max("hot.gauge", 9.0);
-  m.gauge_max(g, 6.0);
-  CHECK_NEAR(m.gauge("hot.gauge"), 9.0, 1e-9);
-  CHECK_NEAR(m.gauge(g), 9.0, 1e-9);
 }
 
 TEST(trace_capacity_keeps_latest_per_context) {
@@ -115,8 +101,9 @@ std::string trace_fingerprint(std::uint64_t seed) {
           std::to_string(ev.t_us) + ":" + std::to_string(ev.node) + ":" +
           std::to_string(ev.a) + ";";
   }
-  fp += "|delivered=" + std::to_string(sim.metrics().counter("mh.delivered"));
-  fp += "|retx=" + std::to_string(sim.metrics().counter("arq.retransmits"));
+  const obs::Metrics& mx = sim.metrics();
+  fp += "|delivered=" + std::to_string(mx.counter(obs::names::kMhDelivered));
+  fp += "|retx=" + std::to_string(mx.counter(obs::names::kRetransmits));
   return fp;
 }
 

@@ -8,6 +8,7 @@
 
 #include "baseline/harness.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -49,7 +50,7 @@ TEST(archive_prunes_to_retention_window) {
   sim.run_for(sim::secs(1.0));
 
   CHECK(proto.total_sent() > 400);
-  CHECK(sim.metrics().counter("archive.pruned") > 0);
+  CHECK(sim.metrics().counter(obs::names::kArchivePruned) > 0);
   CHECK(proto.global_acked_floor() > 0);
   // Retained = archive_retention + the unacked in-flight window (well under
   // one second of traffic); before watermark pruning this equaled
@@ -89,13 +90,14 @@ TEST(soak_one_million_messages_bounded_memory) {
   const std::size_t window =
       cfg.options.archive_retention + cfg.options.mq_retention + 8192;
   CHECK(proto.archive_peak() < window);
-  CHECK(sim.metrics().gauge("buf.mq.peak") < static_cast<double>(window));
+  CHECK(sim.metrics().gauge(obs::names::kBufMqPeak) <
+        static_cast<double>(window));
   CHECK(proto.archive_peak() < proto.total_sent() / 50);
   // After the drain the floor has caught up: only the retention tails and
   // the final unacked residue remain.
   CHECK(proto.archive_retained() < window);
   // Nothing lost, nothing skipped: every member saw every message.
-  CHECK_EQ(sim.metrics().counter("mh.gaps_skipped"), std::uint64_t{0});
+  CHECK_EQ(sim.metrics().counter(obs::names::kGapsSkipped), std::uint64_t{0});
   for (const auto& mh : proto.mhs()) {
     CHECK_EQ(mh.delivered_count(), proto.total_sent());
   }

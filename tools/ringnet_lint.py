@@ -7,14 +7,6 @@ anywhere; the repo root is located relative to this file (override with
 
 Rules
 -----
-RN001 metrics-string-key
-    No string-keyed Metrics mutation (`.incr("...")`, `.gauge_max("...")`)
-    in core protocol code (include/core/, src/core/). The hot paths must
-    use MetricIds pre-interned at construction; the string overloads
-    rehash the name on every event. Cold end-of-run *reads*
-    (`.counter("...")`) stay allowed, as does bench code (bench_micro
-    measures the string-vs-interned gap on purpose).
-
 RN002 map-in-core-header
     No `std::map` in core/ headers unless the declaration carries a
     `// lint: map-ok` rationale within the three lines above it (or on
@@ -53,16 +45,6 @@ RN007 hardcoded-group
     above it (or on the line itself). Ordering state is per-group now;
     a baked-in group id is the single-group assumption sneaking back.
     The zero sentinel (`GroupId{0}` == unset) stays allowed.
-
-RN008 adhoc-metric-name
-    No string-literal metric/span name at a registry call site
-    (`intern("...")`, `counter("...")`, `gauge("...")`, `incr("...")`,
-    `gauge_max("...")`) in core, sim, runtime, obs, or baseline code.
-    Names must come from the constants in obs/names.hpp so the sim oracle
-    and the UDP runtime report one vocabulary — a metric that exists under
-    two spellings is worse than no metric. obs/names.hpp itself is the
-    one place the spellings live; benches, tests, and tools keep free-form
-    names.
 
 RN009 unclamped-wire-reserve
     No `reserve(*count)` on a count decoded from the wire in proto code
@@ -113,25 +95,6 @@ class Finding:
 
     def __str__(self):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-# --------------------------------------------------------------------------
-# RN001: string-keyed Metrics mutation in core/
-
-STRING_METRIC_RE = re.compile(r'\.(incr|gauge_max)\s*\(\s*"')
-
-
-def check_metrics_string_key(root):
-    findings = []
-    for path in repo_files(root, ("include/core", "src/core")):
-        for i, text in enumerate(open(path, encoding="utf-8"), 1):
-            m = STRING_METRIC_RE.search(text)
-            if m:
-                findings.append(Finding(
-                    "RN001", rel(root, path), i,
-                    f'string-keyed Metrics::{m.group(1)}() on a core path; '
-                    'intern a MetricId at construction instead'))
-    return findings
 
 
 # --------------------------------------------------------------------------
@@ -269,35 +232,6 @@ def check_hardcoded_group(root):
 
 
 # --------------------------------------------------------------------------
-# RN008: ad-hoc metric/span name literal at a registry call site
-
-ADHOC_NAME_RE = re.compile(
-    r'\.(incr|gauge_max|counter|gauge|intern)\s*\(\s*"')
-
-RN008_DIRS = ("include/core", "src/core", "include/sim", "src/sim",
-              "include/runtime", "src/runtime", "include/obs", "src/obs",
-              "include/baseline", "src/baseline")
-
-
-def check_adhoc_metric_name(root):
-    findings = []
-    for path in repo_files(root, RN008_DIRS):
-        r = rel(root, path)
-        if r.replace(os.sep, "/") == "include/obs/names.hpp":
-            continue  # the one table the spellings live in
-        for i, text in enumerate(open(path, encoding="utf-8"), 1):
-            m = ADHOC_NAME_RE.search(text)
-            if m:
-                findings.append(Finding(
-                    "RN008", r, i,
-                    f"string-literal metric name at Metrics::{m.group(1)}() "
-                    "on a core/runtime path; use a constant from "
-                    "obs/names.hpp so sim and runtime share one metric "
-                    "vocabulary"))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # RN009: unclamped reservation by a decoded wire count in proto/
 
 UNCLAMPED_RESERVE_RE = re.compile(r"\breserve\s*\(\s*\*\s*[A-Za-z_]\w*\s*\)")
@@ -355,13 +289,11 @@ def check_header_self_containment(root, cxx):
 
 def run_checks(root, cxx, with_headers=True):
     findings = []
-    findings += check_metrics_string_key(root)
     findings += check_map_in_core_header(root)
     findings += check_raw_rng(root)
     findings += check_stdout_in_library(root)
     findings += check_raw_wall_clock(root)
     findings += check_hardcoded_group(root)
-    findings += check_adhoc_metric_name(root)
     findings += check_unclamped_wire_reserve(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
@@ -379,14 +311,6 @@ def self_test(cxx):
         def write(path, text):
             with open(os.path.join(tmp, path), "w", encoding="utf-8") as f:
                 f.write(text)
-
-        # RN001: string-keyed mutation on a core path.
-        write("src/core/bad_metrics.cpp",
-              'void f(M& m) { m.metrics().incr("token.held"); }\n')
-        # Interned mutation and cold string reads must NOT fire.
-        write("src/core/good_metrics.cpp",
-              "void f(M& m) { m.incr(mid_.held); }\n"
-              'void g(M& m) { (void)m.counter("token.held"); }\n')
 
         # RN002: bare std::map in a core header; annotated one is fine.
         write("include/core/bad_map.hpp",
@@ -442,16 +366,6 @@ def self_test(cxx):
               "constexpr GroupId kG{1};\n"
               "void g(M& m) { m.gid = GroupId{0}; }\n")
 
-        # RN008: ad-hoc name literal at a registry call; the names-constant
-        # call and free-form bench names must NOT fire.
-        write("src/runtime/bad_name.cpp",
-              'void f(M& m) { m.metrics().intern("my.adhoc.name"); }\n')
-        write("src/runtime/good_name.cpp",
-              "void f(M& m) { m.intern(obs::names::kTokenHeld); }\n"
-              "void g(M& m) { (void)m.counter(obs::names::kMhDelivered); }\n")
-        write("bench/ok_name.cpp",
-              'void f(M& m) { m.intern("bench.freeform"); }\n')
-
         # RN009: a reservation sized by a decoded count; the clamped form
         # and a reservation outside proto/ must NOT fire.
         os.makedirs(os.path.join(tmp, "src/proto"))
@@ -466,14 +380,13 @@ def self_test(cxx):
 
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
-        for rule in ("RN001", "RN002", "RN003", "RN004", "RN005", "RN006",
-                     "RN007", "RN008", "RN009"):
+        for rule in ("RN002", "RN003", "RN004", "RN005", "RN006", "RN007",
+                     "RN009"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
         by_file = {(f.rule, os.path.basename(f.path)) for f in findings}
-        for rule, fname in (("RN001", "good_metrics.cpp"),
-                            ("RN002", "good_map.hpp"),
+        for rule, fname in (("RN002", "good_map.hpp"),
                             ("RN003", "rng.hpp"),
                             ("RN004", "ok_out.cpp"),
                             ("RN004", "ok_snprintf.cpp"),
@@ -481,8 +394,6 @@ def self_test(cxx):
                             ("RN006", "clock.hpp"),
                             ("RN006", "ok_wait.cpp"),
                             ("RN007", "good_group.cpp"),
-                            ("RN008", "good_name.cpp"),
-                            ("RN008", "ok_name.cpp"),
                             ("RN009", "good_reserve.cpp"),
                             ("RN009", "ok_reserve.cpp")):
             if (rule, fname) in by_file:
