@@ -109,6 +109,7 @@ enum class MsgType : std::uint8_t {
   TokenAck = 6,
   DataBatch = 7,
   CellFrame = 8,
+  Bundle = 9,
 };
 
 /// Destination-group cap for one data message. The wire extension stores a
@@ -309,11 +310,22 @@ class OrderingToken {
 // ---------------------------------------------------------------------------
 // Message envelope + codec
 
+class Message;
+
+/// Several messages in one datagram: what one runtime handler call sends to
+/// one next hop, when that is more than one message. Parts are handled in
+/// order. Wire form: u16 part count (>= 2), then per part a u16 length
+/// (>= 1) and exactly that many bytes, which must decode as one message
+/// that is not itself a Bundle. Strict: no nesting and no trailing bytes.
+struct BundleMsg {
+  std::vector<Message> parts;
+};
+
 class Message {
  public:
   using Body = std::variant<DataMsg, OrderingToken, DeliveryAckMsg,
                             MembershipMsg, HeartbeatMsg, TokenAckMsg,
-                            DataBatchMsg, CellFrameMsg>;
+                            DataBatchMsg, CellFrameMsg, BundleMsg>;
 
   Message(DataMsg m) : body_(std::move(m)) {}                 // NOLINT
   Message(OrderingToken m) : body_(std::move(m)) {}           // NOLINT
@@ -323,6 +335,7 @@ class Message {
   Message(TokenAckMsg m) : body_(std::move(m)) {}             // NOLINT
   Message(DataBatchMsg m) : body_(std::move(m)) {}            // NOLINT
   Message(CellFrameMsg m) : body_(std::move(m)) {}            // NOLINT
+  Message(BundleMsg m) : body_(std::move(m)) {}               // NOLINT
 
   MsgType type() const;
   const Body& body() const { return body_; }
@@ -341,6 +354,7 @@ class Message {
   }
   const DataBatchMsg& batch() const { return std::get<DataBatchMsg>(body_); }
   const CellFrameMsg& cell() const { return std::get<CellFrameMsg>(body_); }
+  const BundleMsg& bundle() const { return std::get<BundleMsg>(body_); }
 
  private:
   Body body_;
@@ -388,10 +402,30 @@ struct MemberBatch {
 std::optional<std::vector<MemberBatch>> split_cell(const std::uint8_t* data,
                                                    std::size_t size);
 
+/// One part of a Bundle: a slice of the buffer the bundle was read from.
+struct BundlePart {
+  const std::uint8_t* data = nullptr;
+  std::size_t size = 0;
+};
+
+/// A Bundle payload's parts, in order, without decoding them: nullopt when
+/// the payload is not a Bundle or its framing is not as decode() requires
+/// (count, lengths, no part tagged Bundle, nothing trailing). Lets a relay
+/// route each part by its tag; decode() also checks every part's body.
+std::optional<std::vector<BundlePart>> bundle_parts(const std::uint8_t* data,
+                                                    std::size_t size);
+
+/// Pack encoded messages, in order, into datagram payloads of at most
+/// `max_bytes` each: as many to a payload as fit. A payload of one message
+/// is that message's own bytes, one of several a Bundle. Each message must
+/// be non-empty, not a Bundle, and fit `max_bytes` on its own.
+std::vector<std::vector<std::uint8_t>> pack_bundles(
+    std::vector<std::vector<std::uint8_t>> parts, std::size_t max_bytes);
+
 /// Wire size of a message without materializing the buffer (used by the
 /// simulator to charge link serialization time). A DataBatch or CellFrame
 /// is sized exactly as encoded; a single Data frame also counts its payload
-/// bytes.
+/// bytes, and a Bundle is its framing plus the wire size of each part.
 std::size_t wire_size(const Message& msg);
 
 }  // namespace ringnet::proto

@@ -62,6 +62,11 @@ struct RuntimeOptions {
   /// regenerating while some ring node is still retransmitting the old
   /// token puts two live tokens on the ring, and their assignments can
   /// bind one gseq to two different messages.
+  ///
+  /// A second inequality: acks wait up to ack_period_us for a data frame
+  /// to ride (a BR's submit-ack, a source MH's member ack), so
+  /// ack_period_us plus one hop must stay below retx_timeout_us. Otherwise
+  /// a source retransmits before its deferred submit-ack arrives.
   std::int64_t token_regen_timeout_us() const {
     return heartbeat_miss_limit * heartbeat_period_us +
            (max_retx + 2) * retx_timeout_us;
@@ -188,13 +193,14 @@ struct BrConfig {
 };
 
 /// The ordering node. Whatever one handler call (on_start, on_datagram,
-/// on_tick) sends to one destination travels in one datagram, split only
-/// when the next part would not fit in kMaxDatagramBytes. Peer BRs get
-/// DataBatch frames. So do its own APs in single-group mode: a cell
-/// broadcast, or one member's resends (the relay target). In multi-group
-/// mode each AP gets CellFrames, which carry each body once and every
-/// destined member's chain links. A hold's assignments are flushed before
-/// the token is released.
+/// on_tick) sends to one next hop travels in one datagram, a Bundle when it
+/// is several messages, split only when the next part would not fit in
+/// kMaxDatagramBytes. Peer BRs get DataBatch frames. So do its own APs in
+/// single-group mode: a cell broadcast, or one member's resends (the relay
+/// target). In multi-group mode each AP gets CellFrames, which carry each
+/// body once and every destined member's chain links. The token rides
+/// behind the hold's last batch to the next BR, and a source's submit-ack
+/// rides the first cell frame whose links name the source.
 class BrRuntime final : public SupervisedNode {
  public:
   BrRuntime(BrConfig cfg, Transport& tr);
@@ -219,7 +225,15 @@ class BrRuntime final : public SupervisedNode {
  private:
   struct SourceIn {
     LocalSeq next_expected = 0;
+    bool ack_due = false;  // a submit-ack waits in due_acks_
     std::unordered_map<LocalSeq, proto::DataMsg> pending;
+  };
+  // A multi-group submit-ack waiting for a cell frame to ride.
+  struct DueAck {
+    std::uint32_t source = 0;  // the uplink_ key
+    NodeId mh;
+    NodeId ap;
+    std::int64_t since_us = 0;
   };
   struct Member {
     NodeId ap = NodeId::invalid();
@@ -244,29 +258,39 @@ class BrRuntime final : public SupervisedNode {
     std::int64_t next_resend_us = 0;
   };
 
-  // Ordered data bound for one (destination, relay target) pair. Entries
-  // accumulate during one handler call and leave at flush_batches(): as
-  // DataBatch datagrams, or, when the outbox holds links, as CellFrames
-  // whose bodies are the entries.
+  // Everything one handler call sends to one (destination, relay target)
+  // pair. It leaves at flush(), packed into as few datagrams as fit: the
+  // posted messages, then the ordered entries (DataBatches, or CellFrames
+  // whose bodies are the entries when the outbox holds links), then the
+  // token, so a peer applies a hold's assignments before the token.
   struct Outbox {
     NodeId to;
     NodeId relay;
+    std::vector<std::vector<std::uint8_t>> posted;  // encoded messages
     std::vector<proto::DataMsg> entries;
     std::vector<proto::CellLink> links;  // grouped by body, in body order
+    std::vector<std::uint8_t> token;     // encoded; empty when none
   };
 
   bool leader() const { return cfg_.ring.front() == cfg_.self; }
   bool multi() const { return cfg_.groups.multi(); }
   NodeId next_br() const;
   Outbox& outbox(NodeId to, NodeId relay = NodeId::invalid());
+  void post(NodeId to, const proto::Message& msg,
+            NodeId relay = NodeId::invalid());
   void emit(NodeId to, const proto::DataMsg& msg,
             NodeId relay = NodeId::invalid());
   void emit_chain(NodeId ap, const proto::DataMsg& msg, NodeId mh,
                   GlobalSeq prev_chain, bool share_body);
-  void flush_batches();
+  void flush();
   void handle_proto(const Datagram& d, std::int64_t now_us);
+  void handle_msg(const proto::Message& msg, NodeId from,
+                  std::int64_t now_us);
   void handle_uplink(const proto::DataMsg& msg, std::int64_t now_us);
-  void ack_uplink(NodeId source, const SourceIn& si);
+  void defer_submit_ack(NodeId source, SourceIn& si, std::int64_t now_us);
+  /// Post every due submit-ack for which `ready(due)` holds.
+  template <class Pred>
+  void post_due_acks(Pred ready);
   void store_and_forward_ordered(const proto::DataMsg& msg,
                                  std::int64_t now_us);
   void forward_chain(const proto::DataMsg& msg);
@@ -289,9 +313,11 @@ class BrRuntime final : public SupervisedNode {
   std::vector<SpanAssignRec> span_assigned_;
   std::unordered_map<std::uint64_t, std::int64_t> span_relay_rx_us_;
 
-  // This call's batches in first-use order, indexed by (to, relay).
+  // This call's outboxes in first-use order, indexed by (to, relay).
   std::vector<Outbox> outboxes_;
   std::unordered_map<std::uint64_t, std::size_t> outbox_of_;
+  // Submit-acks waiting to ride, oldest first, one per source.
+  std::vector<DueAck> due_acks_;
 
   std::uint64_t epoch_ = 1;
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
@@ -324,10 +350,12 @@ struct ApConfig {
   RuntimeOptions opts;
 };
 
-/// The access proxy relays uplink frames, acks and single-group data byte
-/// for byte. A multi-group CellFrame it decodes and splits
+/// The access proxy relays uplink datagrams, relayed downlink ones and
+/// single-group data byte for byte. A downlink CellFrame it splits
 /// (proto::split_cell): each member the frame names gets one DataBatch of
-/// its own entries.
+/// its own entries. A downlink ack goes to the member it names. A downlink
+/// Bundle it splits part by part, and the parts bound for one member leave
+/// in one datagram.
 class ApRuntime final : public SupervisedNode {
  public:
   ApRuntime(ApConfig cfg, Transport& tr);
@@ -337,6 +365,9 @@ class ApRuntime final : public SupervisedNode {
   void on_tick(std::int64_t now_us) override;
 
  private:
+  bool track_membership(const std::uint8_t* data, std::size_t size);
+  bool hand_out(const std::vector<std::uint8_t>& payload);
+
   ApConfig cfg_;
   std::vector<NodeId> attached_;
   std::unordered_set<std::uint32_t> attached_set_;
@@ -361,6 +392,10 @@ struct MhConfig {
   RuntimeOptions opts;
 };
 
+/// The mobile host: a count-bounded source and a group member. Whatever
+/// one handler call sends its AP leaves in one datagram, and a source holds
+/// a due ack for its next submission when that is due within one ack
+/// period.
 class MhRuntime final : public SupervisedNode {
  public:
   MhRuntime(MhConfig cfg, Transport& tr);
@@ -400,9 +435,12 @@ class MhRuntime final : public SupervisedNode {
   };
 
   void submit_one(std::int64_t now_us);
+  void handle_msg(const proto::Message& msg, std::int64_t now_us);
   void deliver(const proto::DataMsg& msg, std::int64_t now_us);
   void record_latency(std::int64_t lat_us);
-  void send_ack();
+  bool submitting() const;
+  void post(const proto::Message& msg);
+  void flush();
 
   MhConfig cfg_;
   mutable util::Mutex lat_mu_;
@@ -426,6 +464,8 @@ class MhRuntime final : public SupervisedNode {
   std::vector<DeliveredRec> log_;
   std::vector<std::int64_t> lat_us_;
   std::int64_t next_ack_us_ = 0;
+  // What this handler call sends the AP, encoded; it leaves at flush().
+  std::vector<std::vector<std::uint8_t>> outbox_;
   bool done_ = false;
   std::int64_t next_done_us_ = 0;
 };

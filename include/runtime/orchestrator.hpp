@@ -50,10 +50,8 @@ struct LoopbackSpec {
   /// destined subsequence (membership intersects destination set) in
   /// multi-group mode.
   std::uint64_t expected_at(std::size_t m) const;
+  /// Expected deliveries over every MH: the sum of expected_at(m).
   std::uint64_t expected_total() const {
-    if (!groups.multi()) {
-      return static_cast<std::uint64_t>(n_mhs()) * msgs_per_source;
-    }
     std::uint64_t total = 0;
     for (std::size_t m = 0; m < n_mhs(); ++m) total += expected_at(m);
     return total;

@@ -5,6 +5,12 @@
 
 namespace ringnet::proto {
 
+namespace {
+/// Bundle sizes: the tag and the part count, then a length per part.
+constexpr std::size_t kBundleFixedBytes = 1 + 2;
+constexpr std::size_t kBundlePartBytes = 2;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // OrderingToken
 
@@ -170,6 +176,7 @@ MsgType Message::type() const {
     MsgType operator()(const CellFrameMsg&) const {
       return MsgType::CellFrame;
     }
+    MsgType operator()(const BundleMsg&) const { return MsgType::Bundle; }
   };
   return std::visit(Visitor{}, body_);
 }
@@ -437,6 +444,42 @@ std::optional<Message> decode_token_ack(WireReader& r) {
   return Message(m);
 }
 
+/// A Bundle's framing after its tag: at least two parts, each with a
+/// nonzero length inside the payload and a tag other than Bundle, ending
+/// exactly where the payload does.
+std::optional<std::vector<BundlePart>> read_parts(WireReader& r) {
+  const auto n = r.u16();
+  if (!n || *n < 2) return std::nullopt;
+  std::vector<BundlePart> parts;
+  // Bounded by what the payload can hold: a length and a tag per part.
+  parts.reserve(
+      std::min<std::size_t>(*n, r.remaining() / (kBundlePartBytes + 1)));
+  for (std::uint16_t i = 0; i < *n; ++i) {
+    const auto len = r.u16();
+    if (!len || *len == 0) return std::nullopt;
+    const std::uint8_t* at = r.take(*len);
+    if (at == nullptr || at[0] == static_cast<std::uint8_t>(MsgType::Bundle)) {
+      return std::nullopt;
+    }
+    parts.push_back(BundlePart{at, *len});
+  }
+  if (!r.exhausted()) return std::nullopt;
+  return parts;
+}
+
+std::optional<Message> decode_bundle(WireReader& r) {
+  const auto parts = read_parts(r);
+  if (!parts) return std::nullopt;
+  BundleMsg b;
+  b.parts.reserve(parts->size());
+  for (const BundlePart& p : *parts) {
+    auto m = decode(p.data, p.size);
+    if (!m) return std::nullopt;
+    b.parts.push_back(std::move(*m));
+  }
+  return Message(std::move(b));
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const Message& msg) {
@@ -454,6 +497,14 @@ std::vector<std::uint8_t> encode(const Message& msg) {
       encode_entries(m.entries.data(), m.entries.size(), w);
     }
     void operator()(const CellFrameMsg& m) const { encode_body(m, w); }
+    void operator()(const BundleMsg& m) const {
+      w.u16(static_cast<std::uint16_t>(m.parts.size()));
+      for (const Message& part : m.parts) {
+        const auto bytes = encode(part);
+        w.u16(static_cast<std::uint16_t>(bytes.size()));
+        w.raw(bytes.data(), bytes.size());
+      }
+    }
   };
   std::visit(Visitor{w}, msg.body());
   return w.take();
@@ -549,6 +600,47 @@ std::optional<std::vector<MemberBatch>> split_cell(const std::uint8_t* data,
   return out;
 }
 
+std::optional<std::vector<BundlePart>> bundle_parts(const std::uint8_t* data,
+                                                    std::size_t size) {
+  WireReader r(data, size);
+  const auto type = r.u8();
+  if (!type || *type != static_cast<std::uint8_t>(MsgType::Bundle)) {
+    return std::nullopt;
+  }
+  return read_parts(r);
+}
+
+std::vector<std::vector<std::uint8_t>> pack_bundles(
+    std::vector<std::vector<std::uint8_t>> parts, std::size_t max_bytes) {
+  std::vector<std::vector<std::uint8_t>> out;
+  std::size_t first = 0;  // parts [first, end) make the next payload
+  std::size_t bytes = kBundleFixedBytes;
+  const auto cut = [&](std::size_t end) {
+    if (end - first == 1) {
+      out.push_back(std::move(parts[first]));
+    } else {
+      WireWriter w;
+      w.reserve(bytes);
+      w.u8(static_cast<std::uint8_t>(MsgType::Bundle));
+      w.u16(static_cast<std::uint16_t>(end - first));
+      for (std::size_t k = first; k < end; ++k) {
+        w.u16(static_cast<std::uint16_t>(parts[k].size()));
+        w.raw(parts[k].data(), parts[k].size());
+      }
+      out.push_back(w.take());
+    }
+    first = end;
+    bytes = kBundleFixedBytes;
+  };
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::size_t add = kBundlePartBytes + parts[i].size();
+    if (i > first && bytes + add > max_bytes) cut(i);
+    bytes += add;
+  }
+  if (first < parts.size()) cut(parts.size());
+  return out;
+}
+
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
   WireReader r(data, size);
   const auto type = r.u8();
@@ -582,6 +674,9 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
       break;
     case MsgType::CellFrame:
       out = decode_cell(r);
+      break;
+    case MsgType::Bundle:
+      out = decode_bundle(r);
       break;
     default:
       return std::nullopt;
@@ -623,6 +718,12 @@ std::size_t wire_size(const Message& msg) {
       for (const DataMsg& b : m.bodies) body += cell_body_bytes(b);
       for (const CellFrameMsg::Member& mem : m.members) {
         body += kCellMemberBytes + mem.links.size() * kCellLinkBytes;
+      }
+    }
+    void operator()(const BundleMsg& m) const {
+      body = kBundleFixedBytes - 1;
+      for (const Message& part : m.parts) {
+        body += kBundlePartBytes + wire_size(part);
       }
     }
   };

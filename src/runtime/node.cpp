@@ -29,8 +29,9 @@ constexpr std::uint32_t kStallAckLimit = 4;
 constexpr std::size_t kMaxBatchEntries =
     (kMaxDatagramBytes - kFrameHeaderBytes - 3) /
     (1 + proto::kMaxDataBodyBytes);
-/// CellFrame payload budget: one datagram after the frame header.
-constexpr std::size_t kMaxCellBytes = kMaxDatagramBytes - kFrameHeaderBytes;
+/// Payload budget of one datagram after the frame header: a CellFrame's,
+/// and a Bundle's.
+constexpr std::size_t kMaxPayloadBytes = kMaxDatagramBytes - kFrameHeaderBytes;
 /// Stop broadcasts before the supervisor counts itself stopped: enough
 /// rounds to cover a lost one.
 constexpr int kStopRounds = 4;
@@ -139,8 +140,12 @@ NodeId BrRuntime::next_br() const {
 BrRuntime::Outbox& BrRuntime::outbox(NodeId to, NodeId relay) {
   const std::uint64_t key = (std::uint64_t{to.v} << 32) | relay.v;
   const auto [it, fresh] = outbox_of_.try_emplace(key, outboxes_.size());
-  if (fresh) outboxes_.push_back(Outbox{to, relay, {}, {}});
+  if (fresh) outboxes_.push_back(Outbox{to, relay, {}, {}, {}, {}});
   return outboxes_[it->second];
+}
+
+void BrRuntime::post(NodeId to, const proto::Message& msg, NodeId relay) {
+  outbox(to, relay).posted.push_back(proto::encode(msg));
 }
 
 void BrRuntime::emit(NodeId to, const proto::DataMsg& msg, NodeId relay) {
@@ -160,19 +165,44 @@ void BrRuntime::emit_chain(NodeId ap, const proto::DataMsg& msg, NodeId mh,
   box.links.push_back(proto::CellLink{box.entries.size() - 1, mh, prev_chain});
 }
 
-void BrRuntime::flush_batches() {
-  for (const Outbox& box : outboxes_) {
+void BrRuntime::flush() {
+  // A due submit-ack rides this call's frame to its source's AP when the
+  // frame's links name the source: the source's AP hands it that member's
+  // batch and the ack in one datagram.
+  post_due_acks([&](const DueAck& due) {
+    const auto it =
+        outbox_of_.find((std::uint64_t{due.ap.v} << 32) | NodeId::invalid().v);
+    if (it == outbox_of_.end()) return false;
+    const auto& links = outboxes_[it->second].links;
+    return std::any_of(links.begin(), links.end(),
+                       [&](const auto& l) { return l.mh == due.mh; });
+  });
+  for (Outbox& box : outboxes_) {
+    std::vector<std::vector<std::uint8_t>> parts = std::move(box.posted);
     if (!box.links.empty()) {
-      for (const auto& payload :
-           proto::pack_cells(box.entries, box.links, kMaxCellBytes)) {
-        tr_.send(box.to, frame(cfg_.self, FrameKind::Proto, payload));
+      for (auto& cell :
+           proto::pack_cells(box.entries, box.links, kMaxPayloadBytes)) {
+        parts.push_back(std::move(cell));
       }
-      continue;
+    } else {
+      for (std::size_t at = 0; at < box.entries.size();
+           at += kMaxBatchEntries) {
+        const std::size_t n =
+            std::min(kMaxBatchEntries, box.entries.size() - at);
+        parts.push_back(proto::encode_batch(box.entries.data() + at, n));
+      }
     }
-    for (std::size_t at = 0; at < box.entries.size(); at += kMaxBatchEntries) {
-      const std::size_t n = std::min(kMaxBatchEntries, box.entries.size() - at);
-      const auto payload = proto::encode_batch(box.entries.data() + at, n);
-      tr_.send(box.to, frame(cfg_.self, FrameKind::Proto, payload, box.relay));
+    const bool token = !box.token.empty();
+    if (token) parts.push_back(std::move(box.token));
+    auto payloads = proto::pack_bundles(std::move(parts), kMaxPayloadBytes);
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      auto bytes = frame(cfg_.self, FrameKind::Proto, payloads[i], box.relay);
+      tr_.send(box.to, bytes);
+      // The token's datagram is what the forward ARQ resends: the token and
+      // the assignments it rides behind.
+      if (token && i + 1 == payloads.size()) {
+        await_.frame_bytes = std::move(bytes);
+      }
     }
   }
   outboxes_.clear();
@@ -192,7 +222,7 @@ void BrRuntime::on_start(std::int64_t now_us) {
     last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
     accept_token(std::move(t), now_us);
   }
-  flush_batches();
+  flush();
 }
 
 void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
@@ -201,29 +231,40 @@ void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
     return;
   }
   handle_proto(d, now_us);
-  flush_batches();
+  flush();
 }
 
 void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
-  auto msg = proto::decode(d.payload.data(), d.payload.size());
+  const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg) {
     metrics_.incr(names::kMalformed);
     return;
   }
-  switch (msg->type()) {
+  if (msg->type() != proto::MsgType::Bundle) {
+    handle_msg(*msg, d.src, now_us);
+    return;
+  }
+  for (const proto::Message& part : msg->bundle().parts) {
+    handle_msg(part, d.src, now_us);
+  }
+}
+
+void BrRuntime::handle_msg(const proto::Message& msg, NodeId from,
+                           std::int64_t now_us) {
+  switch (msg.type()) {
     case proto::MsgType::Data:  // uplink submission
-      handle_uplink(msg->data(), now_us);
+      handle_uplink(msg.data(), now_us);
       break;
     case proto::MsgType::DataBatch:  // a peer's assignments or pull reply
-      for (const proto::DataMsg& dm : msg->batch().entries) {
+      for (const proto::DataMsg& dm : msg.batch().entries) {
         store_and_forward_ordered(dm, now_us);
       }
       break;
     case proto::MsgType::Token:
-      handle_token(msg->token(), d.src, now_us);
+      handle_token(msg.token(), from, now_us);
       break;
     case proto::MsgType::TokenAck: {
-      const proto::TokenAckMsg& ack = msg->token_ack();
+      const proto::TokenAckMsg& ack = msg.token_ack();
       if (await_.active && ack.serial == await_.serial &&
           ack.rotation == await_.rotation) {
         await_.active = false;
@@ -231,10 +272,10 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
       break;
     }
     case proto::MsgType::DeliveryAck:
-      handle_member_ack(msg->ack(), now_us);
+      handle_member_ack(msg.ack(), now_us);
       break;
     case proto::MsgType::Membership: {
-      const proto::MembershipMsg& mm = msg->membership();
+      const proto::MembershipMsg& mm = msg.membership();
       for (const auto& ev : mm.events) {
         if (!ev.ap.valid()) {
           members_.erase(ev.mh.v);
@@ -254,15 +295,16 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
               core::member_groups(ev.mh.index(), cfg_.groups);
         }
       }
-      if (d.src.tier() == Tier::AP) {
+      if (from.tier() == Tier::AP) {
         for (NodeId peer : cfg_.ring) {
-          if (peer != cfg_.self) tr_.send_msg(peer, proto::Message(mm));
+          if (peer != cfg_.self) post(peer, proto::Message(mm));
         }
       }
       break;
     }
     case proto::MsgType::Heartbeat:
     case proto::MsgType::CellFrame:  // AP-bound only
+    case proto::MsgType::Bundle:     // never a part
       break;
   }
 }
@@ -270,8 +312,11 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
 void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
   SourceIn& si = uplink_[msg.source.v];
   if (msg.lseq < si.next_expected) {
+    // A duplicate means the source missed an ack: ack in this call.
     metrics_.incr(names::kDuplicates);
-    ack_uplink(msg.source, si);
+    defer_submit_ack(msg.source, si, now_us);
+    post_due_acks(
+        [&](const DueAck& due) { return due.source == msg.source.v; });
     return;
   }
   // Span stamp: first reception of each uplink. The stamp rides the sim-only
@@ -290,7 +335,7 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
       ++si.next_expected;
       it = si.pending.find(si.next_expected);
     }
-    ack_uplink(msg.source, si);
+    defer_submit_ack(msg.source, si, now_us);
     return;
   }
   if (si.pending.size() >= kUplinkPendingCap) return;  // source ARQ re-offers
@@ -302,19 +347,34 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
   }
 }
 
-void BrRuntime::ack_uplink(NodeId source, const SourceIn& si) {
+void BrRuntime::defer_submit_ack(NodeId source, SourceIn& si,
+                                 std::int64_t now_us) {
   // Multi-group mode only: a source need not be a member of its messages'
   // destination groups, so seeing its own submission come back ordered (the
   // legacy uplink-ARQ exit) is no longer guaranteed. Ack the contiguously
   // accepted prefix instead; duplicates re-trigger it, covering a lost ack.
-  if (!multi()) return;
-  const auto it = members_.find(NodeId::make(Tier::MH, source.index()).v);
+  // The ack waits for a cell frame to ride (flush), for at most one ack
+  // period (on_tick).
+  if (!multi() || si.ack_due) return;
+  const NodeId mh = NodeId::make(Tier::MH, source.index());
+  const auto it = members_.find(mh.v);
   if (it == members_.end()) return;
-  tr_.send_msg(it->second.ap,
-               proto::Message(proto::DeliveryAckMsg{
-                   kRuntimeGroup, NodeId::make(Tier::MH, source.index()),
-                   si.next_expected}),
-               NodeId::make(Tier::MH, source.index()));
+  si.ack_due = true;
+  due_acks_.push_back(DueAck{source.v, mh, it->second.ap, now_us});
+}
+
+template <class Pred>
+void BrRuntime::post_due_acks(Pred ready) {
+  // Routed by the ack's member, not by a relay target, so it can share the
+  // cell's datagram; it carries the prefix accepted by the time it leaves.
+  std::erase_if(due_acks_, [&](const DueAck& due) {
+    if (!ready(due)) return false;
+    SourceIn& si = uplink_[due.source];
+    si.ack_due = false;
+    post(due.ap, proto::Message(proto::DeliveryAckMsg{kRuntimeGroup, due.mh,
+                                                      si.next_expected}));
+    return true;
+  });
 }
 
 void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
@@ -359,9 +419,11 @@ void BrRuntime::forward_chain(const proto::DataMsg& msg) {
 void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
                              std::int64_t now_us) {
   // Ack every token frame, even duplicates: the sender's ARQ keys on
-  // (serial, rotation) and a lost ack must not keep it retransmitting.
-  tr_.send_msg(from, proto::Message(proto::TokenAckMsg{
-                         cfg_.self, token.serial(), token.rotation()}));
+  // (serial, rotation) and a lost ack must not keep it retransmitting. The
+  // ack rides whatever this call sends the sender: after an accept, the
+  // assignments the accept made.
+  post(from, proto::Message(proto::TokenAckMsg{cfg_.self, token.serial(),
+                                               token.rotation()}));
   if (token.epoch() < epoch_) {
     metrics_.incr(names::kTokenDupDestroyed);
     record(obs::FrEvent::TokenDupDestroyed, now_us, token.epoch(),
@@ -410,19 +472,15 @@ void BrRuntime::assign_staged(std::int64_t now_us) {
       if (peer != cfg_.self) emit(peer, m);
     }
   }
-  // Peers must receive these assignments before the token that follows
-  // them, so they leave now rather than at the end of the handler call.
-  flush_batches();
 }
 
 void BrRuntime::release_token(std::int64_t now_us) {
   if (!has_token_) return;
-  auto bytes =
-      frame(cfg_.self, FrameKind::Proto, proto::encode(proto::Message(token_)));
-  await_ = AwaitedAck{true, token_.serial(), token_.rotation(),
-                      std::move(bytes), 0,
+  // The token leaves last in this call's datagram to the next BR, behind
+  // the hold's assignments; flush() keeps that datagram for the ARQ.
+  outbox(next_br()).token = proto::encode(proto::Message(token_));
+  await_ = AwaitedAck{true, token_.serial(), token_.rotation(), {}, 0,
                       now_us + cfg_.opts.retx_timeout_us};
-  tr_.send(next_br(), await_.frame_bytes);
   record(obs::FrEvent::TokenTx, now_us, token_.serial(), next_br().v);
   has_token_ = false;
 }
@@ -471,10 +529,10 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   if (want < front) {
     // The MQ no longer retains the member's gap: push its floor forward so
     // it gap-skips (those messages are "really lost" for this member).
-    tr_.send_msg(m.ap,
-                 proto::Message(proto::DeliveryAckMsg{kRuntimeGroup,
-                                                      ack.member, front}),
-                 ack.member);
+    post(m.ap,
+         proto::Message(
+             proto::DeliveryAckMsg{kRuntimeGroup, ack.member, front}),
+         ack.member);
     metrics_.incr(names::kFloorAdvances);
     return;
   }
@@ -522,8 +580,8 @@ void BrRuntime::request_pull(GlobalSeq g, std::int64_t now_us) {
   last_pull_us_ = now_us;
   for (NodeId peer : cfg_.ring) {
     if (peer != cfg_.self) {
-      tr_.send_msg(peer, proto::Message(proto::DeliveryAckMsg{
-                             kRuntimeGroup, cfg_.self, g}));
+      post(peer, proto::Message(
+                     proto::DeliveryAckMsg{kRuntimeGroup, cfg_.self, g}));
     }
   }
 }
@@ -591,15 +649,19 @@ void BrRuntime::on_tick(std::int64_t now_us) {
     }
   }
   if (now_us >= next_hb_us_) {
-    tr_.send_msg(cfg_.ss,
-                 proto::Message(proto::HeartbeatMsg{cfg_.self, ++hb_beat_}));
+    post(cfg_.ss, proto::Message(proto::HeartbeatMsg{cfg_.self, ++hb_beat_}));
     next_hb_us_ = now_us + cfg_.opts.heartbeat_period_us;
   }
   if (leader() && !has_token_ &&
       now_us - last_token_seen_us_ >= cfg_.opts.token_regen_timeout_us()) {
     regenerate_token(now_us);
   }
-  flush_batches();
+  // A submit-ack that found no frame to ride in one ack period leaves
+  // alone (or with whatever this tick sends its AP).
+  post_due_acks([&](const DueAck& due) {
+    return now_us - due.since_us >= cfg_.opts.ack_period_us;
+  });
+  flush();
 }
 
 // ---------------------------------------------------------------------------
@@ -623,66 +685,135 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
     metrics_.incr(names::kMalformed);
     return;
   }
-  // The AP is a store-less relay: it peeks the envelope tag to pick a
-  // direction and forwards the payload bytes untouched. It decodes only
-  // membership deltas, to track the cell, and cell frames, to split them.
-  // The frame is built once: every copy of a cell broadcast is identical.
+  // The AP is a store-less relay. It peeks the envelope tag to pick a
+  // direction and forwards uplink and relayed payloads untouched. It decodes
+  // only membership deltas, to track the cell, and the downlink frames it
+  // hands out per member. The frame is built once: every copy of a cell
+  // broadcast is identical.
   std::vector<std::uint8_t> bytes;
   const auto forward = [&](NodeId to) {
     if (bytes.empty()) bytes = frame(cfg_.self, FrameKind::Proto, d.payload);
     tr_.send(to, bytes);
   };
   const auto type = static_cast<proto::MsgType>(d.payload[0]);
-  const bool uplink = d.src.tier() == Tier::MH;
+  if (d.src.tier() == Tier::MH) {
+    switch (type) {
+      case proto::MsgType::Data:
+      case proto::MsgType::DataBatch:
+      case proto::MsgType::DeliveryAck:
+      case proto::MsgType::Membership:
+      case proto::MsgType::Bundle:
+        if (!track_membership(d.payload.data(), d.payload.size())) {
+          metrics_.incr(names::kMalformed);
+          return;
+        }
+        forward(cfg_.br);
+        break;
+      default:
+        break;
+    }
+    return;
+  }
+  if (d.relay.valid()) {
+    forward(d.relay);  // one member: its resend window or a floor push
+    return;
+  }
   switch (type) {
     case proto::MsgType::Data:
     case proto::MsgType::DataBatch:
+      for (NodeId mh : attached_) forward(mh);
+      break;
     case proto::MsgType::DeliveryAck:
-      if (uplink) {
-        forward(cfg_.br);
-      } else if (d.relay.valid()) {
-        forward(d.relay);  // one member: chain delivery or a resend
-      } else {
-        for (NodeId mh : attached_) forward(mh);
-      }
+    case proto::MsgType::CellFrame:
+    case proto::MsgType::Bundle:
+      if (!hand_out(d.payload)) metrics_.incr(names::kMalformed);
       break;
-    case proto::MsgType::Membership: {
-      if (!uplink) break;
-      const auto msg = proto::decode(d.payload.data(), d.payload.size());
-      if (!msg) {
-        metrics_.incr(names::kMalformed);
-        return;
-      }
-      for (const auto& ev : msg->membership().events) {
-        if (ev.ap == cfg_.self) {
-          if (attached_set_.insert(ev.mh.v).second) attached_.push_back(ev.mh);
-        } else if (attached_set_.erase(ev.mh.v) != 0) {
-          attached_.erase(
-              std::remove(attached_.begin(), attached_.end(), ev.mh),
-              attached_.end());
-        }
-      }
-      forward(cfg_.br);
-      break;
-    }
-    case proto::MsgType::CellFrame: {
-      if (uplink) break;
-      // Each member the frame names gets one DataBatch of its entries. The
-      // decoder's rules keep that batch no larger than the frame.
-      const auto batches =
-          proto::split_cell(d.payload.data(), d.payload.size());
-      if (!batches) {
-        metrics_.incr(names::kMalformed);
-        return;
-      }
-      for (const proto::MemberBatch& b : *batches) {
-        tr_.send(b.mh, frame(cfg_.self, FrameKind::Proto, b.payload));
-      }
-      break;
-    }
     default:
       break;
   }
+}
+
+bool ApRuntime::track_membership(const std::uint8_t* data, std::size_t size) {
+  // An uplink Membership, alone or as a Bundle part, joins or leaves a
+  // member to or from this cell. false when it does not decode.
+  const auto type = static_cast<proto::MsgType>(data[0]);
+  if (type == proto::MsgType::Bundle) {
+    const auto parts = proto::bundle_parts(data, size);
+    if (!parts) return false;
+    return std::all_of(parts->begin(), parts->end(),
+                       [&](const proto::BundlePart& p) {
+                         return track_membership(p.data, p.size);
+                       });
+  }
+  if (type != proto::MsgType::Membership) return true;
+  const auto msg = proto::decode(data, size);
+  if (!msg) return false;
+  for (const auto& ev : msg->membership().events) {
+    if (ev.ap == cfg_.self) {
+      if (attached_set_.insert(ev.mh.v).second) attached_.push_back(ev.mh);
+    } else if (attached_set_.erase(ev.mh.v) != 0) {
+      attached_.erase(std::remove(attached_.begin(), attached_.end(), ev.mh),
+                      attached_.end());
+    }
+  }
+  return true;
+}
+
+bool ApRuntime::hand_out(const std::vector<std::uint8_t>& payload) {
+  // Each member's share of a downlink frame: a CellFrame's batch for each
+  // member it names (split_cell: the decoder's rules keep that batch no
+  // larger than the frame), an ack for the member it names, plain data for
+  // the whole cell. A member's parts leave in one datagram. false, and
+  // nothing leaves, when any part is malformed.
+  std::vector<std::pair<NodeId, std::vector<std::vector<std::uint8_t>>>> out;
+  std::unordered_map<std::uint32_t, std::size_t> slot;  // member -> out index
+  const auto give = [&](NodeId mh, std::vector<std::uint8_t> part) {
+    const auto [it, fresh] = slot.try_emplace(mh.v, out.size());
+    if (fresh) out.emplace_back(mh, std::vector<std::vector<std::uint8_t>>{});
+    out[it->second].second.push_back(std::move(part));
+  };
+  const auto split = [&](const std::uint8_t* data, std::size_t size) {
+    switch (static_cast<proto::MsgType>(data[0])) {
+      case proto::MsgType::CellFrame: {
+        auto batches = proto::split_cell(data, size);
+        if (!batches) return false;
+        for (proto::MemberBatch& b : *batches) {
+          give(b.mh, std::move(b.payload));
+        }
+        return true;
+      }
+      case proto::MsgType::DeliveryAck: {
+        const auto msg = proto::decode(data, size);
+        if (!msg) return false;
+        give(msg->ack().member, std::vector<std::uint8_t>(data, data + size));
+        return true;
+      }
+      case proto::MsgType::Data:
+      case proto::MsgType::DataBatch:
+        for (NodeId mh : attached_) {
+          give(mh, std::vector<std::uint8_t>(data, data + size));
+        }
+        return true;
+      default:
+        return true;  // nothing for the cell
+    }
+  };
+  if (static_cast<proto::MsgType>(payload[0]) == proto::MsgType::Bundle) {
+    const auto parts = proto::bundle_parts(payload.data(), payload.size());
+    if (!parts) return false;
+    for (const proto::BundlePart& p : *parts) {
+      if (!split(p.data, p.size)) return false;
+    }
+  } else if (!split(payload.data(), payload.size())) {
+    return false;
+  }
+  for (auto& [mh, parts] : out) {
+    for (const auto& part :
+         proto::pack_bundles(std::move(parts), kMaxPayloadBytes)) {
+      tr_.send(mh, frame(cfg_.self, FrameKind::Proto, part));
+    }
+  }
+  return true;
 }
 
 void ApRuntime::on_tick(std::int64_t now_us) { resend_ready(now_us); }
@@ -707,10 +838,10 @@ void MhRuntime::on_start(std::int64_t now_us) {
   next_ack_us_ = now_us + cfg_.opts.ack_period_us;
   // Announce attachment up the tree (redundant with boot membership, but it
   // exercises the membership path end to end on every run).
-  tr_.send_msg(cfg_.ap,
-               proto::Message(proto::MembershipMsg{
-                   kRuntimeGroup, cfg_.self, {{cfg_.self, cfg_.ap}}}));
+  post(proto::Message(proto::MembershipMsg{
+      kRuntimeGroup, cfg_.self, {{cfg_.self, cfg_.ap}}}));
   send_ready(now_us);
+  flush();
 }
 
 void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
@@ -723,10 +854,20 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
     metrics_.incr(names::kMalformed);
     return;
   }
+  if (msg->type() != proto::MsgType::Bundle) {
+    handle_msg(*msg, now_us);
+    return;
+  }
+  for (const proto::Message& part : msg->bundle().parts) {
+    handle_msg(part, now_us);
+  }
+}
+
+void MhRuntime::handle_msg(const proto::Message& msg, std::int64_t now_us) {
   const auto on_deliver = [&](const proto::DataMsg& m) { deliver(m, now_us); };
-  switch (msg->type()) {
+  switch (msg.type()) {
     case proto::MsgType::DataBatch:
-      for (const proto::DataMsg& dm : msg->batch().entries) {
+      for (const proto::DataMsg& dm : msg.batch().entries) {
         const std::size_t dropped = cfg_.groups.multi()
                                         ? chain_.receive(dm, on_deliver)
                                         : ordered_.receive(dm, on_deliver);
@@ -734,7 +875,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
       }
       break;
     case proto::MsgType::DeliveryAck: {
-      const auto& ack = msg->ack();
+      const auto& ack = msg.ack();
       if (cfg_.groups.multi()) {
         // Chain mode repurposes the downlink ack as the uplink submit-ack
         // (watermark = lseqs accepted by the BR); chain gaps are closed by
@@ -810,27 +951,32 @@ void MhRuntime::submit_one(std::int64_t now_us) {
   if (cfg_.opts.record_spans) span_submits_.emplace_back(m.lseq, now_us);
   record(obs::FrEvent::Submit, now_us, m.lseq);
   pending_.push_back(PendingSubmit{m, now_us, now_us, 0});
-  tr_.send_msg(cfg_.ap, proto::Message(m));
+  post(proto::Message(m));
   next_submit_us_ += period_us_;
 }
 
-void MhRuntime::send_ack() {
-  const GlobalSeq wm =
-      cfg_.groups.multi() ? chain_.tail() : ordered_.next_expected();
-  tr_.send_msg(cfg_.ap, proto::Message(proto::DeliveryAckMsg{
-                            kRuntimeGroup, cfg_.self, wm}));
-  metrics_.incr(names::kAcksSent);
+bool MhRuntime::submitting() const {
+  return start_seen() && !stop_seen() && next_lseq_ < cfg_.msgs_to_send;
+}
+
+void MhRuntime::post(const proto::Message& msg) {
+  outbox_.push_back(proto::encode(msg));
+}
+
+void MhRuntime::flush() {
+  if (outbox_.empty()) return;
+  for (const auto& payload :
+       proto::pack_bundles(std::move(outbox_), kMaxPayloadBytes)) {
+    tr_.send(cfg_.ap, frame(cfg_.self, FrameKind::Proto, payload));
+  }
+  outbox_.clear();
 }
 
 void MhRuntime::on_tick(std::int64_t now_us) {
   resend_ready(now_us);
-  if (start_seen() && !stop_seen()) {
-    int burst = 0;
-    while (next_lseq_ < cfg_.msgs_to_send && now_us >= next_submit_us_ &&
-           burst < 8) {
-      submit_one(now_us);
-      ++burst;
-    }
+  for (int burst = 0; burst < 8 && submitting() && now_us >= next_submit_us_;
+       ++burst) {
+    submit_one(now_us);
   }
   // Uplink ARQ: resubmit until the message comes back ordered. The budget
   // only expires at the queue head so later lseqs can't starve earlier ones.
@@ -850,16 +996,25 @@ void MhRuntime::on_tick(std::int64_t now_us) {
     if (p.attempts < cfg_.opts.max_retx && now_us - p.last_send_us >= gap) {
       ++p.attempts;
       p.last_send_us = now_us;
-      tr_.send_msg(cfg_.ap, proto::Message(p.msg));
+      post(proto::Message(p.msg));
       metrics_.incr(names::kUplinkRetx);
       record(obs::FrEvent::UplinkRetx, now_us, p.msg.lseq,
              static_cast<std::uint64_t>(p.attempts));
     }
   }
-  if (now_us >= next_ack_us_) {
-    send_ack();
+  // A due ack rides whatever this call sends the AP. A source with nothing
+  // to send now holds it for its next submission when that is due within
+  // one ack period, so acks never leave more often than once a period.
+  const bool ack_waits = outbox_.empty() && submitting() &&
+                         next_submit_us_ - now_us <= cfg_.opts.ack_period_us;
+  if (now_us >= next_ack_us_ && !ack_waits) {
+    const GlobalSeq wm =
+        cfg_.groups.multi() ? chain_.tail() : ordered_.next_expected();
+    post(proto::Message(proto::DeliveryAckMsg{kRuntimeGroup, cfg_.self, wm}));
+    metrics_.incr(names::kAcksSent);
     next_ack_us_ = now_us + cfg_.opts.ack_period_us;
   }
+  flush();
   if (!done_ && cfg_.expected_total > 0 &&
       delivered_count() >= cfg_.expected_total) {
     done_ = true;

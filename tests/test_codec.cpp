@@ -681,6 +681,173 @@ TEST(split_cell_gives_each_member_its_stamped_batch) {
   CHECK(!proto::split_cell(cut.data(), cut.size()).has_value());
 }
 
+// --- Bundle: several messages in one datagram ------------------------------
+
+namespace {
+
+/// What a follower BR sends the next BR in one call: a token ack, its
+/// batch, then the token; plus a member's ack.
+proto::BundleMsg sample_bundle() {
+  proto::BundleMsg b;
+  b.parts.emplace_back(proto::TokenAckMsg{NodeId::make(Tier::BR, 1), 3, 4});
+  b.parts.emplace_back(sample_batch());
+  proto::OrderingToken t(GroupId{1}, 2);
+  t.set_serial(3);
+  t.append_range(NodeId::make(Tier::BR, 0), NodeId{5}, 10, 14);
+  t.set_group_seq(GroupId{2}, 9);
+  b.parts.emplace_back(t);
+  b.parts.emplace_back(
+      proto::DeliveryAckMsg{GroupId{1}, NodeId::make(Tier::MH, 4), 77});
+  return b;
+}
+
+/// A Bundle's wire form written by hand: the tag, `count`, then each part's
+/// u16 length and bytes.
+std::vector<std::uint8_t> raw_bundle(
+    const std::vector<std::vector<std::uint8_t>>& parts, std::uint16_t count) {
+  proto::WireWriter w;
+  w.u8(static_cast<std::uint8_t>(proto::MsgType::Bundle));
+  w.u16(count);
+  for (const auto& p : parts) {
+    w.u16(static_cast<std::uint16_t>(p.size()));
+    w.raw(p.data(), p.size());
+  }
+  return w.take();
+}
+
+std::vector<std::uint8_t> ack_bytes(GlobalSeq wm) {
+  return proto::encode(proto::Message(
+      proto::DeliveryAckMsg{GroupId{1}, NodeId::make(Tier::MH, 2), wm}));
+}
+
+}  // namespace
+
+TEST(bundle_round_trip) {
+  const proto::BundleMsg ref = sample_bundle();
+  const auto bytes = proto::encode(proto::Message(ref));
+  CHECK_EQ(bytes[0], static_cast<std::uint8_t>(proto::MsgType::Bundle));
+  CHECK_EQ(proto::wire_size(proto::Message(ref)), bytes.size());
+  std::vector<std::vector<std::uint8_t>> want;
+  for (const proto::Message& m : ref.parts) want.push_back(proto::encode(m));
+  CHECK(raw_bundle(want, static_cast<std::uint16_t>(want.size())) == bytes);
+
+  const auto decoded = proto::decode(bytes);
+  CHECK(decoded.has_value());
+  if (!decoded) return;
+  CHECK(decoded->type() == proto::MsgType::Bundle);
+  const auto& parts = decoded->bundle().parts;
+  CHECK_EQ(parts.size(), want.size());
+  for (std::size_t i = 0; i < parts.size() && i < want.size(); ++i) {
+    CHECK(parts[i].type() == ref.parts[i].type());
+    CHECK(proto::encode(parts[i]) == want[i]);
+  }
+  // decode then encode reproduces the bundle's bytes.
+  CHECK(proto::encode(*decoded) == bytes);
+
+  // A relay's view: each slice is one part's encoding.
+  const auto slices = proto::bundle_parts(bytes.data(), bytes.size());
+  CHECK(slices.has_value());
+  if (slices) {
+    CHECK_EQ(slices->size(), want.size());
+    for (std::size_t i = 0; i < slices->size() && i < want.size(); ++i) {
+      const auto& sl = (*slices)[i];
+      CHECK(std::vector<std::uint8_t>(sl.data, sl.data + sl.size) == want[i]);
+    }
+  }
+  // The sender's packer writes the same bytes when everything fits.
+  const auto packed = proto::pack_bundles(want, bytes.size());
+  CHECK_EQ(packed.size(), 1u);
+  if (!packed.empty()) CHECK(packed[0] == bytes);
+}
+
+TEST(bundle_malformed_rejected) {
+  const auto ack = ack_bytes(5);
+  const auto tack = proto::encode(
+      proto::Message(proto::TokenAckMsg{NodeId::make(Tier::BR, 0), 1, 2}));
+  const auto good = raw_bundle({ack, tack}, 2);
+  CHECK(proto::decode(good).has_value());
+  CHECK(proto::bundle_parts(good.data(), good.size()).has_value());
+  const auto both_reject = [](const std::vector<std::uint8_t>& bytes) {
+    return rejects_cleanly(bytes) &&
+           !proto::bundle_parts(bytes.data(), bytes.size()).has_value();
+  };
+  // A count below two: one message travels unwrapped.
+  CHECK(both_reject(raw_bundle({ack}, 1)));
+  CHECK(both_reject(raw_bundle({}, 0)));
+  // A count that disagrees with the parts.
+  CHECK(both_reject(raw_bundle({ack, tack}, 3)));
+  CHECK(both_reject(raw_bundle({ack, tack, ack}, 2)));
+  // No nesting.
+  CHECK(both_reject(raw_bundle({ack, good}, 2)));
+  // A zero-length part.
+  CHECK(both_reject(raw_bundle({ack, {}}, 2)));
+  CHECK(both_reject(raw_bundle({{}, ack}, 2)));
+  // A part that does not decode to exactly its length: one byte long, one
+  // byte short, or not a message at all. The framing is sound, so only
+  // decode() rejects these.
+  auto longer = ack;
+  longer.push_back(0);
+  auto shorter = ack;
+  shorter.pop_back();
+  auto bogus = ack;
+  bogus[0] = 0x7F;
+  for (const auto& part : {longer, shorter, bogus}) {
+    const auto bytes = raw_bundle({tack, part}, 2);
+    CHECK(rejects_cleanly(bytes));
+    CHECK(proto::bundle_parts(bytes.data(), bytes.size()).has_value());
+  }
+  // A trailing byte.
+  auto padded = good;
+  padded.push_back(0);
+  CHECK(both_reject(padded));
+  // Truncation at every offset, of a bundle with every kind of part.
+  const auto full = proto::encode(proto::Message(sample_bundle()));
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(full.begin(), full.begin() + cut);
+    CHECK(both_reject(prefix));
+  }
+  // Not a bundle at all.
+  CHECK(!proto::bundle_parts(ack.data(), ack.size()).has_value());
+}
+
+TEST(bundle_fuzz_mutation_safe) {
+  mutation_fuzz(proto::encode(proto::Message(sample_bundle())));
+}
+
+TEST(pack_bundles_fills_each_payload_up_to_the_budget) {
+  // Five 17-byte acks under a budget that holds two of them in a bundle
+  // (3 + 2 * (2 + 17) = 41 bytes): two bundles of two, then the last ack
+  // unwrapped. Order is kept throughout.
+  std::vector<std::vector<std::uint8_t>> parts;
+  for (GlobalSeq wm = 0; wm < 5; ++wm) parts.push_back(ack_bytes(wm));
+  CHECK_EQ(parts[0].size(), 17u);
+  const auto packed = proto::pack_bundles(parts, 41);
+  CHECK_EQ(packed.size(), 3u);
+  GlobalSeq next = 0;
+  for (const auto& payload : packed) {
+    CHECK(payload.size() <= 41);
+    const auto msg = proto::decode(payload);
+    CHECK(msg.has_value());
+    if (!msg) continue;
+    if (msg->type() == proto::MsgType::DeliveryAck) {
+      CHECK_EQ(msg->ack().watermark, next++);
+      continue;
+    }
+    CHECK_EQ(msg->bundle().parts.size(), 2u);
+    for (const proto::Message& m : msg->bundle().parts) {
+      CHECK_EQ(m.ack().watermark, next++);
+    }
+  }
+  CHECK_EQ(next, 5u);
+  CHECK(packed.back() == parts.back());
+  // One byte less and every ack goes alone; a single part is never wrapped.
+  CHECK_EQ(proto::pack_bundles(parts, 40).size(), 5u);
+  const auto one = proto::pack_bundles({parts[0]}, 1000);
+  CHECK_EQ(one.size(), 1u);
+  if (!one.empty()) CHECK(one[0] == parts[0]);
+  CHECK(proto::pack_bundles({}, 1000).empty());
+}
+
 // --- counts read off the wire ----------------------------------------------
 
 TEST(huge_wire_counts_reject_without_throwing) {

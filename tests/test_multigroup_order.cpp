@@ -504,10 +504,10 @@ TEST(inprocess_runtime_delivers_multi_group_chains) {
 
 TEST(inprocess_runtime_recovers_lost_chain_frames) {
   // The same runtime shape with chain frames lost on both downlink hops:
-  // every 5th BR->AP cell frame and every 7th AP->MH data batch, up to 12
-  // each. The chain ARQ must resend what was lost, so every member still
-  // gets exactly its destined messages, in pairwise order, and nothing is
-  // given up as lost.
+  // every 5th BR->AP datagram carrying a cell frame and every 7th AP->MH
+  // datagram carrying a data batch, up to 12 each. The chain ARQ must
+  // resend what was lost, so every member still gets exactly its destined
+  // messages, in pairwise order, and nothing is given up as lost.
   runtime::LoopbackSpec spec;
   spec.num_brs = 2;
   spec.aps_per_br = 2;
@@ -526,19 +526,27 @@ TEST(inprocess_runtime_recovers_lost_chain_frames) {
   spec.drop_hook = [seen](NodeId from, NodeId to,
                           const runtime::Datagram& d) {
     if (d.kind != runtime::FrameKind::Proto || d.payload.empty()) return false;
-    const auto type = static_cast<proto::MsgType>(d.payload[0]);
-    // Drop the k-th frame (from 1) when k is a multiple of `nth`, for the
-    // first kMaxDrops multiples.
+    // A chain frame may share its datagram with acks in a Bundle.
+    const auto carries = [&d](proto::MsgType type) {
+      const auto parts =
+          proto::bundle_parts(d.payload.data(), d.payload.size());
+      if (!parts) return static_cast<proto::MsgType>(d.payload[0]) == type;
+      return std::any_of(parts->begin(), parts->end(), [type](const auto& p) {
+        return static_cast<proto::MsgType>(p.data[0]) == type;
+      });
+    };
+    // Drop the k-th datagram (from 1) when k is a multiple of `nth`, for
+    // the first kMaxDrops multiples.
     const auto drop_nth = [](std::atomic<int>& count, int nth) {
       const int k = count.fetch_add(1) + 1;
       return k % nth == 0 && k / nth <= kMaxDrops;
     };
     if (from.tier() == Tier::BR && to.tier() == Tier::AP &&
-        type == proto::MsgType::CellFrame) {
+        carries(proto::MsgType::CellFrame)) {
       return drop_nth(seen->cells, 5);
     }
     if (from.tier() == Tier::AP && to.tier() == Tier::MH &&
-        type == proto::MsgType::DataBatch) {
+        carries(proto::MsgType::DataBatch)) {
       return drop_nth(seen->batches, 7);
     }
     return false;

@@ -4,10 +4,10 @@
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
 // watchdog). The deployment both hosts boot is checked field by field.
 // Plus direct single-threaded unit coverage: the MhRuntime reordering
-// buffer and gap-skip accounting, the batched ordered datapath (one
-// datagram per destination per handler call: a DataBatch, or a multi-group
-// AP's CellFrame, which the AP splits per member), and the counters a
-// regenerated token starts from.
+// buffer and gap-skip accounting, the batched datapath (one datagram per
+// next hop per handler call: a DataBatch, or a multi-group AP's CellFrame,
+// which the AP splits per member, with the token and the acks riding in
+// Bundles), and the counters a regenerated token starts from.
 
 #include <algorithm>
 #include <atomic>
@@ -40,10 +40,26 @@ LoopbackSpec tiny_spec() {
   return spec;
 }
 
+/// The messages a datagram carries: a Bundle's parts in order, or the one
+/// message; nothing when it does not decode.
+std::vector<proto::Message> parts_of(const Datagram& d) {
+  if (d.kind != FrameKind::Proto) return {};
+  auto msg = proto::decode(d.payload.data(), d.payload.size());
+  if (!msg) return {};
+  if (msg->type() != proto::MsgType::Bundle) return {std::move(*msg)};
+  return msg->bundle().parts;
+}
+
+/// The datagram carries a message of `type`, alone or in a Bundle.
+bool carries(const Datagram& d, proto::MsgType type) {
+  const auto parts = parts_of(d);
+  return std::any_of(parts.begin(), parts.end(), [type](const auto& m) {
+    return m.type() == type;
+  });
+}
+
 bool is_token_frame(const Datagram& d) {
-  if (d.kind != FrameKind::Proto) return false;
-  const auto msg = proto::decode(d.payload.data(), d.payload.size());
-  return msg && msg->type() == proto::MsgType::Token;
+  return carries(d, proto::MsgType::Token);
 }
 
 proto::DataMsg ordered_data(GlobalSeq gseq, NodeId source, LocalSeq lseq) {
@@ -213,8 +229,8 @@ TEST(inproc_tiny_hierarchy_completes_in_order) {
   CHECK(res.completed);
   CHECK(!res.order_violation.has_value());
   CHECK_EQ(res.n_mh, spec.n_mhs());
-  for (const auto count : res.delivered_counts) {
-    CHECK_EQ(count, spec.expected_total());
+  for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
+    CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
   CHECK_EQ(res.counters.really_lost, 0u);
   CHECK_EQ(res.frames_malformed, 0u);
@@ -241,8 +257,8 @@ TEST(token_loss_recovers_via_arq) {
   CHECK(dropped->load() >= 2);
   CHECK(res.counters.token_retx >= 2);
   CHECK_EQ(res.counters.really_lost, 0u);
-  for (const auto count : res.delivered_counts) {
-    CHECK_EQ(count, spec.expected_total());
+  for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
+    CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
 }
 
@@ -273,8 +289,8 @@ TEST(token_destroyed_recovers_via_leader_regeneration) {
   CHECK(!res.order_violation.has_value());
   CHECK(res.counters.token_regenerated >= 1);
   CHECK_EQ(res.counters.really_lost, 0u);
-  for (const auto count : res.delivered_counts) {
-    CHECK_EQ(count, spec.expected_total());
+  for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
+    CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
 }
 
@@ -620,7 +636,8 @@ TEST(br_hold_sends_one_batch_per_destination) {
   auto cell0 = net.attach(kAp0);
   auto cell1 = net.attach(kAp1);
   (void)net.attach(kSs);
-  BrRuntime br(leader_cfg({kAp0, kAp1}), *tr);
+  BrConfig cfg = leader_cfg({kAp0, kAp1});
+  BrRuntime br(cfg, *tr);
   br.on_start(0);  // the leader seeds the token and holds it
 
   const std::uint64_t n = 12;
@@ -628,26 +645,193 @@ TEST(br_hold_sends_one_batch_per_destination) {
     br.on_datagram(uplink_datagram(kAp0, NodeId{5}, l), 10);
   }
   // Past the hold deadline: one tick assigns the staged uplinks and then
-  // releases the token, which must reach the peer after the batch.
+  // releases the token. Each cell gets the batch; the peer gets one
+  // datagram whose parts are the batch, then the token.
   br.on_tick(250);
   CHECK_EQ(br.assigned(), n);
-  for (InProcTransport* t : {cell0.get(), cell1.get(), peer.get()}) {
+  const auto check_batch = [&](const proto::Message& m) {
+    CHECK(m.type() == proto::MsgType::DataBatch);
+    if (m.type() != proto::MsgType::DataBatch) return;
+    const auto& entries = m.batch().entries;
+    CHECK_EQ(entries.size(), n);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      CHECK_EQ(entries[i].gseq, i);
+      CHECK_EQ(entries[i].lseq, i);
+      CHECK_EQ(entries[i].ordering_node.v, kBr0.v);
+    }
+  };
+  for (InProcTransport* t : {cell0.get(), cell1.get()}) {
     const auto frames = drain(*t);
-    const bool at_peer = t == peer.get();
-    CHECK_EQ(frames.size(), at_peer ? 2u : 1u);
+    CHECK_EQ(frames.size(), 1u);
     if (frames.empty()) continue;
-    if (at_peer && frames.size() == 2) CHECK(is_token_frame(frames[1]));
-    const auto b = batch_of(frames[0]);
-    CHECK(b.has_value());
-    if (!b) continue;
-    CHECK(!frames[0].relay.valid());  // cell broadcast / peer copy
-    CHECK_EQ(b->entries.size(), n);
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      CHECK_EQ(b->entries[i].gseq, i);
-      CHECK_EQ(b->entries[i].lseq, i);
-      CHECK_EQ(b->entries[i].ordering_node.v, kBr0.v);
+    CHECK(!frames[0].relay.valid());  // cell broadcast
+    const auto parts = parts_of(frames[0]);
+    CHECK_EQ(parts.size(), 1u);
+    if (!parts.empty()) check_batch(parts[0]);
+  }
+  const auto sent = drain(*peer);
+  CHECK_EQ(sent.size(), 1u);
+  if (sent.empty()) return;
+  CHECK(!sent[0].relay.valid());
+  const auto parts = parts_of(sent[0]);
+  CHECK_EQ(parts.size(), 2u);
+  if (parts.size() != 2) return;
+  check_batch(parts[0]);
+  CHECK(parts[1].type() == proto::MsgType::Token);
+
+  // The peer never acks: the forward ARQ resends the same datagram, so the
+  // resend carries the assignments too.
+  br.on_tick(250 + cfg.opts.retx_timeout_us);
+  CHECK_EQ(br.counters().token_retx, 1u);
+  const auto resent = drain(*peer);
+  CHECK_EQ(resent.size(), 1u);
+  if (!resent.empty()) CHECK(resent[0].payload == sent[0].payload);
+}
+
+TEST(br_accept_acks_the_token_in_its_batch_to_the_sender) {
+  // A follower takes the token from BR 0 while uplinks wait in its WQ: the
+  // accept assigns them, and BR 0 gets one datagram, the TokenAck and the
+  // batch of those assignments.
+  InProcNet net;
+  auto tr = net.attach(kBr1);
+  auto br0 = net.attach(kBr0);
+  (void)net.attach(kAp1);
+  (void)net.attach(kSs);
+  BrConfig cfg;
+  cfg.self = kBr1;
+  cfg.ss = kSs;
+  cfg.ring = {kBr0, kBr1};
+  cfg.own_aps = {kAp1};
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const std::uint64_t n = 3;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(uplink_datagram(kAp1, NodeId{6}, l), 10);
+  }
+  CHECK(drain(*br0).empty());
+  proto::OrderingToken token(kRuntimeGroup, 1);
+  token.set_serial(1);
+  Datagram in = proto_datagram(proto::Message(token));
+  in.src = kBr0;
+  br.on_datagram(in, 20);
+  CHECK_EQ(br.assigned(), n);
+  const auto sent = drain(*br0);
+  CHECK_EQ(sent.size(), 1u);
+  if (sent.empty()) return;
+  const auto parts = parts_of(sent[0]);
+  CHECK_EQ(parts.size(), 2u);
+  if (parts.size() != 2) return;
+  CHECK(parts[0].type() == proto::MsgType::TokenAck);
+  CHECK_EQ(parts[0].token_ack().serial, 1u);
+  CHECK(parts[1].type() == proto::MsgType::DataBatch);
+  if (parts[1].type() == proto::MsgType::DataBatch) {
+    CHECK_EQ(parts[1].batch().entries.size(), n);
+  }
+}
+
+namespace {
+
+/// A two-member cell under the leader in multi-group mode: both members
+/// are in both groups, so every message is destined to both. MH 0 hosts
+/// source 0.
+BrConfig member_source_cfg() {
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 2;
+  cfg.groups.groups_per_mh = 2;
+  cfg.groups.dest_groups = 1;
+  cfg.members = {kMh0, kMh1};
+  cfg.member_ap = {kAp0, kAp0};
+  return cfg;
+}
+
+/// The one DeliveryAck among a datagram's parts.
+std::optional<proto::DeliveryAckMsg> ack_in(const Datagram& d) {
+  for (const proto::Message& m : parts_of(d)) {
+    if (m.type() == proto::MsgType::DeliveryAck) return m.ack();
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+TEST(br_submit_ack_rides_the_cell_frame_that_names_the_source) {
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  (void)net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  const BrConfig cfg = member_source_cfg();
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const NodeId src{0};  // MH 0's source
+  br.on_datagram(
+      uplink_datagram(kAp0, src, 0, core::dest_groups(src, 0, cfg.groups)),
+      10);
+  // Accepted but not yet assigned: the ack waits for a frame to ride.
+  CHECK(drain(*cell0).empty());
+  br.on_tick(100);  // assigns and forwards: the cell frame names MH 0
+  const auto frames = drain(*cell0);
+  CHECK_EQ(frames.size(), 1u);
+  if (frames.empty()) return;
+  CHECK(!frames[0].relay.valid());
+  const auto parts = parts_of(frames[0]);
+  CHECK_EQ(parts.size(), 2u);
+  const auto ack = ack_in(frames[0]);
+  CHECK(ack.has_value());
+  if (ack) {
+    CHECK_EQ(ack->member.v, kMh0.v);
+    CHECK_EQ(ack->watermark, 1u);
+  }
+  CHECK(carries(frames[0], proto::MsgType::CellFrame));
+  for (const proto::Message& m : parts) {
+    if (m.type() != proto::MsgType::CellFrame) continue;
+    const auto& members = m.cell().members;
+    CHECK(std::any_of(members.begin(), members.end(),
+                      [](const auto& mem) { return mem.mh == kMh0; }));
+  }
+  // Nothing is left waiting: a full ack period later no ack leaves.
+  br.on_tick(100 + cfg.opts.ack_period_us);
+  for (const Datagram& d : drain(*cell0)) CHECK(!ack_in(d).has_value());
+}
+
+TEST(br_submit_ack_leaves_alone_after_one_ack_period) {
+  // A follower without the token forwards nothing, so the source's ack has
+  // no frame to ride: it leaves alone once it has waited one ack period,
+  // addressed by its member and not by a relay target. A duplicate is
+  // acked in the call that sees it.
+  InProcNet net;
+  auto tr = net.attach(kBr1);
+  (void)net.attach(kBr0);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = member_source_cfg();
+  cfg.self = kBr1;
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const NodeId src{0};
+  const auto groups = core::dest_groups(src, 0, cfg.groups);
+  br.on_datagram(uplink_datagram(kAp0, src, 0, groups), 10);
+  br.on_tick(10 + cfg.opts.ack_period_us - 1);
+  CHECK(drain(*cell0).empty());
+  br.on_tick(10 + cfg.opts.ack_period_us);
+  auto frames = drain(*cell0);
+  CHECK_EQ(frames.size(), 1u);
+  if (!frames.empty()) {
+    CHECK(!frames[0].relay.valid());
+    CHECK_EQ(parts_of(frames[0]).size(), 1u);
+    const auto ack = ack_in(frames[0]);
+    CHECK(ack.has_value());
+    if (ack) {
+      CHECK_EQ(ack->member.v, kMh0.v);
+      CHECK_EQ(ack->watermark, 1u);
     }
   }
+  const std::int64_t later = 20 + cfg.opts.ack_period_us;
+  br.on_datagram(uplink_datagram(kAp0, src, 0, groups), later);
+  frames = drain(*cell0);
+  CHECK_EQ(frames.size(), 1u);
+  if (!frames.empty()) CHECK(ack_in(frames[0]).has_value());
+  CHECK_EQ(br.counters().duplicates, 1u);
 }
 
 TEST(br_batch_splits_at_the_datagram_limit) {
@@ -1154,14 +1338,213 @@ TEST(ap_splits_a_cell_frame_into_one_batch_per_member) {
   }
 }
 
+TEST(ap_gives_each_member_its_batch_and_its_ack_in_one_datagram) {
+  // A BR bundle: acks for members 0 and 1, then a cell frame that names
+  // members 0 and 2. Member 0 gets one datagram with its ack and its
+  // batch; member 1 gets its ack alone, member 2 its batch alone.
+  InProcNet net;
+  auto tr = net.attach(kAp0);
+  auto m0 = net.attach(kMh0);
+  auto m1 = net.attach(kMh1);
+  const NodeId mh2 = NodeId::make(Tier::MH, 2);
+  auto m2 = net.attach(mh2);
+  (void)net.attach(kBr0);
+  (void)net.attach(kSs);
+  ApConfig cfg;
+  cfg.self = kAp0;
+  cfg.br = kBr0;
+  cfg.ss = kSs;
+  cfg.attached = {kMh0, kMh1, mh2};
+  ApRuntime ap(cfg, *tr);
+  ap.on_start(0);
+
+  const auto src = NodeId{3};
+  proto::CellFrameMsg cell;
+  cell.bodies.push_back(chain_data(4, 0, src, 1));
+  cell.bodies.push_back(chain_data(6, 0, src, 2));
+  cell.members.push_back({kMh0, {{0, 0}, {1, 5}}});
+  cell.members.push_back({mh2, {{1, 2}}});
+  const auto cell_bytes = proto::encode(proto::Message(cell));
+  const auto batches = proto::split_cell(cell_bytes.data(), cell_bytes.size());
+  CHECK(batches.has_value());
+  if (!batches) return;
+  const auto ack_bytes = [](NodeId mh, GlobalSeq wm) {
+    return proto::encode(
+        proto::Message(proto::DeliveryAckMsg{kRuntimeGroup, mh, wm}));
+  };
+  proto::BundleMsg bundle;
+  bundle.parts.emplace_back(proto::DeliveryAckMsg{kRuntimeGroup, kMh0, 3});
+  bundle.parts.emplace_back(proto::DeliveryAckMsg{kRuntimeGroup, kMh1, 7});
+  bundle.parts.emplace_back(cell);
+  ap.on_datagram(proto_datagram(proto::Message(bundle)), 10);
+
+  const auto got0 = drain(*m0);
+  CHECK_EQ(got0.size(), 1u);
+  if (!got0.empty()) {
+    const auto parts = proto::bundle_parts(got0[0].payload.data(),
+                                           got0[0].payload.size());
+    CHECK(parts.has_value());
+    if (parts && parts->size() == 2) {
+      const proto::BundlePart& ack = (*parts)[0];
+      const proto::BundlePart& batch = (*parts)[1];
+      CHECK(std::vector<std::uint8_t>(ack.data, ack.data + ack.size) ==
+            ack_bytes(kMh0, 3));
+      CHECK(std::vector<std::uint8_t>(batch.data, batch.data + batch.size) ==
+            (*batches)[0].payload);
+    } else {
+      CHECK(false);
+    }
+  }
+  const auto got1 = drain(*m1);
+  CHECK_EQ(got1.size(), 1u);
+  if (!got1.empty()) CHECK(got1[0].payload == ack_bytes(kMh1, 7));
+  const auto got2 = drain(*m2);
+  CHECK_EQ(got2.size(), 1u);
+  if (!got2.empty()) CHECK(got2[0].payload == (*batches)[1].payload);
+  CHECK_EQ(ap.counters().malformed, 0u);
+
+  // A plain ack from the BR goes to the member it names, byte for byte.
+  const Datagram lone = proto_datagram(
+      proto::Message(proto::DeliveryAckMsg{kRuntimeGroup, mh2, 9}));
+  ap.on_datagram(lone, 20);
+  CHECK(drain(*m0).empty());
+  const auto got = drain(*m2);
+  CHECK_EQ(got.size(), 1u);
+  if (!got.empty()) CHECK(got[0].payload == lone.payload);
+}
+
+TEST(mh_due_ack_leaves_with_the_next_submission) {
+  // A 200 Hz source: its ack falls due at 10 ms between two submissions
+  // and rides the one due at 12 ms. Once the source has sent everything, a
+  // due ack leaves alone.
+  InProcNet net;
+  auto ap = net.attach(kAp0);
+  auto tr = net.attach(kMh0);
+  (void)net.attach(kSs);
+  MhConfig cfg;
+  cfg.self = kMh0;
+  cfg.source_id = NodeId{0};
+  cfg.ap = kAp0;
+  cfg.ss = kSs;
+  cfg.rate_hz = 200.0;
+  cfg.msgs_to_send = 3;
+  cfg.submit_phase_us = 2'000;
+  MhRuntime mh(cfg, *tr);
+  mh.on_start(0);
+  (void)drain(*ap);  // the membership announcement
+  Datagram start;
+  start.src = kSs;
+  start.kind = FrameKind::Control;
+  start.payload = encode_control(ControlMsg{ControlOp::Start, 0});
+  mh.on_datagram(start, 0);
+
+  struct Sent {
+    std::int64_t at;
+    std::vector<proto::MsgType> types;
+  };
+  std::vector<Sent> sent;
+  for (std::int64_t t = 1'000; t <= 30'000; t += 1'000) {
+    mh.on_tick(t);
+    for (const Datagram& d : drain(*ap)) {
+      std::vector<proto::MsgType> types;
+      for (const auto& m : parts_of(d)) types.push_back(m.type());
+      sent.push_back(Sent{t, types});
+    }
+  }
+  using T = proto::MsgType;
+  const std::vector<std::pair<std::int64_t, std::vector<T>>> want = {
+      {2'000, {T::Data}},
+      {7'000, {T::Data}},
+      {12'000, {T::Data, T::DeliveryAck}},  // due at 10 ms, held 2 ms
+      {22'000, {T::DeliveryAck}},           // nothing left to submit
+  };
+  CHECK_EQ(sent.size(), want.size());
+  for (std::size_t i = 0; i < sent.size() && i < want.size(); ++i) {
+    CHECK_EQ(sent[i].at, want[i].first);
+    CHECK(sent[i].types == want[i].second);
+  }
+  CHECK_EQ(mh.counters().acks_sent, 2u);
+}
+
+TEST(ack_deferral_fits_inside_the_retransmission_timeout) {
+  // A submit-ack waits up to one ack period for a frame to ride, and a
+  // BR's on_tick sends it one tick after that at the latest; the source
+  // must not retransmit first. The loopback spec stretches the tick with
+  // every timer, so the inequality holds at any time scale.
+  for (const double f : {1.0, 2.0, 5.0, 15.0}) {
+    LoopbackSpec spec;
+    spec.time_scale = f;
+    const LoopbackSpec s = scaled(spec);
+    CHECK(s.opts.ack_period_us + s.tick_us < s.opts.retx_timeout_us);
+    RuntimeOptions opts;
+    opts.scale_timers(f);
+    CHECK(opts.ack_period_us + s.tick_us < opts.retx_timeout_us);
+  }
+}
+
+TEST(riding_acks_stay_reliable_when_their_datagrams_are_lost) {
+  // Multi-group run over the in-process transport. The first K BR -> AP
+  // datagrams that carry a submit-ack are lost, and so are the first K
+  // MH -> AP datagrams that carry a member ack (with whatever they carry
+  // besides). Sources retransmit what was never acked, the BR re-acks the
+  // duplicates, and stalled members are resynced: every MH still gets
+  // exactly its destined set, in pairwise order, with nothing lost.
+  auto spec = tiny_spec();
+  spec.num_brs = 2;
+  spec.rate_hz = 50.0;
+  spec.groups.count = 4;
+  spec.groups.groups_per_mh = 2;
+  spec.groups.dest_groups = 2;
+  constexpr int kLost = 6;
+  auto down = std::make_shared<std::atomic<int>>(0);
+  auto up = std::make_shared<std::atomic<int>>(0);
+  spec.drop_hook = [down, up](NodeId from, NodeId to, const Datagram& d) {
+    const bool acked = carries(d, proto::MsgType::DeliveryAck);
+    if (from.tier() == Tier::BR && to.tier() == Tier::AP && acked &&
+        down->load() < kLost) {
+      ++*down;
+      return true;
+    }
+    if (from.tier() == Tier::MH && to.tier() == Tier::AP && acked &&
+        up->load() < kLost) {
+      ++*up;
+      return true;
+    }
+    return false;
+  };
+  const auto res = run_loopback(scaled(spec));
+  CHECK(res.completed);
+  CHECK_EQ(down->load(), kLost);
+  CHECK_EQ(up->load(), kLost);
+  if (res.order_violation) std::printf("  %s\n", res.order_violation->c_str());
+  CHECK(!res.order_violation.has_value());
+  CHECK_EQ(res.counters.really_lost, 0u);
+  CHECK(res.counters.uplink_retx > 0);
+  for (std::size_t m = 0; m < res.n_mh; ++m) {
+    const auto mine = core::member_groups(m, spec.groups);
+    std::vector<std::pair<std::uint32_t, LocalSeq>> want, got;
+    for (std::uint32_t s = 0; s < spec.n_mhs(); ++s) {
+      for (LocalSeq l = 0; l < spec.msgs_per_source; ++l) {
+        if (core::dest_groups(NodeId{s}, l, spec.groups).intersects(mine)) {
+          want.emplace_back(s, l);
+        }
+      }
+    }
+    for (const DeliveredRec& r : res.per_mh[m]) {
+      got.emplace_back(r.source.v, r.lseq);
+    }
+    std::sort(got.begin(), got.end());
+    CHECK(got == want);
+  }
+}
+
 TEST(loopback_spans_capture_all_stages) {
   auto spec = tiny_spec();
   spec.opts.record_spans = true;
   const auto res = run_loopback(scaled(spec));
   CHECK(res.completed);
   CHECK(!res.spans.empty());
-  const auto expected =
-      static_cast<std::uint64_t>(spec.n_mhs()) * spec.expected_total();
+  const auto expected = spec.expected_total();
   CHECK_EQ(res.spans.total().count(), expected);
   for (std::size_t i = 0; i < obs::kSpanStages; ++i) {
     CHECK_EQ(res.spans.stage(static_cast<obs::SpanStage>(i)).count(),

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: compare a fresh bench_micro JSON against the
-committed reference (BENCH_micro.json) and fail on hot-path regressions.
+"""Bench-regression gate: compare a fresh google-benchmark JSON against the
+committed reference of the same binary (BENCH_micro.json for bench_micro,
+BENCH_obs.json for bench_obs) and fail on hot-path regressions. With one
+reference per binary, a gated benchmark listed as GONE is one the binary no
+longer has.
 
 The naive cross-run comparison of absolute nanoseconds is hostage to the
 machine (and load) the reference was recorded under, so times are
@@ -14,6 +17,7 @@ switches to single-benchmark calibration; --calibrate none compares raw.
 
 Usage:
   tools/bench_diff.py --reference BENCH_micro.json --fresh fresh.json
+  tools/bench_diff.py --reference BENCH_obs.json --fresh fresh_obs.json
   tools/bench_diff.py ... --threshold 0.10 --calibrate median
   tools/bench_diff.py ... --gate BM_Foo --gate 'BM_Bar/.*'   # override set
 
@@ -79,7 +83,8 @@ def load_times(path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--reference", required=True,
-                    help="committed baseline JSON (BENCH_micro.json)")
+                    help="committed baseline JSON of the same binary "
+                         "(BENCH_micro.json, BENCH_obs.json)")
     ap.add_argument("--fresh", required=True,
                     help="freshly generated bench_micro JSON")
     ap.add_argument("--threshold", type=float, default=0.10,
