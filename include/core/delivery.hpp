@@ -14,6 +14,7 @@
 #include <deque>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "core/types.hpp"
@@ -24,29 +25,32 @@ namespace ringnet::core {
 /// Base-offset buffer of ordered messages keyed by contiguous GlobalSeq:
 /// the storage of the ordering node's MQ (core/message_queue.hpp) and the
 /// MH's reorder buffer. Slots below base() have been released (BR) or
-/// delivered (MH).
+/// delivered (MH). The slot store is made on the first insert: a member
+/// whose frames all arrive in order never holds one, and an empty
+/// std::deque already owns heap blocks.
 class GseqBuffer {
  public:
   GlobalSeq base() const { return base_; }
-  GlobalSeq end() const { return base_ + slots_.size(); }
+  GlobalSeq end() const { return base_ + span(); }
   /// Filled slots.
   std::size_t size() const { return filled_; }
 
   bool contains(GlobalSeq g) const {
-    return g >= base_ && g < end() && slots_[idx(g)].has_value();
+    return g >= base_ && g < end() && (*slots_)[idx(g)].has_value();
   }
 
   const proto::DataMsg* find(GlobalSeq g) const {
     if (!contains(g)) return nullptr;
-    return &*slots_[idx(g)];
+    return &*(*slots_)[idx(g)];
   }
 
   /// The stored copy, or nullptr when g is below base (stale) or already
   /// present (duplicate).
   proto::DataMsg* insert(GlobalSeq g, const proto::DataMsg& msg) {
     if (g < base_) return nullptr;
-    if (g >= end()) slots_.resize(static_cast<std::size_t>(g - base_) + 1);
-    auto& slot = slots_[idx(g)];
+    if (!slots_) slots_ = std::make_unique<Slots>();
+    if (g >= end()) slots_->resize(static_cast<std::size_t>(g - base_) + 1);
+    auto& slot = (*slots_)[idx(g)];
     if (slot.has_value()) return nullptr;
     ++filled_;
     return &slot.emplace(msg);
@@ -54,22 +58,26 @@ class GseqBuffer {
 
   /// Advance base to `g`, discarding everything below.
   void drop_below(GlobalSeq g) {
-    while (base_ < g && !slots_.empty()) pop_front();
+    while (base_ < g && span() > 0) pop_front();
     if (base_ < g) base_ = g;
   }
 
  private:
+  using Slots = std::deque<std::optional<proto::DataMsg>>;
+
+  std::size_t span() const { return slots_ ? slots_->size() : 0; }
+
   std::size_t idx(GlobalSeq g) const {
     return static_cast<std::size_t>(g - base_);
   }
 
   void pop_front() {
-    if (slots_.front().has_value()) --filled_;
-    slots_.pop_front();
+    if (slots_->front().has_value()) --filled_;
+    slots_->pop_front();
     ++base_;
   }
 
-  std::deque<std::optional<proto::DataMsg>> slots_;
+  std::unique_ptr<Slots> slots_;  // null until the first insert
   GlobalSeq base_ = 0;
   std::size_t filled_ = 0;
 };
@@ -151,6 +159,15 @@ class ChainReceiver {
   std::size_t receive(const proto::DataMsg& msg, Deliver&& deliver) {
     const GlobalSeq coord = msg.gseq + 1;
     if (coord <= tail_) return 1;  // already delivered
+    if (msg.prev_chain <= tail_ &&
+        (hold_.empty() || coord < hold_.begin()->first)) {
+      // Links straight onto the tail ahead of anything held: deliver it
+      // without a trip through the hold.
+      tail_ = coord;
+      deliver(msg);
+      drain(deliver);
+      return 0;
+    }
     const auto [held, inserted] = hold_.emplace(coord, msg);
     if (!inserted) {
       // A resend after the BR spliced an unrecoverable predecessor out of
@@ -159,11 +176,7 @@ class ChainReceiver {
       if (msg.prev_chain >= held->second.prev_chain) return 1;
       held->second.prev_chain = msg.prev_chain;
     }
-    while (!hold_.empty() && hold_.begin()->second.prev_chain <= tail_) {
-      tail_ = hold_.begin()->first;
-      deliver(hold_.begin()->second);
-      hold_.erase(hold_.begin());
-    }
+    drain(deliver);
     std::size_t shed = 0;
     for (; hold_.size() > kHoldCap; ++shed) hold_.erase(std::prev(hold_.end()));
     return shed;
@@ -173,6 +186,15 @@ class ChainReceiver {
   void restart() { hold_.clear(); }
 
  private:
+  template <class Deliver>
+  void drain(Deliver& deliver) {
+    while (!hold_.empty() && hold_.begin()->second.prev_chain <= tail_) {
+      tail_ = hold_.begin()->first;
+      deliver(hold_.begin()->second);
+      hold_.erase(hold_.begin());
+    }
+  }
+
   GlobalSeq tail_ = 0;
   // lint: map-ok — coordinates rise along the chain, so only the smallest
   // held frame can extend the tail, and shedding takes the largest;

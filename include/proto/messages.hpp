@@ -8,7 +8,9 @@
 // truncated or corrupt buffer instead of reading out of bounds.
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -23,6 +25,11 @@ namespace ringnet::proto {
 
 // ---------------------------------------------------------------------------
 // Wire reader/writer
+
+// Fixed-width fields are little-endian on the wire and copied whole, so the
+// codec only builds where that is the native order.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec stores and loads fields in native byte order");
 
 class WireWriter {
  public:
@@ -44,9 +51,9 @@ class WireWriter {
  private:
   template <typename T>
   void append(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -85,10 +92,8 @@ class WireReader {
   std::optional<T> read() {
     if (size_ - pos_ < sizeof(T)) return std::nullopt;
     T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
-    pos_ += sizeof(T);
+    std::memcpy(&v, data_ + pos_, sizeof v);
+    pos_ += sizeof v;
     return v;
   }
 

@@ -6,17 +6,21 @@
 // (InProcTransport — the deterministic stand-in for the simulator's
 // channels), or anything else.
 //
-// Framing: every datagram carries a fixed header in front of the payload —
-//   [0..3]  magic 0x31474E52 ("RNG1", little-endian)
-//   [4]     kind (0 = proto::Message payload, 1 = runtime control)
-//   [5..8]  source NodeId
-//   [9..12] relay target NodeId (invalid = none; an AP forwards a relayed
-//           downlink frame to exactly this member instead of the cell)
-//   [13..16] payload length
-//   [17..20] FNV-1a checksum over the payload
-// unframe() validates magic, length consistency and checksum, and returns
-// nullopt on any mismatch — a truncated or bit-flipped datagram is dropped
-// at the transport edge, never handed to the protocol decoder.
+// Framing: every datagram carries a fixed 25-byte header in front of the
+// payload, all fields little-endian:
+//   [0..3]   magic 0x31474E52 ("RNG1")
+//   [4..11]  tag: SipHash-2-4 under the runtime's frame key over bytes
+//            [12..end), i.e. every header field below and the payload
+//   [12]     kind (0 = proto::Message payload, 1 = runtime control)
+//   [13..16] source NodeId
+//   [17..20] relay target NodeId (invalid = none; an AP forwards a relayed
+//            downlink frame to exactly this member instead of the cell)
+//   [21..24] payload length
+// unframe() validates magic, kind, length consistency and the tag, and
+// returns nullopt on any mismatch: a truncated datagram, or one with any
+// bit flipped after the magic, is dropped at the transport edge, never
+// handed to the protocol decoder. The key is one fixed constant, so the
+// tag detects corruption, not forgery.
 
 #include <cstdint>
 #include <optional>
@@ -24,7 +28,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "proto/messages.hpp"
 
 namespace ringnet::runtime {
 
@@ -61,7 +64,7 @@ class AddressBook {
 
 enum class FrameKind : std::uint8_t { Proto = 0, Control = 1 };
 
-/// One received datagram, already unframed and checksum-verified.
+/// One received datagram, already unframed and tag-verified.
 struct Datagram {
   NodeId src;
   NodeId relay = NodeId::invalid();
@@ -69,10 +72,8 @@ struct Datagram {
   std::vector<std::uint8_t> payload;
 };
 
-constexpr std::size_t kFrameHeaderBytes = 21;
+constexpr std::size_t kFrameHeaderBytes = 25;
 constexpr std::size_t kMaxDatagramBytes = 60000;  // stays under one UDP frame
-
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size);
 
 /// Wrap `payload` in the frame header.
 std::vector<std::uint8_t> frame(NodeId src, FrameKind kind,
@@ -80,7 +81,7 @@ std::vector<std::uint8_t> frame(NodeId src, FrameKind kind,
                                 NodeId relay = NodeId::invalid());
 
 /// Validate and strip the frame header; nullopt on truncation, bad magic,
-/// length mismatch, oversize, or checksum failure.
+/// unknown kind, length mismatch, oversize, or tag mismatch.
 std::optional<Datagram> unframe(const std::uint8_t* data, std::size_t size);
 
 // ---------------------------------------------------------------------------
@@ -126,11 +127,7 @@ class Transport {
   std::uint64_t dropped_malformed() const { return dropped_malformed_; }
   std::uint64_t send_failures() const { return send_failures_; }
 
-  // Framing conveniences.
-  bool send_msg(NodeId to, const proto::Message& msg,
-                NodeId relay = NodeId::invalid()) {
-    return send(to, frame(self_, FrameKind::Proto, proto::encode(msg), relay));
-  }
+  // Framing convenience.
   bool send_control(NodeId to, ControlMsg ctl) {
     return send(to, frame(self_, FrameKind::Control, encode_control(ctl)));
   }

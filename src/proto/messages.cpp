@@ -480,10 +480,52 @@ std::optional<Message> decode_bundle(WireReader& r) {
   return Message(std::move(b));
 }
 
-}  // namespace
+/// Bytes encode() writes for `msg`; with `with_payload`, also the payload
+/// bytes a Data message stands for, which wire_size() charges a link for.
+std::size_t message_bytes(const Message& msg, bool with_payload) {
+  // Envelope tag + body.
+  std::size_t body = 0;
+  struct Visitor {
+    std::size_t& body;
+    bool with_payload;
+    void operator()(const DataMsg& m) const {
+      body = data_body_bytes(m) + (with_payload ? m.payload_size : 0);
+    }
+    void operator()(const OrderingToken& m) const {
+      body = 40 + m.entries().size() * 32;
+      if (!m.group_counters().empty()) {
+        body += 4 + m.group_counters().size() * 12;
+      }
+    }
+    void operator()(const DeliveryAckMsg&) const { body = 16; }
+    void operator()(const MembershipMsg& m) const {
+      body = 12 + m.events.size() * 8;
+    }
+    void operator()(const HeartbeatMsg&) const { body = 12; }
+    void operator()(const TokenAckMsg&) const { body = 20; }
+    void operator()(const DataBatchMsg& m) const {
+      body = 2;
+      for (const DataMsg& e : m.entries) body += 1 + data_body_bytes(e);
+    }
+    void operator()(const CellFrameMsg& m) const {
+      body = kCellFrameFixedBytes - 1;
+      for (const DataMsg& b : m.bodies) body += cell_body_bytes(b);
+      for (const CellFrameMsg::Member& mem : m.members) {
+        body += kCellMemberBytes + mem.links.size() * kCellLinkBytes;
+      }
+    }
+    void operator()(const BundleMsg& m) const {
+      body = kBundleFixedBytes - 1;
+      for (const Message& part : m.parts) {
+        body += kBundlePartBytes + message_bytes(part, with_payload);
+      }
+    }
+  };
+  std::visit(Visitor{body, with_payload}, msg.body());
+  return 1 + body;
+}
 
-std::vector<std::uint8_t> encode(const Message& msg) {
-  WireWriter w;
+void encode_message(const Message& msg, WireWriter& w) {
   w.u8(static_cast<std::uint8_t>(msg.type()));
   struct Visitor {
     WireWriter& w;
@@ -500,13 +542,20 @@ std::vector<std::uint8_t> encode(const Message& msg) {
     void operator()(const BundleMsg& m) const {
       w.u16(static_cast<std::uint16_t>(m.parts.size()));
       for (const Message& part : m.parts) {
-        const auto bytes = encode(part);
-        w.u16(static_cast<std::uint16_t>(bytes.size()));
-        w.raw(bytes.data(), bytes.size());
+        w.u16(static_cast<std::uint16_t>(message_bytes(part, false)));
+        encode_message(part, w);
       }
     }
   };
   std::visit(Visitor{w}, msg.body());
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode(const Message& msg) {
+  WireWriter w;
+  w.reserve(message_bytes(msg, /*with_payload=*/false));
+  encode_message(msg, w);
   return w.take();
 }
 
@@ -690,45 +739,7 @@ std::optional<Message> decode(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::size_t wire_size(const Message& msg) {
-  // Envelope tag + body. Data payload bytes ride outside the descriptor.
-  std::size_t body = 0;
-  struct Visitor {
-    std::size_t& body;
-    void operator()(const DataMsg& m) const {
-      body = data_body_bytes(m) + m.payload_size;
-    }
-    void operator()(const OrderingToken& m) const {
-      body = 40 + m.entries().size() * 32;
-      if (!m.group_counters().empty()) {
-        body += 4 + m.group_counters().size() * 12;
-      }
-    }
-    void operator()(const DeliveryAckMsg&) const { body = 16; }
-    void operator()(const MembershipMsg& m) const {
-      body = 12 + m.events.size() * 8;
-    }
-    void operator()(const HeartbeatMsg&) const { body = 12; }
-    void operator()(const TokenAckMsg&) const { body = 20; }
-    void operator()(const DataBatchMsg& m) const {
-      body = 2;
-      for (const DataMsg& e : m.entries) body += 1 + data_body_bytes(e);
-    }
-    void operator()(const CellFrameMsg& m) const {
-      body = kCellFrameFixedBytes - 1;
-      for (const DataMsg& b : m.bodies) body += cell_body_bytes(b);
-      for (const CellFrameMsg::Member& mem : m.members) {
-        body += kCellMemberBytes + mem.links.size() * kCellLinkBytes;
-      }
-    }
-    void operator()(const BundleMsg& m) const {
-      body = kBundleFixedBytes - 1;
-      for (const Message& part : m.parts) {
-        body += kBundlePartBytes + wire_size(part);
-      }
-    }
-  };
-  std::visit(Visitor{body}, msg.body());
-  return 1 + body;
+  return message_bytes(msg, /*with_payload=*/true);
 }
 
 }  // namespace ringnet::proto

@@ -180,6 +180,15 @@ TEST(wire_primitives) {
   w.u32(0x789ABCDE);
   w.u64(0x1122334455667788ull);
   CHECK_EQ(w.size(), std::size_t{15});
+  // Little-endian on the wire, least significant byte first. A writer and
+  // a reader that agreed on the other order would still round-trip.
+  const std::vector<std::uint8_t> le = {
+      0x12,                                            // u8
+      0x56, 0x34,                                      // u16
+      0xDE, 0xBC, 0x9A, 0x78,                          // u32
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64
+  };
+  CHECK(w.bytes() == le);
   proto::WireReader r(w.bytes());
   CHECK_EQ(*r.u8(), 0x12);
   CHECK_EQ(*r.u16(), 0x3456);

@@ -1,7 +1,8 @@
-// Real-socket transport tests: framing round-trips over actual UDP
-// loopback sockets, rejection of truncated/corrupted datagrams (the fuzz
-// sweep must never crash or mis-parse), and port rebinding after a node
-// restart. Ephemeral ports throughout so parallel ctest runs never collide.
+// Real-socket transport tests: the SipHash-2-4 frame tag against its
+// published vectors, framing round-trips over actual UDP loopback sockets,
+// rejection of truncated/corrupted datagrams (the fuzz sweep must never
+// crash or mis-parse), and port rebinding after a node restart. Ephemeral
+// ports throughout so parallel ctest runs never collide.
 
 #include <cstring>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "runtime/transport.hpp"
 #include "runtime/udp_transport.hpp"
 #include "util/rng.hpp"
+#include "util/siphash.hpp"
 
 using namespace ringnet;
 using namespace ringnet::runtime;
@@ -33,7 +35,82 @@ proto::DataMsg sample_data() {
   return m;
 }
 
+/// The Data message above, framed as node `src` sends it.
+std::vector<std::uint8_t> data_frame(NodeId src,
+                                     NodeId relay = NodeId::invalid()) {
+  return frame(src, FrameKind::Proto,
+               proto::encode(proto::Message(sample_data())), relay);
+}
+
+/// The SipHash paper's test key, bytes 00..0f.
+constexpr util::SipKey kVectorKey{0x0706050403020100ull,
+                                  0x0f0e0d0c0b0a0908ull};
+
+/// SipHash-2-4 written from the paper's description one byte at a time:
+/// each byte shifted into the word it belongs to, a word compressed when
+/// full, the length's low byte in the top of the last word.
+std::uint64_t siphash_bytewise(util::SipKey key, const std::uint8_t* m,
+                               std::size_t n) {
+  const auto rotl = [](std::uint64_t x, int b) {
+    return (x << b) | (x >> (64 - b));
+  };
+  std::uint64_t v0 = 0x736f6d6570736575ull ^ key.k0;
+  std::uint64_t v1 = 0x646f72616e646f6dull ^ key.k1;
+  std::uint64_t v2 = 0x6c7967656e657261ull ^ key.k0;
+  std::uint64_t v3 = 0x7465646279746573ull ^ key.k1;
+  const auto sipround = [&] {
+    v0 += v1;
+    v1 = rotl(v1, 13);
+    v1 ^= v0;
+    v0 = rotl(v0, 32);
+    v2 += v3;
+    v3 = rotl(v3, 16);
+    v3 ^= v2;
+    v0 += v3;
+    v3 = rotl(v3, 21);
+    v3 ^= v0;
+    v2 += v1;
+    v1 = rotl(v1, 17);
+    v1 ^= v2;
+    v2 = rotl(v2, 32);
+  };
+  const auto compress = [&](std::uint64_t w) {
+    v3 ^= w;
+    sipround();
+    sipround();
+    v0 ^= w;
+  };
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    word |= static_cast<std::uint64_t>(m[i]) << (8 * (i % 8));
+    if (i % 8 == 7) {
+      compress(word);
+      word = 0;
+    }
+  }
+  compress(word | (static_cast<std::uint64_t>(n & 0xff) << 56));
+  v2 ^= 0xff;
+  for (int i = 0; i < 4; ++i) sipround();
+  return v0 ^ v1 ^ v2 ^ v3;
+}
+
 }  // namespace
+
+// --- the frame tag ---------------------------------------------------------
+
+TEST(siphash24_matches_the_published_vectors) {
+  std::uint8_t msg[16];
+  for (std::uint8_t i = 0; i < 16; ++i) msg[i] = i;
+  // Empty input, and the paper's Appendix A message 00..0e (15 bytes).
+  CHECK_EQ(util::siphash24(kVectorKey, nullptr, 0), 0x726fdb47dd0e0e31ull);
+  CHECK_EQ(util::siphash24(kVectorKey, msg, 15), 0xa129ca6149be45e5ull);
+  // One byte short of a word, a whole word, and one byte over: the tail
+  // load must agree with a byte-at-a-time reference.
+  for (const std::size_t n : {7, 8, 9}) {
+    CHECK_EQ(util::siphash24(kVectorKey, msg, n),
+             siphash_bytewise(kVectorKey, msg, n));
+  }
+}
 
 // --- framing (no sockets) --------------------------------------------------
 
@@ -63,8 +140,7 @@ TEST(frame_truncations_rejected) {
 
 TEST(frame_fuzz_mutations_never_crash) {
   util::Rng rng(0xF2A2'2024u);
-  const auto msg = proto::encode(proto::Message(sample_data()));
-  const auto good = frame(NodeId{3}, FrameKind::Proto, msg);
+  const auto good = data_frame(NodeId{3});
   std::uint64_t survived = 0;
   for (int iter = 0; iter < 5000; ++iter) {
     auto mutated = good;
@@ -73,16 +149,34 @@ TEST(frame_fuzz_mutations_never_crash) {
       const std::size_t pos = rng.bounded(mutated.size());
       mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.bounded(8));
     }
-    // A mutated frame either fails validation or (checksum collision on
-    // header-only flips) yields a payload the decoder must still bound.
+    if (mutated == good) continue;  // the flips cancelled out
+    // A mutated frame fails validation; should one ever slip through, its
+    // payload is still decoded here to show the decoder bounds it.
     const auto d = unframe(mutated.data(), mutated.size());
     if (!d) continue;
     ++survived;
     (void)proto::decode(d->payload.data(), d->payload.size());
   }
-  // The checksum only covers the payload, so pure header flips (src/relay
-  // ids) can legitimately survive; corruption of payload bytes must not.
-  CHECK(survived < 5000);
+  // The tag covers every header field after the magic and the payload, so
+  // no flip anywhere survives.
+  CHECK_EQ(survived, std::uint64_t{0});
+}
+
+TEST(frame_every_single_bit_flip_after_the_magic_rejected) {
+  // Kind, tag, src, relay, length or payload: one flipped bit in any of
+  // them fails the frame. (A flip in the magic fails the magic check.)
+  const auto good = data_frame(NodeId::make(Tier::AP, 4),
+                               NodeId::make(Tier::MH, 6));
+  CHECK(unframe(good.data(), good.size()).has_value());
+  std::size_t accepted = 0;
+  for (std::size_t pos = 4; pos < good.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutated = good;
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      if (unframe(mutated.data(), mutated.size()).has_value()) ++accepted;
+    }
+  }
+  CHECK_EQ(accepted, std::size_t{0});
 }
 
 TEST(frame_random_garbage_rejected) {
@@ -91,8 +185,8 @@ TEST(frame_random_garbage_rejected) {
     std::vector<std::uint8_t> junk(rng.bounded(128));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.bounded(256));
     const auto d = unframe(junk.data(), junk.size());
-    // Random bytes essentially never produce the magic + matching FNV-1a
-    // checksum; decode anything that slips through rather than crash.
+    // Random bytes essentially never produce the magic + matching tag;
+    // decode anything that slips through rather than crash.
     if (d) (void)proto::decode(d->payload.data(), d->payload.size());
   }
   CHECK(true);  // reaching here without UB/crash is the assertion
@@ -113,8 +207,7 @@ TEST(udp_round_trip_proto_and_control) {
   book->set(NodeId{1}, a.local_endpoint());
   book->set(NodeId{2}, b.local_endpoint());
 
-  CHECK(a.send_msg(NodeId{2}, proto::Message(sample_data()),
-                   NodeId::make(Tier::MH, 5)));
+  CHECK(a.send(NodeId{2}, data_frame(a.self(), NodeId::make(Tier::MH, 5))));
   const auto d = b.recv(kRecvBudgetUs);
   CHECK(d.has_value());
   if (d) {
@@ -149,23 +242,22 @@ TEST(udp_corrupt_datagram_dropped_at_edge) {
   book->set(NodeId{1}, rx.local_endpoint());
   book->set(NodeId{2}, tx.local_endpoint());
 
-  auto bytes = frame(NodeId{2}, FrameKind::Proto,
-                     proto::encode(proto::Message(sample_data())));
-  bytes[bytes.size() - 3] ^= 0xFF;  // flip a payload byte -> checksum fails
+  auto bytes = data_frame(NodeId{2});
+  bytes[bytes.size() - 3] ^= 0xFF;  // flip a payload byte -> tag fails
   CHECK(tx.send(NodeId{1}, bytes));
   CHECK(!rx.recv(200'000).has_value());
   CHECK_EQ(rx.dropped_malformed(), 1u);
   CHECK_EQ(rx.received(), 0u);
 
   // The transport still works after a drop.
-  CHECK(tx.send_msg(NodeId{1}, proto::Message(sample_data())));
+  CHECK(tx.send(NodeId{1}, data_frame(tx.self())));
   CHECK(rx.recv(kRecvBudgetUs).has_value());
 }
 
 TEST(udp_unknown_destination_counts_send_failure) {
   auto book = std::make_shared<AddressBook>();
   UdpTransport t(NodeId{1}, book);
-  CHECK(!t.send_msg(NodeId{99}, proto::Message(sample_data())));
+  CHECK(!t.send(NodeId{99}, data_frame(t.self())));
   CHECK_EQ(t.send_failures(), 1u);
   CHECK_EQ(t.sent(), 0u);
 }

@@ -54,6 +54,13 @@ RN009 unclamped-wire-reserve
     clean reject. Bound the reservation by what the remaining bytes can
     hold, e.g. `reserve(std::min<std::size_t>(*n, r.remaining() / 8))`.
 
+RN010 bytewise-integer-write
+    No integer written one byte per `push_back`
+    (`push_back(static_cast<std::uint8_t>(x >> ...))`) in the codec and the
+    frame code (include/proto/, src/proto/, src/runtime/). Every frame is
+    encoded and framed again at each hop; a fixed-width field is appended
+    with one size check and one little-endian store instead.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -251,6 +258,28 @@ def check_unclamped_wire_reserve(root):
 
 
 # --------------------------------------------------------------------------
+# RN010: an integer written one byte per push_back in codec and frame code
+
+BYTEWISE_WRITE_RE = re.compile(
+    r"\bpush_back\s*\(\s*static_cast\s*<\s*(?:std::)?uint8_t\s*>\s*"
+    r"\([^;]*>>")
+
+
+def check_bytewise_integer_write(root):
+    findings = []
+    for path in repo_files(root, ("include/proto", "src/proto",
+                                  "src/runtime")):
+        for i, text in enumerate(open(path, encoding="utf-8"), 1):
+            if BYTEWISE_WRITE_RE.search(text):
+                findings.append(Finding(
+                    "RN010", rel(root, path), i,
+                    "integer written one byte per push_back; append the "
+                    "whole field with one size check and one "
+                    "little-endian store"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -295,6 +324,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_raw_wall_clock(root)
     findings += check_hardcoded_group(root)
     findings += check_unclamped_wire_reserve(root)
+    findings += check_bytewise_integer_write(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -378,10 +408,23 @@ def self_test(cxx):
         write("src/core/ok_reserve.cpp",
               "void f(V& v, const O& n) { v.reserve(*n); }\n")
 
+        # RN010: a u32 shifted out one byte per push_back in frame code;
+        # a single-byte push_back and the same loop outside the codec and
+        # frame code must NOT fire.
+        write("src/runtime/bad_bytewise.cpp",
+              "void f(B& b, unsigned v) { for (int i = 0; i < 4; ++i) "
+              "b.push_back(static_cast<std::uint8_t>(v >> (8 * i))); }\n")
+        write("src/proto/good_bytewise.cpp",
+              "void f(B& b, unsigned v) "
+              "{ b.push_back(static_cast<std::uint8_t>(v)); }\n")
+        write("src/core/ok_bytewise.cpp",
+              "void f(B& b, unsigned v) "
+              "{ b.push_back(static_cast<std::uint8_t>(v >> 8)); }\n")
+
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN002", "RN003", "RN004", "RN005", "RN006", "RN007",
-                     "RN009"):
+                     "RN009", "RN010"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -395,7 +438,9 @@ def self_test(cxx):
                             ("RN006", "ok_wait.cpp"),
                             ("RN007", "good_group.cpp"),
                             ("RN009", "good_reserve.cpp"),
-                            ("RN009", "ok_reserve.cpp")):
+                            ("RN009", "ok_reserve.cpp"),
+                            ("RN010", "good_bytewise.cpp"),
+                            ("RN010", "ok_bytewise.cpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
