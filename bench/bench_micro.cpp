@@ -218,6 +218,42 @@ void BM_SchedulerThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerThroughput);
 
+// A timer that reschedules itself one period later. Its capture is 24
+// bytes, like the simulator's ack ticks ([this, mh, gen]).
+struct SteadyTimer {
+  sim::Scheduler* sched;
+  std::uint64_t* sink;
+  std::int64_t period_us;
+
+  void operator()() const {
+    ++*sink;
+    sched->schedule_at(sched->now() + sim::usecs(period_us),
+                       SteadyTimer{*this});
+  }
+};
+
+// One sim-e13 shard's steady state: 6,250 pending ack timers, one due per
+// microsecond; each step runs the earliest, which pushes its successor.
+// BM_SchedulerThroughput cannot show the cost of a capture that misses
+// std::function's 16-byte buffer: its capture is 8 bytes and its heap
+// starts empty.
+void BM_SchedulerSteadyState(benchmark::State& state) {
+  constexpr std::int64_t kPending = 6250;
+  sim::Scheduler sched;
+  std::uint64_t sink = 0;
+  for (std::int64_t i = 0; i < kPending; ++i) {
+    sched.schedule_at(sim::usecs(i), SteadyTimer{&sched, &sink, kPending});
+  }
+  sched.run_until(sim::usecs(2 * kPending));  // warm: vectors at full size
+  const std::uint64_t before = sched.executed();
+  for (auto _ : state) {
+    sched.run_until(sched.now() + sim::usecs(1));
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(sched.executed() - before));
+}
+BENCHMARK(BM_SchedulerSteadyState);
+
 void BM_HistogramRecord(benchmark::State& state) {
   stats::Histogram h;
   util::Rng rng(1);

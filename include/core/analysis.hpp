@@ -42,20 +42,18 @@ namespace ringnet::core {
 inline std::optional<std::string> check_pairwise_order(
     const DeliveryLog& log) {
   if (auto err = log.check_total_order()) return err;
-  const auto& per_mh = log.per_mh();
   std::unordered_map<GlobalSeq, std::size_t> pos;
-  for (std::size_t i = 0; i < per_mh.size(); ++i) {
+  for (std::size_t i = 0; i < log.members(); ++i) {
     pos.clear();
-    pos.reserve(per_mh[i].size());
-    for (std::size_t p = 0; p < per_mh[i].size(); ++p) {
-      pos.emplace(per_mh[i][p].gseq, p);
-    }
-    for (std::size_t j = i + 1; j < per_mh.size(); ++j) {
+    pos.reserve(log.records(i).size());
+    std::size_t p = 0;
+    for (const DeliveryLog::Rec& r : log.records(i)) pos.emplace(r.gseq, p++);
+    for (std::size_t j = i + 1; j < log.members(); ++j) {
       // Walk j's log; positions of messages shared with i must increase.
       std::size_t last = 0;
       bool any = false;
       GlobalSeq last_g = 0;
-      for (const auto& r : per_mh[j]) {
+      for (const DeliveryLog::Rec& r : log.records(j)) {
         const auto it = pos.find(r.gseq);
         if (it == pos.end()) continue;
         if (any && it->second <= last) {

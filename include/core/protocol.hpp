@@ -23,10 +23,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -86,28 +91,122 @@ class GroupView {
 
 /// Per-delivery record used to verify the protocol's core guarantee: every
 /// member observes the same total order. Dense-indexed by MH index.
+///
+/// Each member's records sit in a chain of fixed blocks, carved from a bump
+/// arena per execution context: recording never regrows a vector, and the
+/// arena needs no lock, because a member is delivered only in the context
+/// that owns it and each context runs on one thread at a time. A member
+/// that moves to another context keeps its chain; its later blocks come
+/// from the new context's arena.
 class DeliveryLog {
  public:
   struct Rec {
     GlobalSeq gseq;
-    NodeId source;
     LocalSeq lseq;
+    NodeId source;
     GroupId gid{0};  // destination group credited with the delivery
   };
 
-  void reset(const std::vector<NodeId>& mhs) {
+  static constexpr std::size_t kBlockRecs = 8;
+
+ private:
+  struct Block {
+    Rec recs[kBlockRecs];
+    Block* next = nullptr;
+  };
+
+ public:
+  /// One member's records in record order: a forward range over its chain.
+  class Records {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Rec;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Rec*;
+      using reference = const Rec&;
+
+      iterator() = default;
+      reference operator*() const { return block_->recs[k_]; }
+      iterator& operator++() {
+        --left_;
+        if (++k_ == kBlockRecs) {
+          block_ = block_->next;
+          k_ = 0;
+        }
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      // Iterators of one range compare by the records left to visit.
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.left_ == b.left_;
+      }
+
+     private:
+      friend class Records;
+      iterator(const Block* block, std::size_t left)
+          : block_(block), left_(left) {}
+
+      const Block* block_ = nullptr;
+      std::size_t left_ = 0;
+      std::size_t k_ = 0;
+    };
+
+    iterator begin() const { return iterator(head_, size_); }
+    iterator end() const { return iterator(); }
+    std::size_t size() const { return size_; }
+
+   private:
+    friend class DeliveryLog;
+    Records(const Block* head, std::size_t size) : head_(head), size_(size) {}
+
+    const Block* head_;
+    std::size_t size_;
+  };
+
+  /// Starts an empty log for `mhs`, recording from `contexts` execution
+  /// contexts (context indices 0..contexts-1).
+  void reset(const std::vector<NodeId>& mhs, std::size_t contexts = 1) {
     ids_ = mhs;
-    per_mh_.assign(mhs.size(), {});
+    chains_.assign(mhs.size(), Chain{});
+    arenas_.clear();
+    arenas_.resize(contexts);
   }
 
+  /// Appends one delivery to `mh`'s log; `ctx` is the recording context.
   void record(NodeId mh, GlobalSeq gseq, NodeId source, LocalSeq lseq,
-              GroupId gid = GroupId{0}) {
-    per_mh_[mh.index()].push_back(Rec{gseq, source, lseq, gid});
+              GroupId gid = GroupId{0}, std::size_t ctx = 0) {
+    Chain& c = chains_[mh.index()];
+    const std::size_t k = c.size % kBlockRecs;
+    if (k == 0) {
+      Block* b = arenas_[ctx].take();
+      if (c.tail == nullptr) {
+        c.head = b;
+      } else {
+        c.tail->next = b;
+      }
+      c.tail = b;
+    }
+    c.tail->recs[k] = Rec{gseq, lseq, source, gid};
+    ++c.size;
+  }
+
+  /// The number of members the log was reset for.
+  std::size_t members() const { return chains_.size(); }
+
+  /// Member `i`'s records (MH-index order), in the order they were recorded.
+  Records records(std::size_t i) const {
+    return Records(chains_[i].head, chains_[i].size);
   }
 
   bool empty() const {
-    for (const auto& recs : per_mh_) {
-      if (!recs.empty()) return false;
+    for (const Chain& c : chains_) {
+      if (c.size != 0) return false;
     }
     return true;
   }
@@ -119,12 +218,39 @@ class DeliveryLog {
   /// required contiguity — only monotonicity and binding agreement.
   std::optional<std::string> check_total_order() const;
 
-  /// Raw per-member sequences, MH-index order (oracle-comparison export).
-  const std::vector<std::vector<Rec>>& per_mh() const { return per_mh_; }
-
  private:
+  struct Chain {
+    Block* head = nullptr;
+    Block* tail = nullptr;
+    std::size_t size = 0;
+  };
+
+  /// Bump allocator of blocks. Pages are raw storage and a block is
+  /// constructed when taken, so the log never writes the part of a page it
+  /// has not reached, and the kernel never faults it in. Blocks are
+  /// trivially destructible and die with their page.
+  class Arena {
+   public:
+    Block* take() {
+      if (used_ == kPageBlocks) {
+        pages_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+            kPageBlocks * sizeof(Block)));
+        used_ = 0;
+      }
+      void* at = pages_.back().get() + used_++ * sizeof(Block);
+      return ::new (at) Block;
+    }
+
+   private:
+    static constexpr std::size_t kPageBlocks = 256;
+    std::vector<std::unique_ptr<std::byte[]>> pages_;
+    std::size_t used_ = kPageBlocks;  // blocks taken from the last page
+  };
+  static_assert(std::is_trivially_destructible_v<Block>);
+
   std::vector<NodeId> ids_;  // index -> NodeId, for diagnostics
-  std::vector<std::vector<Rec>> per_mh_;
+  std::vector<Chain> chains_;
+  std::vector<Arena> arenas_;  // one per recording context
 };
 
 class RingNetProtocol;
@@ -396,6 +522,17 @@ class RingNetProtocol {
   void rebuild_ring_index();
   sim::SimTime hop_delay(const net::ChannelModel& model, net::LinkKey link,
                          std::uint32_t bytes);
+  /// The same link-layer ARQ for a frame whose one-way delay is known.
+  sim::SimTime hop_delay(const net::ChannelModel& model, net::LinkKey link,
+                         sim::SimTime one_way);
+  /// The wireless and LAN one-way delays of a `bytes`-sized frame, from the
+  /// executing context's memo.
+  struct TreeHops {
+    std::uint32_t bytes;
+    sim::SimTime wireless;
+    sim::SimTime lan;
+  };
+  const TreeHops& tree_hops(std::uint32_t bytes);
   net::LossProcess& loss_process(net::LinkKey link,
                                  const net::ChannelModel& model);
   sim::SimTime uplink_delay(NodeId mh, std::uint32_t bytes);
@@ -476,6 +613,10 @@ class RingNetProtocol {
   // ids), so this stays a hash map — but flat and context-local, which
   // keeps the probe in-cache and the draw thread-safe under sharding.
   std::vector<util::FlatHash<net::LinkKey, net::LossProcess>> loss_;
+  // Per-context memo of the tree hops' one-way delays by frame size.
+  // ChannelModel::one_way rounds a double, every member of a fan-out would
+  // pay three of them, and frames come in a handful of sizes.
+  std::vector<std::vector<TreeHops>> tree_hops_;
   std::vector<std::uint64_t> membership_seq_;  // by MH index
   std::unordered_set<std::uint64_t> lost_serials_;  // token frames lost in
                                                     // transit (lose_token)

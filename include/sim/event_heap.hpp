@@ -1,9 +1,8 @@
 #pragma once
-// The event container shared by both schedulers: a binary min-heap over a
-// plain vector, ordered by a mode-independent event key. Unlike
-// std::priority_queue, pop_min() hands the event out by value (the action
-// is moved, never const_cast away), and top_key() exposes the ordering key
-// without exposing mutable access to the stored action.
+// The event container shared by both schedulers: a 4-ary min-heap ordered
+// by a mode-independent event key. pop_min() hands the event out by value
+// (the action is moved, never const_cast away), and top_key() exposes the
+// ordering key without exposing mutable access to the stored action.
 //
 // The key K = (at, src_domain, src_seq) is what makes the single-heap
 // oracle and the domain-sharded engine execute the *same* total order:
@@ -11,14 +10,21 @@
 // depends only on (a) its timestamp and (b) how many events its scheduling
 // context had scheduled before it — both identical across execution modes.
 // Equal-timestamp events from one context keep FIFO order; cross-context
-// ties break by domain id, deterministically everywhere.
+// ties break by domain id, deterministically everywhere. Keys are unique,
+// so the pop order is the sorted key order whatever the heap's shape.
+//
+// The heap itself holds 32-byte (key, slot) nodes, moved through a hole
+// rather than swapped. Each event's target and action wait in a slot
+// vector with a free list, so a pending event is moved twice (into its
+// slot, out of it) whatever its depth, and a popped slot is reused by the
+// next push without an allocation.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "sim/action.hpp"
 #include "sim/time.hpp"
 
 namespace ringnet::sim {
@@ -27,8 +33,6 @@ namespace ringnet::sim {
 /// per BR subtree); index D is the serialized global context. A
 /// non-sharded simulation has D == 0, so everything runs in context 0.
 using Domain = std::uint32_t;
-
-using Action = std::function<void()>;
 
 struct EventKey {
   SimTime at = SimTime::zero();
@@ -48,56 +52,88 @@ struct Event {
   Action action;
 };
 
-/// Binary min-heap keyed by EventKey. pop_min() returns the minimum event
-/// by value; no const_cast, no UB-adjacent move-from-top.
+/// 4-ary min-heap keyed by EventKey. pop_min() returns the minimum event
+/// by value: running it may push events and grow the slot vector, so the
+/// action must not run from inside its slot.
 class EventHeap {
  public:
-  bool empty() const { return v_.empty(); }
-  std::size_t size() const { return v_.size(); }
-  const EventKey& top_key() const { return v_.front().key; }
+  bool empty() const { return nodes_.empty(); }
+  std::size_t size() const { return nodes_.size(); }
+  const EventKey& top_key() const { return nodes_.front().key; }
 
-  void push(Event ev) {
-    v_.push_back(std::move(ev));
-    sift_up(v_.size() - 1);
+  void push(const EventKey& key, Domain target, Action&& action) {
+    std::uint32_t slot = 0;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(Slot{std::move(action), target});
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      slots_[slot].action = std::move(action);
+      slots_[slot].target = target;
+    }
+    nodes_.push_back(Node{});  // the hole starts at the new leaf
+    sift_up(nodes_.size() - 1, Node{key, slot});
   }
 
   Event pop_min() {
-    Event out = std::move(v_.front());
-    if (v_.size() > 1) {
-      v_.front() = std::move(v_.back());
-      v_.pop_back();
-      sift_down(0);
-    } else {
-      v_.pop_back();
-    }
+    const Node top = nodes_.front();
+    Slot& s = slots_[top.slot];
+    Event out{top.key, s.target, std::move(s.action)};
+    free_.push_back(top.slot);
+    const Node last = nodes_.back();
+    nodes_.pop_back();
+    if (!nodes_.empty()) sift_down(last);
     return out;
   }
 
  private:
-  void sift_up(std::size_t i) {
+  static constexpr std::size_t kArity = 4;
+
+  struct Node {
+    EventKey key;
+    std::uint32_t slot = 0;
+  };
+
+  struct Slot {
+    Action action;
+    Domain target = 0;
+  };
+
+  /// Moves parents down into the hole at `i` until `node` fits there.
+  void sift_up(std::size_t i, const Node& node) {
     while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!(v_[i].key < v_[parent].key)) break;
-      std::swap(v_[i], v_[parent]);
+      const std::size_t parent = (i - 1) / kArity;
+      if (!(node.key < nodes_[parent].key)) break;
+      nodes_[i] = nodes_[parent];
       i = parent;
     }
+    nodes_[i] = node;
   }
 
-  void sift_down(std::size_t i) {
-    const std::size_t n = v_.size();
+  /// Moves the smallest child up into the hole at the root until `node`
+  /// fits there.
+  void sift_down(const Node& node) {
+    const std::size_t n = nodes_.size();
+    std::size_t i = 0;
     for (;;) {
-      std::size_t best = i;
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      if (l < n && v_[l].key < v_[best].key) best = l;
-      if (r < n && v_[r].key < v_[best].key) best = r;
-      if (best == i) return;
-      std::swap(v_[i], v_[best]);
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t stop = first + kArity < n ? first + kArity : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < stop; ++c) {
+        if (nodes_[c].key < nodes_[best].key) best = c;
+      }
+      if (!(nodes_[best].key < node.key)) break;
+      nodes_[i] = nodes_[best];
       i = best;
     }
+    nodes_[i] = node;
   }
 
-  std::vector<Event> v_;
+  std::vector<Node> nodes_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // slots of popped events, reused LIFO
 };
 
 /// The context an event is currently executing in, published thread-locally

@@ -29,14 +29,15 @@ class Scheduler {
 
   /// Schedule into `target`'s context. The key is stamped from the
   /// currently-executing context (global when called from outside a run).
-  void schedule(Domain target, SimTime t, Action action) {
+  /// Actions are taken by rvalue reference, here and in Simulation, so a
+  /// closure is moved once on its way into the heap.
+  void schedule(Domain target, SimTime t, Action&& action) {
     const Domain src = tls_exec_ctx ? tls_exec_ctx->domain : global_;
-    heap_.push(Event{EventKey{t, src, seq_[src]++}, target,
-                     std::move(action)});
+    heap_.push(EventKey{t, src, seq_[src]++}, target, std::move(action));
   }
 
   /// Context-oblivious schedule: runs in whichever context scheduled it.
-  void schedule_at(SimTime t, Action action) {
+  void schedule_at(SimTime t, Action&& action) {
     const Domain src = tls_exec_ctx ? tls_exec_ctx->domain : global_;
     schedule(src, t, std::move(action));
   }

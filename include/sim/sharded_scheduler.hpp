@@ -63,11 +63,11 @@ class ShardedScheduler {
   /// barrier-deferred cross-shard events) into the unified registry.
   void set_metrics(obs::Metrics* metrics) { metrics_ = metrics; }
 
-  void schedule(Domain target, SimTime t, Action action) {
+  void schedule(Domain target, SimTime t, Action&& action) {
     const ExecContext* ec = tls_exec_ctx;
     const Domain src = ec ? ec->domain : global_;
     Shard& s = *shards_[src];
-    Event ev{EventKey{t, src, s.seq++}, target, std::move(action)};
+    const EventKey key{t, src, s.seq++};
     if (parallel_phase_ && src != global_ && src != target) {
       // A running shard reaching across: the lookahead contract says this
       // cannot land inside the open window.
@@ -75,13 +75,13 @@ class ShardedScheduler {
       if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedInboxDeferred);
       Shard& dst = *shards_[target];
       util::MutexLock lock(dst.inbox_mu);
-      dst.inbox.push_back(std::move(ev));
+      dst.inbox.push_back(Event{key, target, std::move(action)});
       return;
     }
-    shards_[target]->heap.push(std::move(ev));
+    shards_[target]->heap.push(key, target, std::move(action));
   }
 
-  void schedule_at(SimTime t, Action action) {
+  void schedule_at(SimTime t, Action&& action) {
     const Domain src = tls_exec_ctx ? tls_exec_ctx->domain : global_;
     schedule(src, t, std::move(action));
   }
@@ -168,7 +168,9 @@ class ShardedScheduler {
   void drain_inboxes() {
     for (auto& s : shards_) {
       util::MutexLock lock(s->inbox_mu);
-      for (auto& ev : s->inbox) s->heap.push(std::move(ev));
+      for (auto& ev : s->inbox) {
+        s->heap.push(ev.key, ev.target, std::move(ev.action));
+      }
       s->inbox.clear();
     }
   }

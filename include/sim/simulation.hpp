@@ -111,27 +111,28 @@ class Simulation {
     return sharded_ ? sharded_->executed() : single_.executed();
   }
 
-  /// Schedule into the currently-executing context.
-  void at(SimTime t, Action action) {
+  /// Schedule into the currently-executing context. A closure passed here
+  /// becomes a temporary Action that is moved once, into the event heap.
+  void at(SimTime t, Action&& action) {
     if (sharded_) {
       sharded_->schedule_at(t, std::move(action));
     } else {
       single_.schedule_at(t, std::move(action));
     }
   }
-  void after(SimTime delay, Action action) {
+  void after(SimTime delay, Action&& action) {
     at(now() + delay, std::move(action));
   }
 
   /// Schedule into an explicit target context.
-  void at(Domain target, SimTime t, Action action) {
+  void at(Domain target, SimTime t, Action&& action) {
     if (sharded_) {
       sharded_->schedule(target, t, std::move(action));
     } else {
       single_.schedule(target, t, std::move(action));
     }
   }
-  void after(Domain target, SimTime delay, Action action) {
+  void after(Domain target, SimTime delay, Action&& action) {
     at(target, now() + delay, std::move(action));
   }
 

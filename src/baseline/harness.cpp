@@ -180,10 +180,11 @@ RunResult run_experiment(const RunSpec& spec, const RunHook& hook) {
   out.total_sent = proto.total_sent();
   out.delivered_total = metrics.counter(names::kMhDelivered);
   if (spec.export_deliveries) {
-    const auto& per_mh = proto.deliveries().per_mh();
-    out.deliveries_offsets.reserve(per_mh.size() + 1);
+    const core::DeliveryLog& log = proto.deliveries();
+    out.deliveries_offsets.reserve(log.members() + 1);
     out.deliveries_offsets.push_back(0);
-    for (const auto& recs : per_mh) {
+    for (std::size_t i = 0; i < log.members(); ++i) {
+      const auto recs = log.records(i);
       out.deliveries_flat.insert(out.deliveries_flat.end(), recs.begin(),
                                  recs.end());
       out.deliveries_offsets.push_back(out.deliveries_flat.size());

@@ -32,10 +32,10 @@ constexpr std::size_t kResendWindow = 128;
 
 std::optional<std::string> DeliveryLog::check_total_order() const {
   std::unordered_map<GlobalSeq, std::pair<NodeId, LocalSeq>> binding;
-  for (std::size_t i = 0; i < per_mh_.size(); ++i) {
+  for (std::size_t i = 0; i < members(); ++i) {
     bool first = true;
     GlobalSeq prev = 0;
-    for (const auto& r : per_mh_[i]) {
+    for (const Rec& r : records(i)) {
       if (!first && r.gseq <= prev) {
         return "non-increasing gseq " + std::to_string(r.gseq) + " after " +
                std::to_string(prev) + " at " + to_string(ids_[i]);
@@ -126,10 +126,11 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
       }
     }
   }
-  deliveries_.reset(topo_.mhs);
+  deliveries_.reset(topo_.mhs, n_ctx);
   lat_hists_.resize(n_ctx);
   span_breakdowns_.resize(n_ctx);
   loss_.resize(n_ctx);
+  tree_hops_.resize(n_ctx);
 
   // Every BR starts with a converged view: all MHs at their home AP.
   for (auto& br : brs_) {
@@ -665,7 +666,8 @@ void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
         }
       }
     }
-    deliveries_.record(node.id_, msg.gseq, msg.source, msg.lseq, gid);
+    deliveries_.record(node.id_, msg.gseq, msg.source, msg.lseq, gid,
+                       sim_.current_ctx());
   }
 }
 
@@ -1463,6 +1465,12 @@ net::LossProcess& RingNetProtocol::loss_process(
 sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
                                         net::LinkKey link,
                                         std::uint32_t bytes) {
+  return hop_delay(model, link, model.one_way(bytes));
+}
+
+sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
+                                        net::LinkKey link,
+                                        sim::SimTime one_way) {
   // Link-layer ARQ modelled as delay only: each lost attempt adds a
   // retransmission timeout and another transit, for at most max_retx
   // attempts, and then the frame arrives whether or not its last attempt
@@ -1472,25 +1480,38 @@ sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
   // Lossless links skip the per-link process entirely. This is RNG-neutral
   // (LossProcess::lost never draws when loss_rate <= 0) — it just avoids
   // the map probe on every hop of a zero-loss configuration.
-  if (model.loss_rate <= 0.0) return model.one_way(bytes);
+  if (model.loss_rate <= 0.0) return one_way;
   net::LossProcess& lp = loss_process(link, model);
-  sim::SimTime d = model.one_way(bytes);
+  sim::SimTime d = one_way;
   const int budget = std::max(1, config_.options.max_retx);
   for (int attempt = 1; attempt < budget && lp.lost(sim_.rng()); ++attempt) {
     sim_.metrics().incr(names::kRetransmits);
-    d += config_.options.retx_timeout + model.one_way(bytes);
+    d += config_.options.retx_timeout + one_way;
   }
   return d;
+}
+
+const RingNetProtocol::TreeHops& RingNetProtocol::tree_hops(
+    std::uint32_t bytes) {
+  std::vector<TreeHops>& memo = tree_hops_[sim_.current_ctx()];
+  for (const TreeHops& h : memo) {
+    if (h.bytes == bytes) return h;
+  }
+  memo.push_back(TreeHops{bytes, config_.hierarchy.wireless.one_way(bytes),
+                          config_.hierarchy.lan.one_way(bytes)});
+  return memo.back();
 }
 
 sim::SimTime RingNetProtocol::uplink_delay(NodeId mh, std::uint32_t bytes) {
   const MhNode& m = mhs_[mh.index()];
   const NodeId ap = m.ap_;
   const NodeId ag = ap_ag_[ap.index()];
-  return hop_delay(config_.hierarchy.wireless, net::link_key(mh, ap), bytes) +
-         hop_delay(config_.hierarchy.lan, net::link_key(ap, ag), bytes) +
+  const TreeHops& one_way = tree_hops(bytes);
+  return hop_delay(config_.hierarchy.wireless, net::link_key(mh, ap),
+                   one_way.wireless) +
+         hop_delay(config_.hierarchy.lan, net::link_key(ap, ag), one_way.lan) +
          hop_delay(config_.hierarchy.lan,
-                   net::link_key(ag, ag_br_[ag.index()]), bytes);
+                   net::link_key(ag, ag_br_[ag.index()]), one_way.lan);
 }
 
 sim::SimTime RingNetProtocol::downlink_delay(NodeId mh, std::uint32_t bytes) {

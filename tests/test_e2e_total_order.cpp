@@ -1,13 +1,17 @@
 // End-to-end integration: a full RingNet deployment (4 BRs, 2 sources,
 // lossy wireless cells) must deliver every message to every MH in one
 // agreed total order, within the analytic latency bound family, while
-// pruning its buffers.
+// pruning its buffers. Below them, the delivery log those checks read: its
+// block chains read back in record order, and the total-order check sees
+// violations across blocks.
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "baseline/harness.hpp"
 #include "core/analysis.hpp"
+#include "core/protocol.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -95,6 +99,69 @@ TEST(token_rotates_continuously) {
   std::set<std::uint32_t> visited;
   for (const auto& ev : passes) visited.insert(ev.node);
   CHECK_EQ(visited.size(), std::size_t{4});
+}
+
+TEST(delivery_log_reads_back_across_blocks_and_contexts) {
+  // A member's records span several blocks, taken in turn from two
+  // contexts' arenas (a member that changed domains); they read back in
+  // record order.
+  const std::vector<NodeId> mhs = {NodeId::make(Tier::MH, 0),
+                                   NodeId::make(Tier::MH, 1)};
+  core::DeliveryLog log;
+  log.reset(mhs, 2);
+  const NodeId src{9};
+  const std::size_t n = 3 * core::DeliveryLog::kBlockRecs + 3;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t ctx = (k / 5) % 2;
+    log.record(mhs[0], 2 * k + 1, src, k, GroupId{0}, ctx);
+    if (k % 3 == 0) log.record(mhs[1], 2 * k + 1, src, k, GroupId{0}, 1 - ctx);
+  }
+  CHECK_EQ(log.members(), std::size_t{2});
+  CHECK_EQ(log.records(0).size(), n);
+  std::size_t k = 0;
+  bool in_order = true;
+  for (const core::DeliveryLog::Rec& r : log.records(0)) {
+    in_order = in_order && r.gseq == 2 * k + 1 && r.lseq == k &&
+               r.source == src;
+    ++k;
+  }
+  CHECK(in_order);
+  CHECK_EQ(k, n);
+  std::size_t k1 = 0;
+  for (const core::DeliveryLog::Rec& r : log.records(1)) {
+    in_order = in_order && r.gseq == 6 * k1 + 1;
+    ++k1;
+  }
+  CHECK(in_order);
+  CHECK_EQ(k1, log.records(1).size());
+  CHECK_EQ(k1, (n + 2) / 3);
+  CHECK(!log.check_total_order().has_value());
+}
+
+TEST(total_order_check_spans_blocks) {
+  const std::vector<NodeId> mhs = {NodeId::make(Tier::MH, 0),
+                                   NodeId::make(Tier::MH, 1)};
+  const NodeId src{9};
+  const std::size_t full = core::DeliveryLog::kBlockRecs;
+  // A non-increasing gseq whose two records sit in different blocks.
+  core::DeliveryLog repeat;
+  repeat.reset(mhs);
+  for (std::size_t g = 1; g <= full; ++g) repeat.record(mhs[0], g, src, g);
+  repeat.record(mhs[0], full, src, full);
+  const auto r1 = repeat.check_total_order();
+  CHECK(r1 && r1->find("non-increasing") != std::string::npos);
+
+  // One gseq bound to two messages: member 0 holds it in its first block,
+  // member 1 in its second.
+  core::DeliveryLog twice;
+  twice.reset(mhs, 2);
+  twice.record(mhs[0], 100, src, 100, GroupId{0}, 0);
+  for (std::size_t g = 1; g <= full; ++g) {
+    twice.record(mhs[1], g, src, g, GroupId{0}, 1);
+  }
+  twice.record(mhs[1], 100, src, 7, GroupId{0}, 0);
+  const auto r2 = twice.check_total_order();
+  CHECK(r2 && r2->find("two different messages") != std::string::npos);
 }
 
 TEST_MAIN()

@@ -328,6 +328,26 @@ TEST(pairwise_checker_accepts_holes_rejects_inversions) {
   bad.record(mhs[1], 3, src, 3);
   bad.record(mhs[1], 1, src, 1);
   CHECK(core::check_pairwise_order(bad).has_value());
+
+  // The same across blocks: logs several blocks long, recorded from two
+  // contexts in turn, with holes, pass; an inversion whose two records
+  // sit in different blocks does not.
+  core::DeliveryLog long_log;
+  long_log.reset(mhs, 2);
+  for (GlobalSeq g = 1; g <= 5 * core::DeliveryLog::kBlockRecs; ++g) {
+    const std::size_t ctx = (g / 4) % 2;
+    for (std::size_t m = 0; m < mhs.size(); ++m) {
+      if ((g + m) % 3 != 0) long_log.record(mhs[m], g, src, g, GroupId{0}, ctx);
+    }
+  }
+  CHECK(!core::check_pairwise_order(long_log).has_value());
+  core::DeliveryLog inverted;
+  inverted.reset(mhs, 2);
+  for (GlobalSeq g = 1; g <= core::DeliveryLog::kBlockRecs; ++g) {
+    inverted.record(mhs[0], g, src, g, GroupId{0}, g % 2);
+  }
+  inverted.record(mhs[0], 3, src, 3, GroupId{0}, 0);
+  CHECK(core::check_pairwise_order(inverted).has_value());
 }
 
 TEST(lookahead_floor_tracks_the_latency_matrix) {

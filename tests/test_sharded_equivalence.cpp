@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "baseline/harness.hpp"
+#include "core/protocol.hpp"
 #include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "scenario/catalogue.hpp"
@@ -45,6 +47,10 @@ struct ModeResult {
   std::uint64_t member_delivered = 0;  // sum of MhNode::delivered_count()
   std::uint64_t retransmits = 0;
   std::uint64_t gaps_skipped = 0;
+  // Members whose delivery log does not hold exactly delivered_count()
+  // records, walked one by one.
+  std::uint64_t log_mismatches = 0;
+  std::uint64_t handoffs = 0;
 };
 
 ModeResult run_mode(baseline::RunSpec spec, std::size_t threads) {
@@ -98,6 +104,16 @@ ModeResult run_mode(baseline::RunSpec spec, std::size_t threads) {
   }
   out.retransmits = mx.counter(names::kRetransmits);
   out.gaps_skipped = mx.counter(names::kGapsSkipped);
+  out.handoffs = mx.counter(names::kHandoffCount);
+  const core::DeliveryLog& log = proto.deliveries();
+  for (std::size_t i = 0; i < proto.mhs().size(); ++i) {
+    const auto recs = log.records(i);
+    const auto walked =
+        static_cast<std::uint64_t>(std::distance(recs.begin(), recs.end()));
+    if (walked != recs.size() || walked != proto.mhs()[i].delivered_count()) {
+      ++out.log_mismatches;
+    }
+  }
   return out;
 }
 
@@ -214,11 +230,16 @@ TEST(delivered_counter_counts_every_delivery) {
   // own counts, serial and sharded. The last, ad-hoc scenario churns fast
   // past a short MQ, so rejoiners skip with frames buffered behind a hole
   // and the skip itself delivers (over a hundred messages at this seed).
+  // With record_deliveries on (the default), every member's delivery log
+  // holds exactly its delivered_count() records: the order checks pass an
+  // empty log, so only this catches a log that drops records. Roaming
+  // members change domains, so their logs come from two arenas.
   std::uint64_t retransmits = 0;
   std::uint64_t gaps_skipped = 0;
+  std::uint64_t handoffs = 0;
   for (const std::string name :
        {"steady", "churn-mill", "long-absence", "mass-exodus", "dark-cells",
-        "group-churn",
+        "group-churn", "waypoint-roam",
         "name=churn-skip;churn=poisson,leave=2,absence=0.3;"
         "traffic=poisson,rate=300;mq_retention=8"}) {
     auto spec = scenario_spec(name);
@@ -234,13 +255,16 @@ TEST(delivered_counter_counts_every_delivery) {
       }
       CHECK(r.delivered > 0);
       CHECK_EQ(r.delivered, r.member_delivered);
+      CHECK_EQ(r.log_mismatches, std::uint64_t{0});
       retransmits += r.retransmits;
       gaps_skipped += r.gaps_skipped;
+      handoffs += r.handoffs;
     }
   }
   // The runs did take the paths that deliver outside a fan-out.
   CHECK(retransmits > 0);
   CHECK(gaps_skipped > 0);
+  CHECK(handoffs > 0);
 }
 
 TEST(harness_shard_spec_reports_same_results) {

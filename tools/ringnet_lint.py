@@ -61,6 +61,13 @@ RN010 bytewise-integer-write
     encoded and framed again at each hop; a fixed-width field is appended
     with one size check and one little-endian store instead.
 
+RN011 function-in-sim
+    No `std::function` under include/sim/. Every scheduled event carries
+    its action through sim::Action, which stores captures of up to 48
+    bytes in place; a std::function on the event path (16-byte buffer in
+    libstdc++) allocates for almost every timer and ack closure the
+    simulator schedules.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -280,6 +287,25 @@ def check_bytewise_integer_write(root):
 
 
 # --------------------------------------------------------------------------
+# RN011: std::function on the simulator's event path
+
+STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
+
+
+def check_function_in_sim(root):
+    findings = []
+    for path in repo_files(root, ("include/sim",)):
+        for i, text in enumerate(open(path, encoding="utf-8"), 1):
+            if STD_FUNCTION_RE.search(text):
+                findings.append(Finding(
+                    "RN011", rel(root, path), i,
+                    "std::function on the event path allocates for "
+                    "captures over 16 bytes; carry the callable in "
+                    "sim::Action"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -325,6 +351,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_hardcoded_group(root)
     findings += check_unclamped_wire_reserve(root)
     findings += check_bytewise_integer_write(root)
+    findings += check_function_in_sim(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -334,8 +361,8 @@ def self_test(cxx):
     """Seed one violation per rule; every rule must fire on its seed."""
     failures = []
     with tempfile.TemporaryDirectory(prefix="ringnet_lint_st_") as tmp:
-        for sub in ("include/core", "include/util", "src/core", "bench",
-                    "tests"):
+        for sub in ("include/core", "include/sim", "include/util",
+                    "src/core", "bench", "tests"):
             os.makedirs(os.path.join(tmp, sub))
 
         def write(path, text):
@@ -421,10 +448,19 @@ def self_test(cxx):
               "void f(B& b, unsigned v) "
               "{ b.push_back(static_cast<std::uint8_t>(v >> 8)); }\n")
 
+        # RN011: std::function under include/sim/; the same alias outside
+        # the simulator's headers must NOT fire.
+        write("include/sim/bad_function.hpp",
+              "#pragma once\n#include <functional>\n"
+              "using Action = std::function<void()>;\n")
+        write("include/util/ok_function.hpp",
+              "#pragma once\n#include <functional>\n"
+              "using Task = std::function<void()>;\n")
+
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN002", "RN003", "RN004", "RN005", "RN006", "RN007",
-                     "RN009", "RN010"):
+                     "RN009", "RN010", "RN011"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -440,7 +476,8 @@ def self_test(cxx):
                             ("RN009", "good_reserve.cpp"),
                             ("RN009", "ok_reserve.cpp"),
                             ("RN010", "good_bytewise.cpp"),
-                            ("RN010", "ok_bytewise.cpp")):
+                            ("RN010", "ok_bytewise.cpp"),
+                            ("RN011", "ok_function.hpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
