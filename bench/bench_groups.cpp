@@ -78,7 +78,7 @@ SweepResult run_point(std::size_t groups, std::size_t per_mh,
   r.per_mh = per_mh;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.sent = res.total_sent;
-  r.delivered = res.delivered_total;
+  r.delivered = res.metrics.counter(obs::names::kMhDelivered);
   r.deliveries_per_msg =
       r.sent > 0 ? static_cast<double>(r.delivered) /
                        static_cast<double>(r.sent)

@@ -5,7 +5,8 @@
 // (each execution is its own serialization), so the cross-execution gate
 // compares what must be invariant: each MH's delivered multiset of
 // (source, lseq), per-MH delivered counts, zero total-order violations
-// within each run, and really-lost parity. Non-zero exit on any mismatch.
+// within each run, and really-lost (mh.gap_skipped_msgs) parity. Non-zero
+// exit on any mismatch.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,7 +18,9 @@
 
 #include "baseline/harness.hpp"
 #include "net/channel.hpp"
+#include "obs/names.hpp"
 #include "runtime/orchestrator.hpp"
+#include "stats/histogram.hpp"
 
 namespace {
 
@@ -25,6 +28,7 @@ using ringnet::baseline::RunResult;
 using ringnet::baseline::RunSpec;
 using ringnet::runtime::LoopbackResult;
 using ringnet::runtime::LoopbackSpec;
+namespace names = ringnet::obs::names;
 
 [[noreturn]] void usage_and_exit(const char* prog) {
   std::fprintf(stderr,
@@ -35,23 +39,24 @@ using ringnet::runtime::LoopbackSpec;
   std::exit(2);
 }
 
-std::int64_t percentile(std::vector<std::int64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 /// The invariant delivery content of one MH: its (source, lseq) multiset.
 std::vector<std::pair<std::uint32_t, std::uint64_t>> sorted_pairs(
-    const ringnet::core::DeliveryLog::Rec* recs, std::size_t n) {
+    const ringnet::core::DeliveryLog& log, std::size_t mh) {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.emplace_back(recs[i].source.v, recs[i].lseq);
-  }
+  out.reserve(log.records(mh).size());
+  for (const auto& r : log.records(mh)) out.emplace_back(r.source.v, r.lseq);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// One latency line: a histogram's quantiles in microseconds.
+void print_latency(const char* label, const ringnet::stats::Histogram& h) {
+  std::printf("  %s p50=%llu p90=%llu p99=%llu max=%llu (n=%llu)\n", label,
+              static_cast<unsigned long long>(h.p50()),
+              static_cast<unsigned long long>(h.p90()),
+              static_cast<unsigned long long>(h.p99()),
+              static_cast<unsigned long long>(h.max()),
+              static_cast<unsigned long long>(h.count()));
 }
 
 }  // namespace
@@ -164,23 +169,21 @@ int main(int argc, char** argv) {
   RunResult sim = ringnet::baseline::run_experiment(oracle);
 
   int failures = 0;
-  char buf0[128];
   const auto gate = [&](bool ok, const char* what) {
     std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what);
     if (!ok) ++failures;
   };
 
-  const char* order_what = eff.groups.multi()
-                               ? "zero pairwise-order violations"
-                               : "zero total-order violations";
+  const auto count = [](const ringnet::obs::Metrics& m, names::Metric k) {
+    return static_cast<unsigned long long>(m.counter(k));
+  };
   gate(rt.completed, "runtime: every MH reported Done before the deadline");
-  std::snprintf(buf0, sizeof(buf0), "runtime: %s across MHs", order_what);
-  gate(!rt.order_violation, buf0);
+  gate(!rt.order_violation,
+       "runtime: zero total-order violations across MHs");
   if (rt.order_violation) {
     std::printf("         %s\n", rt.order_violation->c_str());
   }
-  std::snprintf(buf0, sizeof(buf0), "oracle: %s", order_what);
-  gate(!sim.order_violation, buf0);
+  gate(!sim.order_violation, "oracle: zero total-order violations");
   gate(sim.total_sent ==
            static_cast<std::uint64_t>(n_mh) * eff.msgs_per_source,
        "oracle: sources submitted the full script");
@@ -188,16 +191,10 @@ int main(int argc, char** argv) {
   std::size_t mismatched = 0;
   std::size_t count_mismatched = 0;
   for (std::size_t m = 0; m < n_mh; ++m) {
-    const auto [recs, n] = sim.deliveries_of(m);
-    if (rt.delivered_counts[m] != n) ++count_mismatched;
-    const auto sim_pairs = sorted_pairs(recs, n);
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> rt_pairs;
-    rt_pairs.reserve(rt.per_mh[m].size());
-    for (const auto& r : rt.per_mh[m]) {
-      rt_pairs.emplace_back(r.source.v, r.lseq);
+    if (rt.delivered_counts[m] != sim.log.records(m).size()) {
+      ++count_mismatched;
     }
-    std::sort(rt_pairs.begin(), rt_pairs.end());
-    if (rt_pairs != sim_pairs) ++mismatched;
+    if (sorted_pairs(rt.log, m) != sorted_pairs(sim.log, m)) ++mismatched;
   }
   char buf[128];
   std::snprintf(buf, sizeof(buf),
@@ -209,27 +206,17 @@ int main(int argc, char** argv) {
                 "per-MH delivered counts match the oracle (%zu mismatched)",
                 count_mismatched);
   gate(count_mismatched == 0, buf);
+  const auto rt_lost = count(rt.metrics, names::kGapSkippedMsgs);
+  const auto sim_lost = count(sim.metrics, names::kGapSkippedMsgs);
   std::snprintf(buf, sizeof(buf),
-                "really-lost parity: runtime %llu vs oracle %llu",
-                static_cast<unsigned long long>(rt.counters.really_lost),
-                static_cast<unsigned long long>(sim.really_lost));
-  gate(rt.counters.really_lost == sim.really_lost, buf);
+                "really-lost parity (mh.gap_skipped_msgs): runtime %llu vs "
+                "oracle %llu",
+                rt_lost, sim_lost);
+  gate(rt_lost == sim_lost, buf);
 
-  std::vector<std::int64_t> lat = rt.latencies_us;
-  std::sort(lat.begin(), lat.end());
-  std::printf(
-      "\n  runtime latency us (submit->delivery, wall): "
-      "p50=%lld p90=%lld p99=%lld max=%lld (n=%zu)\n",
-      static_cast<long long>(percentile(lat, 0.50)),
-      static_cast<long long>(percentile(lat, 0.90)),
-      static_cast<long long>(percentile(lat, 0.99)),
-      lat.empty() ? 0LL : static_cast<long long>(lat.back()), lat.size());
-  std::printf("  oracle  latency us (sim time):               "
-              "p50=%llu p90=%llu p99=%llu max=%llu\n",
-              static_cast<unsigned long long>(sim.lat_p50_us),
-              static_cast<unsigned long long>(sim.lat_p90_us),
-              static_cast<unsigned long long>(sim.lat_p99_us),
-              static_cast<unsigned long long>(sim.lat_max_us));
+  std::printf("\n");
+  print_latency("runtime latency us (submit->delivery, wall):", rt.lat_hist);
+  print_latency("oracle  latency us (sim time):              ", sim.lat_hist);
   std::printf("  frames: sent=%llu received=%llu malformed=%llu "
               "send_failures=%llu\n",
               static_cast<unsigned long long>(rt.frames_sent),
@@ -238,18 +225,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rt.send_failures));
   std::printf("  token: held=%llu retx=%llu regen=%llu dup_destroyed=%llu "
               "dropped=%llu\n",
-              static_cast<unsigned long long>(rt.counters.tokens_held),
-              static_cast<unsigned long long>(rt.counters.token_retx),
-              static_cast<unsigned long long>(rt.counters.token_regenerated),
-              static_cast<unsigned long long>(rt.counters.token_dup_destroyed),
-              static_cast<unsigned long long>(rt.counters.token_dropped));
+              count(rt.metrics, names::kTokenHeld),
+              count(rt.metrics, names::kTokenRetx),
+              count(rt.metrics, names::kTokenRegenerated),
+              count(rt.metrics, names::kTokenDupDestroyed),
+              count(rt.metrics, names::kTokenDropped));
   std::printf("  arq: downlink_retx=%llu uplink_retx=%llu duplicates=%llu "
               "acks=%llu floor_advances=%llu\n",
-              static_cast<unsigned long long>(rt.counters.retransmits),
-              static_cast<unsigned long long>(rt.counters.uplink_retx),
-              static_cast<unsigned long long>(rt.counters.duplicates),
-              static_cast<unsigned long long>(rt.counters.acks_sent),
-              static_cast<unsigned long long>(rt.counters.floor_advances));
+              count(rt.metrics, names::kRetransmits),
+              count(rt.metrics, names::kUplinkRetx),
+              count(rt.metrics, names::kDuplicates),
+              count(rt.metrics, names::kAcksSent),
+              count(rt.metrics, names::kFloorAdvances));
 
   if (eff.opts.record_spans) {
     // Side-by-side per-stage lifecycle breakdown: real UDP wall time vs.

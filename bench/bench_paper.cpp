@@ -255,23 +255,24 @@ void e3_latency(bench::Checks& checks) {
     const bool sweeps_tau = i < taus_ms.size();
     if (sweeps_tau) {
       add_row(by_tau, taus_ms[i], fixed(b.paper_order_bound_s() * 1e3, 2),
-              fixed(order_bound, 2), fixed(ms(r.assign_p99_us), 2),
-              fixed(ms(r.assign_max_us), 2), fixed(e2e_bound, 2),
-              fixed(ms(r.lat_max_us), 2));
+              fixed(order_bound, 2), fixed(ms(r.assign_hist.p99()), 2),
+              fixed(ms(r.assign_hist.max()), 2), fixed(e2e_bound, 2),
+              fixed(ms(r.lat_hist.max()), 2));
     } else {
       add_row(by_r, rings[i - taus_ms.size()], fixed(b.torder_s * 1e3, 2),
               fixed(b.paper_order_bound_s() * 1e3, 2), fixed(order_bound, 2),
-              fixed(ms(r.assign_max_us), 2), fixed(e2e_bound, 2),
-              fixed(ms(r.lat_max_us), 2));
+              fixed(ms(r.assign_hist.max()), 2), fixed(e2e_bound, 2),
+              fixed(ms(r.lat_hist.max()), 2));
     }
 
     // Latency is timed from the source's submit at its MH, while Proof 5.1
     // starts at the BR: both bounds carry the uplink transit.
     const std::string name = sweeps_tau ? kv("tau", taus_ms[i])
                                         : kv("r", rings[i - taus_ms.size()]);
-    checks.compare("order-max", name, ms(r.assign_max_us), Op::Le,
+    checks.compare("order-max", name, ms(r.assign_hist.max()), Op::Le,
                    order_bound, 2);
-    checks.compare("e2e-max", name, ms(r.lat_max_us), Op::Le, e2e_bound, 2);
+    checks.compare("e2e-max", name, ms(r.lat_hist.max()), Op::Le, e2e_bound,
+                   2);
   }
   by_tau.print(std::cout);
   by_r.print(std::cout);
@@ -322,12 +323,14 @@ void e4_buffers(bench::Checks& checks) {
     // assignment creates transient occupancy spikes at high rates.
     const std::string row = kv("s", p.s) + ",lambda=" +
                             fixed(p.rate, 0) + "," + kv("tau", p.tau_ms);
-    const bool wq_ok = checks.compare("wq-peak", row, r.wq_peak, Op::Le,
+    const double wq_peak = r.metrics.gauge(obs::names::kBufWqPeak);
+    const double mq_peak = r.metrics.gauge(obs::names::kBufMqPeak);
+    const bool wq_ok = checks.compare("wq-peak", row, wq_peak, Op::Le,
                                       wq_bound * 2.0 + 4, 1);
-    const bool mq_ok = checks.compare("mq-peak", row, r.mq_peak, Op::Le,
+    const bool mq_ok = checks.compare("mq-peak", row, mq_peak, Op::Le,
                                       mq_bound * 2.0 + 4, 1);
     add_row(table, p.s, fixed(p.rate, 0), p.tau_ms, fixed(wq_bound, 1),
-            fixed(r.wq_peak, 0), fixed(mq_bound, 1), fixed(r.mq_peak, 0),
+            fixed(wq_peak, 0), fixed(mq_bound, 1), fixed(mq_peak, 0),
             yes_no(wq_ok && mq_ok));
   }
   table.print(std::cout);
@@ -363,25 +366,26 @@ void e5_remark3(bench::Checks& checks) {
     const auto& cfg = specs[i].config;
     add_row(table, cfg.hierarchy.num_brs, fixed(cfg.source.rate_hz, 0),
             i % 2 == 0 ? "ordered" : "unordered",
-            fixed(res.lat_mean_us / 1e3, 2), fixed(ms(res.lat_p50_us), 2),
-            fixed(ms(res.lat_p90_us), 2), fixed(ms(res.lat_p99_us), 2),
+            fixed(res.lat_hist.mean() / 1e3, 2),
+            fixed(ms(res.lat_hist.p50()), 2), fixed(ms(res.lat_hist.p90()), 2),
+            fixed(ms(res.lat_hist.p99()), 2),
             fixed(res.throughput_per_mh_hz, 1));
     if (i % 2 == 0) continue;
     const auto& ord = results[i - 1];
     const std::string row = kv("r", cfg.hierarchy.num_brs) + ",lambda=" +
                             fixed(cfg.source.rate_hz, 0);
-    checks.compare("mean-below-ordered", row, res.lat_mean_us / 1e3, Op::Lt,
-                   ord.lat_mean_us / 1e3, 2);
-    checks.compare("p50-below-ordered", row, ms(res.lat_p50_us), Op::Lt,
-                   ms(ord.lat_p50_us), 2);
-    checks.compare("p90-below-ordered", row, ms(res.lat_p90_us), Op::Lt,
-                   ms(ord.lat_p90_us), 2);
-    checks.compare("p99-below-ordered", row, ms(res.lat_p99_us), Op::Lt,
-                   ms(ord.lat_p99_us), 2);
+    checks.compare("mean-below-ordered", row, res.lat_hist.mean() / 1e3,
+                   Op::Lt, ord.lat_hist.mean() / 1e3, 2);
+    checks.compare("p50-below-ordered", row, ms(res.lat_hist.p50()), Op::Lt,
+                   ms(ord.lat_hist.p50()), 2);
+    checks.compare("p90-below-ordered", row, ms(res.lat_hist.p90()), Op::Lt,
+                   ms(ord.lat_hist.p90()), 2);
+    checks.compare("p99-below-ordered", row, ms(res.lat_hist.p99()), Op::Lt,
+                   ms(ord.lat_hist.p99()), 2);
     checks.compare("throughput-equal", row, res.throughput_per_mh_hz, Op::Eq,
                    ord.throughput_per_mh_hz, 1);
     gaps[(i / 2) % rates.size()].push_back(
-        (ord.lat_mean_us - res.lat_mean_us) / 1e3);
+        (ord.lat_hist.mean() - res.lat_hist.mean()) / 1e3);
   }
   table.print(std::cout);
 
@@ -441,16 +445,17 @@ void e6_singlering(bench::Checks& checks) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = results[i];
     const std::string aps = kv("aps", ap_counts[i / 3]);
-    add_row(table, ap_counts[i / 3], names[i % 3], fixed(ms(r.lat_p50_us), 2),
-            fixed(ms(r.lat_p99_us), 2), fixed(r.mq_peak, 0),
+    add_row(table, ap_counts[i / 3], names[i % 3],
+            fixed(ms(r.lat_hist.p50()), 2), fixed(ms(r.lat_hist.p99()), 2),
+            fixed(r.metrics.gauge(obs::names::kBufMqPeak), 0),
             fixed(r.throughput_per_mh_hz, 1), yes_no(order_ok(r)));
     check_yes(checks, "order-ok", aps + "," + names[i % 3], order_ok(r));
     if (i % 3 == 0) {
       rows.push_back(aps);
-      ring_p50.push_back(ms(r.lat_p50_us));
+      ring_p50.push_back(ms(r.lat_hist.p50()));
     } else if (i % 3 == 1) {
-      checks.compare("ringnet-p50-within-4ap-bound", aps, ms(r.lat_p50_us),
-                     Op::Le, ringnet_bound, 2);
+      checks.compare("ringnet-p50-within-4ap-bound", aps,
+                     ms(r.lat_hist.p50()), Op::Le, ringnet_bound, 2);
     }
   }
   table.print(std::cout);
@@ -508,14 +513,16 @@ void e7_handoff(bench::Checks& checks) {
     std::vector<double> hot_pct;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const auto& r = results[i];
-      const std::uint64_t attaches = r.hot_attaches + r.cold_attaches;
+      const std::uint64_t hot = r.metrics.counter(obs::names::kHandoffHot);
+      const std::uint64_t cold = r.metrics.counter(obs::names::kHandoffCold);
+      const std::uint64_t attaches = hot + cold;
       hot_pct.push_back(attaches == 0
                             ? 0.0
-                            : 100.0 * static_cast<double>(r.hot_attaches) /
+                            : 100.0 * static_cast<double>(hot) /
                                   static_cast<double>(attaches));
       const bool on = i % 2 == 0;
       add_row(table, fixed(sweep.values[i / 2], 1), on ? "on" : "off",
-              r.handoffs, r.hot_attaches, r.cold_attaches,
+              r.metrics.counter(obs::names::kHandoffCount), hot, cold,
               fixed(hot_pct.back(), 1), fixed(r.min_delivery_ratio, 3),
               yes_no(order_ok(r)));
       const std::string row = std::string(sweep.name) + "=" +
@@ -600,29 +607,35 @@ void e8_retransmission(bench::Checks& checks) {
       const std::size_t traffic = i % 2;
       const std::string loss = fixed(arm.losses[i / 2] * 100.0, 0);
       const char* pattern = traffic == 0 ? "constant" : "mmpp";
-      const std::string mean = fixed(r.lat_mean_us / 1e3, 2);
-      const std::string p99 = fixed(ms(r.lat_p99_us), 2);
+      const std::string mean = fixed(r.lat_hist.mean() / 1e3, 2);
+      const std::string p99 = fixed(ms(r.lat_hist.p99()), 2);
       const std::string delivery = fixed(r.min_delivery_ratio, 3);
+      const double wq_peak = r.metrics.gauge(obs::names::kBufWqPeak);
+      const std::uint64_t retransmits =
+          r.metrics.counter(obs::names::kRetransmits);
+      const std::uint64_t really_lost =
+          r.metrics.counter(obs::names::kGapSkippedMsgs);
       if (arm.wired) {
-        add_row(table, loss, pattern, mean, p99, fixed(r.wq_peak, 0),
-                fixed(r.mq_peak, 0), r.retransmits, r.really_lost, delivery,
-                yes_no(order_ok(r)));
+        add_row(table, loss, pattern, mean, p99, fixed(wq_peak, 0),
+                fixed(r.metrics.gauge(obs::names::kBufMqPeak), 0), retransmits,
+                really_lost, delivery, yes_no(order_ok(r)));
       } else {
-        add_row(table, loss, pattern, mean, p99, r.retransmits, r.really_lost,
+        add_row(table, loss, pattern, mean, p99, retransmits, really_lost,
                 delivery, yes_no(order_ok(r)));
       }
 
       if (traffic == 0) losses.push_back(loss + "%");
-      mean_ms[traffic].push_back(r.lat_mean_us / 1e3);
-      retx[traffic].push_back(static_cast<double>(r.retransmits));
+      mean_ms[traffic].push_back(r.lat_hist.mean() / 1e3);
+      retx[traffic].push_back(static_cast<double>(retransmits));
       const std::string name = arm_name + pattern + "," + losses.back();
       checks.compare("delivery", name, r.min_delivery_ratio, Op::Eq, 1.0, 3);
-      checks.compare("really-lost", name, r.really_lost, Op::Eq, 0, 0);
+      checks.compare("really-lost", name, really_lost, Op::Eq, 0, 0);
       check_yes(checks, "order-ok", name, order_ok(r));
       // Burst arrivals pile into the tau staging window.
       if (arm.wired && traffic == 1) {
         checks.compare("mmpp-wq-above-constant", arm_name + losses.back(),
-                       r.wq_peak, Op::Gt, results[i - 1].wq_peak, 0);
+                       wq_peak, Op::Gt,
+                       results[i - 1].metrics.gauge(obs::names::kBufWqPeak), 0);
       }
     }
     table.print(std::cout);
@@ -747,11 +760,12 @@ void e9_recovery(bench::Checks& checks) {
       "Multiple-Token elimination (duplicate injected at t=1s)",
       {"r", "duplicates destroyed", "order ok", "delivery ratio"});
   for (std::size_t i = 0; i < dup_rings.size(); ++i) {
-    add_row(dup_table, dup_rings[i], dups[i].duplicate_tokens_destroyed,
-            yes_no(order_ok(dups[i])), fixed(dups[i].min_delivery_ratio, 3));
+    const std::uint64_t destroyed =
+        dups[i].metrics.counter(obs::names::kTokenDupDestroyed);
+    add_row(dup_table, dup_rings[i], destroyed, yes_no(order_ok(dups[i])),
+            fixed(dups[i].min_delivery_ratio, 3));
     const std::string row = "dup," + kv("r", dup_rings[i]);
-    checks.compare("duplicates-destroyed", row,
-                   dups[i].duplicate_tokens_destroyed, Op::Eq, 1, 0);
+    checks.compare("duplicates-destroyed", row, destroyed, Op::Eq, 1, 0);
     check_yes(checks, "order-ok", row, order_ok(dups[i]));
   }
   dup_table.print(std::cout);
@@ -872,9 +886,10 @@ void a3_token_hold(bench::Checks& checks) {
     const double span =
         (specs[i].warmup + specs[i].run + specs[i].drain).seconds();
     names.push_back(kv("hold", holds_us[i]));
-    holds_per_s.push_back(static_cast<double>(r.tokens_held) / span);
-    order_p99.push_back(ms(r.assign_p99_us));
-    e2e_p99.push_back(ms(r.lat_p99_us));
+    holds_per_s.push_back(
+        static_cast<double>(r.metrics.counter(obs::names::kTokenHeld)) / span);
+    order_p99.push_back(ms(r.assign_hist.p99()));
+    e2e_p99.push_back(ms(r.lat_hist.p99()));
     add_row(table, holds_us[i], fixed(holds_per_s.back(), 1),
             fixed(order_p99.back(), 2), fixed(e2e_p99.back(), 2));
   }
@@ -904,10 +919,11 @@ void a4_retention(bench::Checks& checks) {
   std::vector<double> delivery;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& r = results[i];
-    add_row(table, retentions[i], r.mh_gaps_skipped,
-            fixed(r.min_delivery_ratio, 4), yes_no(order_ok(r)));
+    const std::uint64_t skipped = r.metrics.counter(obs::names::kGapsSkipped);
+    add_row(table, retentions[i], skipped, fixed(r.min_delivery_ratio, 4),
+            yes_no(order_ok(r)));
     names.push_back(kv("retention", retentions[i]));
-    gaps.push_back(static_cast<double>(r.mh_gaps_skipped));
+    gaps.push_back(static_cast<double>(skipped));
     delivery.push_back(r.min_delivery_ratio);
     check_yes(checks, "order-ok", names[i], order_ok(r));
   }

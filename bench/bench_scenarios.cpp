@@ -11,8 +11,10 @@
 #include <iterator>
 
 #include "bench_util.hpp"
+#include "obs/names.hpp"
 
 using namespace ringnet;
+namespace names = obs::names;
 
 int main(int argc, char** argv) {
   const auto opts = bench::parse_cli(argc, argv);
@@ -82,16 +84,16 @@ int main(int argc, char** argv) {
         .cell(name)
         .cell(variants[i % std::size(variants)].name)
         .cell(r.min_delivery_ratio, 3)
-        .cell(static_cast<double>(r.lat_p50_us) / 1e3, 2)
-        .cell(static_cast<double>(r.lat_p99_us) / 1e3, 2)
-        .cell(r.mh_gaps_skipped)
-        .cell(r.really_lost)
-        .cell(r.handoffs)
-        .cell(r.churn_leaves)
-        .cell(r.blackout_drops)
-        .cell(r.uplink_lost)
-        .cell(r.retransmits)
-        .cell(r.token_regenerations)
+        .cell(static_cast<double>(r.lat_hist.p50()) / 1e3, 2)
+        .cell(static_cast<double>(r.lat_hist.p99()) / 1e3, 2)
+        .cell(r.metrics.counter(names::kGapsSkipped))
+        .cell(r.metrics.counter(names::kGapSkippedMsgs))
+        .cell(r.metrics.counter(names::kHandoffCount))
+        .cell(r.metrics.counter(names::kChurnLeaves))
+        .cell(r.metrics.counter(names::kBlackoutDropped))
+        .cell(r.metrics.counter(names::kBlackoutUplinkLost))
+        .cell(r.metrics.counter(names::kRetransmits))
+        .cell(r.metrics.counter(names::kTokenRegenerated))
         .cell(r.order_violation.has_value() ? "NO" : "yes");
   }
   table.print(std::cout);

@@ -283,12 +283,12 @@ int main(int argc, char** argv) {
 
   if (mh_node) {
     std::printf("ringnet_node mh[%zu]: delivered=%llu submitted=%llu "
-                "really_lost=%llu\n",
+                "gap_skipped_msgs=%llu\n",
                 cli.index,
                 static_cast<unsigned long long>(mh_node->delivered_count()),
                 static_cast<unsigned long long>(mh_node->submitted_count()),
-                static_cast<unsigned long long>(
-                    mh_node->counters().really_lost));
+                static_cast<unsigned long long>(mh_node->metrics().counter(
+                    obs::names::kGapSkippedMsgs)));
   }
   std::printf("ringnet_node %s[%zu]: sent=%llu received=%llu malformed=%llu\n",
               cli.role.c_str(), cli.index,

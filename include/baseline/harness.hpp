@@ -1,22 +1,23 @@
 #pragma once
 // Experiment harness: one RunSpec describes a deterministic simulation of a
 // protocol variant over a deployment; run_experiment() executes it
-// (warmup -> measured run -> source stop -> drain) and distills the
-// trace/metrics into a flat RunResult the benches tabulate.
+// (warmup -> measured run -> source stop -> drain) and hands the run's
+// registry, latency histograms and delivery log to a RunResult the benches
+// tabulate.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "stats/histogram.hpp"
 
 namespace ringnet::baseline {
 
@@ -49,9 +50,10 @@ struct RunSpec {
   // classic single-context simulation.
   bool shard = false;
   std::size_t shard_threads = 0;
-  // Copy the per-MH delivery sequences into RunResult::deliveries (memory ~
-  // deliveries; meant for short scripted runs used as cross-execution
-  // oracles, e.g. the loopback-runtime comparison).
+  // Hand the per-MH delivery log to RunResult::log (memory ~ deliveries;
+  // meant for short scripted runs used as cross-execution oracles, e.g. the
+  // loopback-runtime comparison). Off, the log dies with the run, so a
+  // sweep does not keep every point's log alive.
   bool export_deliveries = false;
 };
 
@@ -59,63 +61,26 @@ struct RunResult {
   // Delivery volume
   double throughput_per_mh_hz = 0.0;
   double min_delivery_ratio = 1.0;
-  // End-to-end latency (submit -> MH delivery), microseconds
-  double lat_mean_us = 0.0;
-  std::uint64_t lat_p50_us = 0;
-  std::uint64_t lat_p90_us = 0;
-  std::uint64_t lat_p99_us = 0;
-  std::uint64_t lat_max_us = 0;
-  // Ordering latency (submit -> gseq assignment), microseconds
-  std::uint64_t assign_p99_us = 0;
-  std::uint64_t assign_max_us = 0;
-  // Buffers
-  double wq_peak = 0.0;
-  double mq_peak = 0.0;
-  double archive_peak = 0.0;  // peer-repair archive high-watermark
-  // Reliability work
-  std::uint64_t retransmits = 0;
-  std::uint64_t really_lost = 0;
-  std::uint64_t mh_gaps_skipped = 0;
-  // Token machinery
-  std::uint64_t tokens_held = 0;
-  std::uint64_t token_regenerations = 0;
-  std::uint64_t duplicate_tokens_destroyed = 0;
-  // Mobility
-  std::uint64_t handoffs = 0;
-  std::uint64_t hot_attaches = 0;
-  std::uint64_t cold_attaches = 0;
-  // Scenario dynamics
-  std::uint64_t churn_leaves = 0;
-  std::uint64_t churn_rejoins = 0;
-  std::uint64_t blackout_drops = 0;   // recoverable (downlink / in-flight)
-  std::uint64_t uplink_lost = 0;      // unrecoverable: dropped pre-ordering
-  std::uint64_t park_dropped = 0;     // over a detached source's park cap
-  std::uint64_t tokens_dropped = 0;
-  // Correctness. In multi-group runs order_violation holds the pairwise
-  // consistency verdict (core::check_pairwise_order); in single-group runs
-  // the classic total-order check.
+  // Every counter and peak gauge of the run (obs/names.hpp), read after the
+  // drain: retransmits, mh.gap_skipped_msgs (really lost), handoffs, the
+  // buffer peaks and the rest.
+  obs::Metrics metrics;
+  // End-to-end latency (submit -> MH delivery) and ordering latency
+  // (submit -> gseq assignment), microseconds.
+  stats::Histogram lat_hist;
+  stats::Histogram assign_hist;
+  // Correctness: the total-order verdict over the delivery log, which is
+  // the pairwise verdict of a multi-group run too (core::check_pairwise_order).
   std::optional<std::string> order_violation;
-  // Total deliveries over all MHs (with genuine multicast each message is
-  // delivered destination-membership times, not population times, so this
-  // is the quantity bench_groups plots against group fan-out).
-  std::uint64_t delivered_total = 0;
   // Filled when spec.config.record_spans: per-stage lifecycle latency
   // breakdown (submit/assign/relay/deliver histograms) merged over every
   // execution context.
   obs::SpanBreakdown spans;
-  // Filled when spec.export_deliveries: total submissions and each MH's
-  // delivery sequence in delivery order (MH-index major).
+  // Total submissions.
   std::uint64_t total_sent = 0;
-  std::vector<core::DeliveryLog::Rec> deliveries_flat;
-  std::vector<std::size_t> deliveries_offsets;  // per-MH [begin, end) bounds
-
-  /// Per-MH slice of deliveries_flat (valid while this result is alive).
-  std::pair<const core::DeliveryLog::Rec*, std::size_t> deliveries_of(
-      std::size_t mh_index) const {
-    const std::size_t b = deliveries_offsets[mh_index];
-    const std::size_t e = deliveries_offsets[mh_index + 1];
-    return {deliveries_flat.data() + b, e - b};
-  }
+  // Filled when spec.export_deliveries: each MH's delivery sequence in
+  // delivery order, moved out of the protocol (empty otherwise).
+  core::DeliveryLog log;
 };
 
 using RunHook =

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
@@ -32,42 +31,15 @@
 namespace ringnet::core {
 
 /// Multi-group ordering guarantee: any two members that both deliver the
-/// same two messages deliver them in the same relative order. With genuine
-/// multicast a member's log has holes (gseqs destined to other groups), so
-/// this is checked directly — for every member pair, the positions of
-/// their common messages must rise together — rather than inferred from
-/// per-member contiguity. Also re-runs the per-member monotonicity and
-/// gseq-binding checks so one call covers the full multi-group contract.
+/// same two messages deliver them in the same relative order. All groups
+/// share one gseq sequence, so check_total_order's two conditions imply it:
+/// each member's gseqs strictly rise, and each gseq names one message, so
+/// the positions of any two members' shared messages rise together. Genuine
+/// multicast leaves per-member holes, which neither condition minds.
 /// Returns nullopt when violation-free.
 inline std::optional<std::string> check_pairwise_order(
     const DeliveryLog& log) {
-  if (auto err = log.check_total_order()) return err;
-  std::unordered_map<GlobalSeq, std::size_t> pos;
-  for (std::size_t i = 0; i < log.members(); ++i) {
-    pos.clear();
-    pos.reserve(log.records(i).size());
-    std::size_t p = 0;
-    for (const DeliveryLog::Rec& r : log.records(i)) pos.emplace(r.gseq, p++);
-    for (std::size_t j = i + 1; j < log.members(); ++j) {
-      // Walk j's log; positions of messages shared with i must increase.
-      std::size_t last = 0;
-      bool any = false;
-      GlobalSeq last_g = 0;
-      for (const DeliveryLog::Rec& r : log.records(j)) {
-        const auto it = pos.find(r.gseq);
-        if (it == pos.end()) continue;
-        if (any && it->second <= last) {
-          return "pairwise order violation: members " + std::to_string(i) +
-                 " and " + std::to_string(j) + " disagree on gseq " +
-                 std::to_string(r.gseq) + " vs " + std::to_string(last_g);
-        }
-        any = true;
-        last = it->second;
-        last_g = r.gseq;
-      }
-    }
-  }
-  return std::nullopt;
+  return log.check_total_order();
 }
 
 struct AnalyticBounds {

@@ -33,6 +33,7 @@
 #include <string>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -168,6 +169,11 @@ class DeliveryLog {
     const Block* head_;
     std::size_t size_;
   };
+
+  DeliveryLog() = default;
+  // Move-only: the chains point into the arenas' pages, which a move keeps.
+  DeliveryLog(DeliveryLog&&) noexcept = default;
+  DeliveryLog& operator=(DeliveryLog&&) noexcept = default;
 
   /// Starts an empty log for `mhs`, recording from `contexts` execution
   /// contexts (context indices 0..contexts-1).
@@ -403,6 +409,9 @@ class RingNetProtocol {
   }
   MobilityModel& mobility() { return mobility_; }
   const DeliveryLog& deliveries() const { return deliveries_; }
+  /// Moves the delivery log out, leaving this protocol's empty: call once
+  /// the run is over.
+  DeliveryLog take_deliveries() { return std::move(deliveries_); }
 
   std::uint64_t total_sent() const {
     return total_sent_.load(std::memory_order_relaxed);

@@ -6,7 +6,9 @@
 // names::Metric does not compile. Mutation is thread-safe, so parallel
 // shards and runtime threads share one registry: additions commute and
 // maxima are order-free, which keeps totals identical between the sharded
-// and single-heap sim engines.
+// and single-heap sim engines. A copy is a relaxed snapshot, and merge_from
+// folds one node's registry into a run-wide one, so a run's result carries
+// the registry itself rather than fields copied out of it.
 //
 // The registry holds counters and max-gauges only. Latency distributions
 // stay with their single writers, which read them safely: the simulator's
@@ -23,6 +25,22 @@ namespace ringnet::obs {
 
 class Metrics {
  public:
+  Metrics() = default;
+  /// A snapshot: each slot is read once (relaxed), so later writes to the
+  /// source do not show. Exact once the source's writers are quiescent.
+  Metrics(const Metrics& other) noexcept { *this = other; }
+  Metrics& operator=(const Metrics& other) noexcept {
+    for (std::size_t i = 0; i < names::kMetricCount; ++i) {
+      slots_[i].counter.store(
+          other.slots_[i].counter.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+      slots_[i].gauge.store(
+          other.slots_[i].gauge.load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
+    return *this;
+  }
+
   void incr(names::Metric m, std::uint64_t delta = 1) {
     slots_[m].counter.fetch_add(delta, std::memory_order_relaxed);
   }
@@ -40,6 +58,15 @@ class Metrics {
   }
   double gauge(names::Metric m) const {
     return slots_[m].gauge.load(std::memory_order_relaxed);
+  }
+
+  /// Add `other`'s counters to this registry's and keep each gauge's
+  /// maximum of the two.
+  void merge_from(const Metrics& other) {
+    other.for_each_counter([this](names::Metric m, std::uint64_t c, double g) {
+      incr(m, c);
+      gauge_max(m, g);
+    });
   }
 
   /// Visit every (metric, counter, gauge) triple in enum order.

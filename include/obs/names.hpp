@@ -38,13 +38,12 @@ enum Metric : std::uint8_t {
   kBufMqPeak,
   kBufArchivePeak,
 
-  // --- runtime-only counters (RuntimeCounters fields, same vocabulary) ---
+  // --- runtime-only counters ---
   kTokenRetx,
   kFloorAdvances,
   kDuplicates,
   kUplinkRetx,
   kUplinkDropped,
-  kReallyLost,
   kMalformed,
   kSsHeartbeats,
 
@@ -120,8 +119,6 @@ constexpr const char* metric_name(Metric m) {
       return "arq.uplink_retx";
     case kUplinkDropped:
       return "arq.uplink_dropped";
-    case kReallyLost:
-      return "mh.really_lost";
     case kMalformed:
       return "transport.malformed";
     case kSsHeartbeats:

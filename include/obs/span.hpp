@@ -33,6 +33,28 @@ class SpanBreakdown {
   }
   void record_total(std::uint64_t us) { total_.record(us); }
 
+  /// Join one delivered message's five stamps (µs) into its four stage
+  /// durations and its total. Records nothing and returns false unless the
+  /// stamps rise: a stage the message never passed, or a stamp a resend
+  /// moved, would otherwise credit a nonsense duration.
+  bool record_lifecycle(std::int64_t submit, std::int64_t uplink_rx,
+                        std::int64_t assigned, std::int64_t relay_rx,
+                        std::int64_t deliver) {
+    if (uplink_rx < submit || assigned < uplink_rx || relay_rx < assigned ||
+        deliver < relay_rx) {
+      return false;
+    }
+    const auto span = [](std::int64_t from, std::int64_t to) {
+      return static_cast<std::uint64_t>(to - from);
+    };
+    record(SpanStage::Submit, span(submit, uplink_rx));
+    record(SpanStage::Assign, span(uplink_rx, assigned));
+    record(SpanStage::Relay, span(assigned, relay_rx));
+    record(SpanStage::Deliver, span(relay_rx, deliver));
+    record_total(span(submit, deliver));
+    return true;
+  }
+
   const stats::Histogram& stage(SpanStage s) const {
     return stages_[static_cast<std::size_t>(s)];
   }

@@ -75,7 +75,8 @@ struct RuntimeOptions {
   void scale_timers(double f);
 };
 
-/// Per-node counters, aggregated by the orchestrator after the loops stop.
+/// A node's registry counters as a struct, read only by perfbench's runtime
+/// benchmark. Everything else reads the registry (RoleNode::metrics()).
 struct RuntimeCounters {
   std::uint64_t tokens_held = 0;
   std::uint64_t token_regenerated = 0;
@@ -88,11 +89,8 @@ struct RuntimeCounters {
   std::uint64_t acks_sent = 0;
   std::uint64_t uplink_retx = 0;       // resubmissions awaiting assignment
   std::uint64_t uplink_dropped = 0;    // resubmission budget exhausted
-  std::uint64_t really_lost = 0;       // gap-skipped deliveries (per MH)
   std::uint64_t gaps_skipped = 0;
   std::uint64_t malformed = 0;         // undecodable proto payloads
-
-  void merge(const RuntimeCounters& o);
 };
 
 /// What every role shares: its metric registry, its flight recorder and
@@ -127,9 +125,8 @@ class RoleNode : public RuntimeNode {
   std::atomic<bool> stop_seen_{false};  // polled by the daemon's main thread
 };
 
-/// A role the supervisor boots and stops (BR, AP, MH). It counts the
-/// RuntimeCounters in its registry and runs the boot handshake: Ready,
-/// resent until Start arrives, then Stop.
+/// A role the supervisor boots and stops (BR, AP, MH). It runs the boot
+/// handshake: Ready, resent until Start arrives, then Stop.
 class SupervisedNode : public RoleNode {
  public:
   // counters() assembles the struct from the atomic registry, so it is
@@ -410,7 +407,6 @@ class MhRuntime final : public SupervisedNode {
     return metrics_.counter(obs::names::kMhDelivered);
   }
   std::uint64_t submitted_count() const { return next_lseq_; }
-  const std::vector<std::int64_t>& latencies_us() const { return lat_us_; }
 
   /// Mutex-guarded live latency snapshot; safe to poll while the loop runs
   /// (the daemon's periodic stats frame quotes its quantiles).
@@ -462,7 +458,6 @@ class MhRuntime final : public SupervisedNode {
   core::OrderedReceiver ordered_;  // single-group delivery
   core::ChainReceiver chain_;      // multi-group delivery
   std::vector<DeliveredRec> log_;
-  std::vector<std::int64_t> lat_us_;
   std::int64_t next_ack_us_ = 0;
   // What this handler call sends the AP, encoded; it leaves at flush().
   std::vector<std::vector<std::uint8_t>> outbox_;

@@ -3,8 +3,8 @@
 // APs + MH cells) as real processes-in-miniature — one NodeLoop thread per
 // node over UDP sockets on 127.0.0.1 (or the in-process transport twin
 // for deterministic tests) — runs a count-bounded scripted workload through
-// the supervisor handshake, and collects per-MH delivery logs plus
-// aggregated counters for comparison against the simulator oracle.
+// the supervisor handshake, and collects the per-MH delivery log plus the
+// merged registry for comparison against the simulator oracle.
 
 #include <cstdint>
 #include <optional>
@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "runtime/inproc_transport.hpp"
 #include "runtime/node.hpp"
+#include "stats/histogram.hpp"
 
 namespace ringnet::runtime {
 
@@ -81,14 +83,15 @@ struct LoopbackResult {
   bool completed = false;  // every MH reported Done before the deadline
   std::size_t n_mh = 0;
   std::uint64_t expected_total = 0;
-  // Per-MH delivery sequences (MH global index order) and the same data
-  // loaded into a core::DeliveryLog for check_total_order().
-  std::vector<std::vector<DeliveredRec>> per_mh;
   std::vector<std::uint64_t> delivered_counts;
+  // Each MH's deliveries in delivery order (MH global index order).
   core::DeliveryLog log;
   std::optional<std::string> order_violation;
-  std::vector<std::int64_t> latencies_us;  // pooled submit->delivery, all MHs
-  RuntimeCounters counters;                // merged over every node
+  // Every node's registry, merged: BRs, APs, MHs and the SS.
+  obs::Metrics metrics;
+  // The MHs' live latency histograms, merged: each source MH's
+  // submit->delivery of its own messages, wall microseconds.
+  stats::Histogram lat_hist;
   // Per-stage lifecycle breakdown (spec.opts.record_spans): MH submit and
   // delivery stamps joined with the assigning BR's uplink-rx/assignment
   // records and the delivering BR's relay-arrival map. All node loops share

@@ -205,13 +205,18 @@ class ShardedScheduler {
     for (Domain d = 0; d < global_; ++d) {
       Shard* s = shards_[d].get();
       if (s->heap.empty() || !(s->heap.top_key().at < end)) continue;
-      pool_.submit([s, d, end] {
+      // Capture 16 B at most, which std::function keeps in place: the
+      // window's end is read from window_end_, set above and not written
+      // until the window closes.
+      pool_.submit([this, d] {
+        Shard& shard = *shards_[d];
+        const SimTime until = window_end_;
         ExecContext ctx{d, SimTime::zero()};
         ExecScope scope(&ctx);
-        while (!s->heap.empty() && s->heap.top_key().at < end) {
-          Event ev = s->heap.pop_min();
+        while (!shard.heap.empty() && shard.heap.top_key().at < until) {
+          Event ev = shard.heap.pop_min();
           ctx.now = ev.key.at;
-          ++s->executed;
+          ++shard.executed;
           ev.action();
         }
       });

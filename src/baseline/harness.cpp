@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/analysis.hpp"
 #include "obs/names.hpp"
 #include "scenario/engine.hpp"
 
@@ -121,45 +120,18 @@ RunResult run_experiment(const RunSpec& spec, const RunHook& hook) {
   sim.run_for(spec.drain);
 
   RunResult out;
-  const auto& metrics = sim.metrics();
+  out.metrics = sim.metrics();
   const double active = (spec.warmup + spec.run).seconds();
   const std::size_t n_mh = proto.topology().mhs.size();
   if (active > 0.0 && n_mh > 0) {
     out.throughput_per_mh_hz =
-        static_cast<double>(metrics.counter(names::kMhDelivered)) /
+        static_cast<double>(out.metrics.counter(names::kMhDelivered)) /
         static_cast<double>(n_mh) / active;
   }
 
   if (cfg.record_spans) out.spans = proto.span_breakdown();
-
-  const auto lat = proto.lat_hist();
-  out.lat_mean_us = lat.mean();
-  out.lat_p50_us = lat.p50();
-  out.lat_p90_us = lat.p90();
-  out.lat_p99_us = lat.p99();
-  out.lat_max_us = lat.max();
-  const auto& assign = proto.assign_hist();
-  out.assign_p99_us = assign.p99();
-  out.assign_max_us = assign.max();
-
-  out.wq_peak = metrics.gauge(names::kBufWqPeak);
-  out.mq_peak = metrics.gauge(names::kBufMqPeak);
-  out.archive_peak = metrics.gauge(names::kBufArchivePeak);
-  out.retransmits = metrics.counter(names::kRetransmits);
-  out.really_lost = metrics.counter(names::kGapSkippedMsgs);
-  out.mh_gaps_skipped = metrics.counter(names::kGapsSkipped);
-  out.tokens_held = metrics.counter(names::kTokenHeld);
-  out.token_regenerations = metrics.counter(names::kTokenRegenerated);
-  out.duplicate_tokens_destroyed = metrics.counter(names::kTokenDupDestroyed);
-  out.handoffs = metrics.counter(names::kHandoffCount);
-  out.hot_attaches = metrics.counter(names::kHandoffHot);
-  out.cold_attaches = metrics.counter(names::kHandoffCold);
-  out.churn_leaves = metrics.counter(names::kChurnLeaves);
-  out.churn_rejoins = metrics.counter(names::kChurnRejoins);
-  out.blackout_drops = metrics.counter(names::kBlackoutDropped);
-  out.uplink_lost = metrics.counter(names::kBlackoutUplinkLost);
-  out.park_dropped = metrics.counter(names::kParkDropped);
-  out.tokens_dropped = metrics.counter(names::kTokenDropped);
+  out.lat_hist = proto.lat_hist();
+  out.assign_hist = proto.assign_hist();
 
   if (proto.total_sent() > 0) {
     double min_ratio = 1.0;
@@ -172,24 +144,10 @@ RunResult run_experiment(const RunSpec& spec, const RunHook& hook) {
   }
 
   if (proto.config().options.ordered && proto.config().record_deliveries) {
-    out.order_violation =
-        proto.multi_group()
-            ? core::check_pairwise_order(proto.deliveries())
-            : proto.deliveries().check_total_order();
+    out.order_violation = proto.deliveries().check_total_order();
   }
   out.total_sent = proto.total_sent();
-  out.delivered_total = metrics.counter(names::kMhDelivered);
-  if (spec.export_deliveries) {
-    const core::DeliveryLog& log = proto.deliveries();
-    out.deliveries_offsets.reserve(log.members() + 1);
-    out.deliveries_offsets.push_back(0);
-    for (std::size_t i = 0; i < log.members(); ++i) {
-      const auto recs = log.records(i);
-      out.deliveries_flat.insert(out.deliveries_flat.end(), recs.begin(),
-                                 recs.end());
-      out.deliveries_offsets.push_back(out.deliveries_flat.size());
-    }
-  }
+  if (spec.export_deliveries) out.log = proto.take_deliveries();
   return out;
 }
 

@@ -684,25 +684,11 @@ obs::SpanBreakdown RingNetProtocol::span_breakdown() const {
 }
 
 void RingNetProtocol::record_span(const proto::DataMsg& msg) {
-  // Every stage stamp must be monotone from the previous one; a stage the
-  // message never passed (e.g. no assignment in the unordered variant)
-  // leaves its stamp at zero and disqualifies the whole span rather than
-  // crediting a nonsense duration.
-  const sim::SimTime now = sim_.now();
-  if (msg.uplink_rx_at < msg.submit_at || msg.assigned_at < msg.uplink_rx_at ||
-      msg.relay_rx_at < msg.assigned_at || now < msg.relay_rx_at) {
-    return;
-  }
-  obs::SpanBreakdown& sb = span_breakdowns_[sim_.current_ctx()];
-  sb.record(obs::SpanStage::Submit,
-            static_cast<std::uint64_t>((msg.uplink_rx_at - msg.submit_at).us));
-  sb.record(obs::SpanStage::Assign,
-            static_cast<std::uint64_t>((msg.assigned_at - msg.uplink_rx_at).us));
-  sb.record(obs::SpanStage::Relay,
-            static_cast<std::uint64_t>((msg.relay_rx_at - msg.assigned_at).us));
-  sb.record(obs::SpanStage::Deliver,
-            static_cast<std::uint64_t>((now - msg.relay_rx_at).us));
-  sb.record_total(static_cast<std::uint64_t>((now - msg.submit_at).us));
+  // A stage the message never passed (e.g. no assignment in the unordered
+  // variant) leaves its stamp at zero, and record_lifecycle skips the span.
+  span_breakdowns_[sim_.current_ctx()].record_lifecycle(
+      msg.submit_at.us, msg.uplink_rx_at.us, msg.assigned_at.us,
+      msg.relay_rx_at.us, sim_.now().us);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/analysis.hpp"
 #include "core/groups.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/udp_transport.hpp"
@@ -216,18 +215,16 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
   out.log.reset(mhs);
   for (std::size_t m = 0; m < n_mh; ++m) {
     const MhRuntime& node = *mh_nodes[m];
-    out.per_mh.push_back(node.deliveries());
     out.delivered_counts.push_back(node.delivered_count());
     for (const DeliveredRec& r : node.deliveries()) {
       out.log.record(mhs[m], r.gseq, r.source, r.lseq);
     }
-    out.latencies_us.insert(out.latencies_us.end(),
-                            node.latencies_us().begin(),
-                            node.latencies_us().end());
-    out.counters.merge(node.counters());
+    out.lat_hist.merge_from(node.latency_hist());
+    out.metrics.merge_from(node.metrics());
   }
-  for (const auto& node : br_nodes) out.counters.merge(node->counters());
-  for (const auto& node : ap_nodes) out.counters.merge(node->counters());
+  for (const auto& node : br_nodes) out.metrics.merge_from(node->metrics());
+  for (const auto& node : ap_nodes) out.metrics.merge_from(node->metrics());
+  out.metrics.merge_from(ss.metrics());
   if (spec.opts.record_spans) {
     // Join the four stamp sources per delivery. Keys are (source, lseq);
     // scripted loopback workloads keep lseq far below 2^32.
@@ -266,27 +263,11 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
             rl_it == relay.end()) {
           continue;
         }
-        const std::int64_t submit = s_it->second;
-        const AssignInfo& a = a_it->second;
-        const std::int64_t relay_rx = rl_it->second;
-        const std::int64_t deliver = times[i];
-        // Stamps must cascade monotonically; a message whose stamps were
-        // perturbed by retransmission edge cases is skipped, not clamped.
-        if (a.uplink_rx_us < submit || a.assigned_us < a.uplink_rx_us ||
-            relay_rx < a.assigned_us || deliver < relay_rx) {
-          continue;
-        }
-        out.spans.record(obs::SpanStage::Submit,
-                         static_cast<std::uint64_t>(a.uplink_rx_us - submit));
-        out.spans.record(
-            obs::SpanStage::Assign,
-            static_cast<std::uint64_t>(a.assigned_us - a.uplink_rx_us));
-        out.spans.record(
-            obs::SpanStage::Relay,
-            static_cast<std::uint64_t>(relay_rx - a.assigned_us));
-        out.spans.record(obs::SpanStage::Deliver,
-                         static_cast<std::uint64_t>(deliver - relay_rx));
-        out.spans.record_total(static_cast<std::uint64_t>(deliver - submit));
+        // A message whose stamps a retransmission perturbed is skipped,
+        // not clamped.
+        out.spans.record_lifecycle(s_it->second, a_it->second.uplink_rx_us,
+                                   a_it->second.assigned_us, rl_it->second,
+                                   times[i]);
       }
     }
   }
@@ -296,9 +277,7 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
     out.frames_malformed += tr->dropped_malformed();
     out.send_failures += tr->send_failures();
   }
-  out.order_violation = spec.groups.multi()
-                            ? core::check_pairwise_order(out.log)
-                            : out.log.check_total_order();
+  out.order_violation = out.log.check_total_order();
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include "baseline/harness.hpp"
 #include "core/analysis.hpp"
 #include "core/protocol.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -44,7 +45,7 @@ TEST(total_order_holds_and_delivery_completes) {
   }
   // Every MH saw (essentially) every message after the drain.
   CHECK(r.min_delivery_ratio > 0.999);
-  CHECK_EQ(r.really_lost, std::uint64_t{0});
+  CHECK_EQ(r.metrics.counter(obs::names::kGapSkippedMsgs), std::uint64_t{0});
   // Throughput tracks the offered load s*lambda.
   CHECK_NEAR(r.throughput_per_mh_hz, 200.0, 10.0);
 }
@@ -56,11 +57,11 @@ TEST(latency_within_tight_bound) {
   // Ordering latency on lossy cells: the two-rotation 2*Torder+tau budget
   // must hold with slack for ARQ jitter (the loss-free bounds, with their
   // uplink term, are bench_paper's E3).
-  CHECK(static_cast<double>(r.assign_max_us) <=
+  CHECK(static_cast<double>(r.assign_hist.max()) <=
         bounds.tight_order_bound_s() * 1.2e6);
-  CHECK(static_cast<double>(r.lat_p99_us) <=
+  CHECK(static_cast<double>(r.lat_hist.p99()) <=
         bounds.tight_e2e_bound_s() * 1.2e6);
-  CHECK(r.assign_p99_us > 0);
+  CHECK(r.assign_hist.p99() > 0);
 }
 
 TEST(buffers_stay_bounded) {
@@ -69,13 +70,13 @@ TEST(buffers_stay_bounded) {
   spec.config.hierarchy.wireless = net::ChannelModel::wireless(0.0);
   const auto r = baseline::run_experiment(spec);
   const auto bounds = core::analyze(baseline::effective_config(spec));
-  CHECK(r.wq_peak <=
+  CHECK(r.metrics.gauge(obs::names::kBufWqPeak) <=
         bounds.wq_bound_msgs() * 2.0 + 4.0);
-  CHECK(r.mq_peak <=
+  CHECK(r.metrics.gauge(obs::names::kBufMqPeak) <=
         bounds.mq_bound_msgs(spec.config.options.ack_period.seconds()) * 2.0 +
             4.0);
-  CHECK(r.wq_peak > 0.0);
-  CHECK(r.mq_peak > 0.0);
+  CHECK(r.metrics.gauge(obs::names::kBufWqPeak) > 0.0);
+  CHECK(r.metrics.gauge(obs::names::kBufMqPeak) > 0.0);
 }
 
 TEST(token_rotates_continuously) {

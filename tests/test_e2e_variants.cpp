@@ -5,6 +5,7 @@
 #include <set>
 
 #include "baseline/harness.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 
 using namespace ringnet;
@@ -36,11 +37,11 @@ TEST(unordered_is_faster_same_throughput) {
   const auto ro = baseline::run_experiment(ordered);
   const auto ru = baseline::run_experiment(unordered);
   CHECK_NEAR(ro.throughput_per_mh_hz, ru.throughput_per_mh_hz, 10.0);
-  CHECK(ru.lat_p99_us < ro.lat_p99_us);
-  CHECK(ru.lat_mean_us < ro.lat_mean_us);
+  CHECK(ru.lat_hist.p99() < ro.lat_hist.p99());
+  CHECK(ru.lat_hist.mean() < ro.lat_hist.mean());
   // No ordering pass: nothing is ever assigned a gseq.
-  CHECK_EQ(ru.assign_max_us, std::uint64_t{0});
-  CHECK_EQ(ru.tokens_held, std::uint64_t{0});
+  CHECK_EQ(ru.assign_hist.max(), std::uint64_t{0});
+  CHECK_EQ(ru.metrics.counter(obs::names::kTokenHeld), std::uint64_t{0});
 }
 
 TEST(single_ring_latency_grows_with_size) {
@@ -51,7 +52,7 @@ TEST(single_ring_latency_grows_with_size) {
   large.flat_aps = 32;
   const auto rs = baseline::run_experiment(small);
   const auto rl = baseline::run_experiment(large);
-  CHECK(rl.lat_p50_us > rs.lat_p50_us);
+  CHECK(rl.lat_hist.p50() > rs.lat_hist.p50());
   CHECK_NEAR(rs.throughput_per_mh_hz, 200.0, 10.0);
   CHECK_NEAR(rl.throughput_per_mh_hz, 200.0, 10.0);
 }

@@ -35,8 +35,10 @@ baseline::RunSpec mobile_spec(bool smooth) {
 
 TEST(order_holds_under_mobility) {
   const auto r = baseline::run_experiment(mobile_spec(true));
-  CHECK(r.handoffs > 20);
-  CHECK_EQ(r.handoffs, r.hot_attaches + r.cold_attaches);
+  CHECK(r.metrics.counter(obs::names::kHandoffCount) > 20);
+  CHECK_EQ(r.metrics.counter(obs::names::kHandoffCount),
+           r.metrics.counter(obs::names::kHandoffHot) +
+               r.metrics.counter(obs::names::kHandoffCold));
   CHECK(!r.order_violation.has_value());
   // Default retention covers the detach gaps: no data loss.
   CHECK(r.min_delivery_ratio > 0.99);
@@ -45,10 +47,12 @@ TEST(order_holds_under_mobility) {
 TEST(reservations_raise_hot_attach_share) {
   const auto on = baseline::run_experiment(mobile_spec(true));
   const auto off = baseline::run_experiment(mobile_spec(false));
-  const double hot_on = static_cast<double>(on.hot_attaches) /
-                        static_cast<double>(on.handoffs);
-  const double hot_off = static_cast<double>(off.hot_attaches) /
-                         static_cast<double>(off.handoffs);
+  const auto hot_share = [](const baseline::RunResult& r) {
+    return static_cast<double>(r.metrics.counter(obs::names::kHandoffHot)) /
+           static_cast<double>(r.metrics.counter(obs::names::kHandoffCount));
+  };
+  const double hot_on = hot_share(on);
+  const double hot_off = hot_share(off);
   CHECK(hot_on > hot_off);
   CHECK(hot_on > 0.8);  // sparse membership, neighbors reserved
 }
@@ -61,8 +65,8 @@ TEST(zero_retention_causes_gap_skips) {
   const auto r = baseline::run_experiment(spec);
   // With nothing retained past the subtree ack, a handed-off MH's resume
   // point is gone: it must skip, and the skipped range counts as lost.
-  CHECK(r.mh_gaps_skipped > 0);
-  CHECK(r.really_lost > 0);
+  CHECK(r.metrics.counter(obs::names::kGapsSkipped) > 0);
+  CHECK(r.metrics.counter(obs::names::kGapSkippedMsgs) > 0);
   CHECK(r.min_delivery_ratio < 1.0);
   CHECK(!r.order_violation.has_value());  // gaps, never reordering
 }

@@ -95,6 +95,43 @@ TEST(metrics_gauge_keeps_maximum) {
   CHECK_NEAR(m.gauge(obs::names::kBufMqPeak), 0.0, 1e-12);
 }
 
+TEST(metrics_copy_is_a_snapshot) {
+  obs::Metrics live;
+  live.incr(obs::names::kRetransmits, 3);
+  live.gauge_max(obs::names::kBufMqPeak, 5.0);
+  obs::Metrics snap = live;
+  obs::Metrics assigned;
+  assigned.incr(obs::names::kTokenHeld);
+  assigned = live;
+  live.incr(obs::names::kRetransmits);
+  live.gauge_max(obs::names::kBufMqPeak, 8.0);
+  for (const obs::Metrics* m : {&snap, &assigned}) {
+    CHECK_EQ(m->counter(obs::names::kRetransmits), std::uint64_t{3});
+    CHECK_NEAR(m->gauge(obs::names::kBufMqPeak), 5.0, 1e-12);
+  }
+  CHECK_EQ(assigned.counter(obs::names::kTokenHeld), std::uint64_t{0});
+  CHECK_EQ(live.counter(obs::names::kRetransmits), std::uint64_t{4});
+}
+
+TEST(metrics_merge_adds_counters_and_keeps_gauge_maxima) {
+  obs::Metrics a;
+  a.incr(obs::names::kRetransmits, 3);
+  a.gauge_max(obs::names::kBufMqPeak, 9.0);
+  a.gauge_max(obs::names::kBufWqPeak, 1.0);
+  obs::Metrics b;
+  b.incr(obs::names::kRetransmits, 4);
+  b.incr(obs::names::kTokenHeld, 2);
+  b.gauge_max(obs::names::kBufMqPeak, 6.0);
+  b.gauge_max(obs::names::kBufWqPeak, 7.0);
+  a.merge_from(b);
+  CHECK_EQ(a.counter(obs::names::kRetransmits), std::uint64_t{7});
+  CHECK_EQ(a.counter(obs::names::kTokenHeld), std::uint64_t{2});
+  CHECK_NEAR(a.gauge(obs::names::kBufMqPeak), 9.0, 1e-12);
+  CHECK_NEAR(a.gauge(obs::names::kBufWqPeak), 7.0, 1e-12);
+  // The source is read, not drained.
+  CHECK_EQ(b.counter(obs::names::kRetransmits), std::uint64_t{4});
+}
+
 TEST(metrics_concurrent_incr_is_exact) {
   // The TSan net: writer threads hammer one slot; the count check catches
   // lost updates.
@@ -187,12 +224,14 @@ TEST(sim_spans_capture_all_stages) {
     spec.seed = 7;
     const auto r = baseline::run_experiment(spec);
     CHECK(!r.order_violation.has_value());
-    CHECK(r.retransmits > 0);
-    CHECK(r.delivered_total > 0);
-    CHECK_EQ(r.spans.total().count(), r.delivered_total);
+    CHECK(r.metrics.counter(obs::names::kRetransmits) > 0);
+    const std::uint64_t delivered =
+        r.metrics.counter(obs::names::kMhDelivered);
+    CHECK(delivered > 0);
+    CHECK_EQ(r.spans.total().count(), delivered);
     for (std::size_t i = 0; i < obs::kSpanStages; ++i) {
       CHECK_EQ(r.spans.stage(static_cast<obs::SpanStage>(i)).count(),
-               r.delivered_total);
+               delivered);
     }
   }
 }
@@ -359,7 +398,6 @@ TEST(metric_names_pin_the_vocabulary) {
       {names::kDuplicates, "mh.duplicates"},
       {names::kUplinkRetx, "arq.uplink_retx"},
       {names::kUplinkDropped, "arq.uplink_dropped"},
-      {names::kReallyLost, "mh.really_lost"},
       {names::kMalformed, "transport.malformed"},
       {names::kSsHeartbeats, "ss.heartbeats"},
       {names::kSchedSerialSteps, "sched.serial_steps"},

@@ -68,7 +68,7 @@ TEST(duplicate_token_is_destroyed) {
           proto.inject_duplicate_token(proto.topology().top_ring[1], 1);
         });
       });
-  CHECK_EQ(r.duplicate_tokens_destroyed, std::uint64_t{1});
+  CHECK_EQ(r.metrics.counter(obs::names::kTokenDupDestroyed), std::uint64_t{1});
   CHECK(!r.order_violation.has_value());
   CHECK(r.min_delivery_ratio > 0.999);
 }
@@ -111,8 +111,8 @@ TEST(no_spurious_failure_handling_in_healthy_runs) {
   spec.run = sim::secs(1.5);
   spec.drain = sim::secs(0.5);
   const auto r = baseline::run_experiment(spec);
-  CHECK_EQ(r.token_regenerations, std::uint64_t{0});
-  CHECK_EQ(r.duplicate_tokens_destroyed, std::uint64_t{0});
+  CHECK_EQ(r.metrics.counter(obs::names::kTokenRegenerated), std::uint64_t{0});
+  CHECK_EQ(r.metrics.counter(obs::names::kTokenDupDestroyed), std::uint64_t{0});
   CHECK(!r.order_violation.has_value());
 }
 

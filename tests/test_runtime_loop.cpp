@@ -232,9 +232,9 @@ TEST(inproc_tiny_hierarchy_completes_in_order) {
   for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
     CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
-  CHECK_EQ(res.counters.really_lost, 0u);
+  CHECK_EQ(res.metrics.counter(obs::names::kGapSkippedMsgs), 0u);
   CHECK_EQ(res.frames_malformed, 0u);
-  CHECK(res.counters.tokens_held > 0);
+  CHECK(res.metrics.counter(obs::names::kTokenHeld) > 0);
 }
 
 TEST(token_loss_recovers_via_arq) {
@@ -255,8 +255,8 @@ TEST(token_loss_recovers_via_arq) {
   CHECK(res.completed);
   CHECK(!res.order_violation.has_value());
   CHECK(dropped->load() >= 2);
-  CHECK(res.counters.token_retx >= 2);
-  CHECK_EQ(res.counters.really_lost, 0u);
+  CHECK(res.metrics.counter(obs::names::kTokenRetx) >= 2);
+  CHECK_EQ(res.metrics.counter(obs::names::kGapSkippedMsgs), 0u);
   for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
     CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
@@ -287,8 +287,8 @@ TEST(token_destroyed_recovers_via_leader_regeneration) {
   const auto res = run_loopback(scaled(spec));
   CHECK(res.completed);
   CHECK(!res.order_violation.has_value());
-  CHECK(res.counters.token_regenerated >= 1);
-  CHECK_EQ(res.counters.really_lost, 0u);
+  CHECK(res.metrics.counter(obs::names::kTokenRegenerated) >= 1);
+  CHECK_EQ(res.metrics.counter(obs::names::kGapSkippedMsgs), 0u);
   for (std::size_t m = 0; m < res.delivered_counts.size(); ++m) {
     CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
   }
@@ -307,7 +307,7 @@ TEST(mh_delivered_counter_matches_delivery_log) {
   CHECK(res.completed);
   std::uint64_t sum = 0;
   for (std::size_t m = 0; m < res.n_mh; ++m) {
-    CHECK_EQ(res.delivered_counts[m], res.per_mh[m].size());
+    CHECK_EQ(res.delivered_counts[m], res.log.records(m).size());
     sum += res.delivered_counts[m];
   }
   CHECK_EQ(sum, res.expected_total);
@@ -383,8 +383,8 @@ TEST(mh_gap_skip_counts_really_lost) {
   mh.on_datagram(proto_datagram(proto::Message(floor_advance)), 30);
 
   CHECK_EQ(mh.delivered_count(), 2u);
-  CHECK_EQ(mh.counters().really_lost, 2u);
-  CHECK_EQ(mh.counters().gaps_skipped, 1u);
+  CHECK_EQ(mh.metrics().counter(obs::names::kGapSkippedMsgs), 2u);
+  CHECK_EQ(mh.metrics().counter(obs::names::kGapsSkipped), 1u);
   const auto& log = mh.deliveries();
   CHECK_EQ(log.back().gseq, 3u);
 }
@@ -1099,6 +1099,41 @@ TEST(br_stalled_chain_member_gets_one_cell_frame) {
   }
 }
 
+TEST(br_chain_splice_below_the_mq_floor_counts_gap_skipped_msgs) {
+  // A chain member that never acks falls behind the BR's MQ window: links
+  // whose payload the MQ has released are spliced out of its chain on the
+  // next resend walk, one mh.gap_skipped_msgs each, as the sim counts them.
+  InProcNet net;
+  auto tr = net.attach(kBr0);
+  (void)net.attach(kBr1);
+  auto cell0 = net.attach(kAp0);
+  (void)net.attach(kSs);
+  BrConfig cfg = leader_cfg({kAp0});
+  cfg.groups.count = 2;
+  cfg.groups.groups_per_mh = 2;
+  cfg.groups.dest_groups = 1;
+  cfg.members = {kMh0};
+  cfg.member_ap = {kAp0};
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  // 64 past the MQ's window of 8,192, all assigned in the first hold.
+  const NodeId src{7};
+  const LocalSeq n = 8192 + 64;
+  for (LocalSeq l = 0; l < n; ++l) {
+    br.on_datagram(
+        uplink_datagram(kAp0, src, l, core::dest_groups(src, l, cfg.groups)),
+        10);
+  }
+  br.on_tick(100);
+  (void)drain(*cell0);
+  CHECK_EQ(br.assigned(), n);
+  for (int k = 0; k < 4; ++k) {
+    br.on_datagram(member_ack_datagram(kAp0, kMh0, 0), 120 + k);
+  }
+  CHECK_EQ(br.metrics().counter(obs::names::kGapSkippedMsgs), 64u);
+  CHECK_EQ(br.metrics().counter(obs::names::kRetransmits), 64u);
+}
+
 TEST(mh_applies_batch_entries_in_order_counting_duplicates) {
   InProcNet net;
   (void)net.attach(kAp0);
@@ -1518,8 +1553,8 @@ TEST(riding_acks_stay_reliable_when_their_datagrams_are_lost) {
   CHECK_EQ(up->load(), kLost);
   if (res.order_violation) std::printf("  %s\n", res.order_violation->c_str());
   CHECK(!res.order_violation.has_value());
-  CHECK_EQ(res.counters.really_lost, 0u);
-  CHECK(res.counters.uplink_retx > 0);
+  CHECK_EQ(res.metrics.counter(obs::names::kGapSkippedMsgs), 0u);
+  CHECK(res.metrics.counter(obs::names::kUplinkRetx) > 0);
   for (std::size_t m = 0; m < res.n_mh; ++m) {
     const auto mine = core::member_groups(m, spec.groups);
     std::vector<std::pair<std::uint32_t, LocalSeq>> want, got;
@@ -1530,7 +1565,7 @@ TEST(riding_acks_stay_reliable_when_their_datagrams_are_lost) {
         }
       }
     }
-    for (const DeliveredRec& r : res.per_mh[m]) {
+    for (const auto& r : res.log.records(m)) {
       got.emplace_back(r.source.v, r.lseq);
     }
     std::sort(got.begin(), got.end());

@@ -32,10 +32,14 @@ baseline::RunSpec scenario_spec(const std::string& name) {
 }
 
 std::string result_fingerprint(const baseline::RunResult& r) {
-  return std::to_string(r.lat_p99_us) + ":" + std::to_string(r.handoffs) +
-         ":" + std::to_string(r.churn_leaves) + ":" +
-         std::to_string(r.really_lost) + ":" +
-         std::to_string(r.retransmits) + ":" +
+  const auto count = [&r](obs::names::Metric m) {
+    return std::to_string(r.metrics.counter(m));
+  };
+  return std::to_string(r.lat_hist.p99()) + ":" +
+         count(obs::names::kHandoffCount) + ":" +
+         count(obs::names::kChurnLeaves) + ":" +
+         count(obs::names::kGapSkippedMsgs) + ":" +
+         count(obs::names::kRetransmits) + ":" +
          std::to_string(static_cast<std::uint64_t>(
              r.min_delivery_ratio * 1e6));
 }
@@ -137,8 +141,10 @@ TEST(mobility_models_drive_handoffs) {
   for (const std::string name :
        {"waypoint-roam", "commuter-rush", "flash-crowd"}) {
     const auto r = baseline::run_experiment(scenario_spec(name));
-    CHECK(r.handoffs > 10);
-    CHECK_EQ(r.handoffs, r.hot_attaches + r.cold_attaches);
+    CHECK(r.metrics.counter(obs::names::kHandoffCount) > 10);
+    CHECK_EQ(r.metrics.counter(obs::names::kHandoffCount),
+             r.metrics.counter(obs::names::kHandoffHot) +
+                 r.metrics.counter(obs::names::kHandoffCold));
     CHECK(!r.order_violation.has_value());
     CHECK(r.min_delivery_ratio > 0.95);  // MQ retention covers the moves
   }
@@ -146,12 +152,12 @@ TEST(mobility_models_drive_handoffs) {
 
 TEST(churn_past_retention_skips_and_counts_lost) {
   const auto r = baseline::run_experiment(scenario_spec("long-absence"));
-  CHECK(r.churn_leaves > 0);
-  CHECK(r.churn_rejoins > 0);
+  CHECK(r.metrics.counter(obs::names::kChurnLeaves) > 0);
+  CHECK(r.metrics.counter(obs::names::kChurnRejoins) > 0);
   // Absences outlast the (overridden, tiny) MQ retention: rejoiners must
   // gap-skip and the missed range counts as really lost — not a wedge.
-  CHECK(r.mh_gaps_skipped > 0);
-  CHECK(r.really_lost > 0);
+  CHECK(r.metrics.counter(obs::names::kGapsSkipped) > 0);
+  CHECK(r.metrics.counter(obs::names::kGapSkippedMsgs) > 0);
   CHECK(r.min_delivery_ratio < 1.0);
   CHECK(!r.order_violation.has_value());
   // Members that never churned keep delivering: the run is not wedged.
@@ -160,9 +166,10 @@ TEST(churn_past_retention_skips_and_counts_lost) {
 
 TEST(short_absence_churn_recovers_fully) {
   const auto r = baseline::run_experiment(scenario_spec("churn-mill"));
-  CHECK(r.churn_leaves > 0);
-  CHECK(r.churn_rejoins > 0);
-  CHECK_EQ(r.really_lost, std::uint64_t{0});  // retention covers absences
+  CHECK(r.metrics.counter(obs::names::kChurnLeaves) > 0);
+  CHECK(r.metrics.counter(obs::names::kChurnRejoins) > 0);
+  // Retention covers absences.
+  CHECK_EQ(r.metrics.counter(obs::names::kGapSkippedMsgs), std::uint64_t{0});
   CHECK(r.min_delivery_ratio > 0.99);
   CHECK(!r.order_violation.has_value());
 }
@@ -194,23 +201,25 @@ TEST(br_crash_regenerates_token_and_survivors_continue) {
 
 TEST(token_loss_in_transit_recovers_via_regeneration) {
   const auto r = baseline::run_experiment(scenario_spec("token-storm"));
-  CHECK_EQ(r.token_regenerations, std::uint64_t{2});
-  CHECK(r.tokens_dropped > 0);  // the lost frames really vanished
+  CHECK_EQ(r.metrics.counter(obs::names::kTokenRegenerated), std::uint64_t{2});
+  // The lost frames really vanished.
+  CHECK(r.metrics.counter(obs::names::kTokenDropped) > 0);
   CHECK(r.min_delivery_ratio > 0.99);  // archive repair refills the gap
   CHECK(!r.order_violation.has_value());
 }
 
 TEST(blackout_window_drops_then_resyncs) {
   const auto r = baseline::run_experiment(scenario_spec("dark-cells"));
-  CHECK(r.blackout_drops > 0);
+  CHECK(r.metrics.counter(obs::names::kBlackoutDropped) > 0);
   CHECK(!r.order_violation.has_value());
-  CHECK(r.retransmits > 0);
+  CHECK(r.metrics.counter(obs::names::kRetransmits) > 0);
   // Downlink drops are repaired by within-retention resync once the
   // window lifts; only uplink submissions from a dark cell are gone for
   // good (no end-to-end source ARQ), so they bound the delivery deficit.
-  CHECK(r.uplink_lost > 0);
+  CHECK(r.metrics.counter(obs::names::kBlackoutUplinkLost) > 0);
   CHECK(r.min_delivery_ratio > 0.75);
-  CHECK_EQ(r.really_lost, std::uint64_t{0});  // no gap ever wedges or skips
+  // No gap ever wedges or skips.
+  CHECK_EQ(r.metrics.counter(obs::names::kGapSkippedMsgs), std::uint64_t{0});
 }
 
 TEST(permanent_churn_bounds_parked_submissions) {
@@ -233,18 +242,19 @@ TEST(permanent_churn_bounds_parked_submissions) {
   CHECK(parsed.has_value());
   spec.scenario = *parsed;
   const auto r = baseline::run_experiment(spec);
-  CHECK(r.churn_leaves > 0);
-  CHECK_EQ(r.churn_rejoins, std::uint64_t{0});
+  CHECK(r.metrics.counter(obs::names::kChurnLeaves) > 0);
+  CHECK_EQ(r.metrics.counter(obs::names::kChurnRejoins), std::uint64_t{0});
   // ~1200 submissions per source against a 32-entry park cap: the cap is
   // what bounds a departed source, so it must have dropped the overflow.
-  CHECK(r.park_dropped > 0);
+  CHECK(r.metrics.counter(obs::names::kParkDropped) > 0);
   CHECK(!r.order_violation.has_value());
 }
 
 TEST(mass_exodus_rejoins_and_recovers) {
   const auto r = baseline::run_experiment(scenario_spec("mass-exodus"));
-  CHECK(r.churn_leaves >= 5);
-  CHECK_EQ(r.churn_leaves, r.churn_rejoins);
+  CHECK(r.metrics.counter(obs::names::kChurnLeaves) >= 5);
+  CHECK_EQ(r.metrics.counter(obs::names::kChurnLeaves),
+           r.metrics.counter(obs::names::kChurnRejoins));
   CHECK(r.min_delivery_ratio > 0.99);
   CHECK(!r.order_violation.has_value());
 }

@@ -277,10 +277,11 @@ TEST(harness_shard_spec_reports_same_results) {
     const auto oracle = baseline::run_experiment(spec);
     spec.shard_threads = 4;
     const auto sharded = baseline::run_experiment(spec);
-    CHECK_EQ(oracle.lat_p99_us, sharded.lat_p99_us);
-    CHECK_EQ(oracle.lat_max_us, sharded.lat_max_us);
-    CHECK_EQ(oracle.retransmits, sharded.retransmits);
-    CHECK_EQ(oracle.handoffs, sharded.handoffs);
+    CHECK_EQ(oracle.lat_hist.p99(), sharded.lat_hist.p99());
+    CHECK_EQ(oracle.lat_hist.max(), sharded.lat_hist.max());
+    for (const auto m : {obs::names::kRetransmits, obs::names::kHandoffCount}) {
+      CHECK_EQ(oracle.metrics.counter(m), sharded.metrics.counter(m));
+    }
     CHECK_NEAR(oracle.min_delivery_ratio, sharded.min_delivery_ratio, 1e-12);
     CHECK(!oracle.order_violation.has_value());
     CHECK(!sharded.order_violation.has_value());

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "baseline/harness.hpp"
+#include "obs/names.hpp"
 #include "ringnet_test.hpp"
 #include "scenario/spec.hpp"
 
@@ -50,9 +51,9 @@ TEST(sharded_engine_survives_churn_and_faults) {
   const auto r = baseline::run_experiment(stress_spec());
   // The run must make real progress through the fault schedule...
   CHECK(r.throughput_per_mh_hz > 0.0);
-  CHECK(r.handoffs > 0);
-  CHECK_EQ(r.token_regenerations, std::uint64_t{1});
-  CHECK(r.blackout_drops > 0);
+  CHECK(r.metrics.counter(obs::names::kHandoffCount) > 0);
+  CHECK_EQ(r.metrics.counter(obs::names::kTokenRegenerated), std::uint64_t{1});
+  CHECK(r.metrics.counter(obs::names::kBlackoutDropped) > 0);
   // ...and stay totally ordered while doing it.
   CHECK(!r.order_violation.has_value());
 }
@@ -62,12 +63,12 @@ TEST(back_to_back_sharded_runs_are_deterministic) {
   // stressed spec are bitwise-identical in everything we report.
   const auto a = baseline::run_experiment(stress_spec());
   const auto b = baseline::run_experiment(stress_spec());
-  CHECK_EQ(a.lat_p99_us, b.lat_p99_us);
-  CHECK_EQ(a.lat_max_us, b.lat_max_us);
-  CHECK_EQ(a.retransmits, b.retransmits);
-  CHECK_EQ(a.handoffs, b.handoffs);
-  CHECK_EQ(a.churn_leaves, b.churn_leaves);
-  CHECK_EQ(a.really_lost, b.really_lost);
+  CHECK_EQ(a.lat_hist.p99(), b.lat_hist.p99());
+  CHECK_EQ(a.lat_hist.max(), b.lat_hist.max());
+  for (const auto m : {obs::names::kRetransmits, obs::names::kHandoffCount,
+                       obs::names::kChurnLeaves, obs::names::kGapSkippedMsgs}) {
+    CHECK_EQ(a.metrics.counter(m), b.metrics.counter(m));
+  }
   CHECK_NEAR(a.min_delivery_ratio, b.min_delivery_ratio, 1e-12);
 }
 

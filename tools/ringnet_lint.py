@@ -68,6 +68,16 @@ RN011 function-in-sim
     libstdc++) allocates for almost every timer and ack closure the
     simulator schedules.
 
+RN012 registry-mirror
+    No plain registry read (`....counter(names::k...)` or
+    `....gauge(names::k...)`) stored into a struct or member field in
+    library code (include/, src/) unless an `// RN012-ok:` rationale
+    covers it: on the statement's line, or above it, where it covers the
+    next statement or, when a brace opens first, that whole block (one
+    rationale above a function covers its body). A result or a caller
+    reads the registry itself; a field copied out of it drifts into a
+    second name for one quantity.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -306,6 +316,78 @@ def check_function_in_sim(root):
 
 
 # --------------------------------------------------------------------------
+# RN012: a registry read mirrored into a field
+
+# `lhs = <expr>.counter(names::kX);` (or gauge), where the left side is a
+# member access (a.b, a->b) or a trailing-underscore member. The statement
+# may span lines.
+REGISTRY_MIRROR_RE = re.compile(
+    r"(?:^|(?<=[;{}]))\s*"
+    r"(?P<lhs>(?:[A-Za-z_]\w*(?:\[[^\]\n]*\])?(?:\.|->))+[A-Za-z_]\w*"
+    r"|[A-Za-z_]\w*_)"
+    r"\s*=\s*"
+    r"[A-Za-z_][\w.\->()]*?(?:\.|->)\s*(?:counter|gauge)\s*\(\s*"
+    r"(?:obs::)?names::k\w+\s*\)\s*;",
+    re.MULTILINE)
+RN012_OK_RE = re.compile(r"//\s*RN012-ok")
+
+
+def rn012_ok_spans(text):
+    """Character spans an `// RN012-ok:` rationale covers: from the comment
+    to the end of the next statement, or of the next braced block when a
+    brace opens before that statement ends."""
+    spans = []
+    for m in RN012_OK_RE.finditer(text):
+        # Skip the rest of the rationale's comment lines.
+        i = text.find("\n", m.end())
+        while i != -1:
+            nxt = text.find("\n", i + 1)
+            line = text[i + 1:nxt if nxt != -1 else len(text)]
+            if not line.lstrip().startswith("//"):
+                break
+            i = nxt
+        if i == -1:
+            continue
+        semi = text.find(";", i)
+        brace = text.find("{", i)
+        if brace != -1 and (semi == -1 or brace < semi):
+            depth, end = 0, brace
+            for end in range(brace, len(text)):
+                if text[end] == "{":
+                    depth += 1
+                elif text[end] == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
+            spans.append((m.start(), end))
+        elif semi != -1:
+            spans.append((m.start(), semi))
+    return spans
+
+
+def check_registry_mirror(root):
+    findings = []
+    for path in repo_files(root, ("include", "src")):
+        text = open(path, encoding="utf-8").read()
+        spans = rn012_ok_spans(text)
+        for m in REGISTRY_MIRROR_RE.finditer(text):
+            start = m.start("lhs")
+            end = m.end() - 1
+            line_end = text.find("\n", end)
+            tail = text[end:line_end if line_end != -1 else len(text)]
+            if RN012_OK_RE.search(tail):
+                continue  # rationale on the statement's own line
+            if any(a <= start and end <= b for a, b in spans):
+                continue
+            findings.append(Finding(
+                "RN012", rel(root, path), text.count("\n", 0, start) + 1,
+                f"registry read stored into '{m.group('lhs')}'; read the "
+                "registry where the value is used, or justify the copy "
+                "with an '// RN012-ok:' rationale"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -352,6 +434,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_unclamped_wire_reserve(root)
     findings += check_bytewise_integer_write(root)
     findings += check_function_in_sim(root)
+    findings += check_registry_mirror(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -457,10 +540,35 @@ def self_test(cxx):
               "#pragma once\n#include <functional>\n"
               "using Task = std::function<void()>;\n")
 
+        # RN012: a registry read copied into a result field, also across a
+        # line break; a local, a rationale above a function, a rationale on
+        # the line, and a computed value must NOT fire.
+        write("src/core/bad_mirror.cpp",
+              "void f(R& out, const M& m) {\n"
+              "  out.retransmits = m.counter(names::kRetransmits);\n"
+              "  out.mq_peak =\n"
+              "      m.gauge(obs::names::kBufMqPeak);\n"
+              "}\n")
+        write("src/core/good_mirror.cpp",
+              "void f(const M& m) {\n"
+              "  const auto n = m.counter(names::kRetransmits);\n"
+              "}\n"
+              "// RN012-ok: a struct a benchmark reads.\n"
+              "C g(const M& metrics_) {\n"
+              "  C c;\n"
+              "  c.held = metrics_.counter(names::kTokenHeld);\n"
+              "  c.retx = metrics_.counter(names::kRetransmits);\n"
+              "  return c;\n"
+              "}\n"
+              "void h(R& r, const M& m) {\n"
+              "  r.held = m.counter(names::kTokenHeld);  // RN012-ok: pinned\n"
+              "  r.rate = m.counter(names::kMhDelivered) / 2.0;\n"
+              "}\n")
+
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN002", "RN003", "RN004", "RN005", "RN006", "RN007",
-                     "RN009", "RN010", "RN011"):
+                     "RN009", "RN010", "RN011", "RN012"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -477,7 +585,8 @@ def self_test(cxx):
                             ("RN009", "ok_reserve.cpp"),
                             ("RN010", "good_bytewise.cpp"),
                             ("RN010", "ok_bytewise.cpp"),
-                            ("RN011", "ok_function.hpp")):
+                            ("RN011", "ok_function.hpp"),
+                            ("RN012", "good_mirror.cpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
