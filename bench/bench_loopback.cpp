@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   std::size_t mismatched = 0;
   std::size_t count_mismatched = 0;
   for (std::size_t m = 0; m < n_mh; ++m) {
-    if (rt.delivered_counts[m] != sim.log.records(m).size()) {
+    if (rt.log.records(m).size() != sim.log.records(m).size()) {
       ++count_mismatched;
     }
     if (sorted_pairs(rt.log, m) != sorted_pairs(sim.log, m)) ++mismatched;
@@ -215,8 +215,13 @@ int main(int argc, char** argv) {
   gate(rt_lost == sim_lost, buf);
 
   std::printf("\n");
-  print_latency("runtime latency us (submit->delivery, wall):", rt.lat_hist);
-  print_latency("oracle  latency us (sim time):              ", sim.lat_hist);
+  // Not a comparison: each MH's runtime histogram holds only its own
+  // source's messages, timed on the wall clock, while the oracle's holds
+  // every delivery at every MH, timed on the simulated clock.
+  print_latency("runtime latency, own-source deliveries, wall us:",
+                rt.lat_hist);
+  print_latency("oracle  latency, every delivery, simulated us:  ",
+                sim.lat_hist);
   std::printf("  frames: sent=%llu received=%llu malformed=%llu "
               "send_failures=%llu\n",
               static_cast<unsigned long long>(rt.frames_sent),

@@ -83,7 +83,6 @@ struct LoopbackResult {
   bool completed = false;  // every MH reported Done before the deadline
   std::size_t n_mh = 0;
   std::uint64_t expected_total = 0;
-  std::vector<std::uint64_t> delivered_counts;
   // Each MH's deliveries in delivery order (MH global index order).
   core::DeliveryLog log;
   std::optional<std::string> order_violation;

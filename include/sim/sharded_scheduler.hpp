@@ -4,31 +4,41 @@
 // everything ring-wide: token hops, heartbeats/ring repair, mobility and
 // churn, fault injection, archive maintenance.
 //
-// Execution alternates between two phases:
+// Execution alternates between two phases, both bounded by event keys:
 //
-//  * serial step — when the next global event is due no later than every
-//    shard's next event, shards stay paused and all events at that exact
-//    timestamp (global and shard alike) run on the calling thread in key
-//    order. Global handlers may therefore touch any state; this is the
-//    synchronization point at top-ring token hops.
+//  * serial step — when the next global event's key sorts below every
+//    shard's next key, shards stay paused and the global events at that
+//    timestamp run on the calling thread, in key order, for as long as the
+//    global top key stays below every shard's top key. Only global events
+//    run here. Every event with a smaller key has run and none with a
+//    larger key has, exactly as in the single heap, so global handlers may
+//    touch any state; this is the synchronization point at top-ring token
+//    hops.
 //
 //  * parallel window — otherwise, every shard independently executes its
-//    events with timestamp < window_end on the thread pool, where
-//    window_end = min(next global event, min shard horizon + lookahead).
-//    The conservative lookahead is the inter-domain latency floor: a shard
+//    events with key < window_end on the thread pool, where window_end is
+//    the least of the next global event's key, (t_min + lookahead, 0, 0)
+//    and (until + 1 us, 0, 0): the window is
+//    [t_min, min(t_min + lookahead, next global key)). A shard event that
+//    shares its timestamp with a global event therefore runs on a worker
+//    too, in the window before or after that event as its key says. The
+//    conservative lookahead is the inter-domain latency floor: a shard
 //    event at local time u can only affect another shard at >= u + L, so
 //    no shard can receive anything that lands inside the current window.
 //
-// Cross-shard schedules made *during* a window go through a per-shard
-// mutex-protected inbox and are ingested at the next barrier; their
-// timestamps are asserted >= window_end (the lookahead contract). Events
-// are keyed exactly as in the single-heap Scheduler, so both engines
-// execute identical per-context event sequences — the oracle equivalence
-// the tests assert.
+// Cross-context schedules made *during* a window go through a per-shard
+// mutex-protected inbox and are ingested at the next barrier. Each must
+// sort at or after window_end (the lookahead contract in key form), or
+// schedule() throws std::logic_error in every build. Events are keyed
+// exactly as in the single-heap Scheduler, so both engines execute
+// identical per-context event sequences — the oracle equivalence the
+// tests assert.
 
-#include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -70,8 +80,8 @@ class ShardedScheduler {
     const EventKey key{t, src, s.seq++};
     if (parallel_phase_ && src != global_ && src != target) {
       // A running shard reaching across: the lookahead contract says this
-      // cannot land inside the open window.
-      assert(t >= window_end_);
+      // cannot sort inside the open window.
+      if (key < window_end_) throw_contract_violation(src, target, key);
       if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedInboxDeferred);
       Shard& dst = *shards_[target];
       util::MutexLock lock(dst.inbox_mu);
@@ -111,27 +121,21 @@ class ShardedScheduler {
   void run_until(SimTime until) {
     for (;;) {
       drain_inboxes();
-      const SimTime t_g =
-          shards_[global_]->heap.empty() ? SimTime::max()
-                                         : shards_[global_]->heap.top_key().at;
-      SimTime t_min = SimTime::max();
-      for (Domain d = 0; d < global_; ++d) {
-        const Shard& s = *shards_[d];
-        if (!s.heap.empty() && s.heap.top_key().at < t_min) {
-          t_min = s.heap.top_key().at;
-        }
-      }
-      const SimTime next = t_g < t_min ? t_g : t_min;
+      const EventKey k_g = top_key(global_);
+      const EventKey k_min = least_shard_key();
+      const SimTime next = k_g < k_min ? k_g.at : k_min.at;
       if (next == SimTime::max() || next > until) break;
-      if (t_g <= t_min) {
-        serial_step(t_g);
+      if (k_g < k_min) {
+        serial_step();
         continue;
       }
       // Parallel window [t_min, end): saturate the additions so an
       // unbounded `until` cannot overflow the int64 microsecond clock.
-      SimTime end = t_g;
-      if (sat_add(t_min, lookahead_) < end) end = sat_add(t_min, lookahead_);
-      if (sat_add(until, usecs(1)) < end) end = sat_add(until, usecs(1));
+      EventKey end = k_g;
+      const EventKey horizon{sat_add(k_min.at, lookahead_), 0, 0};
+      if (horizon < end) end = horizon;
+      const EventKey stop{sat_add(until, usecs(1)), 0, 0};
+      if (stop < end) end = stop;
       run_window(end);
     }
     if (until > now_) now_ = until;
@@ -175,45 +179,56 @@ class ShardedScheduler {
     }
   }
 
-  /// Run every event at exactly time `t`, across all heaps, in key order,
-  /// on the calling thread. Shards are paused, so global handlers may read
-  /// and write shard-owned state.
-  void serial_step(SimTime t) {
-    if (t > now_) now_ = t;
-    if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedSerialSteps);
-    for (;;) {
-      Shard* best = nullptr;
-      for (auto& s : shards_) {
-        if (s->heap.empty() || s->heap.top_key().at != t) continue;
-        if (best == nullptr || s->heap.top_key() < best->heap.top_key()) {
-          best = s.get();
-        }
-      }
-      if (best == nullptr) return;
-      Event ev = best->heap.pop_min();
-      ++best->executed;
-      ExecContext ctx{ev.target, t};
-      ExecScope scope(&ctx);
-      ev.action();
-    }
+  /// The key of context `ctx`'s next event; kNoEvent when it has none.
+  EventKey top_key(Domain ctx) const {
+    const EventHeap& heap = shards_[ctx]->heap;
+    return heap.empty() ? kNoEvent : heap.top_key();
   }
 
-  void run_window(SimTime end) {
+  EventKey least_shard_key() const {
+    EventKey least = kNoEvent;
+    for (Domain d = 0; d < global_; ++d) {
+      const EventKey k = top_key(d);
+      if (k < least) least = k;
+    }
+    return least;
+  }
+
+  /// Run the global events at the global top key's timestamp, in key
+  /// order on the calling thread, while they sort below every shard's top
+  /// key. Shards are paused, so global handlers may read and write
+  /// shard-owned state; what they schedule into a shard may lower its top
+  /// key, so the shard keys are re-read after each event.
+  void serial_step() {
+    if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedSerialSteps);
+    Shard& g = *shards_[global_];
+    const SimTime t = g.heap.top_key().at;
+    if (t > now_) now_ = t;
+    ExecContext ctx{global_, t};
+    ExecScope scope(&ctx);
+    do {
+      Event ev = g.heap.pop_min();
+      ++g.executed;
+      ev.action();
+    } while (!g.heap.empty() && g.heap.top_key().at == t &&
+             g.heap.top_key() < least_shard_key());
+  }
+
+  void run_window(const EventKey& end) {
     window_end_ = end;
     parallel_phase_ = true;
     if (metrics_ != nullptr) metrics_->incr(obs::names::kSchedWindows);
     for (Domain d = 0; d < global_; ++d) {
-      Shard* s = shards_[d].get();
-      if (s->heap.empty() || !(s->heap.top_key().at < end)) continue;
+      if (!(top_key(d) < end)) continue;
       // Capture 16 B at most, which std::function keeps in place: the
       // window's end is read from window_end_, set above and not written
       // until the window closes.
       pool_.submit([this, d] {
         Shard& shard = *shards_[d];
-        const SimTime until = window_end_;
+        const EventKey until = window_end_;
         ExecContext ctx{d, SimTime::zero()};
         ExecScope scope(&ctx);
-        while (!shard.heap.empty() && shard.heap.top_key().at < until) {
+        while (!shard.heap.empty() && shard.heap.top_key() < until) {
           Event ev = shard.heap.pop_min();
           ctx.now = ev.key.at;
           ++shard.executed;
@@ -228,14 +243,35 @@ class ShardedScheduler {
       throw;
     }
     parallel_phase_ = false;
-    if (end > now_) now_ = end;
+    if (end.at > now_) now_ = end.at;
   }
+
+  /// Thrown on a worker inside a window; ThreadPool::wait_idle() rethrows
+  /// it from run_window() on the calling thread.
+  [[noreturn]] [[gnu::cold]] void throw_contract_violation(
+      Domain src, Domain target, const EventKey& key) const {
+    const auto str = [](const EventKey& k) {
+      return "(" + std::to_string(k.at.us) + " us, ctx " +
+             std::to_string(k.src) + ", seq " + std::to_string(k.seq) + ")";
+    };
+    throw std::logic_error(
+        "sharded scheduler: context " + std::to_string(src) +
+        " scheduled into context " + std::to_string(target) + " at key " +
+        str(key) + ", below the open window's end key " + str(window_end_) +
+        "; a cross-context event must sort at or after the window's end "
+        "(the lookahead contract)");
+  }
+
+  // Sorts after every real key: the top key of an empty heap.
+  static constexpr EventKey kNoEvent{
+      SimTime::max(), std::numeric_limits<Domain>::max(),
+      std::numeric_limits<std::uint64_t>::max()};
 
   std::vector<std::unique_ptr<Shard>> shards_;  // sized in the constructor
   Domain global_;
   SimTime lookahead_;
   SimTime now_ = SimTime::zero();
-  SimTime window_end_ = SimTime::zero();
+  EventKey window_end_;
   bool parallel_phase_ = false;
   obs::Metrics* metrics_ = nullptr;
   util::ThreadPool pool_;

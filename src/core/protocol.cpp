@@ -523,9 +523,22 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
     return;
   }
   const std::uint32_t bytes = data_bytes(msg);
+  const std::vector<NodeId>& members = br_members_[br.index()];
   std::vector<Arrival> arrivals;
-  for (NodeId mh : br_members_[br.index()]) {
-    add_recipient(arrivals, mh, bytes, std::nullopt);
+  if (blackout_count_ == 0 && config_.hierarchy.wireless.loss_rate <= 0.0 &&
+      config_.hierarchy.lan.loss_rate <= 0.0) {
+    // A lit, lossless subtree: every listed member is attached (attach adds
+    // it, detach removes it), no cell drops the frame and no hop draws, so
+    // the walk would file every member, in list order, under the one delay
+    // downlink_delay() returns for each. The frame's one arrival takes the
+    // list whole.
+    if (!members.empty()) {
+      const TreeHops& hops = tree_hops(bytes);
+      arrivals.push_back(
+          Arrival{hops.wireless + hops.lan + hops.lan, members, {}});
+    }
+  } else {
+    for (NodeId mh : members) add_recipient(arrivals, mh, bytes, std::nullopt);
   }
   send_arrivals(br, msg, std::move(arrivals));
 }

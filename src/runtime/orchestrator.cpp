@@ -215,7 +215,6 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
   out.log.reset(mhs);
   for (std::size_t m = 0; m < n_mh; ++m) {
     const MhRuntime& node = *mh_nodes[m];
-    out.delivered_counts.push_back(node.delivered_count());
     for (const DeliveredRec& r : node.deliveries()) {
       out.log.record(mhs[m], r.gseq, r.source, r.lseq);
     }

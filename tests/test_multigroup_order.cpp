@@ -606,8 +606,8 @@ TEST(inprocess_runtime_delivers_multi_group_chains) {
   CHECK(!res.order_violation.has_value());
   std::uint64_t delivered = 0;
   for (std::size_t m = 0; m < res.n_mh; ++m) {
-    CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
-    delivered += res.delivered_counts[m];
+    CHECK_EQ(res.log.records(m).size(), spec.expected_at(m));
+    delivered += res.log.records(m).size();
   }
   CHECK_EQ(delivered, spec.expected_total());
   CHECK(delivered > 0);
@@ -676,7 +676,7 @@ TEST(inprocess_runtime_recovers_lost_chain_frames) {
   CHECK(seen->cells.load() >= 5 * kMaxDrops);
   CHECK(seen->batches.load() >= 7 * kMaxDrops);
   for (std::size_t m = 0; m < res.n_mh; ++m) {
-    CHECK_EQ(res.delivered_counts[m], spec.expected_at(m));
+    CHECK_EQ(res.log.records(m).size(), spec.expected_at(m));
   }
   CHECK(res.metrics.counter(names::kRetransmits) > 0);
   CHECK_EQ(res.metrics.counter(names::kGapSkippedMsgs), 0u);

@@ -5,12 +5,17 @@
 // Both modes share event keys (at, source domain, source seq) and
 // per-context RNG streams; the conservative-lookahead windows only change
 // *which thread* executes an event, never its order within a context.
+// Seeded random event programs check the engine alone, event by event, and
+// the window contract's check.
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/harness.hpp"
@@ -19,6 +24,8 @@
 #include "ringnet_test.hpp"
 #include "scenario/catalogue.hpp"
 #include "scenario/engine.hpp"
+#include "sim/simulation.hpp"
+#include "util/rng.hpp"
 
 using namespace ringnet;
 
@@ -133,6 +140,116 @@ baseline::RunSpec scenario_spec(const std::string& name) {
   if (parsed) spec.scenario = *parsed;
   return spec;
 }
+
+// A seeded random event program over 4 domains plus the global context.
+// Timestamps sit on a coarse grid, so global and shard events share
+// instants with shard keys on both sides of the global key. Each event logs
+// its id into its context's sequence and schedules up to three children by
+// the engine's rules: into its own context at any delay >= 0, from the
+// global context into a shard at any delay >= 0, and from a shard into
+// another context at any delay >= the lookahead (exactly it included).
+constexpr sim::Domain kProgDomains = 4;
+constexpr sim::Domain kProgGlobal = kProgDomains;
+constexpr std::int64_t kGridUs = 10;
+constexpr sim::SimTime kProgLookahead = sim::usecs(3 * kGridUs);
+constexpr int kProgDepth = 6;
+// Past every event: roots by 90 us, then at most 60 us per generation.
+constexpr sim::SimTime kProgHorizon = sim::usecs(600);
+
+struct ProgramRun {
+  std::vector<std::vector<std::uint64_t>> seq;  // event ids, per context
+  std::uint64_t executed = 0;
+  // Shard-context events that ran on the thread calling run_for.
+  std::uint64_t shard_events_on_caller = 0;
+  // Global events with a shard event at their instant on each side of
+  // their key; counted on the serial oracle only, which runs in key order.
+  std::uint64_t sandwiched_globals = 0;
+};
+
+class RandomProgram {
+ public:
+  RandomProgram(std::uint64_t seed, std::size_t threads)
+      : seed_(seed),
+        oracle_(threads == 0),
+        sim_(seed, sim::ShardPlan{kProgDomains, kProgLookahead, threads}) {
+    out_.seq.resize(kProgDomains + 1);
+  }
+
+  ProgramRun run() {
+    caller_ = std::this_thread::get_id();
+    util::Rng rng(seed_);
+    const std::uint64_t roots = 4 + rng.bounded(8);
+    for (std::uint64_t i = 0; i < roots; ++i) {
+      const auto target =
+          static_cast<sim::Domain>(rng.bounded(kProgDomains + 1));
+      const auto at = static_cast<std::int64_t>(rng.bounded(10)) * kGridUs;
+      spawn(target, sim::usecs(at), mix(seed_, i), 0);
+    }
+    // Slices end on the grid too, so `until` lands on events' instants.
+    const sim::SimTime slice =
+        sim::usecs(kGridUs * static_cast<std::int64_t>(1 + rng.bounded(8)));
+    for (sim::SimTime until = slice; until <= kProgHorizon; until += slice) {
+      sim_.run_for(until - sim_.now());
+    }
+    out_.executed = sim_.executed_events();
+    count_sandwiched_globals();
+    return std::move(out_);
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
+    return util::Rng(a ^ (b * 0x9E3779B97F4A7C15ull)).next();
+  }
+
+  void spawn(sim::Domain target, sim::SimTime at, std::uint64_t id,
+             int depth) {
+    sim_.at(target, at,
+            [this, target, id, depth] { step(target, id, depth); });
+  }
+
+  void step(sim::Domain ctx, std::uint64_t id, int depth) {
+    out_.seq[ctx].push_back(id);
+    if (oracle_) timeline_.emplace_back(ctx, sim_.now());
+    if (ctx != kProgGlobal && std::this_thread::get_id() == caller_) {
+      ++out_.shard_events_on_caller;
+    }
+    if (depth == kProgDepth) return;
+    util::Rng rng(id);
+    const std::uint64_t children = rng.bounded(4);
+    for (std::uint64_t k = 0; k < children; ++k) {
+      const auto target =
+          static_cast<sim::Domain>(rng.bounded(kProgDomains + 1));
+      std::int64_t delay = static_cast<std::int64_t>(rng.bounded(4)) * kGridUs;
+      if (ctx != kProgGlobal && target != ctx) delay += kProgLookahead.us;
+      spawn(target, sim_.now() + sim::usecs(delay), mix(id, k + 1),
+            depth + 1);
+    }
+  }
+
+  void count_sandwiched_globals() {
+    for (std::size_t i = 0; i < timeline_.size(); ++i) {
+      const auto [ctx, at] = timeline_[i];
+      if (ctx != kProgGlobal) continue;
+      bool before = false;
+      bool after = false;
+      for (std::size_t j = i; j-- > 0 && timeline_[j].second == at;) {
+        before = before || timeline_[j].first != kProgGlobal;
+      }
+      for (std::size_t j = i + 1;
+           j < timeline_.size() && timeline_[j].second == at; ++j) {
+        after = after || timeline_[j].first != kProgGlobal;
+      }
+      if (before && after) ++out_.sandwiched_globals;
+    }
+  }
+
+  std::uint64_t seed_;
+  bool oracle_;
+  sim::Simulation sim_;
+  std::thread::id caller_;
+  ProgramRun out_;
+  std::vector<std::pair<sim::Domain, sim::SimTime>> timeline_;
+};
 
 }  // namespace
 
@@ -302,6 +419,58 @@ TEST(sources_without_mhs_leave_the_run_idle) {
     CHECK_EQ(r.total_sent, std::uint64_t{0});
     CHECK(!r.order_violation.has_value());
   }
+}
+
+TEST(random_programs_match_the_oracle) {
+  // Every context runs the oracle's event sequence at 1, 2 and 4 workers,
+  // and every shard event runs on a pool worker: a serial step runs only
+  // global events, even when shard events share their instant.
+  std::uint64_t events = 0;
+  std::uint64_t sandwiched = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t on_caller = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const ProgramRun oracle = RandomProgram(seed, 0).run();
+    events += oracle.executed;
+    sandwiched += oracle.sandwiched_globals;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const ProgramRun r = RandomProgram(seed, threads).run();
+      if (r.seq != oracle.seq || r.executed != oracle.executed) {
+        if (mismatches == 0) {
+          std::printf("  seed %llu, %zu workers: sequences diverge\n",
+                      static_cast<unsigned long long>(seed), threads);
+        }
+        ++mismatches;
+      }
+      on_caller += r.shard_events_on_caller;
+    }
+  }
+  CHECK_EQ(mismatches, std::uint64_t{0});
+  CHECK_EQ(on_caller, std::uint64_t{0});
+  // The programs did collide: many global events share their instant with
+  // shard events that sort before and after them.
+  CHECK(sandwiched > 1000);
+  CHECK(events > 100000);
+  std::printf("  %llu events, %llu sandwiched global events\n",
+              static_cast<unsigned long long>(events),
+              static_cast<unsigned long long>(sandwiched));
+}
+
+TEST(cross_shard_schedule_inside_the_window_throws) {
+  // A shard event that schedules into another shard 1 ms ahead, under a
+  // 5 ms lookahead, would land inside the open window. The engine refuses
+  // it in every build, naming both contexts.
+  sim::Simulation sim(1, sim::ShardPlan{2, sim::msecs(5), 2});
+  sim.at(0, sim::msecs(1), [&sim] { sim.after(1, sim::msecs(1), [] {}); });
+  std::string what;
+  try {
+    sim.run_for(sim::msecs(10));
+  } catch (const std::logic_error& e) {
+    what = e.what();
+  }
+  CHECK(what.find("context 0 scheduled into context 1") != std::string::npos);
+  if (what.empty()) std::printf("  the run did not throw\n");
 }
 
 TEST_MAIN()
