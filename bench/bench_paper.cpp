@@ -126,22 +126,20 @@ void print_figure1(const topo::Topology& topo) {
   std::printf("RingNet hierarchy (Figure 1 rendering)\n");
   std::printf("  BRT   : 1 logical ring  [");
   for (NodeId br : topo.top_ring) std::printf(" %s", to_string(br).c_str());
-  std::printf(" ]   leader=%s\n",
-              to_string(topo.desc(topo.top_ring.front()).nbrs.leader).c_str());
-  std::printf("  AGT   : %zu logical rings\n", topo.ag_rings.size());
-  for (std::size_t i = 0; i < topo.ag_rings.size(); ++i) {
-    std::printf("          ring %zu under %s: [", i,
-                to_string(topo.top_ring[i]).c_str());
-    for (NodeId ag : topo.ag_rings[i]) {
-      std::printf(" %s", to_string(ag).c_str());
+  std::printf(" ]   leader=%s\n", to_string(topo.top_ring.front()).c_str());
+  std::printf("  AGT   : %zu logical rings\n", topo.top_ring.size());
+  for (NodeId br : topo.top_ring) {
+    std::printf("          ring %u under %s: [", br.index(),
+                to_string(br).c_str());
+    for (std::size_t g = 0; g < topo.ag_count(); ++g) {
+      const NodeId ag = NodeId::make(Tier::AG, static_cast<std::uint32_t>(g));
+      if (topo.parent(ag) == br) std::printf(" %s", to_string(ag).c_str());
     }
     std::printf(" ]\n");
   }
   std::printf("  APT   : %zu access proxies (tree children of AGs)\n",
               topo.aps.size());
-  std::printf("  MHT   : %zu mobile hosts\n", topo.mhs.size());
-  std::printf("  links : %zu (WAN ring + LAN tree + wireless cells)\n\n",
-              topo.links.size());
+  std::printf("  MHT   : %zu mobile hosts\n\n", topo.mhs.size());
 }
 
 void e1_hierarchy(bench::Checks& checks) {
@@ -149,17 +147,15 @@ void e1_hierarchy(bench::Checks& checks) {
 
   stats::Table table("hierarchy shapes",
                      {"BRs", "AGs/BR", "APs/AG", "MHs/AP", "entities", "MHs",
-                      "links", "valid", "build_us"});
+                      "build_us"});
   for (const Shape& s : {Shape{2, 1, 1, 1}, Shape{3, 3, 2, 2},
                          Shape{4, 4, 4, 2}, Shape{8, 4, 4, 4},
                          Shape{16, 8, 4, 4}, Shape{32, 8, 8, 4}}) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto topo = topo::build_hierarchy(hierarchy(s));
-    const auto problem = topo.validate();
     const auto t1 = std::chrono::steady_clock::now();
-    const std::string valid = problem ? "NO: " + *problem : "yes";
     add_row(table, s.brs, s.ags, s.aps, s.mhs, topo.entity_count(),
-            topo.mhs.size(), topo.links.size(), valid,
+            topo.mhs.size(),
             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
                 .count());
 
@@ -169,14 +165,9 @@ void e1_hierarchy(bench::Checks& checks) {
     const std::size_t ags = s.brs * s.ags;
     const std::size_t aps = ags * s.aps;
     const std::size_t mhs = aps * s.mhs;
-    checks.record("valid", row, !problem, valid, "yes");
     checks.compare("mhs", row, topo.mhs.size(), Op::Eq, mhs, 0);
     checks.compare("entities", row, topo.entity_count(), Op::Eq,
                    s.brs + ags + aps + mhs, 0);
-    // One tree link per AG, AP and MH; one ring link per BR (the top ring)
-    // and per AG (its AG ring).
-    checks.compare("links", row, topo.links.size(), Op::Eq,
-                   ags + aps + mhs + s.brs + ags, 0);
   }
   table.print(std::cout);
 }

@@ -91,14 +91,8 @@ using RunHook =
 /// pass off).
 core::ProtocolConfig effective_config(const RunSpec& spec);
 
-/// The lookahead floor for domain-sharded execution: the minimum of the
-/// per-pair latency matrix over the resolved topology's inter-domain (WAN
-/// ring) links. Equals the configured WAN one-way latency on today's
-/// uniform deployments; exposed so tests can pin that equivalence.
-sim::SimTime min_interdomain_latency(const core::ProtocolConfig& cfg);
-
 /// Execution plan for the spec over its resolved config: one domain per BR
-/// with min_interdomain_latency as lookahead when sharding is requested,
+/// with the WAN one-way latency as lookahead when sharding is requested,
 /// the classic single-context plan otherwise.
 sim::ShardPlan shard_plan(const RunSpec& spec, const core::ProtocolConfig& cfg);
 

@@ -54,32 +54,27 @@ namespace ringnet::core {
 /// A border router's eventually-consistent view of group membership
 /// (mh -> serving AP), maintained through the batched update scheme.
 /// Per-MH event sequence numbers make relayed applications idempotent and
-/// reordering-safe. Dense-indexed by MH index.
+/// reordering-safe. Only applied events are stored: an MH that no event
+/// has touched is at its home AP, topology.parent(mh), at seq 0.
 class GroupView {
  public:
-  void reset(std::size_t n_mhs) { state_.assign(n_mhs, Slot{}); }
+  /// `topo` must outlive the view (the protocol owns both).
+  explicit GroupView(const topo::Topology& topo) : topo_(&topo) {}
 
   void apply(NodeId mh, NodeId ap, std::uint64_t seq) {
-    if (mh.index() >= state_.size()) state_.resize(mh.index() + 1);
-    Slot& slot = state_[mh.index()];
-    if (seq < slot.seq) return;
-    slot.seq = seq;
-    slot.ap = ap;
+    const Slot was = slot(mh);
+    if (seq < was.seq) return;
+    applied_.find_or_emplace(mh.index()) = Slot{ap, seq};
+    if (was.ap.valid() && !ap.valid()) ++detached_;
+    if (!was.ap.valid() && ap.valid()) --detached_;
   }
 
-  std::size_t member_count() const {
-    std::size_t n = 0;
-    for (const Slot& slot : state_) {
-      if (slot.ap.valid()) ++n;
-    }
-    return n;
-  }
+  std::size_t member_count() const { return topo_->mhs.size() - detached_; }
 
   std::optional<NodeId> ap_of(NodeId mh) const {
-    if (mh.index() >= state_.size() || !state_[mh.index()].ap.valid()) {
-      return std::nullopt;
-    }
-    return state_[mh.index()].ap;
+    const NodeId ap = slot(mh).ap;
+    if (!ap.valid()) return std::nullopt;
+    return ap;
   }
 
  private:
@@ -87,7 +82,15 @@ class GroupView {
     NodeId ap = NodeId::invalid();
     std::uint64_t seq = 0;
   };
-  std::vector<Slot> state_;
+
+  Slot slot(NodeId mh) const {
+    const Slot* s = applied_.find(mh.index());
+    return s != nullptr ? *s : Slot{topo_->parent(mh), 0};
+  }
+
+  const topo::Topology* topo_;
+  util::FlatHash<std::uint32_t, Slot> applied_;  // by MH index
+  std::size_t detached_ = 0;
 };
 
 /// Per-delivery record used to verify the protocol's core guarantee: every
@@ -105,7 +108,6 @@ class DeliveryLog {
     GlobalSeq gseq;
     LocalSeq lseq;
     NodeId source;
-    GroupId gid{0};  // destination group credited with the delivery
   };
 
   static constexpr std::size_t kBlockRecs = 8;
@@ -186,7 +188,7 @@ class DeliveryLog {
 
   /// Appends one delivery to `mh`'s log; `ctx` is the recording context.
   void record(NodeId mh, GlobalSeq gseq, NodeId source, LocalSeq lseq,
-              GroupId gid = GroupId{0}, std::size_t ctx = 0) {
+              std::size_t ctx = 0) {
     Chain& c = chains_[mh.index()];
     const std::size_t k = c.size % kBlockRecs;
     if (k == 0) {
@@ -198,7 +200,7 @@ class DeliveryLog {
       }
       c.tail = b;
     }
-    c.tail->recs[k] = Rec{gseq, lseq, source, gid};
+    c.tail->recs[k] = Rec{gseq, lseq, source};
     ++c.size;
   }
 
@@ -290,7 +292,8 @@ class MhNode {
 /// Border router / ordering node state.
 class BrNode {
  public:
-  BrNode(NodeId id, std::size_t mq_retention) : id_(id), mq_(mq_retention) {}
+  BrNode(NodeId id, std::size_t mq_retention, const topo::Topology& topo)
+      : id_(id), mq_(mq_retention), view_(topo) {}
 
   NodeId id() const { return id_; }
   bool alive() const { return alive_; }
@@ -605,8 +608,8 @@ class RingNetProtocol {
   std::vector<std::uint32_t> ap_occupancy_;  // by AP index: attached MHs
   std::vector<std::uint8_t> cell_blackout_;  // by AP index
   std::size_t blackout_count_ = 0;
-  // Tree-path caches so the per-message delay math never descends the
-  // topology's NodeDesc hash map.
+  // Tree-path caches: the per-message delay math loads its parents instead
+  // of dividing by the fan-outs.
   std::vector<NodeId> ap_ag_;  // by AP index: parent AG
   std::vector<NodeId> ap_br_;  // by AP index: subtree BR
   std::vector<NodeId> ag_br_;  // by AG index: parent BR

@@ -64,7 +64,8 @@ struct LoopbackSpec {
 /// slowed to match); idempotent once time_scale is 1.
 LoopbackSpec scaled(LoopbackSpec spec);
 
-/// Every node's config in a spec's Figure-1 deployment: BR i serves APs
+/// Every node's config in a spec's Figure-1 deployment, numbered as
+/// topo::build_hierarchy numbers one AG per BR: BR i serves APs
 /// [i*aps_per_br, (i+1)*aps_per_br), AP a serves MHs [a*mhs_per_ap,
 /// (a+1)*mhs_per_ap), and MH m hosts source NodeId{m}. Shared by
 /// run_loopback and the ringnet_node daemon, which takes its own node's

@@ -243,7 +243,6 @@ class ShardedScheduler {
       throw;
     }
     parallel_phase_ = false;
-    if (end.at > now_) now_ = end.at;
   }
 
   /// Thrown on a worker inside a window; ThreadPool::wait_idle() rethrows
@@ -270,6 +269,9 @@ class ShardedScheduler {
   std::vector<std::unique_ptr<Shard>> shards_;  // sized in the constructor
   Domain global_;
   SimTime lookahead_;
+  // The coordinating thread's clock: moved by serial steps and by the end
+  // of run_until, never to a window's end key, which lies past `until`
+  // when `until` bounds the window.
   SimTime now_ = SimTime::zero();
   EventKey window_end_;
   bool parallel_phase_ = false;

@@ -2,14 +2,12 @@
 // The RingNet distribution vehicle (paper Figure 1): a four-tier hierarchy
 // BRT (border routers, one top logical ring) / AGT (access gateways, one
 // logical ring per BR) / APT (access proxies, tree children of AGs) / MHT
-// (mobile hosts in wireless cells). build_hierarchy() constructs the
-// topology; validate() checks every structural invariant the protocol
-// relies on (ring closure, parent/child symmetry, leader consistency).
+// (mobile hosts in wireless cells). The tree is regular and every tier is
+// numbered in emission order (BR by BR, AG by AG, AP by AP), so a node's
+// tree parent is its index divided by its parent's fan-out: nothing but
+// the config and the index-ordered tier lists is stored.
 
 #include <cstddef>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -27,49 +25,24 @@ struct HierarchyConfig {
   net::ChannelModel wireless = net::ChannelModel::wireless(0.01);
 };
 
-enum class LinkKind : std::uint8_t { WanRing, LanTree, WirelessCell };
-
-struct Link {
-  NodeId a;
-  NodeId b;
-  LinkKind kind;
-};
-
-struct RingNeighbors {
-  NodeId next = NodeId::invalid();
-  NodeId prev = NodeId::invalid();
-  NodeId leader = NodeId::invalid();
-};
-
-struct NodeDesc {
-  NodeId id;
-  Tier tier = Tier::None;
-  NodeId parent = NodeId::invalid();     // tree parent (BRs have none)
-  std::vector<NodeId> children;          // tree children
-  RingNeighbors nbrs;                    // ring links (BR/AG tiers only)
-};
-
 struct Topology {
   HierarchyConfig config;
-  std::vector<NodeId> top_ring;               // BRT ring, index order
-  std::vector<std::vector<NodeId>> ag_rings;  // one ring per BR
-  std::vector<NodeId> aps;
-  std::vector<NodeId> mhs;
-  std::vector<Link> links;
-  std::unordered_map<NodeId, NodeDesc> nodes;
+  std::vector<NodeId> top_ring;  // BRT ring, index order; front() leads
+  std::vector<NodeId> aps;       // index order
+  std::vector<NodeId> mhs;       // index order
 
-  const NodeDesc& desc(NodeId id) const { return nodes.at(id); }
-  NodeDesc& desc(NodeId id) { return nodes.at(id); }
-  bool has(NodeId id) const { return nodes.count(id) != 0; }
+  std::size_t ag_count() const { return config.num_brs * config.ags_per_br; }
+  std::size_t entity_count() const {
+    return top_ring.size() + ag_count() + aps.size() + mhs.size();
+  }
 
-  std::size_t entity_count() const { return nodes.size(); }
+  /// The tree parent: MH -> AP -> AG -> BR. Invalid for a BR and for an id
+  /// outside the topology.
+  NodeId parent(NodeId id) const;
 
-  /// The BR at the root of an arbitrary node's tree path.
+  /// The BR at the root of `id`'s tree path (a BR is its own); invalid for
+  /// an id outside the topology.
   NodeId br_of(NodeId id) const;
-
-  /// nullopt when every invariant holds; otherwise a description of the
-  /// first violation found.
-  std::optional<std::string> validate() const;
 };
 
 Topology build_hierarchy(const HierarchyConfig& config);

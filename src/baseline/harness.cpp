@@ -61,38 +61,17 @@ core::ProtocolConfig effective_config(const RunSpec& spec) {
   return cfg;
 }
 
-sim::SimTime min_interdomain_latency(const core::ProtocolConfig& cfg) {
-  // The lookahead bound is the minimum over the per-pair latency matrix of
-  // the links that can carry a cross-domain event — every such hop rides a
-  // BR<->BR WAN ring link, so the matrix rows are exactly the WanRing
-  // links of the resolved topology, each mapped through its channel model.
-  // Today every ring link shares cfg.hierarchy.wan, so this reduces to the
-  // old static WAN floor (the regression test pins that equivalence); the
-  // moment a deployment models per-pair ring latencies the minimum tracks
-  // the real tightest pair instead of a hand-maintained constant.
-  // Serialization delay is excluded on purpose: it only lengthens a hop,
-  // and the bound must be a floor on the earliest possible interaction.
-  const topo::Topology topo = topo::build_hierarchy(cfg.hierarchy);
-  std::optional<sim::SimTime> floor;
-  for (const auto& link : topo.links) {
-    if (link.kind != topo::LinkKind::WanRing) continue;
-    const sim::SimTime lat = cfg.hierarchy.wan.latency;
-    if (!floor || lat < *floor) floor = lat;
-  }
-  // A one-BR ring has no inter-domain links at all; any positive window
-  // is safe, so keep the configured WAN latency for determinism.
-  return floor.value_or(cfg.hierarchy.wan.latency);
-}
-
 sim::ShardPlan shard_plan(const RunSpec& spec,
                           const core::ProtocolConfig& cfg) {
   sim::ShardPlan plan;
   if (!spec.shard) return plan;
   plan.domains = static_cast<sim::Domain>(cfg.hierarchy.num_brs);
   // Conservative lookahead: the parallel window must stay below the
-  // earliest possible cross-domain interaction (see
-  // min_interdomain_latency for the bound's derivation).
-  plan.lookahead = std::max(min_interdomain_latency(cfg), sim::usecs(1));
+  // earliest possible cross-domain interaction. Every cross-domain event
+  // rides a BR<->BR WAN hop, so the WAN one-way latency is that floor
+  // (serialization only lengthens a hop). A one-BR ring has no such hop,
+  // and any positive window is safe.
+  plan.lookahead = std::max(cfg.hierarchy.wan.latency, sim::usecs(1));
   plan.threads = spec.shard_threads;
   return plan;
 }

@@ -72,9 +72,10 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   const std::size_t n_ctx =
       static_cast<std::size_t>(sim_.global_domain()) + 1;
 
+  // Every BR starts with a converged view: all MHs at their home AP.
   brs_.reserve(n_br);
   for (NodeId br : topo_.top_ring) {
-    brs_.emplace_back(br, config_.options.mq_retention);
+    brs_.emplace_back(br, config_.options.mq_retention, topo_);
   }
   br_members_.assign(n_br, {});
   alive_ring_ = topo_.top_ring;
@@ -82,16 +83,16 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
 
   ap_occupancy_.assign(n_ap, 0);
   cell_blackout_.assign(n_ap, 0);
-  ap_ag_.assign(n_ap, NodeId::invalid());
-  ap_br_.assign(n_ap, NodeId::invalid());
+  ap_ag_.reserve(n_ap);
+  ap_br_.reserve(n_ap);
   for (NodeId ap : topo_.aps) {
-    const NodeId ag = topo_.desc(ap).parent;
-    ap_ag_[ap.index()] = ag;
-    ap_br_[ap.index()] = topo_.br_of(ap);
-    if (ag.index() >= ag_br_.size()) {
-      ag_br_.resize(ag.index() + 1, NodeId::invalid());
-    }
-    ag_br_[ag.index()] = topo_.desc(ag).parent;
+    ap_ag_.push_back(topo_.parent(ap));
+    ap_br_.push_back(topo_.br_of(ap));
+  }
+  ag_br_.reserve(topo_.ag_count());
+  for (std::size_t g = 0; g < topo_.ag_count(); ++g) {
+    ag_br_.push_back(
+        topo_.parent(NodeId::make(Tier::AG, static_cast<std::uint32_t>(g))));
   }
 
   mhs_.reserve(n_mh);
@@ -112,9 +113,9 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   sources_on_mh_.assign(n_mh, {});
   membership_seq_.assign(n_mh, 0);
   for (NodeId mh : topo_.mhs) {
-    const NodeId ap = topo_.desc(mh).parent;
+    const NodeId ap = topo_.parent(mh);
     mhs_.emplace_back(mh, ap);
-    const NodeId br = topo_.br_of(ap);
+    const NodeId br = ap_br_[ap.index()];
     br_members_[br.index()].push_back(mh);
     brs_[br.index()].ack_floor_.add(member_wm_[mh.index()]);
     member_br_[mh.index()] = br;
@@ -131,14 +132,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   span_breakdowns_.resize(n_ctx);
   loss_.resize(n_ctx);
   tree_hops_.resize(n_ctx);
-
-  // Every BR starts with a converged view: all MHs at their home AP.
-  for (auto& br : brs_) {
-    br.view_.reset(n_mh);
-    for (NodeId mh : topo_.mhs) {
-      br.view_.apply(mh, topo_.desc(mh).parent, 0);
-    }
-  }
 
   // Sources live on MHs, spread evenly across the population; with no MH
   // to host one, none is placed and the run is idle.
@@ -667,19 +660,7 @@ void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
       static_cast<std::uint64_t>((sim_.now() - msg.submit_at).us));
   if (config_.record_spans) record_span(msg);
   if (config_.record_deliveries && config_.options.ordered) {
-    GroupId gid = msg.gid;
-    if (multi_ && !msg.groups.empty()) {
-      // Credit the delivery to the smallest destination group this member
-      // belongs to — deterministic, so serial and sharded runs agree.
-      const proto::GroupSet& mine = mh_groups_[node.id_.index()];
-      for (GroupId g : msg.groups) {
-        if (mine.contains(g)) {
-          gid = g;
-          break;
-        }
-      }
-    }
-    deliveries_.record(node.id_, msg.gseq, msg.source, msg.lseq, gid,
+    deliveries_.record(node.id_, msg.gseq, msg.source, msg.lseq,
                        sim_.current_ctx());
   }
 }

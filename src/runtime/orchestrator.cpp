@@ -7,6 +7,7 @@
 #include "core/groups.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/udp_transport.hpp"
+#include "topo/hierarchy.hpp"
 #include "util/clock.hpp"
 
 namespace ringnet::runtime {
@@ -47,59 +48,55 @@ LoopbackSpec scaled(LoopbackSpec spec) {
 
 Deployment make_deployment(const LoopbackSpec& raw_spec) {
   const LoopbackSpec spec = scaled(raw_spec);
-  const std::size_t n_br = spec.num_brs;
-  const std::size_t n_ap = spec.n_aps();
-  const std::size_t n_mh = spec.n_mhs();
-
-  std::vector<NodeId> brs, aps, mhs;
-  for (std::size_t i = 0; i < n_br; ++i) {
-    brs.push_back(NodeId::make(Tier::BR, static_cast<std::uint32_t>(i)));
-  }
-  for (std::size_t a = 0; a < n_ap; ++a) {
-    aps.push_back(NodeId::make(Tier::AP, static_cast<std::uint32_t>(a)));
-  }
-  for (std::size_t m = 0; m < n_mh; ++m) {
-    mhs.push_back(NodeId::make(Tier::MH, static_cast<std::uint32_t>(m)));
-  }
-  const auto ap_of_mh = [&](std::size_t m) { return m / spec.mhs_per_ap; };
-  const auto br_of_ap = [&](std::size_t a) { return a / spec.aps_per_br; };
+  // The simulator's index rule, with one AG per BR: the runtime has no AG
+  // role, so a BR's APs are its one AG's.
+  topo::HierarchyConfig shape;
+  shape.num_brs = spec.num_brs;
+  shape.ags_per_br = 1;
+  shape.aps_per_ag = spec.aps_per_br;
+  shape.mhs_per_ap = spec.mhs_per_ap;
+  const topo::Topology topo = topo::build_hierarchy(shape);
+  const std::vector<NodeId>& brs = topo.top_ring;
+  const std::vector<NodeId>& aps = topo.aps;
+  const std::vector<NodeId>& mhs = topo.mhs;
 
   Deployment dep;
-  for (std::size_t i = 0; i < n_br; ++i) {
+  for (NodeId br : brs) {
     BrConfig cfg;
-    cfg.self = brs[i];
+    cfg.self = br;
     cfg.ss = kSupervisorId;
     cfg.ring = brs;
-    for (std::size_t a = 0; a < n_ap; ++a) {
-      if (br_of_ap(a) == i) cfg.own_aps.push_back(aps[a]);
+    for (NodeId ap : aps) {
+      if (topo.br_of(ap) == br) cfg.own_aps.push_back(ap);
     }
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      if (br_of_ap(ap_of_mh(m)) != i) continue;
-      cfg.members.push_back(mhs[m]);
-      cfg.member_ap.push_back(aps[ap_of_mh(m)]);
+    for (NodeId mh : mhs) {
+      if (topo.br_of(mh) != br) continue;
+      cfg.members.push_back(mh);
+      cfg.member_ap.push_back(topo.parent(mh));
     }
     cfg.groups = spec.groups;
     cfg.opts = spec.opts;
     dep.brs.push_back(std::move(cfg));
   }
-  for (std::size_t a = 0; a < n_ap; ++a) {
+  for (NodeId ap : aps) {
     ApConfig cfg;
-    cfg.self = aps[a];
-    cfg.br = brs[br_of_ap(a)];
+    cfg.self = ap;
+    cfg.br = topo.br_of(ap);
     cfg.ss = kSupervisorId;
-    for (std::size_t m = 0; m < n_mh; ++m) {
-      if (ap_of_mh(m) == a) cfg.attached.push_back(mhs[m]);
+    for (NodeId mh : mhs) {
+      if (topo.parent(mh) == ap) cfg.attached.push_back(mh);
     }
     cfg.opts = spec.opts;
     dep.aps.push_back(std::move(cfg));
   }
   const std::int64_t period_us =
       spec.rate_hz > 0 ? static_cast<std::int64_t>(1e6 / spec.rate_hz) : 0;
+  const std::size_t n_mh = mhs.size();
   for (std::size_t m = 0; m < n_mh; ++m) {
     MhConfig cfg;
     cfg.self = mhs[m];
     cfg.source_id = NodeId{static_cast<std::uint32_t>(m)};  // matches the sim
-    cfg.ap = aps[ap_of_mh(m)];
+    cfg.ap = topo.parent(mhs[m]);
     cfg.ss = kSupervisorId;
     cfg.rate_hz = spec.rate_hz;
     cfg.msgs_to_send = spec.msgs_per_source;

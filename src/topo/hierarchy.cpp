@@ -2,164 +2,47 @@
 
 namespace ringnet::topo {
 
-namespace {
-
-void link_ring(Topology& topo, const std::vector<NodeId>& ring,
-               LinkKind kind) {
-  const std::size_t n = ring.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    NodeDesc& d = topo.desc(ring[i]);
-    d.nbrs.next = ring[(i + 1) % n];
-    d.nbrs.prev = ring[(i + n - 1) % n];
-    d.nbrs.leader = ring.front();
-    if (n > 1 || i == 0) {
-      // A self-loop link is still recorded for a 1-ring so the ring is
-      // visible in the link inventory.
-      topo.links.push_back(Link{ring[i], ring[(i + 1) % n], kind});
-    }
-  }
-}
-
-}  // namespace
-
-NodeId Topology::br_of(NodeId id) const {
-  NodeId cur = id;
-  while (has(cur)) {
-    const NodeDesc& d = desc(cur);
-    if (d.tier == Tier::BR) return cur;
-    if (!d.parent.valid()) break;
-    cur = d.parent;
+NodeId Topology::parent(NodeId id) const {
+  const std::size_t i = id.index();
+  switch (id.tier()) {
+    case Tier::MH:
+      if (i < mhs.size()) return aps[i / config.mhs_per_ap];
+      break;
+    case Tier::AP:
+      if (i < aps.size()) {
+        return NodeId::make(Tier::AG,
+                            static_cast<std::uint32_t>(i / config.aps_per_ag));
+      }
+      break;
+    case Tier::AG:
+      if (i < ag_count()) return top_ring[i / config.ags_per_br];
+      break;
+    case Tier::BR:
+    case Tier::None:
+      break;
   }
   return NodeId::invalid();
 }
 
-std::optional<std::string> Topology::validate() const {
-  if (top_ring.empty()) return "empty top ring";
-  if (ag_rings.size() != top_ring.size()) {
-    return "expected one AG ring per BR";
-  }
-  // Ring closure on both ring tiers.
-  auto check_ring = [this](const std::vector<NodeId>& ring,
-                           const char* name) -> std::optional<std::string> {
-    const std::size_t n = ring.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!has(ring[i])) return std::string(name) + ": unknown node";
-      const NodeDesc& d = desc(ring[i]);
-      if (d.nbrs.next != ring[(i + 1) % n]) {
-        return std::string(name) + ": broken next link at " +
-               to_string(ring[i]);
-      }
-      if (d.nbrs.prev != ring[(i + n - 1) % n]) {
-        return std::string(name) + ": broken prev link at " +
-               to_string(ring[i]);
-      }
-      if (d.nbrs.leader != ring.front()) {
-        return std::string(name) + ": inconsistent leader at " +
-               to_string(ring[i]);
-      }
-    }
-    return std::nullopt;
-  };
-  if (auto bad = check_ring(top_ring, "BRT")) return bad;
-  for (const auto& ring : ag_rings) {
-    if (ring.empty()) return "empty AG ring";
-    if (auto bad = check_ring(ring, "AGT")) return bad;
-  }
-  // Parent/child symmetry across the whole tree.
-  for (const auto& [id, d] : nodes) {
-    for (NodeId child : d.children) {
-      if (!has(child)) return "dangling child of " + to_string(id);
-      if (desc(child).parent != id) {
-        return "asymmetric parent link at " + to_string(child);
-      }
-    }
-    if (d.parent.valid()) {
-      const auto& siblings = desc(d.parent).children;
-      bool found = false;
-      for (NodeId s : siblings) found = found || s == id;
-      if (!found) return "orphan " + to_string(id);
-    }
-    if (d.tier == Tier::MH || d.tier == Tier::AP || d.tier == Tier::AG) {
-      if (!d.parent.valid()) return to_string(id) + " missing parent";
-    }
-  }
-  // Tier inventory matches the generating config.
-  const std::size_t want_ags = config.num_brs * config.ags_per_br;
-  const std::size_t want_aps = want_ags * config.aps_per_ag;
-  const std::size_t want_mhs = want_aps * config.mhs_per_ap;
-  if (top_ring.size() != config.num_brs) return "BR count mismatch";
-  std::size_t ags = 0;
-  for (const auto& ring : ag_rings) ags += ring.size();
-  if (ags != want_ags) return "AG count mismatch";
-  if (aps.size() != want_aps) return "AP count mismatch";
-  if (mhs.size() != want_mhs) return "MH count mismatch";
-  if (entity_count() != config.num_brs + want_ags + want_aps + want_mhs) {
-    return "entity count mismatch";
-  }
-  return std::nullopt;
+NodeId Topology::br_of(NodeId id) const {
+  for (NodeId up = parent(id); up.valid(); up = parent(up)) id = up;
+  const bool is_br = id.tier() == Tier::BR && id.index() < top_ring.size();
+  return is_br ? id : NodeId::invalid();
 }
 
 Topology build_hierarchy(const HierarchyConfig& config) {
+  const auto tier_ids = [](Tier tier, std::size_t n) {
+    std::vector<NodeId> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = NodeId::make(tier, static_cast<std::uint32_t>(i));
+    }
+    return ids;
+  };
   Topology topo;
   topo.config = config;
-
-  std::uint32_t next_ag = 0, next_ap = 0, next_mh = 0;
-
-  for (std::size_t b = 0; b < config.num_brs; ++b) {
-    const NodeId br = NodeId::make(Tier::BR, static_cast<std::uint32_t>(b));
-    topo.top_ring.push_back(br);
-    NodeDesc bd;
-    bd.id = br;
-    bd.tier = Tier::BR;
-    topo.nodes.emplace(br, bd);
-  }
-
-  for (std::size_t b = 0; b < config.num_brs; ++b) {
-    const NodeId br = topo.top_ring[b];
-    std::vector<NodeId> ag_ring;
-    ag_ring.reserve(config.ags_per_br);
-    for (std::size_t g = 0; g < config.ags_per_br; ++g) {
-      const NodeId ag = NodeId::make(Tier::AG, next_ag++);
-      ag_ring.push_back(ag);
-      NodeDesc gd;
-      gd.id = ag;
-      gd.tier = Tier::AG;
-      gd.parent = br;
-      topo.nodes.emplace(ag, gd);
-      topo.desc(br).children.push_back(ag);
-      topo.links.push_back(Link{br, ag, LinkKind::LanTree});
-
-      for (std::size_t a = 0; a < config.aps_per_ag; ++a) {
-        const NodeId ap = NodeId::make(Tier::AP, next_ap++);
-        topo.aps.push_back(ap);
-        NodeDesc ad;
-        ad.id = ap;
-        ad.tier = Tier::AP;
-        ad.parent = ag;
-        topo.nodes.emplace(ap, ad);
-        topo.desc(ag).children.push_back(ap);
-        topo.links.push_back(Link{ag, ap, LinkKind::LanTree});
-
-        for (std::size_t m = 0; m < config.mhs_per_ap; ++m) {
-          const NodeId mh = NodeId::make(Tier::MH, next_mh++);
-          topo.mhs.push_back(mh);
-          NodeDesc md;
-          md.id = mh;
-          md.tier = Tier::MH;
-          md.parent = ap;
-          topo.nodes.emplace(mh, md);
-          topo.desc(ap).children.push_back(mh);
-          topo.links.push_back(Link{ap, mh, LinkKind::WirelessCell});
-        }
-      }
-    }
-    topo.ag_rings.push_back(std::move(ag_ring));
-  }
-
-  link_ring(topo, topo.top_ring, LinkKind::WanRing);
-  for (const auto& ring : topo.ag_rings) {
-    link_ring(topo, ring, LinkKind::LanTree);
-  }
+  topo.top_ring = tier_ids(Tier::BR, config.num_brs);
+  topo.aps = tier_ids(Tier::AP, topo.ag_count() * config.aps_per_ag);
+  topo.mhs = tier_ids(Tier::MH, topo.aps.size() * config.mhs_per_ap);
   return topo;
 }
 

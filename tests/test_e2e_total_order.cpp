@@ -114,8 +114,8 @@ TEST(delivery_log_reads_back_across_blocks_and_contexts) {
   const std::size_t n = 3 * core::DeliveryLog::kBlockRecs + 3;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t ctx = (k / 5) % 2;
-    log.record(mhs[0], 2 * k + 1, src, k, GroupId{0}, ctx);
-    if (k % 3 == 0) log.record(mhs[1], 2 * k + 1, src, k, GroupId{0}, 1 - ctx);
+    log.record(mhs[0], 2 * k + 1, src, k, ctx);
+    if (k % 3 == 0) log.record(mhs[1], 2 * k + 1, src, k, 1 - ctx);
   }
   CHECK_EQ(log.members(), std::size_t{2});
   CHECK_EQ(log.records(0).size(), n);
@@ -156,11 +156,11 @@ TEST(total_order_check_spans_blocks) {
   // member 1 in its second.
   core::DeliveryLog twice;
   twice.reset(mhs, 2);
-  twice.record(mhs[0], 100, src, 100, GroupId{0}, 0);
+  twice.record(mhs[0], 100, src, 100, 0);
   for (std::size_t g = 1; g <= full; ++g) {
-    twice.record(mhs[1], g, src, g, GroupId{0}, 1);
+    twice.record(mhs[1], g, src, g, 1);
   }
-  twice.record(mhs[1], 100, src, 7, GroupId{0}, 0);
+  twice.record(mhs[1], 100, src, 7, 0);
   const auto r2 = twice.check_total_order();
   CHECK(r2 && r2->find("two different messages") != std::string::npos);
 }

@@ -92,8 +92,8 @@ TEST(laggard_pins_the_subtree_floor_until_it_hands_off) {
   const auto& topo = proto.topology();
   const NodeId br0 = topo.top_ring[0];
   const NodeId laggard = topo.mhs[1];
-  const NodeId dark_cell = topo.desc(laggard).parent;
-  const NodeId br1_cell = topo.desc(topo.mhs[2]).parent;
+  const NodeId dark_cell = topo.parent(laggard);
+  const NodeId br1_cell = topo.parent(topo.mhs[2]);
   CHECK_EQ(topo.br_of(dark_cell), br0);
   CHECK(topo.br_of(br1_cell) != br0);
   core::MessageQueue& mq = proto.node(br0).mq();

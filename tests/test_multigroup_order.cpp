@@ -352,16 +352,16 @@ TEST(pairwise_checker_accepts_holes_rejects_inversions) {
   for (GlobalSeq g = 1; g <= 5 * core::DeliveryLog::kBlockRecs; ++g) {
     const std::size_t ctx = (g / 4) % 2;
     for (std::size_t m = 0; m < mhs.size(); ++m) {
-      if ((g + m) % 3 != 0) long_log.record(mhs[m], g, src, g, GroupId{0}, ctx);
+      if ((g + m) % 3 != 0) long_log.record(mhs[m], g, src, g, ctx);
     }
   }
   CHECK(!core::check_pairwise_order(long_log).has_value());
   core::DeliveryLog inverted;
   inverted.reset(mhs, 2);
   for (GlobalSeq g = 1; g <= core::DeliveryLog::kBlockRecs; ++g) {
-    inverted.record(mhs[0], g, src, g, GroupId{0}, g % 2);
+    inverted.record(mhs[0], g, src, g, g % 2);
   }
-  inverted.record(mhs[0], 3, src, 3, GroupId{0}, 0);
+  inverted.record(mhs[0], 3, src, 3, 0);
   CHECK(core::check_pairwise_order(inverted).has_value());
 }
 
@@ -430,7 +430,7 @@ TEST(pairwise_checker_agrees_with_the_member_pair_walk) {
         recs[rng.bounded(recs.size())].second += 1000;  // a second binding
       }
       for (const auto& [g, l] : recs) {
-        log.record(mhs[m], g, src, l, GroupId{0}, rng.bounded(2));
+        log.record(mhs[m], g, src, l, rng.bounded(2));
       }
     }
     const bool reference_fails = pairwise_reference(log).has_value();
@@ -442,22 +442,18 @@ TEST(pairwise_checker_agrees_with_the_member_pair_walk) {
   CHECK(failing < kLogs);
 }
 
-TEST(lookahead_floor_tracks_the_latency_matrix) {
-  // Satellite regression: on today's uniform deployments the per-pair
-  // latency-matrix minimum reduces to the configured WAN one-way latency,
-  // and the shard plan adopts it as its conservative window.
+TEST(shard_plan_lookahead_is_the_wan_latency) {
+  // Every cross-domain event rides a BR<->BR WAN hop, so the shard plan's
+  // conservative window is the WAN one-way latency, on one BR too (any
+  // positive window is safe there).
   auto spec = base_spec();
-  const auto cfg = baseline::effective_config(spec);
-  CHECK(baseline::min_interdomain_latency(cfg) == cfg.hierarchy.wan.latency);
   spec.shard = true;
   spec.shard_threads = 2;
-  const auto plan = baseline::shard_plan(spec, cfg);
-  CHECK(plan.lookahead == baseline::min_interdomain_latency(cfg));
-  // A one-BR deployment has no inter-domain links; the floor stays at the
-  // configured WAN latency (any positive window is safe).
+  const auto cfg = baseline::effective_config(spec);
+  CHECK(baseline::shard_plan(spec, cfg).lookahead == cfg.hierarchy.wan.latency);
   auto single = cfg;
   single.hierarchy.num_brs = 1;
-  CHECK(baseline::min_interdomain_latency(single) ==
+  CHECK(baseline::shard_plan(spec, single).lookahead ==
         single.hierarchy.wan.latency);
 }
 

@@ -35,7 +35,7 @@ TEST(reattach_after_empty_br_resyncs_without_skips) {
   // MH1 repeatedly drops radio and re-attaches into its own cell: BR1 is
   // memberless for each 100 ms window while traffic keeps flowing.
   const NodeId roamer = proto.topology().mhs[1];
-  const NodeId cell = proto.topology().desc(roamer).parent;
+  const NodeId cell = proto.topology().parent(roamer);
   for (int i = 1; i <= 4; ++i) {
     sim.after(sim::msecs(500 * i), [&proto, roamer, cell] {
       proto.force_handoff(roamer, cell);

@@ -457,6 +457,36 @@ TEST(random_programs_match_the_oracle) {
               static_cast<unsigned long long>(sandwiched));
 }
 
+TEST(sliced_runs_keep_the_oracle_clock) {
+  // A window that `until` bounds ends at the key (until + 1 us, 0, 0).
+  // The engine's clock must still stop at `until`: a clock 1 us ahead
+  // moves every later slice's horizon, so the second slice would run the
+  // shard event at 2,001 us, which the oracle leaves for a third.
+  const auto run = [](std::size_t threads) {
+    sim::Simulation sim(1, sim::ShardPlan{2, sim::msecs(5), threads});
+    sim.at(0, sim::usecs(400), [] {});
+    sim.at(1, sim::usecs(2001), [] {});
+    std::vector<std::int64_t> seen;
+    for (int slice = 0; slice < 2; ++slice) {
+      sim.run_for(sim::msecs(1));
+      seen.push_back(sim.now().us);
+      seen.push_back(static_cast<std::int64_t>(sim.executed_events()));
+    }
+    return seen;
+  };
+  const std::vector<std::int64_t> oracle = run(0);
+  CHECK(oracle == (std::vector<std::int64_t>{1000, 1, 2000, 1}));
+  const std::vector<std::int64_t> sharded = run(2);
+  CHECK(sharded == oracle);
+  for (std::size_t i = 0; i < sharded.size(); ++i) {
+    if (sharded[i] != oracle[i]) {
+      std::printf("  [%zu]: sharded %lld, oracle %lld\n", i,
+                  static_cast<long long>(sharded[i]),
+                  static_cast<long long>(oracle[i]));
+    }
+  }
+}
+
 TEST(cross_shard_schedule_inside_the_window_throws) {
   // A shard event that schedules into another shard 1 ms ahead, under a
   // 5 ms lookahead, would land inside the open window. The engine refuses

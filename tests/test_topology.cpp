@@ -1,86 +1,94 @@
-// Hierarchy construction: tier inventories, ring closure, parent/child
-// symmetry, leader consistency, br_of path walking, and validate()'s
-// ability to actually catch corruption.
+// Hierarchy construction: tier inventories, and parent() / br_of() against
+// the tree build_hierarchy emits, BR by BR, AG by AG, AP by AP.
 
 #include "ringnet_test.hpp"
 #include "topo/hierarchy.hpp"
 
 using namespace ringnet;
 
+namespace {
+
+topo::HierarchyConfig shape(std::size_t brs, std::size_t ags, std::size_t aps,
+                            std::size_t mhs) {
+  topo::HierarchyConfig cfg;
+  cfg.num_brs = brs;
+  cfg.ags_per_br = ags;
+  cfg.aps_per_ag = aps;
+  cfg.mhs_per_ap = mhs;
+  return cfg;
+}
+
+}  // namespace
+
 TEST(shapes_and_counts) {
   for (const auto& [brs, ags, aps, mhs] :
        {std::tuple{2, 1, 1, 1}, std::tuple{3, 3, 2, 2},
         std::tuple{8, 4, 4, 4}}) {
-    topo::HierarchyConfig cfg;
-    cfg.num_brs = static_cast<std::size_t>(brs);
-    cfg.ags_per_br = static_cast<std::size_t>(ags);
-    cfg.aps_per_ag = static_cast<std::size_t>(aps);
-    cfg.mhs_per_ap = static_cast<std::size_t>(mhs);
+    const auto cfg = shape(static_cast<std::size_t>(brs),
+                           static_cast<std::size_t>(ags),
+                           static_cast<std::size_t>(aps),
+                           static_cast<std::size_t>(mhs));
     const auto topo = topo::build_hierarchy(cfg);
-    CHECK(!topo.validate().has_value());
     CHECK_EQ(topo.top_ring.size(), cfg.num_brs);
-    CHECK_EQ(topo.ag_rings.size(), cfg.num_brs);
     CHECK_EQ(topo.aps.size(), cfg.num_brs * cfg.ags_per_br * cfg.aps_per_ag);
     CHECK_EQ(topo.mhs.size(), topo.aps.size() * cfg.mhs_per_ap);
     CHECK_EQ(topo.entity_count(),
              cfg.num_brs + cfg.num_brs * cfg.ags_per_br + topo.aps.size() +
                  topo.mhs.size());
+    // Every tier list is index-ordered.
+    for (std::size_t i = 0; i < topo.mhs.size(); ++i) {
+      CHECK_EQ(topo.mhs[i],
+               NodeId::make(Tier::MH, static_cast<std::uint32_t>(i)));
+    }
   }
 }
 
-TEST(ring_closure_and_leader) {
-  topo::HierarchyConfig cfg;
-  cfg.num_brs = 5;
+TEST(parents_follow_emission_order) {
+  // Walk the tree in the order the paper's Figure 1 is emitted, numbering
+  // each tier as it goes: every node's parent() is the node it was emitted
+  // under, and br_of() is the BR whose subtree is being walked.
+  const auto cfg = shape(3, 2, 3, 2);
   const auto topo = topo::build_hierarchy(cfg);
-  // Walking `next` from the leader returns to it in exactly num_brs hops.
-  NodeId cur = topo.top_ring.front();
-  for (std::size_t i = 0; i < cfg.num_brs; ++i) {
-    CHECK_EQ(topo.desc(cur).nbrs.leader.v, topo.top_ring.front().v);
-    cur = topo.desc(cur).nbrs.next;
-  }
-  CHECK_EQ(cur.v, topo.top_ring.front().v);
-  // prev is the inverse of next.
+  std::uint32_t ag = 0, ap = 0, mh = 0;
   for (NodeId br : topo.top_ring) {
-    CHECK_EQ(topo.desc(topo.desc(br).nbrs.next).nbrs.prev.v, br.v);
+    CHECK(!topo.parent(br).valid());
+    CHECK_EQ(topo.br_of(br), br);
+    for (std::size_t g = 0; g < cfg.ags_per_br; ++g, ++ag) {
+      const NodeId ag_id = NodeId::make(Tier::AG, ag);
+      CHECK_EQ(topo.parent(ag_id), br);
+      CHECK_EQ(topo.br_of(ag_id), br);
+      for (std::size_t a = 0; a < cfg.aps_per_ag; ++a, ++ap) {
+        const NodeId ap_id = topo.aps[ap];
+        CHECK_EQ(topo.parent(ap_id), ag_id);
+        CHECK_EQ(topo.br_of(ap_id), br);
+        for (std::size_t m = 0; m < cfg.mhs_per_ap; ++m, ++mh) {
+          const NodeId mh_id = topo.mhs[mh];
+          CHECK_EQ(topo.parent(mh_id), ap_id);
+          CHECK_EQ(topo.br_of(mh_id), br);
+        }
+      }
+    }
   }
+  CHECK_EQ(std::size_t{ag}, topo.ag_count());
+  CHECK_EQ(std::size_t{ap}, topo.aps.size());
+  CHECK_EQ(std::size_t{mh}, topo.mhs.size());
 }
 
-TEST(br_of_walks_to_the_root) {
-  topo::HierarchyConfig cfg;
-  cfg.num_brs = 3;
-  cfg.ags_per_br = 2;
-  cfg.aps_per_ag = 2;
-  cfg.mhs_per_ap = 2;
-  const auto topo = topo::build_hierarchy(cfg);
-  for (NodeId mh : topo.mhs) {
-    const NodeId br = topo.br_of(mh);
-    CHECK(br.valid());
-    CHECK(br.tier() == Tier::BR);
-    // The MH must be inside that BR's subtree: walk up explicitly.
-    NodeId cur = mh;
-    while (topo.desc(cur).parent.valid()) cur = topo.desc(cur).parent;
-    CHECK_EQ(cur.v, br.v);
+TEST(ids_outside_the_topology_have_no_parent) {
+  const auto topo = topo::build_hierarchy(shape(2, 1, 2, 2));
+  const NodeId outside[] = {
+      NodeId::make(Tier::MH, 8), NodeId::make(Tier::AP, 4),
+      NodeId::make(Tier::AG, 2), NodeId::make(Tier::BR, 2), NodeId{3},
+      NodeId::invalid()};
+  for (NodeId id : outside) {
+    CHECK(!topo.parent(id).valid());
+    CHECK(!topo.br_of(id).valid());
   }
-  for (NodeId br : topo.top_ring) CHECK_EQ(topo.br_of(br).v, br.v);
-}
-
-TEST(validate_catches_corruption) {
-  topo::HierarchyConfig cfg;
-  cfg.num_brs = 3;
-  auto topo = topo::build_hierarchy(cfg);
-  CHECK(!topo.validate().has_value());
-  // Break the ring.
-  auto broken = topo;
-  broken.desc(broken.top_ring[0]).nbrs.next = broken.top_ring[0];
-  CHECK(broken.validate().has_value());
-  // Break a parent link.
-  auto orphaned = topo;
-  orphaned.desc(orphaned.mhs[0]).parent = NodeId::invalid();
-  CHECK(orphaned.validate().has_value());
-  // Break the leader.
-  auto misled = topo;
-  misled.desc(misled.top_ring[1]).nbrs.leader = misled.top_ring[1];
-  CHECK(misled.validate().has_value());
+  // A shape without MHs numbers none, and its APs still have parents.
+  const auto empty = topo::build_hierarchy(shape(2, 1, 2, 0));
+  CHECK(empty.mhs.empty());
+  CHECK(!empty.parent(NodeId::make(Tier::MH, 0)).valid());
+  CHECK_EQ(empty.br_of(empty.aps[3]), empty.top_ring[1]);
 }
 
 TEST(node_id_tiers_and_names) {

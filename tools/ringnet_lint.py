@@ -4,6 +4,8 @@
 Enforces repo-specific invariants that clang-tidy cannot express. Run from
 anywhere; the repo root is located relative to this file (override with
 --repo). Exit status: 0 clean, 1 violations found, 2 internal error.
+Header self-containment is checked by the build instead: the
+ringnet_header_check target compiles every public header on its own.
 
 Rules
 -----
@@ -24,13 +26,6 @@ RN004 stdout-in-library
     No `std::cout` / `printf` / `puts` in library code (include/, src/).
     The library reports through Metrics, the flight recorder and Table
     values; only benches, tests, and tools own process output.
-
-RN005 header-self-containment
-    Every public header under include/ must compile standalone: a
-    generated TU containing only `#include "<header>"` is compiled with
-    `-fsyntax-only -std=c++20`, os.cpu_count() compiles at a time.
-    Catches headers that lean on includes supplied by whoever included
-    them first.
 
 RN006 raw-wall-clock
     No raw wall-clock reads (`std::chrono::*_clock::now`, `gettimeofday`,
@@ -86,11 +81,8 @@ linter cannot silently rot.
 """
 
 import argparse
-import concurrent.futures
 import os
 import re
-import shutil
-import subprocess
 import sys
 import tempfile
 
@@ -388,43 +380,9 @@ def check_registry_mirror(root):
 
 
 # --------------------------------------------------------------------------
-# RN005: header self-containment
-
-def check_header_self_containment(root, cxx):
-    """One compile per header, os.cpu_count() at a time; findings come back
-    in header order."""
-    include_dir = os.path.join(root, "include")
-    headers = []
-    for dirpath, _, names in os.walk(include_dir):
-        for name in sorted(names):
-            if name.endswith(".hpp"):
-                headers.append(os.path.join(dirpath, name))
-    with tempfile.TemporaryDirectory(prefix="ringnet_lint_") as tmp:
-        def compile_alone(index, hdr):
-            hrel = os.path.relpath(hdr, include_dir).replace(os.sep, "/")
-            tu = os.path.join(tmp, f"tu{index}.cpp")
-            with open(tu, "w", encoding="utf-8") as f:
-                f.write(f'#include "{hrel}"\n')
-            proc = subprocess.run(
-                [cxx, "-fsyntax-only", "-std=c++20", "-I", include_dir, tu],
-                capture_output=True, text=True)
-            if proc.returncode == 0:
-                return None
-            first = (proc.stderr.strip().splitlines() or ["?"])[0]
-            return Finding("RN005", rel(root, hdr), 1,
-                           f"header is not self-contained ({first})")
-
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1) as pool:
-            results = list(pool.map(compile_alone, range(len(headers)),
-                                    headers))
-    return [f for f in results if f is not None]
-
-
-# --------------------------------------------------------------------------
 # Driver
 
-def run_checks(root, cxx, with_headers=True):
+def run_checks(root):
     findings = []
     findings += check_map_in_core_header(root)
     findings += check_raw_rng(root)
@@ -435,12 +393,10 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_bytewise_integer_write(root)
     findings += check_function_in_sim(root)
     findings += check_registry_mirror(root)
-    if with_headers:
-        findings += check_header_self_containment(root, cxx)
     return findings
 
 
-def self_test(cxx):
+def self_test():
     """Seed one violation per rule; every rule must fire on its seed."""
     failures = []
     with tempfile.TemporaryDirectory(prefix="ringnet_lint_st_") as tmp:
@@ -474,10 +430,6 @@ def self_test(cxx):
         write("src/core/ok_snprintf.cpp",
               "#include <cstdio>\nvoid f(char* b) "
               '{ (void)snprintf(b, 4, "x"); }\n')
-
-        # RN005: header leaning on an include it never pulls in.
-        write("include/core/bad_header.hpp",
-              "#pragma once\ninline std::vector<int> v;\n")
 
         # RN006: wall-clock read in sim code; runtime/ and util/clock.hpp
         # (plus duration-only waits) are exempt.
@@ -565,10 +517,10 @@ def self_test(cxx):
               "  r.rate = m.counter(names::kMhDelivered) / 2.0;\n"
               "}\n")
 
-        findings = run_checks(tmp, cxx)
+        findings = run_checks(tmp)
         fired = {f.rule for f in findings}
-        for rule in ("RN002", "RN003", "RN004", "RN005", "RN006", "RN007",
-                     "RN009", "RN010", "RN011", "RN012"):
+        for rule in ("RN002", "RN003", "RN004", "RN006", "RN007", "RN009",
+                     "RN010", "RN011", "RN012"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -602,25 +554,14 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", default=default_root,
                     help="repo root (default: parent of tools/)")
-    ap.add_argument("--cxx", default=os.environ.get("CXX", "c++"),
-                    help="compiler for header self-containment "
-                         "(default: $CXX or c++)")
-    ap.add_argument("--no-headers", action="store_true",
-                    help="skip the header self-containment compile pass")
     ap.add_argument("--self-test", action="store_true",
                     help="verify every rule fires on seeded violations")
     args = ap.parse_args(argv)
 
     if args.self_test:
-        return self_test(args.cxx)
+        return self_test()
 
-    if shutil.which(args.cxx) is None and not args.no_headers:
-        print(f"error: compiler '{args.cxx}' not found (use --no-headers "
-              "to skip the self-containment pass)", file=sys.stderr)
-        return 2
-
-    findings = run_checks(args.repo, args.cxx,
-                          with_headers=not args.no_headers)
+    findings = run_checks(args.repo)
     for f in findings:
         print(f)
     if findings:
